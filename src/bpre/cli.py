@@ -26,15 +26,18 @@ from .env import (ConfigError, EnvDistribution, ModelMoments, ResourceCapError,
                   check_assumptions, compute_moments, parse_env_config)
 from .estimate import (convergence_report, fit_geometric_decay,
                        mc_logw_increments, mc_tail_logzn, mc_tail_sn,
-                       theorem1_candidates)
-from .oracle import exact_logZn_tail, exact_sn_tail
+                       require_int64_range, theorem1_candidates)
+from .oracle import composition_count, exact_logZn_tail, exact_sn_tail
 from .simulate import (DOMAIN_SIMULATE, RNG_ID, SimConfig, simulate_trajectory,
                        stream)
 
 _SEED_MAX = 1 << 64
 
-# Incidental exact cross-checks inside verify runs stay within this many
-# enumerated sequences; larger enumerations are the oracle commands' job.
+# Incidental exact cross-checks inside verify runs stay small; larger exact
+# computations are the oracle commands' job. verify sn sums over at most this
+# many state-count compositions; verify theorem1 propagates the kernel only
+# while k^n and k_max^n stay within these limits.
+_INCIDENTAL_COMPOSITIONS = 1 << 14
 _INCIDENTAL_SEQUENCES = 1 << 14
 _INCIDENTAL_POPULATION = 1 << 10
 
@@ -241,7 +244,7 @@ def _verify_sn(args, env: EnvDistribution, sha: str,
                      level=args.level, workers=_workers(args))
     bound = sn_tail_bound(args.n, args.x, math.sqrt(moments.sigma2), M)
     exact = None
-    if len(env.states) ** args.n <= _INCIDENTAL_SEQUENCES:
+    if composition_count(env, args.n) <= _INCIDENTAL_COMPOSITIONS:
         exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
     passed = est.ci_low <= bound and (exact is None or exact <= bound)
 
@@ -267,6 +270,9 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
     M = _pick_M(moments, kind)
     seed = resolve_seed(args)
     workers = _workers(args)
+    # The decay fit below tracks increments on the int64 path only; fail
+    # before the tail estimate spends its sampling time.
+    require_int64_range(env, args.n)
     est = mc_tail_logzn(env, args.n, x, M, args.trials, seed,
                         level=args.level, workers=workers)
 

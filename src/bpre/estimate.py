@@ -205,6 +205,15 @@ def _vector_path_ok(env: EnvDistribution, n: int) -> bool:
     return env.k_max ** n <= _INT64_SAFE
 
 
+def require_int64_range(env: EnvDistribution, n: int) -> None:
+    """Raise ResourceCapError unless k_max^n fits the int64 stepping range,
+    which increment tracking needs; callers can check before any sampling."""
+    if not _vector_path_ok(env, n):
+        raise ResourceCapError(
+            f"k_max^n = {env.k_max}^{n} exceeds the int64 stepping range; "
+            "increment tracking is desk-scale only")
+
+
 def _final_logz_block(tables: EnvTables, n: int, size: int,
                       rng: np.random.Generator, threshold: int) -> np.ndarray:
     idx = tables.pick_states(rng.random((size, n)))
@@ -284,10 +293,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     if n < 3:
         raise ValueError(f"n={n!r} must be >= 3")
     tables = EnvTables(env)
-    if not _vector_path_ok(env, n):
-        raise ResourceCapError(
-            f"k_max^n = {env.k_max}^{n} exceeds the int64 stepping range; "
-            "increment tracking is desk-scale only")
+    require_int64_range(env, n)
 
     def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = stream(seed, DOMAIN_TRAJ, b)

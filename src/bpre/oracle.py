@@ -1,9 +1,21 @@
-"""Brute-force exact laws of S_n and Z_n for small instances.
+"""Exact laws of S_n and Z_n, computed without enumerating environment sequences.
 
-Ground truth for bound-domination and Monte Carlo checks: the environment law
-is enumerated completely (cap 10^6 sequences) and, per sequence, the law of
-Z_n is computed by generation-wise dynamic programming over integer
-populations (cap k_max^n <= 2^20). Probabilities are floats accumulated with
+Ground truth for bound-domination and Monte Carlo checks. Two routes avoid
+the k^n sequences:
+
+- S_n depends on a sequence only through how often each state occurs, so
+  the walk tail sums over the C(n+k-1, k-1) state-count compositions with
+  multinomial weights (cap 10^6 compositions).
+- Under the annealed law Z_n is a Markov chain with kernel
+  K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
+  offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). The law of Z_n
+  is delta_1 K^n, propagated one generation at a time; E W_n uses the same
+  propagation with weights w_s / m_s. The population support is capped by
+  k_max^n <= 2^20.
+
+Complete enumeration of the environment law (cap 10^6 sequences) with a
+per-sequence population DP stays available as the brute-force reference the
+two routes are tested against. Probabilities are floats accumulated with
 compensated summation; there is no exact-rational mode.
 
 Tail events compare a normalized statistic (stat - n*mu)/(n*M) against the
@@ -23,7 +35,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.stats
@@ -33,6 +45,7 @@ from .env import EnvDistribution, EnvState, ModelMoments, ResourceCapError, stat
 TIE_EPS = 1e-9
 
 MAX_SEQUENCES = 10 ** 6
+MAX_COMPOSITIONS = 10 ** 6
 DEFAULT_DP_CAP = 1 << 20
 
 # math.comb stays float-convertible up to here; scipy's pmf takes over beyond.
@@ -78,47 +91,104 @@ def _check_enumeration_cap(env: EnvDistribution, n: int) -> None:
             f"the cap {MAX_SEQUENCES}")
 
 
-def _iter_state_sequences(env: EnvDistribution,
-                          n: int) -> Iterator[tuple[tuple[EnvState, ...], float]]:
-    _check_enumeration_cap(env, n)
-    for combo in itertools.product(env.states, repeat=n):
-        prob = math.prod(mass for _, mass in combo)
-        yield tuple(state for state, _ in combo), prob
-
-
 def enumerate_env_sequences(env: EnvDistribution, n: int) -> Iterator[WeightedSequence]:
     """All k_0^n environment sequences with product probabilities."""
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    for states, prob in _iter_state_sequences(env, n):
-        yield WeightedSequence(tuple(s.label for s in states), prob)
+    _check_enumeration_cap(env, n)
+    for combo in itertools.product(env.states, repeat=n):
+        prob = math.prod(mass for _, mass in combo)
+        yield WeightedSequence(tuple(state.label for state, _ in combo), prob)
+
+
+# --- S_n: state-count compositions ------------------------------------------
+
+def composition_count(env: EnvDistribution, n: int) -> int:
+    """Number of ways to split n generations among the states: C(n+k-1, k-1)."""
+    k = len(env.states)
+    return math.comb(n + k - 1, k - 1)
+
+
+def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every (c_1..c_k) of nonnegative counts summing to n (stars and bars)."""
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _frexp_products(factors: Iterable[float]) -> list[tuple[float, int]]:
+    """Running products 1, f_1, f_1 f_2, ... as (mantissa, exponent) pairs, so
+    that factorials and high powers neither overflow nor underflow."""
+    m, e = 0.5, 1
+    out = [(m, e)]
+    for f in factors:
+        m, de = math.frexp(m * f)
+        e += de
+        out.append((m, e))
+    return out
+
+
+def _multiset_sum(values: Sequence[float]) -> Callable[[Sequence[int]], float]:
+    """f(counts): the correctly rounded sum of counts[i] copies of values[i],
+    which is what math.fsum returns on the expanded multiset, in O(len(values)).
+
+    The values become integers over one power-of-two denominator, so the
+    exact sum is an integer and int / int division rounds it correctly.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = max(d for _, d in ratios)
+    nums = [a * (denom // d) for a, d in ratios]
+    return lambda counts: sum(c * a for c, a in zip(counts, nums)) / denom
 
 
 def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -> float:
-    """Exact P((S_n - n*mu)/(n*M) >= x) by complete enumeration.
+    """Exact P((S_n - n*mu)/(n*M) >= x), summed over state-count compositions.
 
     The event is the normalized form of the walk tail, the same quantity the
-    Monte Carlo estimator counts; ties at the threshold are included.
+    Monte Carlo estimator counts; ties at the threshold are included. Each
+    composition's S_n is the correctly rounded sum of its expanded multiset
+    of log-means -- the value math.fsum gives for every ordering of it -- so
+    each tie decision matches complete enumeration bit for bit. A
+    composition's probability n!/prod(c_s!) * prod(w_s^c_s) is formed from
+    running products in mantissa-exponent form.
     """
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    log_mean = {state.label: math.log(state_mean(state)) for state, _ in env.states}
+    count = composition_count(env, n)
+    if count > MAX_COMPOSITIONS:
+        raise ResourceCapError(
+            f"{count} state-count compositions of n={n} exceeds the cap "
+            f"{MAX_COMPOSITIONS}")
+    walk_sum = _multiset_sum([math.log(state_mean(state)) for state, _ in env.states])
+    factorials = _frexp_products(range(1, n + 1))
+    powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
     hits = []
-    for states, prob in _iter_state_sequences(env, n):
-        s_n = math.fsum(log_mean[state.label] for state in states)
+    for counts in _compositions(n, len(env.states)):
+        s_n = walk_sum(counts)
         if (s_n - n * mu) / (n * M) >= x - TIE_EPS:
-            hits.append(prob)
+            m, e = factorials[n]
+            for c, power in zip(counts, powers):
+                (pm, pe), (fm, fe) = power[c], factorials[c]
+                m = m * pm / fm
+                e += pe - fe
+            hits.append(math.ldexp(m, e))
     return math.fsum(hits)
 
+
+# --- Z_n: one generation step, per sequence or under the kernel ---------------
 
 def _binomial_row(z: int, p: float) -> np.ndarray:
     """P(Bin(z, p) = j) for j = 0..z."""
     if z <= _EXACT_COMB_MAX:
         q = 1.0 - p
-        return np.array([float(math.comb(z, j)) * p ** j * q ** (z - j)
-                         for j in range(z + 1)])
+        row = []
+        comb = 1  # C(z, j), advanced exactly: C(z, j+1) = C(z, j) (z-j) / (j+1)
+        for j in range(z + 1):
+            row.append(float(comb) * p ** j * q ** (z - j))
+            comb = comb * (z - j) // (j + 1)
+        return np.array(row)
     return scipy.stats.binom.pmf(np.arange(z + 1), z, p)
 
 
@@ -131,81 +201,99 @@ def _convolve(dist: dict[int, float], pmf_entries: dict[int, float]) -> dict[int
     return {value: math.fsum(parts) for value, parts in out.items()}
 
 
-def exact_population_distribution(env_seq: Sequence[EnvState],
-                                  cap: int = DEFAULT_DP_CAP) -> ExactPmf:
-    """Exact law of Z_n under a fixed environment sequence.
+def _generation_step(dist: dict[int, float], state: EnvState,
+                     out: dict[int, list[float]]) -> None:
+    """Append the contributions dist[z] * P(z-fold offspring sum = v) to out[v].
 
-    Generation DP: the law of Z_{k+1} given Z_k = z is the z-fold convolution
-    of the offspring pmf. {1,2}-supported states take the shifted-binomial
-    row z + Bin(z, p_2) with exact binomial coefficients; general states walk
-    a cached convolution power ladder. Contributions to each output value are
-    combined with compensated summation.
+    The law of Z_{k+1} given Z_k = z is the z-fold convolution of the
+    offspring pmf. {1,2}-supported states take the shifted-binomial row
+    z + Bin(z, p_2) with exact binomial coefficients; general states walk a
+    convolution power ladder, advanced once per distinct z ascending. The
+    caller combines the contributions to each value by compensated summation.
     """
-    n = len(env_seq)
-    if n < 1:
-        raise ValueError("environment sequence is empty")
-    k_max = max(max(state.pmf.support) for state in env_seq)
+    positive = {k: p for k, p in state.pmf.entries.items() if p > 0.0}
+    if set(positive) <= {1, 2}:
+        p2 = positive.get(2, 0.0)
+        for z, pz in sorted(dist.items()):
+            if z == 0:
+                out[0].append(pz)
+                continue
+            row = _binomial_row(z, p2)
+            for j, pj in enumerate(row):
+                if pj > 0.0:
+                    out[z + j].append(pz * float(pj))
+    else:
+        power: dict[int, float] = {0: 1.0}
+        power_order = 0
+        for z, pz in sorted(dist.items()):
+            while power_order < z:
+                power = _convolve(power, positive)
+                power_order += 1
+            for value, pv in power.items():
+                out[value].append(pz * pv)
+
+
+def _check_dp_cap(k_max: int, n: int, cap: int) -> None:
     if k_max ** n > cap:
         raise ResourceCapError(f"k_max^n = {k_max}^{n} exceeds the DP cap {cap}")
 
+
+def _propagate(generations: Iterable[Sequence[tuple[EnvState, float]]]
+               ) -> dict[int, float]:
+    """Push delta_1 through one mixture sum_s weight_s T_s per generation;
+    the result is keyed by value ascending."""
     dist = {1: 1.0}
-    for state in env_seq:
-        entries = state.pmf.entries
-        positive = {k: p for k, p in entries.items() if p > 0.0}
+    for mixture in generations:
         out: dict[int, list[float]] = defaultdict(list)
-        if set(positive) <= {1, 2}:
-            p2 = positive.get(2, 0.0)
-            for z, pz in sorted(dist.items()):
-                if z == 0:
-                    out[0].append(pz)
-                    continue
-                row = _binomial_row(z, p2)
-                for j, pj in enumerate(row):
-                    if pj > 0.0:
-                        out[z + j].append(pz * float(pj))
-        else:
-            # Convolution power ladder, advanced once per distinct z ascending.
-            power: dict[int, float] = {0: 1.0}
-            power_order = 0
-            for z, pz in sorted(dist.items()):
-                while power_order < z:
-                    power = _convolve(power, positive)
-                    power_order += 1
-                for value, pv in power.items():
-                    out[value].append(pz * pv)
+        for state, weight in mixture:
+            _generation_step({z: weight * p for z, p in dist.items()}, state, out)
         dist = {value: math.fsum(parts) for value, parts in sorted(out.items())}
-    return ExactPmf(tuple(sorted(dist.items())))
+    return dist
+
+
+def exact_population_distribution(env_seq: Sequence[EnvState],
+                                  cap: int = DEFAULT_DP_CAP) -> ExactPmf:
+    """Exact law of Z_n under a fixed environment sequence, one generation
+    step per state; the brute-force reference for the annealed kernel."""
+    n = len(env_seq)
+    if n < 1:
+        raise ValueError("environment sequence is empty")
+    _check_dp_cap(max(max(state.pmf.support) for state in env_seq), n, cap)
+    return ExactPmf(tuple(_propagate([(state, 1.0)] for state in env_seq).items()))
+
+
+def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float],
+                cap: int) -> dict[int, float]:
+    """delta_1 (sum_s weights[s] T_s)^n: each generation mixes every state's
+    step output with that state's weight."""
+    if n < 1:
+        raise ValueError(f"n={n!r} must be >= 1")
+    _check_dp_cap(env.k_max, n, cap)
+    mixture = [(state, weight) for (state, _), weight in zip(env.states, weights)]
+    return _propagate(itertools.repeat(mixture, n))
 
 
 def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
                      moments: ModelMoments, M: float,
                      cap: int = DEFAULT_DP_CAP) -> float:
-    """Exact P((log Z_n - n*mu)/(n*M) >= x), mixing the per-sequence Z_n laws
-    over the enumerated environment law. Extinct mass (Z_n = 0) never lies in
-    an upper tail; ties follow the TIE_EPS rule."""
+    """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n.
+    Extinct mass (Z_n = 0) never lies in an upper tail; ties follow the
+    TIE_EPS rule."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     mu = moments.mu
-    total = []
-    for states, prob in _iter_state_sequences(env, n):
-        pmf = exact_population_distribution(states, cap)
-        tail = math.fsum(
-            p for v, p in pmf.support
-            if v > 0 and (math.log(v) - n * mu) / (n * M) >= x - TIE_EPS)
-        if tail > 0.0:
-            total.append(prob * tail)
-    return math.fsum(total)
+    law = _kernel_law(env, n, [mass for _, mass in env.states], cap)
+    return math.fsum(
+        p for v, p in law.items()
+        if v > 0 and (math.log(v) - n * mu) / (n * M) >= x - TIE_EPS)
 
 
 def exact_EWn(env: EnvDistribution, n: int, cap: int = DEFAULT_DP_CAP) -> float:
-    """E W_n via the exact laws: sum over sequences of P(seq) * E[Z_n]/Pi_n.
+    """E W_n = E[Z_n / Pi_n], the mean of delta_1 (sum_s (w_s/m_s) T_s)^n.
 
-    The martingale identity makes this 1; the DP mean enters the numerator,
-    so the value closing to 1 within 1e-9 certifies the whole oracle chain.
+    The martingale identity makes this 1; the kernel law enters the
+    numerator, so the value closing to 1 within 1e-9 certifies the whole
+    oracle chain.
     """
-    parts = []
-    for states, prob in _iter_state_sequences(env, n):
-        pmf = exact_population_distribution(states, cap)
-        pi_n = math.prod(state_mean(state) for state in states)
-        parts.append(prob * (pmf.mean / pi_n))
-    return math.fsum(parts)
+    weights = [mass / state_mean(state) for state, mass in env.states]
+    return math.fsum(v * p for v, p in _kernel_law(env, n, weights, cap).items())

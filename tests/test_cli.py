@@ -136,6 +136,13 @@ class TestOracle:
         assert code == 0
         assert out["M"] == "paper"
 
+    def test_answers_past_the_enumeration_cap(self, capsys, binary_cfg):
+        # 2^24 sequences; the composition route needs 25 terms
+        code, out = run_json(capsys, ["oracle", binary_cfg, "--n", "24",
+                                      "--x", "0.5"])
+        assert code == 0
+        assert 0.0 < out["exact_tail"] <= out["bound"]
+
 
 class TestSimulate:
     def test_doubling_trajectory(self, tmp_path, capsys, doubling_cfg):
@@ -206,11 +213,20 @@ class TestVerify:
         assert capsys.readouterr().out.strip() == "verify sn: PASS"
         result = json.loads((out / "result.json").read_text())
         assert result["pass"] is True
-        assert result["exact_tail"] is not None  # 2^6 sequences: enumerable
+        assert result["exact_tail"] is not None  # 7 compositions
         lines = (out / "result.csv").read_text().splitlines()
         assert lines[0] == ("n,x,M_kind,hits,trials,point,ci_low,ci_high,"
                             "bound_H,bound_thm1")
         assert len(lines) == 2
+
+    def test_sn_reports_exact_tail_at_n24(self, tmp_path, binary_cfg):
+        out = tmp_path / "sn24"
+        code = cli.main(["verify", "sn", binary_cfg, "--n", "24", "--x", "0.5",
+                         "--trials", "2000", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["exact_tail"] is not None  # 25 compositions
+        assert 0.0 < result["exact_tail"] <= result["bound_H"]
 
     def test_sn_requires_x(self, binary_cfg):
         assert cli.main(["verify", "sn", binary_cfg, "--n", "6",
@@ -229,6 +245,17 @@ class TestVerify:
         assert result["C_hat"] > 0.0
         assert result["bound_thm1"] > 0.0
         assert result["M_kind"] == "paper"
+
+    def test_theorem1_range_checked_before_sampling(self, monkeypatch, capsys,
+                                                    binary_cfg):
+        # 2^70 > 2^62: the increment fit cannot run, so no trial is drawn
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("mc_tail_logzn ran before the range check")
+        monkeypatch.setattr(cli, "mc_tail_logzn", no_sampling)
+        code = cli.main(["verify", "theorem1", binary_cfg, "--n", "70",
+                         "--trials", "2000"])
+        assert code == 3
+        assert "int64 stepping range" in capsys.readouterr().err
 
     def test_increments_passes(self, tmp_path, capsys, binary_cfg):
         out = tmp_path / "inc"

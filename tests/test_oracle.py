@@ -1,13 +1,17 @@
 import itertools
 import math
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpre.env import ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
-from bpre.oracle import (TIE_EPS, ExactPmf, WeightedSequence,
+from bpre.oracle import (MAX_COMPOSITIONS, TIE_EPS, ExactPmf, WeightedSequence,
+                         _multiset_sum, composition_count,
                          enumerate_env_sequences, exact_EWn, exact_logZn_tail,
                          exact_population_distribution, exact_sn_tail)
 
@@ -259,3 +263,98 @@ class TestExactPmfType:
     def test_mean(self):
         pmf = ExactPmf(support=((1, 0.25), (2, 0.75)))
         assert pmf.mean == pytest.approx(1.75)
+
+
+# --- kernel and compositions against the enumeration reference ---------------
+
+@st.composite
+def generic_configs(draw):
+    """1-3 states, each with offspring support a nonempty subset of {1,2,3}."""
+    def normalized(size):
+        raw = [draw(st.floats(0.05, 1.0)) for _ in range(size)]
+        return [r / math.fsum(raw) for r in raw]
+    masses = normalized(draw(st.integers(1, 3)))
+    states = []
+    for i, mass in enumerate(masses):
+        support = sorted(draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1)))
+        states.append({"label": f"s{i}", "mass": mass,
+                       "offspring": dict(zip(map(str, support),
+                                             normalized(len(support))))})
+    return {"model": "generic", "states": states}
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=generic_configs(), n=st.integers(1, 5), M=st.floats(0.1, 2.0),
+       pick=st.integers(0), shift=st.sampled_from([0.0, 1e-3, -0.05]))
+def test_routes_match_enumeration(cfg, n, M, pick, shift):
+    """exact_sn_tail, exact_logZn_tail and exact_EWn equal the mixture of
+    per-sequence laws over the enumerated environment law. The thresholds sit
+    on (or next to) an achievable statistic, so tie decisions are exercised."""
+    env = parse_env_config(cfg)
+    by_label = {s.label: s for s, _ in env.states}
+    log_mean = {label: math.log(state_mean(s)) for label, s in by_label.items()}
+    # mu directly: compute_moments rejects equal-mean states whose rounded
+    # sigma2 is positive, and the oracles read nothing else from the moments
+    mu = math.fsum(mass * log_mean[s.label] for s, mass in env.states)
+    seqs = list(enumerate_env_sequences(env, n))
+    walk = [(math.fsum(log_mean[l] for l in ws.states) - n * mu) / (n * M)
+            for ws in seqs]
+    laws = [exact_population_distribution([by_label[l] for l in ws.states])
+            for ws in seqs]
+    x_sn = walk[pick % len(seqs)] + shift
+    expect_sn = math.fsum(ws.probability for ws, stat in zip(seqs, walk)
+                          if stat >= x_sn - TIE_EPS)
+    assert exact_sn_tail(env, n, x_sn, M, mu) == pytest.approx(expect_sn, abs=1e-12)
+
+    atoms = [(math.log(v) - n * mu) / (n * M)
+             for law in laws for v, _ in law.support]
+    x_z = atoms[pick % len(atoms)] + shift
+    expect_z = math.fsum(
+        ws.probability * p for ws, law in zip(seqs, laws) for v, p in law.support
+        if (math.log(v) - n * mu) / (n * M) >= x_z - TIE_EPS)
+    got_z = exact_logZn_tail(env, n, x_z, SimpleNamespace(mu=mu), M)
+    assert got_z == pytest.approx(expect_z, abs=1e-12)
+
+    expect_w = math.fsum(
+        ws.probability * law.mean / math.prod(state_mean(by_label[l]) for l in ws.states)
+        for ws, law in zip(seqs, laws))
+    assert exact_EWn(env, n) == pytest.approx(expect_w, abs=1e-12)
+
+
+@given(values=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+       data=st.data())
+def test_multiset_sum_is_fsum_of_the_expansion(values, data):
+    # each composition's S_n must equal the enumeration's fsum bit for bit
+    counts = [data.draw(st.integers(0, 40)) for _ in values]
+    expanded = [v for v, c in zip(values, counts) for _ in range(c)]
+    assert _multiset_sum(values)(counts) == math.fsum(expanded)
+
+
+class TestReach:
+    def test_sn_tail_past_the_enumeration_cap(self):
+        # 2^24 sequences exceed MAX_SEQUENCES; the walk tail needs 25 compositions
+        env = binary_env()
+        mom = compute_moments(env)
+        assert composition_count(env, 24) == 25
+        j_min = math.ceil(24 * 1.5 / 2 - 1e-9)
+        expect = sum(math.comb(24, j) for j in range(j_min, 25)) / 2 ** 24
+        got = exact_sn_tail(env, 24, 0.5, mom.M_tight, mom.mu)
+        assert got == pytest.approx(expect, rel=1e-14)
+
+    def test_sn_tail_composition_cap(self):
+        cfg = {"model": "binary",
+               "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]}
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
+        n = 200  # C(203, 3) = 1,373,701 compositions
+        assert composition_count(env, n) > MAX_COMPOSITIONS
+        with pytest.raises(ResourceCapError):
+            exact_sn_tail(env, n, 0.5, mom.M_tight, mom.mu)
+
+    def test_kernel_keeps_the_dp_cap(self):
+        env = binary_env()
+        mom = compute_moments(env)
+        with pytest.raises(ResourceCapError):
+            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 2^21 > 2^20
+        with pytest.raises(ResourceCapError):
+            exact_EWn(env, 4, cap=8)
