@@ -28,10 +28,8 @@ from .estimate import (convergence_report, fit_geometric_decay,
                        mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                        require_int64_range, theorem1_candidates)
 from .oracle import composition_count, exact_logZn_tail, exact_sn_tail
-from .simulate import (DOMAIN_SIMULATE, RNG_ID, SimConfig, simulate_trajectory,
-                       stream)
-
-_SEED_MAX = 1 << 64
+from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, SimConfig,
+                       simulate_trajectory, stream)
 
 # Incidental exact cross-checks inside verify runs stay small; larger exact
 # computations are the oracle commands' job. verify sn sums over at most this
@@ -128,7 +126,7 @@ def resolve_seed(args) -> int:
     if seed is None:
         raw = os.environ.get("BPRE_SEED", "")
         seed = int(raw) if raw else 0
-    if not 0 <= seed < _SEED_MAX:
+    if not 0 <= seed < SEED_MAX:
         raise ValueError(f"seed={seed} outside the unsigned 64-bit range")
     return seed
 
@@ -419,7 +417,7 @@ def _seed(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 0 <= value < _SEED_MAX:
+    if not 0 <= value < SEED_MAX:
         raise argparse.ArgumentTypeError(f"{text!r} outside the unsigned 64-bit range")
     return value
 

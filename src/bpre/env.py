@@ -241,7 +241,13 @@ def compute_moments(env: EnvDistribution, m_override: float | None = None) -> Mo
         if m <= 0.0:
             raise ConfigError(f"state {state.label!r} has mean {m:g} <= 0")
         per_state.append((state.label, m, math.log(m)))
-    mu = math.fsum(mass * x for (_, _, x), (_, mass) in zip(per_state, env.states))
+    log_means = {x for _, _, x in per_state}
+    if len(log_means) == 1:
+        # A weighted sum can round one ulp off the common value, which would
+        # leave sigma2 > 0 with M_tight <= 0.
+        mu = log_means.pop()
+    else:
+        mu = math.fsum(mass * x for (_, _, x), (_, mass) in zip(per_state, env.states))
     sigma2 = math.fsum(mass * (x - mu) ** 2 for (_, _, x), (_, mass) in zip(per_state, env.states))
     m_tight = max(x for _, _, x in per_state) - mu
     if m_override is not None:

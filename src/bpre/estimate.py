@@ -6,8 +6,10 @@ the Philox stream keyed by (seed, domain, b) regardless of how many workers
 process the blocks, and partial results are reduced in block order. Estimates
 are therefore bit-identical for any worker count. Within a block the draw
 order is pinned: the environment uniform matrix first, then per generation
-one offspring pass per state in declaration order, exact binomial draws
-before Gaussian-approximate ones.
+one offspring pass per state in declaration order. Each pass is one call of
+bpre.simulate.offspring, which fixes the draws inside it (exact binomial
+draws before Gaussian-approximate ones); horizons past the int64 range step
+the same offspring() one trial at a time, in its bigint form.
 
 Tail events use the same normalized statistic and TIE_EPS closed-tail rule
 as the exact oracle (see oracle module docstring), so the two agree on every
@@ -23,19 +25,15 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.stats
 
-from .env import ConfigError, EnvDistribution, ResourceCapError, compute_moments
+from .env import EnvDistribution, ResourceCapError, compute_moments
 from .oracle import TIE_EPS
 from .simulate import (DEFAULT_EXACT_THRESHOLD, DEFAULT_POPULATION_CAP,
-                       DOMAIN_SN, DOMAIN_TRAJ, EnvTables, step_population, stream)
+                       DOMAIN_SN, DOMAIN_TRAJ, INT64_SAFE, EnvTables, offspring,
+                       require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
 
 MIN_TRIALS = 1000
-
-# Vectorized int64 stepping is valid only while k_max^n cannot overflow;
-# beyond this the per-trial arbitrary-precision path takes over. The choice
-# depends only on (env, n), never on sampled values, so runs stay replayable.
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -126,11 +124,12 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"insufficient trials: {trials} < {MIN_TRIALS}")
 
 
-def _require_no_extinction(env: EnvDistribution) -> None:
-    bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]
-    if bad:
-        raise ConfigError(
-            f"extinction possible (p0 > 0) in states: {', '.join(bad)}")
+def _tail_estimate(hits: int, trials: int, level: float, x: float,
+                   n: int) -> TailEstimate:
+    low, high = binomial_ci(hits, trials, level)
+    return TailEstimate(hits=hits, trials=trials, point=hits / trials,
+                        ci_low=low, ci_high=high, level=level,
+                        threshold_x=x, n=n)
 
 
 def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
@@ -154,95 +153,60 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         s_n = tables.X[idx].sum(axis=1)
         return int(np.count_nonzero((s_n - n * mu) / (n * M) >= cutoff))
 
-    hits = sum(_map_blocks(run_block, trials, workers))
-    low, high = binomial_ci(hits, trials, level)
-    return TailEstimate(hits=hits, trials=trials, point=hits / trials,
-                        ci_low=low, ci_high=high, level=level,
-                        threshold_x=x, n=n)
-
-
-def _offspring_vector(z: np.ndarray, descriptor, rng: np.random.Generator,
-                      threshold: int) -> np.ndarray:
-    """Vectorized one-generation totals for one state; z is int64, z >= 1."""
-    if descriptor[0] == "binary":
-        p2 = descriptor[1]
-        if p2 <= 0.0:
-            return z
-        if p2 >= 1.0:
-            return 2 * z
-        return z + _binomial_vector(z, p2, rng, threshold)
-    _, chain, k_last = descriptor
-    remaining = z.copy()
-    total = np.zeros_like(z)
-    for k, cond_p in chain:
-        if cond_p <= 0.0:
-            continue
-        if cond_p >= 1.0:
-            c = remaining.copy()
-        else:
-            c = _binomial_vector(remaining, cond_p, rng, threshold)
-        total += k * c
-        remaining -= c
-    return total + k_last * remaining
-
-
-def _binomial_vector(trials: np.ndarray, p: float, rng: np.random.Generator,
-                     threshold: int) -> np.ndarray:
-    small = trials <= threshold
-    out = np.zeros_like(trials)
-    if small.any():
-        out[small] = rng.binomial(trials[small], p)
-    if not small.all():
-        big = trials[~small].astype(np.float64)
-        mean = big * p
-        sd = np.sqrt(big * p * (1.0 - p))
-        draw = np.rint(mean + sd * rng.standard_normal(big.size))
-        out[~small] = np.clip(draw, 0.0, big).astype(np.int64)
-    return out
-
-
-def _vector_path_ok(env: EnvDistribution, n: int) -> bool:
-    return env.k_max ** n <= _INT64_SAFE
+    return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
+                          trials, level, x, n)
 
 
 def require_int64_range(env: EnvDistribution, n: int) -> None:
     """Raise ResourceCapError unless k_max^n fits the int64 stepping range,
     which increment tracking needs; callers can check before any sampling."""
-    if not _vector_path_ok(env, n):
+    if env.k_max ** n > INT64_SAFE:
         raise ResourceCapError(
             f"k_max^n = {env.k_max}^{n} exceeds the int64 stepping range; "
             "increment tracking is desk-scale only")
 
 
-def _final_logz_block(tables: EnvTables, n: int, size: int,
-                      rng: np.random.Generator, threshold: int) -> np.ndarray:
+def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
+                 threshold: int):
+    """Step a block of int64 populations from Z_0 = 1 in the pinned draw order.
+
+    Yields (state index per trial, Z) after each generation; Z is updated in
+    place by the next generation.
+    """
     idx = tables.pick_states(rng.random((size, n)))
     z = np.ones(size, dtype=np.int64)
     for k in range(n):
         col = idx[:, k]
-        for s in range(len(tables.labels)):
+        for s, sampler in enumerate(tables.samplers):
             sel = np.nonzero(col == s)[0]
             if sel.size:
-                z[sel] = _offspring_vector(z[sel], tables.samplers[s], rng, threshold)
-    return np.log(z.astype(np.float64))
+                z[sel] = offspring(z[sel], sampler, rng, threshold)
+        yield col, z
 
 
-def _final_logz_block_big(tables: EnvTables, n: int, size: int,
-                          rng: np.random.Generator, threshold: int,
-                          cap: int) -> np.ndarray:
-    """Arbitrary-precision fallback; same env-matrix-first draw order."""
+def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
+                threshold: int, cap: int) -> np.ndarray:
+    """log Z_n for a block of trials.
+
+    int64 stepping is exact only while k_max^n cannot overflow; past that each
+    trial steps a Python int in turn, after the same environment matrix. The
+    choice depends only on (env, n), never on sampled values, so runs stay
+    replayable.
+    """
+    if tables.env.k_max ** n <= INT64_SAFE:
+        for _, z in _generations(tables, n, size, rng, threshold):
+            pass
+        return np.log(z.astype(np.float64))
     idx = tables.pick_states(rng.random((size, n)))
     out = np.empty(size, dtype=np.float64)
     for t in range(size):
         z = 1
-        for k in range(n):
-            z = step_population(z, tables.states[idx[t, k]], rng, threshold)
+        for s in idx[t]:
+            z = offspring(z, tables.samplers[s], rng, threshold)
             if z > cap:
                 raise ResourceCapError(
                     f"population reached {z.bit_length()} bits, cap is "
                     f"{cap.bit_length() - 1} bits")
-            if z == 0:
-                raise RuntimeError("trajectory went extinct despite P0_ZERO")
         out[t] = math.log(z)
     return out
 
@@ -253,7 +217,7 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                   population_cap: int = DEFAULT_POPULATION_CAP) -> TailEstimate:
     """Estimate P((log Z_n - n*mu)/(n*M) >= x) from full trajectories."""
     _require_trials(trials)
-    _require_no_extinction(env)
+    require_no_extinction(env)
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     if n < 1:
@@ -261,22 +225,14 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     tables = EnvTables(env)
     mu = compute_moments(env).mu
     cutoff = x - TIE_EPS
-    vectorized = _vector_path_ok(env, n)
 
     def run_block(b: int, size: int) -> int:
-        rng = stream(seed, DOMAIN_TRAJ, b)
-        if vectorized:
-            logz = _final_logz_block(tables, n, size, rng, exact_sampling_threshold)
-        else:
-            logz = _final_logz_block_big(tables, n, size, rng,
-                                         exact_sampling_threshold, population_cap)
+        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b),
+                           exact_sampling_threshold, population_cap)
         return int(np.count_nonzero((logz - n * mu) / (n * M) >= cutoff))
 
-    hits = sum(_map_blocks(run_block, trials, workers))
-    low, high = binomial_ci(hits, trials, level)
-    return TailEstimate(hits=hits, trials=trials, point=hits / trials,
-                        ci_low=low, ci_high=high, level=level,
-                        threshold_x=x, n=n)
+    return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
+                          trials, level, x, n)
 
 
 def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
@@ -289,7 +245,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     deviation of actual growth from the environment's conditional mean.
     """
     _require_trials(trials)
-    _require_no_extinction(env)
+    require_no_extinction(env)
     if n < 3:
         raise ValueError(f"n={n!r} must be >= 3")
     tables = EnvTables(env)
@@ -297,18 +253,11 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
 
     def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = stream(seed, DOMAIN_TRAJ, b)
-        idx = tables.pick_states(rng.random((size, n)))
-        z = np.ones(size, dtype=np.int64)
         prev_logz = np.zeros(size)
         sums = np.empty(n)
         sums_sq = np.empty(n)
-        for k in range(n):
-            col = idx[:, k]
-            for s in range(len(tables.labels)):
-                sel = np.nonzero(col == s)[0]
-                if sel.size:
-                    z[sel] = _offspring_vector(z[sel], tables.samplers[s], rng,
-                                               exact_sampling_threshold)
+        for k, (col, z) in enumerate(_generations(tables, n, size, rng,
+                                                  exact_sampling_threshold)):
             logz = np.log(z.astype(np.float64))
             inc = np.abs(logz - prev_logz - tables.X[col])
             sums[k] = inc.sum()
@@ -374,28 +323,21 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     is shared by all y at a given n.
     """
     _require_trials(trials)
-    _require_no_extinction(env)
+    require_no_extinction(env)
     tables = EnvTables(env)
     mu = compute_moments(env).mu
     rows = []
     for n in n_values:
         if n < 1:
             raise ValueError(f"n={n!r} must be >= 1")
-        vectorized = _vector_path_ok(env, n)
 
-        def run_block(b: int, size: int, n: int = n, vec: bool = vectorized) -> np.ndarray:
-            rng = stream(seed, DOMAIN_TRAJ, b)
-            if vec:
-                return _final_logz_block(tables, n, size, rng, exact_sampling_threshold)
-            return _final_logz_block_big(tables, n, size, rng,
-                                         exact_sampling_threshold, population_cap)
+        def run_block(b: int, size: int, n: int = n) -> np.ndarray:
+            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b),
+                               exact_sampling_threshold, population_cap)
 
         logz_parts = _map_blocks(run_block, trials, workers)
         deviations = np.abs(np.concatenate(logz_parts) / n - mu)
         for y in y_values:
             hits = int(np.count_nonzero(deviations >= y - TIE_EPS))
-            low, high = binomial_ci(hits, trials, level)
-            rows.append(TailEstimate(hits=hits, trials=trials, point=hits / trials,
-                                     ci_low=low, ci_high=high, level=level,
-                                     threshold_x=float(y), n=int(n)))
+            rows.append(_tail_estimate(hits, trials, level, float(y), int(n)))
     return rows

@@ -6,7 +6,9 @@ the model stays exact at desk scale. Offspring totals are sampled as a chain
 of conditional binomials over ascending family sizes, with the shifted
 binomial z + Bin(z, p_2) shortcut for {1,2}-supported states. Binomial draws
 above the exactness threshold use a continuity-corrected Gaussian
-approximation and flag the trajectory.
+approximation and flag the trajectory. offspring() is the one implementation
+of this step, for a Python int or an int64 array of populations; the Monte
+Carlo estimators step with it too.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
@@ -34,16 +36,17 @@ DOMAIN_SIMULATE = 4
 DEFAULT_EXACT_THRESHOLD = 1 << 32
 DEFAULT_POPULATION_CAP = 1 << 512
 
-# numpy's exact binomial sampler takes int64 trial counts.
-_INT64_SAFE = 1 << 62
+# numpy's exact binomial sampler takes int64 trial counts, and int64
+# populations stay exact while k_max^n stays below this.
+INT64_SAFE = 1 << 62
 
-_SEED_MAX = 1 << 64
+SEED_MAX = 1 << 64
 _INDEX_MAX = 1 << 48
 
 
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Dedicated Philox stream for (seed, domain, index); see module docstring."""
-    if not 0 <= seed < _SEED_MAX:
+    if not 0 <= seed < SEED_MAX:
         raise ValueError(f"seed={seed!r} must be an unsigned 64-bit integer")
     if not 1 <= domain < 0x10000:
         raise ValueError(f"domain={domain!r} out of range")
@@ -103,7 +106,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n={self.n!r} must be a positive integer")
-        if not 0 <= self.seed < _SEED_MAX:
+        if not 0 <= self.seed < SEED_MAX:
             raise ValueError(f"seed={self.seed!r} must be an unsigned 64-bit integer")
         if not isinstance(self.exact_sampling_threshold, int) or self.exact_sampling_threshold < 1:
             raise ValueError("exact_sampling_threshold must be a positive integer")
@@ -160,7 +163,7 @@ def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
         return 0
     if prob >= 1.0:
         return trials
-    if trials <= threshold and trials <= _INT64_SAFE:
+    if trials <= threshold and trials <= INT64_SAFE:
         return int(rng.binomial(trials, prob))
     if stats is not None:
         stats.approx_used = True
@@ -168,6 +171,64 @@ def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
     sd = math.sqrt(float(trials) * prob * (1.0 - prob))
     draw = int(round(mean + sd * rng.standard_normal()))
     return min(max(draw, 0), trials)
+
+
+def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
+                     threshold: int, stats: SampleStats | None) -> np.ndarray:
+    """_binomial_scalar over an int64 array: the exact draws first, in array
+    order, then the Gaussian ones. A length-1 array draws what the scalar
+    form draws."""
+    if prob <= 0.0:
+        return np.zeros_like(trials)
+    if prob >= 1.0:
+        return trials
+    small = trials <= min(threshold, INT64_SAFE)
+    if small.all():
+        return rng.binomial(trials, prob)
+    if stats is not None:
+        stats.approx_used = True
+    out = np.zeros_like(trials)
+    if small.any():
+        out[small] = rng.binomial(trials[small], prob)
+    big = trials[~small].astype(np.float64)
+    mean = big * prob
+    sd = np.sqrt(big * prob * (1.0 - prob))
+    draw = np.rint(mean + sd * rng.standard_normal(big.size))
+    out[~small] = np.clip(draw, 0.0, big).astype(np.int64)
+    return out
+
+
+def offspring(z, sampler, rng: np.random.Generator,
+              threshold: int = DEFAULT_EXACT_THRESHOLD,
+              stats: SampleStats | None = None):
+    """One generation: total offspring of z individuals under one state.
+
+    This is the package's only offspring step. z is a Python int (the bigint
+    form) or an int64 array of independent populations (the vector form);
+    sampler is the state's EnvTables.samplers descriptor. {1,2}-supported
+    states draw z + Bin(z, p_2); other states realize the multinomial family
+    counts as conditional binomials over ascending family sizes, one
+    binomial per chain link.
+    """
+    binomial = _binomial_vector if isinstance(z, np.ndarray) else _binomial_scalar
+    if sampler[0] == "binary":
+        return z + binomial(z, sampler[1], rng, threshold, stats)
+    _, chain, k_last = sampler
+    remaining, total = z, 0
+    for k, cond_p in chain:
+        c = binomial(remaining, cond_p, rng, threshold, stats)
+        total = total + k * c
+        remaining = remaining - c
+    return total + k_last * remaining
+
+
+def require_no_extinction(env: EnvDistribution) -> None:
+    """Raise ConfigError if any state has p0 > 0."""
+    bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]
+    if bad:
+        raise ConfigError(
+            f"extinction possible (p0 > 0) in states: {', '.join(bad)}; "
+            "all tail/martingale claims assume p0 = 0")
 
 
 def sample_env_sequence(env: EnvDistribution, n: int,
@@ -184,31 +245,15 @@ def sample_env_sequence(env: EnvDistribution, n: int,
 def step_population(z: int, state: EnvState, rng: np.random.Generator,
                     threshold: int = DEFAULT_EXACT_THRESHOLD,
                     stats: SampleStats | None = None) -> int:
-    """One generation: total offspring of z individuals under the state's pmf.
-
-    Multinomial counts are realized as conditional binomials over ascending
-    family sizes; {1,2}-supported states use z + Bin(z, p_2) directly.
-    """
-    if z == 0:
-        return 0
+    """One generation for a single population: offspring() in its bigint form."""
     if z < 0:
         raise ValueError(f"z={z!r} must be >= 0")
-    descriptor = _sampler_descriptor(state.pmf.entries)
-    if descriptor[0] == "binary":
-        return z + _binomial_scalar(z, descriptor[1], rng, threshold, stats)
-    _, chain, k_last = descriptor
-    remaining = z
-    total = 0
-    for k, cond_p in chain:
-        c = _binomial_scalar(remaining, cond_p, rng, threshold, stats)
-        total += k * c
-        remaining -= c
-    return total + k_last * remaining
+    return offspring(z, _sampler_descriptor(state.pmf.entries), rng, threshold, stats)
 
 
 def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
                         rng: np.random.Generator | None = None) -> Trajectory:
-    """Full trajectory: Z_0 = 1, Z_{k+1} = step_population(Z_k, xi_k).
+    """Full trajectory: Z_0 = 1, Z_{k+1} = offspring(Z_k, xi_k).
 
     S is the running sum of realized X_i and logW := log Z - S, making the
     decomposition an identity; the independent content is that S matches
@@ -216,25 +261,20 @@ def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
     Deterministic given (env, cfg.seed) when rng is not supplied.
     """
     if not cfg.allow_extinction:
-        bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]
-        if bad:
-            raise ConfigError(
-                f"extinction possible (p0 > 0) in states: {', '.join(bad)}; "
-                "all tail/martingale claims assume p0 = 0")
+        require_no_extinction(env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
     tables = EnvTables(env)
     seq = sample_env_sequence(tables, cfg.n, rng)
     stats = SampleStats()
-    states_by_label = {label: tables.states[i] for label, i in tables.index_of.items()}
 
     z = 1
     s = 0.0
     extinct = False
     records = [GenRecord(Z=1, S=0.0, logW=0.0)]
-    for k in range(cfg.n):
-        z = step_population(z, states_by_label[seq.states[k]], rng,
-                            cfg.exact_sampling_threshold, stats)
+    for k, label in enumerate(seq.states):
+        z = offspring(z, tables.samplers[tables.index_of[label]], rng,
+                      cfg.exact_sampling_threshold, stats)
         s = s + seq.log_means[k]
         if z > cfg.population_cap:
             raise ResourceCapError(
@@ -272,29 +312,18 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
         raise ValueError(f"k={k} outside the sequence of length {len(env_seq)}")
     tables = EnvTables(env)
     z = 1
-    for i in range(k):
-        z = step_population(z, tables.states[tables.index_of[env_seq.states[i]]],
-                            rng, threshold)
+    for label in env_seq.states[:k]:
+        z = offspring(z, tables.samplers[tables.index_of[label]], rng, threshold)
     state_idx = tables.index_of[env_seq.states[k]]
-    state = tables.states[state_idx]
+    sampler = tables.samplers[state_idx]
     m = float(tables.means[state_idx])
-
-    descriptor = tables.samplers[state_idx]
-    if z <= _INT64_SAFE and descriptor[0] == "binary":
-        p2 = descriptor[1]
-        if p2 <= 0.0:
-            totals = np.full(replicas, z, dtype=np.float64)
-        elif p2 >= 1.0:
-            totals = np.full(replicas, 2 * z, dtype=np.float64)
-        elif z <= threshold:
-            totals = z + rng.binomial(z, p2, size=replicas).astype(np.float64)
-        else:
-            mean = z * p2
-            sd = math.sqrt(z * p2 * (1.0 - p2))
-            draw = np.rint(mean + sd * rng.standard_normal(replicas))
-            totals = z + np.clip(draw, 0.0, float(z))
+    # The vector form needs every total, at most z times the largest family
+    # size, to fit in int64; beyond that each replica steps a Python int.
+    if z * tables.states[state_idx].pmf.support[-1] < 1 << 63:
+        totals = offspring(np.full(replicas, z, dtype=np.int64), sampler, rng,
+                           threshold).astype(np.float64)
     else:
-        totals = np.array([float(step_population(z, state, rng, threshold))
+        totals = np.array([float(offspring(z, sampler, rng, threshold))
                            for _ in range(replicas)])
     ratios = totals / (float(z) * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)

@@ -98,6 +98,15 @@ class TestEnvCheck:
         failed = {c["check"] for c in out["checks"] if not c["pass"]}
         assert "P0_ZERO" in failed
 
+    def test_equal_means_env_fails_checks_not_config(self, capsys, tmp_path):
+        cfg = tmp_path / "equal.json"
+        cfg.write_text(json.dumps({"model": "generic", "states": [
+            {"label": "a", "mass": 0.7058823529411765, "offspring": {"3": 1.0}},
+            {"label": "b", "mass": 0.29411764705882354, "offspring": {"3": 1.0}}]}))
+        code, out = run_json(capsys, ["env-check", str(cfg)])
+        assert code == 1
+        assert [c["check"] for c in out["checks"] if not c["pass"]] == ["A2", "H1"]
+
     def test_missing_file(self, tmp_path):
         assert cli.main(["env-check", str(tmp_path / "nope.json")]) == 2
 

@@ -13,6 +13,14 @@ BINARY = {"model": "binary",
 DOUBLING = {"model": "generic",
             "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
 
+# Two deterministic states with one common mean; a mass-weighted sum of the
+# log-means lands one ulp off log 3 at these masses.
+EQUAL_MEANS = {"model": "generic",
+               "states": [{"label": "a", "mass": 0.7058823529411765,
+                           "offspring": {"3": 1.0}},
+                          {"label": "b", "mass": 0.29411764705882354,
+                           "offspring": {"3": 1.0}}]}
+
 # independent high-precision evaluations (frozen)
 MU = 0.39137966962481624
 SIGMA2 = 0.028303391504220374
@@ -180,6 +188,16 @@ class TestAssumptions:
         assert by_id["A1"].passed
         assert not by_id["A2"].passed
         assert not by_id["H1"].passed
+
+    def test_equal_means_fail_a2_and_h1_without_raising(self):
+        env = parse_env_config(EQUAL_MEANS)
+        mom = compute_moments(env)
+        assert mom.mu == math.log(3)
+        assert mom.sigma2 == 0.0
+        assert mom.M_tight == 0.0
+        report = check_assumptions(env)
+        failed = [c.check for c in report.checks if not c.passed]
+        assert failed == ["A2", "H1"]
 
     def test_critical_env_fails_a1(self):
         # every individual has exactly one child: mu = log 1 = 0

@@ -6,7 +6,7 @@ import pytest
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SampleStats,
-                           SimConfig, quenched_martingale_check,
+                           SimConfig, offspring, quenched_martingale_check,
                            sample_env_sequence, simulate_trajectory,
                            step_population, stream)
 
@@ -150,6 +150,33 @@ class TestStepPopulation:
         assert list(before) == list(after)
 
 
+class TestOffspringForms:
+    """The int64 vector form and the bigint form of offspring() draw alike."""
+
+    PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
+            {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
+            {"2": 1.0},                         # deterministic
+            {"1": 0.1, "2": 0.0, "4": 0.9},     # zero-mass chain entry
+            {"1": 0.5, "3": 0.5}]               # one chain link, gap in sizes
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("z", [1, 7, 50, 51, 10 ** 6, 3 * 10 ** 9])
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_vector_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": "s", "mass": 1.0, "offspring": pmf}]})
+        sampler = EnvTables(env).samplers[0]
+        rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
+        stats_vec, stats_big = SampleStats(), SampleStats()
+        vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
+                        threshold, stats_vec)
+        big = offspring(z, sampler, rng_big, threshold, stats_big)
+        assert vec.dtype == np.int64
+        assert int(vec[0]) == big
+        assert stats_vec.approx_used == stats_big.approx_used
+        assert rng_vec.random() == rng_big.random()
+
+
 class TestTrajectory:
     def test_decomposition_is_consistent(self):
         env = binary_env()
@@ -257,6 +284,27 @@ class TestQuenched:
         with pytest.raises(ValueError):
             quenched_martingale_check(env, seq, k=4, replicas=200,
                                       rng=stream(1, DOMAIN_QUENCHED, 0))
+
+    def test_bigint_fallback_beyond_int64(self):
+        # Z_65 of a {1,2} state with p = 0.01 is about 2^64, past the int64
+        # vector form, so every replica steps a Python int.
+        env = parse_env_config({"model": "binary",
+                                "support": [{"p": 0.01, "mass": 1.0}]})
+        state = env.states[0][0]
+        x = math.log(state_mean(state))
+        seq = EnvSequence(states=(state.label,) * 66, log_means=(x,) * 66)
+        report = quenched_martingale_check(env, seq, k=65, replicas=1000,
+                                           rng=stream(29, DOMAIN_QUENCHED, 0))
+        assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
+
+    def test_totals_past_int64_step_as_python_ints(self):
+        # Z_39 = 3^39 is below 2^62, but Z_40 = 3^40 does not fit in int64.
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
+        seq = EnvSequence(states=("triple",) * 40, log_means=(math.log(3),) * 40)
+        report = quenched_martingale_check(env, seq, k=39, replicas=100,
+                                           rng=stream(0, DOMAIN_QUENCHED, 0))
+        assert report.mean_ratio == pytest.approx(1.0, rel=1e-15)
 
     def test_scalar_fallback_for_chain_states(self):
         env = parse_env_config(THREE_POINT)
