@@ -62,9 +62,6 @@ class OffspringPmf:
     def p0(self) -> float:
         return self.entries.get(0, 0.0)
 
-    def prob(self, k: int) -> float:
-        return self.entries.get(k, 0.0)
-
 
 @dataclass(frozen=True)
 class EnvState:
@@ -98,20 +95,10 @@ class EnvDistribution:
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"masses sum to {total:g}")
 
-    def state_by_label(self, label: str) -> EnvState:
-        for state, _ in self.states:
-            if state.label == label:
-                return state
-        raise KeyError(label)
-
     @property
     def k_max(self) -> int:
         """Largest family size with positive mass across all states."""
         return max(max(s.pmf.support) for s, _ in self.states)
-
-    @property
-    def k_min(self) -> int:
-        return min(min(s.pmf.support) for s, _ in self.states)
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,7 @@ class ModelMoments:
     mu: float
     sigma2: float
     M_tight: float
-    M_paper: float | None
+    M_paper: float
     per_state: tuple[tuple[str, float, float], ...]  # (label, m, X)
 
     def __post_init__(self) -> None:

@@ -9,10 +9,12 @@ order is pinned: the environment uniform matrix first, then per generation
 one offspring pass per state in declaration order. Each pass is one call of
 bpre.simulate.offspring, which fixes the draws inside it (exact binomial
 draws before Gaussian-approximate ones); horizons past the int64 range step
-the same offspring() one trial at a time, in its bigint form.
+the same offspring() one trial at a time, in its bigint form. The
+estimators draw at DEFAULT_EXACT_THRESHOLD and cap bigint populations at
+DEFAULT_POPULATION_CAP; neither is a parameter.
 
-Tail events use the same normalized statistic and TIE_EPS closed-tail rule
-as the exact oracle (see oracle module docstring), so the two agree on every
+Tail events are decided by oracle.tail_reached, the normalized statistic and
+TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
 sample path.
 """
 from __future__ import annotations
@@ -23,13 +25,13 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import betaincinv
 
 from .env import EnvDistribution, ResourceCapError, compute_moments
-from .oracle import TIE_EPS
-from .simulate import (DEFAULT_EXACT_THRESHOLD, DEFAULT_POPULATION_CAP,
-                       DOMAIN_SN, DOMAIN_TRAJ, INT64_SAFE, EnvTables, offspring,
-                       require_no_extinction, stream)
+from .oracle import TIE_EPS, tail_reached
+from .simulate import (DEFAULT_POPULATION_CAP, DOMAIN_SN, DOMAIN_TRAJ,
+                       INT64_SAFE, EnvTables, offspring, require_no_extinction,
+                       stream)
 
 BLOCK_TRIALS = 16384
 
@@ -79,8 +81,10 @@ class DecayFit:
 def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
     """Exact two-sided equal-tailed (Clopper-Pearson) binomial interval.
 
-    Beta-quantile characterization; the boundary cases use the closed forms
-    (alpha/2)^(1/trials) and 1 - (alpha/2)^(1/trials).
+    Beta-quantile characterization, with the quantile taken straight from the
+    inverse regularized incomplete beta function (what scipy.stats.beta.ppf
+    wraps); the boundary cases use the closed forms (alpha/2)^(1/trials) and
+    1 - (alpha/2)^(1/trials).
     """
     if trials < 1:
         raise ValueError(f"trials={trials!r} must be >= 1")
@@ -94,7 +98,7 @@ def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
     elif hits == trials:
         low = half_alpha ** (1.0 / trials)
     else:
-        low = float(scipy.stats.beta.ppf(half_alpha, hits, trials - hits + 1))
+        low = float(betaincinv(hits, trials - hits + 1, half_alpha))
     if hits == trials:
         high = 1.0
     elif hits == 0:
@@ -102,7 +106,7 @@ def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
         # ~5 digits to cancellation once trials is large.
         high = -math.expm1(math.log(half_alpha) / trials)
     else:
-        high = float(scipy.stats.beta.ppf(1.0 - half_alpha, hits + 1, trials - hits))
+        high = float(betaincinv(hits + 1, trials - hits, 1.0 - half_alpha))
     return low, high
 
 
@@ -145,13 +149,12 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         raise ValueError(f"n={n!r} must be >= 1")
     tables = EnvTables(env)
     mu = compute_moments(env).mu
-    cutoff = x - TIE_EPS
 
     def run_block(b: int, size: int) -> int:
         rng = stream(seed, DOMAIN_SN, b)
         idx = tables.pick_states(rng.random((size, n)))
         s_n = tables.X[idx].sum(axis=1)
-        return int(np.count_nonzero((s_n - n * mu) / (n * M) >= cutoff))
+        return int(np.count_nonzero(tail_reached(s_n, n, mu, M, x)))
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
                           trials, level, x, n)
@@ -166,8 +169,7 @@ def require_int64_range(env: EnvDistribution, n: int) -> None:
             "increment tracking is desk-scale only")
 
 
-def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-                 threshold: int):
+def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator):
     """Step a block of int64 populations from Z_0 = 1 in the pinned draw order.
 
     Yields (state index per trial, Z) after each generation; Z is updated in
@@ -180,12 +182,12 @@ def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
         for s, sampler in enumerate(tables.samplers):
             sel = np.nonzero(col == s)[0]
             if sel.size:
-                z[sel] = offspring(z[sel], sampler, rng, threshold)
+                z[sel] = offspring(z[sel], sampler, rng)
         yield col, z
 
 
-def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-                threshold: int, cap: int) -> np.ndarray:
+def _final_logz(tables: EnvTables, n: int, size: int,
+                rng: np.random.Generator) -> np.ndarray:
     """log Z_n for a block of trials.
 
     int64 stepping is exact only while k_max^n cannot overflow; past that each
@@ -194,7 +196,7 @@ def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     replayable.
     """
     if tables.env.k_max ** n <= INT64_SAFE:
-        for _, z in _generations(tables, n, size, rng, threshold):
+        for _, z in _generations(tables, n, size, rng):
             pass
         return np.log(z.astype(np.float64))
     idx = tables.pick_states(rng.random((size, n)))
@@ -202,19 +204,17 @@ def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     for t in range(size):
         z = 1
         for s in idx[t]:
-            z = offspring(z, tables.samplers[s], rng, threshold)
-            if z > cap:
+            z = offspring(z, tables.samplers[s], rng)
+            if z > DEFAULT_POPULATION_CAP:
                 raise ResourceCapError(
                     f"population reached {z.bit_length()} bits, cap is "
-                    f"{cap.bit_length() - 1} bits")
+                    f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
         out[t] = math.log(z)
     return out
 
 
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
-                  seed: int, level: float = 0.99, workers: int = 1,
-                  exact_sampling_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                  population_cap: int = DEFAULT_POPULATION_CAP) -> TailEstimate:
+                  seed: int, level: float = 0.99, workers: int = 1) -> TailEstimate:
     """Estimate P((log Z_n - n*mu)/(n*M) >= x) from full trajectories."""
     _require_trials(trials)
     require_no_extinction(env)
@@ -224,21 +224,17 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         raise ValueError(f"n={n!r} must be >= 1")
     tables = EnvTables(env)
     mu = compute_moments(env).mu
-    cutoff = x - TIE_EPS
 
     def run_block(b: int, size: int) -> int:
-        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b),
-                           exact_sampling_threshold, population_cap)
-        return int(np.count_nonzero((logz - n * mu) / (n * M) >= cutoff))
+        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b))
+        return int(np.count_nonzero(tail_reached(logz, n, mu, M, x)))
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
                           trials, level, x, n)
 
 
 def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
-                       workers: int = 1,
-                       exact_sampling_threshold: int = DEFAULT_EXACT_THRESHOLD
-                       ) -> list[IncrementStat]:
+                       workers: int = 1) -> list[IncrementStat]:
     """Sample means of |log W_{k+1} - log W_k| for k = 0..n-1.
 
     The increment is log Z_{k+1} - log Z_k - X_{k+1}, the per-generation
@@ -256,8 +252,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
         prev_logz = np.zeros(size)
         sums = np.empty(n)
         sums_sq = np.empty(n)
-        for k, (col, z) in enumerate(_generations(tables, n, size, rng,
-                                                  exact_sampling_threshold)):
+        for k, (col, z) in enumerate(_generations(tables, n, size, rng)):
             logz = np.log(z.astype(np.float64))
             inc = np.abs(logz - prev_logz - tables.X[col])
             sums[k] = inc.sum()
@@ -313,9 +308,7 @@ def theorem1_candidates(fit: DecayFit) -> tuple[float, float]:
 
 def convergence_report(env: EnvDistribution, n_values: Sequence[int],
                        y_values: Sequence[float], trials: int, seed: int,
-                       level: float = 0.95, workers: int = 1,
-                       exact_sampling_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                       population_cap: int = DEFAULT_POPULATION_CAP
+                       level: float = 0.95, workers: int = 1
                        ) -> list[TailEstimate]:
     """TailEstimates of P(|log Z_n / n - mu| >= y) over an (n, y) grid.
 
@@ -332,8 +325,7 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
             raise ValueError(f"n={n!r} must be >= 1")
 
         def run_block(b: int, size: int, n: int = n) -> np.ndarray:
-            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b),
-                               exact_sampling_threshold, population_cap)
+            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b))
 
         logz_parts = _map_blocks(run_block, trials, workers)
         deviations = np.abs(np.concatenate(logz_parts) / n - mu)

@@ -26,8 +26,8 @@ one ulp; every comparison therefore allows the slack TIE_EPS on the
 normalized scale. Gaps between distinct achievable atoms at feasible sizes
 are many orders of magnitude wider, and the slack direction only enlarges
 the reported tail, which is the conservative side for domination checks.
-The Monte Carlo estimators apply the same rule, so oracle and estimate agree
-on every sample path.
+tail_reached decides the event; the Monte Carlo estimators call it too, so
+oracle and estimate agree on every sample path.
 """
 from __future__ import annotations
 
@@ -38,11 +38,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .env import EnvDistribution, EnvState, ModelMoments, ResourceCapError, state_mean
 
 TIE_EPS = 1e-9
+
+
+def tail_reached(stat, n: int, mu: float, M: float, x: float):
+    """The tail event (stat - n*mu)/(n*M) >= x - TIE_EPS, for a float stat or
+    elementwise for an array of them."""
+    return (stat - n * mu) / (n * M) >= x - TIE_EPS
+
 
 MAX_SEQUENCES = 10 ** 6
 MAX_COMPOSITIONS = 10 ** 6
@@ -167,7 +173,7 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
     hits = []
     for counts in _compositions(n, len(env.states)):
         s_n = walk_sum(counts)
-        if (s_n - n * mu) / (n * M) >= x - TIE_EPS:
+        if tail_reached(s_n, n, mu, M, x):
             m, e = factorials[n]
             for c, power in zip(counts, powers):
                 (pm, pe), (fm, fe) = power[c], factorials[c]
@@ -189,6 +195,7 @@ def _binomial_row(z: int, p: float) -> np.ndarray:
             row.append(float(comb) * p ** j * q ** (z - j))
             comb = comb * (z - j) // (j + 1)
         return np.array(row)
+    import scipy.stats  # imported here so that `import bpre` does not load it
     return scipy.stats.binom.pmf(np.arange(z + 1), z, p)
 
 
@@ -277,15 +284,15 @@ def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
                      moments: ModelMoments, M: float,
                      cap: int = DEFAULT_DP_CAP) -> float:
     """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n.
-    Extinct mass (Z_n = 0) never lies in an upper tail; ties follow the
-    TIE_EPS rule."""
+    Extinct mass (Z_n = 0) never lies in an upper tail; ties follow
+    tail_reached."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     mu = moments.mu
     law = _kernel_law(env, n, [mass for _, mass in env.states], cap)
     return math.fsum(
         p for v, p in law.items()
-        if v > 0 and (math.log(v) - n * mu) / (n * M) >= x - TIE_EPS)
+        if v > 0 and tail_reached(math.log(v), n, mu, M, x))
 
 
 def exact_EWn(env: EnvDistribution, n: int, cap: int = DEFAULT_DP_CAP) -> float:

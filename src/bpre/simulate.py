@@ -298,8 +298,8 @@ class QuenchedReport:
 
 
 def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
-                              k: int, replicas: int, rng: np.random.Generator,
-                              threshold: int = DEFAULT_EXACT_THRESHOLD) -> QuenchedReport:
+                              k: int, replicas: int,
+                              rng: np.random.Generator) -> QuenchedReport:
     """Quenched one-step martingale test at generation k of a fixed sequence.
 
     Simulates a single prefix to a common Z_k, then many independent one-step
@@ -313,17 +313,17 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
     tables = EnvTables(env)
     z = 1
     for label in env_seq.states[:k]:
-        z = offspring(z, tables.samplers[tables.index_of[label]], rng, threshold)
+        z = offspring(z, tables.samplers[tables.index_of[label]], rng)
     state_idx = tables.index_of[env_seq.states[k]]
     sampler = tables.samplers[state_idx]
     m = float(tables.means[state_idx])
     # The vector form needs every total, at most z times the largest family
     # size, to fit in int64; beyond that each replica steps a Python int.
     if z * tables.states[state_idx].pmf.support[-1] < 1 << 63:
-        totals = offspring(np.full(replicas, z, dtype=np.int64), sampler, rng,
-                           threshold).astype(np.float64)
+        totals = offspring(np.full(replicas, z, dtype=np.int64), sampler,
+                           rng).astype(np.float64)
     else:
-        totals = np.array([float(offspring(z, sampler, rng, threshold))
+        totals = np.array([float(offspring(z, sampler, rng))
                            for _ in range(replicas)])
     ratios = totals / (float(z) * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)

@@ -7,7 +7,7 @@ import pytest
 from bpre import cli
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
-from bpre.oracle import exact_sn_tail
+from bpre.oracle import exact_logZn_tail, exact_sn_tail
 
 BINARY_TEXT = json.dumps({
     "model": "binary",
@@ -265,6 +265,25 @@ class TestVerify:
                          "--trials", "2000"])
         assert code == 3
         assert "int64 stepping range" in capsys.readouterr().err
+
+    def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
+        # 5^7 state sequences exceed 2^14 but the population support 2^7 is
+        # within 2^10: the kernel computes the exact tail
+        text = json.dumps({"model": "binary", "support": [
+            {"p": p, "mass": 0.2} for p in (0.1, 0.3, 0.5, 0.7, 0.9)]})
+        path = tmp_path / "five.json"
+        path.write_text(text)
+        out = tmp_path / "t1five"
+        code = cli.main(["verify", "theorem1", str(path), "--n", "7",
+                         "--x", "0.2", "--M-kind", "tight", "--trials", "2000",
+                         "--seed", "0", "--out", str(out)])
+        assert code in (0, 1)
+        result = json.loads((out / "result.json").read_text())
+        env = parse_env_config(text)
+        moments = compute_moments(env)
+        assert result["exact_tail"] is not None
+        assert result["exact_tail"] == exact_logZn_tail(env, 7, 0.2, moments,
+                                                        moments.M_tight)
 
     def test_increments_passes(self, tmp_path, capsys, binary_cfg):
         out = tmp_path / "inc"

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.stats
 
+import bpre
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 from bpre.estimate import (BLOCK_TRIALS, DecayFit, TailEstimate, binomial_ci,
@@ -78,6 +83,18 @@ class TestBinomialCI:
         assert low == pytest.approx(blow, abs=1e-10)
         assert high == pytest.approx(bhigh, abs=1e-10)
 
+    @pytest.mark.parametrize("level", [0.95, 0.99, 0.999999])
+    @pytest.mark.parametrize("trials", [10, 1000, 10 ** 5, 10 ** 7])
+    @pytest.mark.parametrize("share", [0.0, 1 / 3, 1.0])
+    def test_bit_identical_to_beta_ppf(self, share, trials, level):
+        # interior hits from 1 to trials - 1; the quantile is scipy's own
+        hits = min(max(int(share * trials), 1), trials - 1)
+        half_alpha = (1.0 - level) / 2.0
+        low, high = binomial_ci(hits, trials, level)
+        assert low == float(scipy.stats.beta.ppf(half_alpha, hits, trials - hits + 1))
+        assert high == float(scipy.stats.beta.ppf(1.0 - half_alpha, hits + 1,
+                                                  trials - hits))
+
     def test_interval_contains_point(self):
         for hits, trials in ((0, 10), (5, 10), (10, 10), (333, 1000)):
             low, high = binomial_ci(hits, trials, 0.99)
@@ -107,6 +124,14 @@ class TestBinomialCI:
                       if (lambda lo_hi: lo_hi[0] <= p <= lo_hi[1])(
                           binomial_ci(int(h), trials, 0.95)))
         assert covered / reps >= 0.93
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bpre.__file__)))
+    code = "import bpre, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestMcTailSn:

@@ -13,7 +13,8 @@ from bpre.env import compute_moments
 from bpre.oracle import (MAX_COMPOSITIONS, TIE_EPS, ExactPmf, WeightedSequence,
                          _multiset_sum, composition_count,
                          enumerate_env_sequences, exact_EWn, exact_logZn_tail,
-                         exact_population_distribution, exact_sn_tail)
+                         exact_population_distribution, exact_sn_tail,
+                         tail_reached)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -107,6 +108,18 @@ class TestExactSnTail:
                 expect = sum(math.comb(n, j) for j in range(j_min, n + 1)) / 2 ** n
                 got = exact_sn_tail(env, n, x, mom.M_tight, mom.mu)
                 assert got == pytest.approx(expect, abs=1e-12), (n, x)
+
+    def test_tail_rule_is_closed_with_slack(self):
+        # (stat - 0) / (1 * 1) against x = 0.5: everything from x - TIE_EPS
+        # up counts, nothing further below
+        stats = [0.5 + 1e-3, 0.5, 0.5 - TIE_EPS / 2, 0.5 - TIE_EPS,
+                 0.5 - 2 * TIE_EPS]
+        expect = [True, True, True, True, False]
+        assert [tail_reached(v, 1, 0.0, 1.0, 0.5) for v in stats] == expect
+        assert tail_reached(np.array(stats), 1, 0.0, 1.0, 0.5).tolist() == expect
+        # n = 4, mu = 0.25, M = 0.5: (stat - 1) / 2 against x = 0.5
+        assert tail_reached(2.0, 4, 0.25, 0.5, 0.5)
+        assert not tail_reached(1.9, 4, 0.25, 0.5, 0.5)
 
     def test_boundary_atom_included(self):
         # x = 1 sits exactly on the all-high-state atom; the tie rule keeps it
