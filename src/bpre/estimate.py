@@ -7,11 +7,13 @@ process the blocks, and partial results are reduced in block order. Estimates
 are therefore bit-identical for any worker count. Within a block the draw
 order is pinned: the environment uniform matrix first, then per generation
 one offspring pass per state in declaration order. Each pass is one call of
-bpre.simulate.offspring, which fixes the draws inside it (exact binomial
-draws before Gaussian-approximate ones); horizons past the int64 range step
-the same offspring() one trial at a time, in its bigint form. The
-estimators draw at DEFAULT_EXACT_THRESHOLD and cap bigint populations at
-DEFAULT_POPULATION_CAP; neither is a parameter.
+bpre.simulate.offspring on a float64 population vector, which fixes the draws
+inside it (exact binomial draws before Gaussian-approximate ones). The
+vector form is the same at every horizon: populations are exact integers
+below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
+Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
+Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
+Neither constant is a parameter.
 
 Tail events are decided by oracle.tail_reached, the normalized statistic and
 TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
@@ -25,15 +27,15 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .env import EnvDistribution, ResourceCapError, compute_moments
 from .oracle import TIE_EPS, tail_reached
 from .simulate import (DEFAULT_POPULATION_CAP, DOMAIN_SN, DOMAIN_TRAJ,
-                       INT64_SAFE, EnvTables, offspring, require_no_extinction,
-                       stream)
+                       EnvTables, offspring, require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
+
+_POPULATION_CAP = float(DEFAULT_POPULATION_CAP)
 
 MIN_TRIALS = 1000
 
@@ -86,6 +88,8 @@ def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
     wraps); the boundary cases use the closed forms (alpha/2)^(1/trials) and
     1 - (alpha/2)^(1/trials).
     """
+    # imported here so that `import bpre` does not load scipy.special
+    from scipy.special import betaincinv
     if trials < 1:
         raise ValueError(f"trials={trials!r} must be >= 1")
     if not 0 <= hits <= trials:
@@ -160,57 +164,38 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                           trials, level, x, n)
 
 
-def require_int64_range(env: EnvDistribution, n: int) -> None:
-    """Raise ResourceCapError unless k_max^n fits the int64 stepping range,
-    which increment tracking needs; callers can check before any sampling."""
-    if env.k_max ** n > INT64_SAFE:
-        raise ResourceCapError(
-            f"k_max^n = {env.k_max}^{n} exceeds the int64 stepping range; "
-            "increment tracking is desk-scale only")
-
-
 def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator):
-    """Step a block of int64 populations from Z_0 = 1 in the pinned draw order.
+    """Step a block of float64 populations from Z_0 = 1 in the pinned draw order.
 
     Yields (state index per trial, Z) after each generation; Z is updated in
-    place by the next generation.
+    place by the next generation. Z is exact below 2^53 and rounds at 1e-16
+    relative above; the environment uniforms are mapped to states one
+    generation column at a time, so no (size, n) index matrix is built.
+    Raises ResourceCapError once a population passes DEFAULT_POPULATION_CAP,
+    well before float64 overflows.
     """
-    idx = tables.pick_states(rng.random((size, n)))
-    z = np.ones(size, dtype=np.int64)
+    u = rng.random((size, n))
+    z = np.ones(size)
     for k in range(n):
-        col = idx[:, k]
+        col = tables.pick_states(u[:, k])
         for s, sampler in enumerate(tables.samplers):
             sel = np.nonzero(col == s)[0]
             if sel.size:
                 z[sel] = offspring(z[sel], sampler, rng)
+        top = z.max()
+        if top > _POPULATION_CAP:
+            raise ResourceCapError(
+                f"population reached {int(top).bit_length()} bits, cap is "
+                f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
         yield col, z
 
 
 def _final_logz(tables: EnvTables, n: int, size: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """log Z_n for a block of trials.
-
-    int64 stepping is exact only while k_max^n cannot overflow; past that each
-    trial steps a Python int in turn, after the same environment matrix. The
-    choice depends only on (env, n), never on sampled values, so runs stay
-    replayable.
-    """
-    if tables.env.k_max ** n <= INT64_SAFE:
-        for _, z in _generations(tables, n, size, rng):
-            pass
-        return np.log(z.astype(np.float64))
-    idx = tables.pick_states(rng.random((size, n)))
-    out = np.empty(size, dtype=np.float64)
-    for t in range(size):
-        z = 1
-        for s in idx[t]:
-            z = offspring(z, tables.samplers[s], rng)
-            if z > DEFAULT_POPULATION_CAP:
-                raise ResourceCapError(
-                    f"population reached {z.bit_length()} bits, cap is "
-                    f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
-        out[t] = math.log(z)
-    return out
+    """log Z_n for a block of trials: the log of _generations' last Z."""
+    for _, z in _generations(tables, n, size, rng):
+        pass
+    return np.log(z)
 
 
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
@@ -245,7 +230,6 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     if n < 3:
         raise ValueError(f"n={n!r} must be >= 3")
     tables = EnvTables(env)
-    require_int64_range(env, n)
 
     def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = stream(seed, DOMAIN_TRAJ, b)
@@ -253,7 +237,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
         sums = np.empty(n)
         sums_sq = np.empty(n)
         for k, (col, z) in enumerate(_generations(tables, n, size, rng)):
-            logz = np.log(z.astype(np.float64))
+            logz = np.log(z)
             inc = np.abs(logz - prev_logz - tables.X[col])
             sums[k] = inc.sum()
             sums_sq[k] = (inc * inc).sum()

@@ -7,8 +7,8 @@ of conditional binomials over ascending family sizes, with the shifted
 binomial z + Bin(z, p_2) shortcut for {1,2}-supported states. Binomial draws
 above the exactness threshold use a continuity-corrected Gaussian
 approximation and flag the trajectory. offspring() is the one implementation
-of this step, for a Python int or an int64 array of populations; the Monte
-Carlo estimators step with it too.
+of this step, for a Python int or an int64 or float64 array of populations;
+the Monte Carlo estimators step float64 arrays with it.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
@@ -36,8 +36,8 @@ DOMAIN_SIMULATE = 4
 DEFAULT_EXACT_THRESHOLD = 1 << 32
 DEFAULT_POPULATION_CAP = 1 << 512
 
-# numpy's exact binomial sampler takes int64 trial counts, and int64
-# populations stay exact while k_max^n stays below this.
+# numpy's exact binomial sampler takes int64 trial counts; exact draws stay
+# at or below this whatever the exactness threshold.
 INT64_SAFE = 1 << 62
 
 SEED_MAX = 1 << 64
@@ -175,26 +175,28 @@ def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
 
 def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
                      threshold: int, stats: SampleStats | None) -> np.ndarray:
-    """_binomial_scalar over an int64 array: the exact draws first, in array
-    order, then the Gaussian ones. A length-1 array draws what the scalar
-    form draws."""
+    """_binomial_scalar over an int64 or float64 array: the exact draws
+    first, in array order, then the Gaussian ones. Exact draws pass the
+    trial counts to rng.binomial as int64; the result keeps the input dtype.
+    A length-1 array draws what the scalar form draws."""
     if prob <= 0.0:
         return np.zeros_like(trials)
     if prob >= 1.0:
         return trials
     small = trials <= min(threshold, INT64_SAFE)
     if small.all():
-        return rng.binomial(trials, prob)
+        return rng.binomial(trials.astype(np.int64), prob).astype(trials.dtype,
+                                                                  copy=False)
     if stats is not None:
         stats.approx_used = True
     out = np.zeros_like(trials)
     if small.any():
-        out[small] = rng.binomial(trials[small], prob)
+        out[small] = rng.binomial(trials[small].astype(np.int64), prob)
     big = trials[~small].astype(np.float64)
     mean = big * prob
     sd = np.sqrt(big * prob * (1.0 - prob))
     draw = np.rint(mean + sd * rng.standard_normal(big.size))
-    out[~small] = np.clip(draw, 0.0, big).astype(np.int64)
+    out[~small] = np.clip(draw, 0.0, big)
     return out
 
 
@@ -204,11 +206,12 @@ def offspring(z, sampler, rng: np.random.Generator,
     """One generation: total offspring of z individuals under one state.
 
     This is the package's only offspring step. z is a Python int (the bigint
-    form) or an int64 array of independent populations (the vector form);
-    sampler is the state's EnvTables.samplers descriptor. {1,2}-supported
-    states draw z + Bin(z, p_2); other states realize the multinomial family
-    counts as conditional binomials over ascending family sizes, one
-    binomial per chain link.
+    form) or an int64 or float64 array of independent populations (the vector
+    form; float64 totals are exact below 2^53); sampler is the state's
+    EnvTables.samplers descriptor. {1,2}-supported states draw
+    z + Bin(z, p_2); other states realize the multinomial family counts as
+    conditional binomials over ascending family sizes, one binomial per
+    chain link.
     """
     binomial = _binomial_vector if isinstance(z, np.ndarray) else _binomial_scalar
     if sampler[0] == "binary":
@@ -304,7 +307,9 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
 
     Simulates a single prefix to a common Z_k, then many independent one-step
     continuations; E[W_{k+1}/W_k | xi, Z_k] = 1, so the sample mean of
-    Z_{k+1}/(Z_k m(xi_k)) should sit within a few stderr of 1.
+    Z_{k+1}/(Z_k m(xi_k)) should sit within a few stderr of 1. The prefix
+    steps a Python int; the replicas step as one float64 vector, exact while
+    Z_k times the largest family size stays below 2^53.
     """
     if replicas < 100:
         raise ValueError(f"insufficient replicas: {replicas} < 100")
@@ -317,14 +322,7 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
     state_idx = tables.index_of[env_seq.states[k]]
     sampler = tables.samplers[state_idx]
     m = float(tables.means[state_idx])
-    # The vector form needs every total, at most z times the largest family
-    # size, to fit in int64; beyond that each replica steps a Python int.
-    if z * tables.states[state_idx].pmf.support[-1] < 1 << 63:
-        totals = offspring(np.full(replicas, z, dtype=np.int64), sampler,
-                           rng).astype(np.float64)
-    else:
-        totals = np.array([float(offspring(z, sampler, rng))
-                           for _ in range(replicas)])
+    totals = offspring(np.full(replicas, float(z)), sampler, rng)
     ratios = totals / (float(z) * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)
     return QuenchedReport(mean_ratio=float(np.mean(ratios)), stderr=stderr)

@@ -128,10 +128,11 @@ class TestBinomialCI:
 
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(bpre.__file__)))
-    code = "import bpre, sys; print('scipy.stats' in sys.modules)"
+    code = ("import bpre, sys; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestMcTailSn:
@@ -213,8 +214,8 @@ class TestMcTailLogZn:
         assert a == b
 
     def test_bigint_path_used_beyond_int64_range(self):
-        # n = 63 with k_max = 2 exceeds the vectorized guard; the per-trial
-        # arbitrary-precision path must deliver the same contract
+        # n = 63 with k_max = 2 is past int64; the float64 populations must
+        # deliver the same contract
         env = binary_env()
         mom = compute_moments(env)
         est = mc_tail_logzn(env, 63, 0.0, mom.M_tight, 1000, seed=8)
@@ -228,6 +229,13 @@ class TestMcTailLogZn:
                         "offspring": {"0": 0.1, "2": 0.9}}]})
         with pytest.raises(ConfigError):
             mc_tail_logzn(env, 5, 0.5, 0.3, 2000, seed=0)
+
+    def test_population_cap_raises(self):
+        # 3^330 > 2^512: the cap stops float64 populations long before overflow
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
+        with pytest.raises(ResourceCapError, match="cap is 512 bits"):
+            mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0)
 
 
 class TestIncrements:
@@ -260,9 +268,12 @@ class TestIncrements:
         b = mc_logw_increments(env, 8, BLOCK_TRIALS + 100, seed=2, workers=4)
         assert a == b
 
-    def test_horizon_beyond_int64_refused(self):
-        with pytest.raises(ResourceCapError):
-            mc_logw_increments(binary_env(), 64, 2000, seed=0)
+    def test_doubling_past_int64_has_zero_increments(self):
+        # Z_70 = 2^70 is past int64; float64 holds every power of two exactly
+        env = parse_env_config(DOUBLING)
+        stats = mc_logw_increments(env, 70, 2000, seed=0)
+        assert len(stats) == 70
+        assert all(s.mean <= 1e-12 for s in stats)
 
 
 class TestDecayFit:

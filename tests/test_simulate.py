@@ -6,9 +6,9 @@ import pytest
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SampleStats,
-                           SimConfig, offspring, quenched_martingale_check,
-                           sample_env_sequence, simulate_trajectory,
-                           step_population, stream)
+                           SimConfig, _binomial_vector, offspring,
+                           quenched_martingale_check, sample_env_sequence,
+                           simulate_trajectory, step_population, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -151,21 +151,27 @@ class TestStepPopulation:
 
 
 class TestOffspringForms:
-    """The int64 vector form and the bigint form of offspring() draw alike."""
+    """The int64 and float64 vector forms and the bigint form of offspring()
+    draw alike below 2^53."""
 
     PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
             {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
             {"2": 1.0},                         # deterministic
             {"1": 0.1, "2": 0.0, "4": 0.9},     # zero-mass chain entry
             {"1": 0.5, "3": 0.5}]               # one chain link, gap in sizes
+    ZS = [1, 7, 50, 51, 10 ** 6, 3 * 10 ** 9]
 
-    @pytest.mark.parametrize("pmf", PMFS)
-    @pytest.mark.parametrize("z", [1, 7, 50, 51, 10 ** 6, 3 * 10 ** 9])
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_vector_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
+    @staticmethod
+    def sampler(pmf):
         env = parse_env_config({"model": "generic", "states": [
             {"label": "s", "mass": 1.0, "offspring": pmf}]})
-        sampler = EnvTables(env).samplers[0]
+        return EnvTables(env).samplers[0]
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("z", ZS)
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_vector_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
+        sampler = self.sampler(pmf)
         rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
         stats_vec, stats_big = SampleStats(), SampleStats()
         vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
@@ -175,6 +181,48 @@ class TestOffspringForms:
         assert int(vec[0]) == big
         assert stats_vec.approx_used == stats_big.approx_used
         assert rng_vec.random() == rng_big.random()
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("z", ZS)
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_float64_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
+        sampler = self.sampler(pmf)
+        rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
+        stats_vec, stats_big = SampleStats(), SampleStats()
+        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold,
+                        stats_vec)
+        big = offspring(z, sampler, rng_big, threshold, stats_big)
+        assert vec.dtype == np.float64
+        assert vec[0] == big
+        assert stats_vec.approx_used == stats_big.approx_used
+        assert rng_vec.random() == rng_big.random()
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_float64_and_int64_forms_agree_on_mixed_arrays(self, pmf, threshold):
+        # each array mixes exact and Gaussian draws: 2^50 is above both
+        # thresholds, and 51 and up are above 50
+        sampler = self.sampler(pmf)
+        zs = self.ZS + [2 ** 50]
+        rng_int, rng_float = stream(37, DOMAIN_SIMULATE, 0), stream(37, DOMAIN_SIMULATE, 0)
+        stats_int, stats_float = SampleStats(), SampleStats()
+        ints = offspring(np.array(zs, dtype=np.int64), sampler, rng_int,
+                         threshold, stats_int)
+        floats = offspring(np.array(zs, dtype=np.float64), sampler, rng_float,
+                           threshold, stats_float)
+        assert ints.dtype == np.int64 and floats.dtype == np.float64
+        assert floats.tolist() == [float(v) for v in ints.tolist()]
+        assert stats_int.approx_used == stats_float.approx_used
+        assert rng_int.random() == rng_float.random()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_binomial_draws_keep_the_input_dtype(self, dtype, threshold):
+        trials = np.array([1, 50, 10 ** 6], dtype=dtype)
+        out = _binomial_vector(trials, 0.3, stream(41, DOMAIN_SIMULATE, 0),
+                               threshold, None)
+        assert out.dtype == dtype
+        assert np.all((0 <= out) & (out <= trials))
 
 
 class TestTrajectory:
@@ -286,8 +334,8 @@ class TestQuenched:
                                       rng=stream(1, DOMAIN_QUENCHED, 0))
 
     def test_bigint_fallback_beyond_int64(self):
-        # Z_65 of a {1,2} state with p = 0.01 is about 2^64, past the int64
-        # vector form, so every replica steps a Python int.
+        # Z_65 of a {1,2} state with p = 0.01 is about 2^64, past int64 and
+        # past 2^53, so the float64 replicas round at 1e-16 relative.
         env = parse_env_config({"model": "binary",
                                 "support": [{"p": 0.01, "mass": 1.0}]})
         state = env.states[0][0]
@@ -298,7 +346,8 @@ class TestQuenched:
         assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
 
     def test_totals_past_int64_step_as_python_ints(self):
-        # Z_39 = 3^39 is below 2^62, but Z_40 = 3^40 does not fit in int64.
+        # Z_39 = 3^39 is below 2^62, but Z_40 = 3^40 does not fit in int64;
+        # the float64 replicas hold 3 * Z_39 to 1e-16 relative.
         env = parse_env_config({"model": "generic", "states": [
             {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
         seq = EnvSequence(states=("triple",) * 40, log_means=(math.log(3),) * 40)
