@@ -15,8 +15,12 @@ the k^n sequences:
 
 Complete enumeration of the environment law (cap 10^6 sequences) with a
 per-sequence population DP stays available as the brute-force reference the
-two routes are tested against. Probabilities are floats accumulated with
-compensated summation; there is no exact-rational mode.
+two routes are tested against. A population law is a float64 array indexed
+by value; one generation step builds it by Horner's rule on the offspring
+pgf, and _compose states its error bound (every atom within 1e-13 of the
+exact law for the binary model at n = 8). Tails and E W_n are summed with
+math.fsum. There is no exact-rational mode; the tests check the kernel
+against one.
 
 Tail events compare a normalized statistic (stat - n*mu)/(n*M) against the
 threshold x with a closed tail (>=). Exact-boundary atoms, such as the
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,9 +56,6 @@ def tail_reached(stat, n: int, mu: float, M: float, x: float):
 MAX_SEQUENCES = 10 ** 6
 MAX_COMPOSITIONS = 10 ** 6
 DEFAULT_DP_CAP = 1 << 20
-
-# math.comb stays float-convertible up to here; scipy's pmf takes over beyond.
-_EXACT_COMB_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -185,117 +185,91 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
 
 # --- Z_n: one generation step, per sequence or under the kernel ---------------
 
-def _binomial_row(z: int, p: float) -> np.ndarray:
-    """P(Bin(z, p) = j) for j = 0..z."""
-    if z <= _EXACT_COMB_MAX:
-        q = 1.0 - p
-        row = []
-        comb = 1  # C(z, j), advanced exactly: C(z, j+1) = C(z, j) (z-j) / (j+1)
-        for j in range(z + 1):
-            row.append(float(comb) * p ** j * q ** (z - j))
-            comb = comb * (z - j) // (j + 1)
-        return np.array(row)
-    import scipy.stats  # imported here so that `import bpre` does not load it
-    return scipy.stats.binom.pmf(np.arange(z + 1), z, p)
+def _offspring_array(state: EnvState) -> np.ndarray:
+    """The state's offspring pmf as a float64 array indexed by family size."""
+    entries = state.pmf.entries
+    return np.array([entries.get(k, 0.0) for k in range(state.pmf.support[-1] + 1)])
 
 
-def _convolve(dist: dict[int, float], pmf_entries: dict[int, float]) -> dict[int, float]:
-    out: dict[int, list[float]] = defaultdict(list)
-    for value, pv in dist.items():
-        for k, pk in pmf_entries.items():
-            if pk > 0.0:
-                out[value + k].append(pv * pk)
-    return {value: math.fsum(parts) for value, parts in out.items()}
+def _compose(dist: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """The law of the next generation when the current one has law dist and
+    each individual has offspring law pmf (both indexed by value): the
+    coefficients of sum_z dist[z] f(t)^z, f being the offspring pgf, by
+    Horner's rule dist[0] + f(dist[1] + f(dist[2] + ...)).
 
-
-def _generation_step(dist: dict[int, float], state: EnvState,
-                     out: dict[int, list[float]]) -> None:
-    """Append the contributions dist[z] * P(z-fold offspring sum = v) to out[v].
-
-    The law of Z_{k+1} given Z_k = z is the z-fold convolution of the
-    offspring pmf. {1,2}-supported states take the shifted-binomial row
-    z + Bin(z, p_2) with exact binomial coefficients; general states walk a
-    convolution power ladder, advanced once per distinct z ascending. The
-    caller combines the contributions to each value by compensated summation.
+    np.convolve sums the products directly, so each coefficient is a sum of
+    nonnegative terms and nothing cancels (an FFT would leave negative
+    round-off in the far tail). A Horner step puts at most s + 1 roundings on
+    a term, for s nonzero pmf entries, and dist[z] passes through z steps. So
+    each atom's relative error grows by at most gamma_N = N u / (1 - N u),
+    u = 2^-53, with N = (s + 1)(len(dist) - 1). Over n kernel generations
+    with k states, N <= sum_{g<n} ((s + 1) k_max^g + k), the k counting the
+    weighted mixture: 781 for the two-state {1, 2} model at n = 8, a bound
+    of 8.7e-14.
     """
-    positive = {k: p for k, p in state.pmf.entries.items() if p > 0.0}
-    if set(positive) <= {1, 2}:
-        p2 = positive.get(2, 0.0)
-        for z, pz in sorted(dist.items()):
-            if z == 0:
-                out[0].append(pz)
-                continue
-            row = _binomial_row(z, p2)
-            for j, pj in enumerate(row):
-                if pj > 0.0:
-                    out[z + j].append(pz * float(pj))
-    else:
-        power: dict[int, float] = {0: 1.0}
-        power_order = 0
-        for z, pz in sorted(dist.items()):
-            while power_order < z:
-                power = _convolve(power, positive)
-                power_order += 1
-            for value, pv in power.items():
-                out[value].append(pz * pv)
+    acc = dist[-1:]
+    for pz in dist[-2::-1]:
+        acc = np.convolve(acc, pmf)
+        acc[0] += pz
+    return acc
 
 
-def _check_dp_cap(k_max: int, n: int, cap: int) -> None:
-    if k_max ** n > cap:
-        raise ResourceCapError(f"k_max^n = {k_max}^{n} exceeds the DP cap {cap}")
+def _check_dp_cap(k_max: int, n: int) -> None:
+    if k_max ** n > DEFAULT_DP_CAP:
+        raise ResourceCapError(
+            f"k_max^n = {k_max}^{n} exceeds the DP cap {DEFAULT_DP_CAP}")
 
 
-def _propagate(generations: Iterable[Sequence[tuple[EnvState, float]]]
-               ) -> dict[int, float]:
-    """Push delta_1 through one mixture sum_s weight_s T_s per generation;
-    the result is keyed by value ascending."""
-    dist = {1: 1.0}
+def _propagate(generations: Iterable[Sequence[tuple[np.ndarray, float]]]
+               ) -> np.ndarray:
+    """Push delta_1 through one mixture sum_s weight_s T_s per generation,
+    given as (offspring array, weight) pairs; the result is indexed by value."""
+    law = np.array([0.0, 1.0])
     for mixture in generations:
-        out: dict[int, list[float]] = defaultdict(list)
-        for state, weight in mixture:
-            _generation_step({z: weight * p for z, p in dist.items()}, state, out)
-        dist = {value: math.fsum(parts) for value, parts in sorted(out.items())}
-    return dist
+        parts = [weight * _compose(law, pmf) for pmf, weight in mixture]
+        law = np.zeros(max(len(part) for part in parts))
+        for part in parts:
+            law[:len(part)] += part
+    return law
 
 
-def exact_population_distribution(env_seq: Sequence[EnvState],
-                                  cap: int = DEFAULT_DP_CAP) -> ExactPmf:
+def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
     """Exact law of Z_n under a fixed environment sequence, one generation
     step per state; the brute-force reference for the annealed kernel."""
     n = len(env_seq)
     if n < 1:
         raise ValueError("environment sequence is empty")
-    _check_dp_cap(max(max(state.pmf.support) for state in env_seq), n, cap)
-    return ExactPmf(tuple(_propagate([(state, 1.0)] for state in env_seq).items()))
+    _check_dp_cap(max(max(state.pmf.support) for state in env_seq), n)
+    law = _propagate([(_offspring_array(state), 1.0)] for state in env_seq)
+    return ExactPmf(tuple((v, p) for v, p in enumerate(law.tolist()) if p > 0.0))
 
 
-def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float],
-                cap: int) -> dict[int, float]:
-    """delta_1 (sum_s weights[s] T_s)^n: each generation mixes every state's
-    step output with that state's weight."""
+def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float]) -> np.ndarray:
+    """delta_1 (sum_s weights[s] T_s)^n, indexed by value: each generation
+    mixes every state's step output with that state's weight."""
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    _check_dp_cap(env.k_max, n, cap)
-    mixture = [(state, weight) for (state, _), weight in zip(env.states, weights)]
+    _check_dp_cap(env.k_max, n)
+    mixture = [(_offspring_array(state), weight)
+               for (state, _), weight in zip(env.states, weights)]
     return _propagate(itertools.repeat(mixture, n))
 
 
 def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
-                     moments: ModelMoments, M: float,
-                     cap: int = DEFAULT_DP_CAP) -> float:
+                     moments: ModelMoments, M: float) -> float:
     """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n.
     Extinct mass (Z_n = 0) never lies in an upper tail; ties follow
     tail_reached."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     mu = moments.mu
-    law = _kernel_law(env, n, [mass for _, mass in env.states], cap)
+    law = _kernel_law(env, n, [mass for _, mass in env.states])
     return math.fsum(
-        p for v, p in law.items()
+        p for v, p in enumerate(law.tolist())
         if v > 0 and tail_reached(math.log(v), n, mu, M, x))
 
 
-def exact_EWn(env: EnvDistribution, n: int, cap: int = DEFAULT_DP_CAP) -> float:
+def exact_EWn(env: EnvDistribution, n: int) -> float:
     """E W_n = E[Z_n / Pi_n], the mean of delta_1 (sum_s (w_s/m_s) T_s)^n.
 
     The martingale identity makes this 1; the kernel law enters the
@@ -303,4 +277,4 @@ def exact_EWn(env: EnvDistribution, n: int, cap: int = DEFAULT_DP_CAP) -> float:
     oracle chain.
     """
     weights = [mass / state_mean(state) for state, mass in env.states]
-    return math.fsum(v * p for v, p in _kernel_law(env, n, weights, cap).items())
+    return math.fsum(v * p for v, p in enumerate(_kernel_law(env, n, weights).tolist()))

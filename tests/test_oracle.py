@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from bpre.env import ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
 from bpre.oracle import (MAX_COMPOSITIONS, TIE_EPS, ExactPmf, WeightedSequence,
-                         _multiset_sum, composition_count,
+                         _kernel_law, _multiset_sum, composition_count,
                          enumerate_env_sequences, exact_EWn, exact_logZn_tail,
                          exact_population_distribution, exact_sn_tail,
                          tail_reached)
@@ -25,6 +26,19 @@ THREE_POINT = {"model": "generic",
                            "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}},
                           {"label": "b", "mass": 0.4,
                            "offspring": {"1": 0.2, "2": 0.8}}]}
+# p0 > 0 and a gap in the support: the Horner constant term carries the
+# extinct mass
+EXTINCT = {"model": "generic",
+           "states": [{"label": "a", "mass": 0.5,
+                       "offspring": {"0": 0.2, "1": 0.3, "3": 0.5}},
+                      {"label": "b", "mass": 0.5,
+                       "offspring": {"1": 0.4, "2": 0.6}}]}
+# the benchmark's generic model
+GENERIC = {"model": "generic",
+           "states": [{"label": "low", "mass": 0.5,
+                       "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
+                      {"label": "high", "mass": 0.5,
+                       "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]}
 
 
 def binary_env():
@@ -47,6 +61,40 @@ def brute_population_pmf(states):
                 nxt[total] += pz * math.prod(p for _, p in combo)
         dist = dict(nxt)
     return dist
+
+
+def rational_kernel_laws(env, n):
+    """The kernel laws of Z_1..Z_n, weighted by the state masses, in exact
+    arithmetic by the same Horner recurrence as the float kernel. Every float
+    is a dyadic rational, so the recurrence runs on integers over one power
+    of two, which avoids Fraction's gcds on every product."""
+    floats = [mass for _, mass in env.states] + [
+        p for s, _ in env.states for p in s.pmf.entries.values()]
+    shift = max(p.as_integer_ratio()[1] for p in floats).bit_length() - 1
+
+    def scaled(p):
+        return int(Fraction(p) * (1 << shift))
+    pmfs = [[(k, scaled(p)) for k, p in s.pmf.entries.items() if p > 0.0]
+            for s, _ in env.states]
+    weights = [scaled(mass) for _, mass in env.states]
+    law, exponent = {1: 1}, 0  # law[v] / 2^exponent = P(Z = v)
+    for _ in range(n):
+        top = max(law)
+        nxt = defaultdict(int)
+        for pmf, weight in zip(pmfs, weights):
+            acc = {0: law[top]}
+            for j, z in enumerate(range(top - 1, -1, -1), 1):
+                step = defaultdict(int)
+                for v, a in acc.items():
+                    for k, b in pmf:
+                        step[v + k] += a * b
+                step[0] += law.get(z, 0) << (shift * j)
+                acc = step
+            for v, a in acc.items():
+                nxt[v] += weight * a
+        exponent += shift * (top + 1)
+        law = {v: a for v, a in nxt.items() if a}
+        yield {v: Fraction(a, 1 << exponent) for v, a in law.items()}
 
 
 def brute_logzn_tail(env, n, x, mu, M):
@@ -160,7 +208,8 @@ class TestExactSnTail:
 
 class TestPopulationDistribution:
     @pytest.mark.parametrize("cfg, n", [(BINARY, 1), (BINARY, 2), (BINARY, 3),
-                                        (THREE_POINT, 1), (THREE_POINT, 2)])
+                                        (THREE_POINT, 1), (THREE_POINT, 2),
+                                        (EXTINCT, 3)])
     def test_dp_matches_brute_force(self, cfg, n):
         env = parse_env_config(cfg)
         for combo in itertools.product([s for s, _ in env.states], repeat=n):
@@ -195,28 +244,24 @@ class TestPopulationDistribution:
     def test_cap_enforced(self):
         env = parse_env_config(DOUBLING)
         with pytest.raises(ResourceCapError):
-            exact_population_distribution([env.states[0][0]] * 25,
-                                          cap=1 << 20)
+            exact_population_distribution([env.states[0][0]] * 25)
 
-    def test_binomial_row_two_routes_agree(self):
-        # above the comb cutoff the row comes from scipy; below, from comb.
-        # compare both on the same z by direct construction
-        from bpre.oracle import _binomial_row
-        import scipy.stats
-        z = 1500  # beyond the comb cutoff
-        row = _binomial_row(z, 0.3)
-        direct = scipy.stats.binom.pmf(np.arange(z + 1), z, 0.3)
-        np.testing.assert_allclose(row, direct, rtol=0, atol=1e-14)
-        z = 40  # comb route
-        row = _binomial_row(z, 0.3)
-        expect = [math.comb(z, j) * 0.3 ** j * 0.7 ** (z - j)
-                  for j in range(z + 1)]
-        np.testing.assert_allclose(row, expect, rtol=1e-12)
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (GENERIC, 5)])
+    def test_kernel_law_matches_rational_law(self, cfg, n):
+        # the accuracy contract stated in _compose: every atom within 1e-13
+        # of the exact law, and the same atoms
+        env = parse_env_config(cfg)
+        masses = [mass for _, mass in env.states]
+        for g, exact in enumerate(rational_kernel_laws(env, n), 1):
+            law = _kernel_law(env, g, masses).tolist()
+            assert {v for v, p in enumerate(law) if p > 0.0} == set(exact), g
+            worst = max(abs(Fraction(law[v]) - p) / p for v, p in exact.items())
+            assert worst <= 1e-13, (g, float(worst))
 
 
 class TestLogZnTail:
     @pytest.mark.parametrize("cfg, n", [(BINARY, 2), (BINARY, 3),
-                                        (THREE_POINT, 2)])
+                                        (THREE_POINT, 2), (EXTINCT, 2)])
     def test_matches_brute_force(self, cfg, n):
         env = parse_env_config(cfg)
         mom = compute_moments(env)
@@ -254,9 +299,9 @@ class TestExactEWn:
         env = binary_env()
         assert exact_EWn(env, n) == pytest.approx(brute_ewn(env, n), abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_martingale_identity_binary(self, n):
-        assert exact_EWn(binary_env(), n) == pytest.approx(1.0, abs=1e-9)
+        assert exact_EWn(binary_env(), n) == pytest.approx(1.0, abs=1e-12)
 
     def test_martingale_identity_three_point(self):
         env = parse_env_config(THREE_POINT)
@@ -370,4 +415,4 @@ class TestReach:
         with pytest.raises(ResourceCapError):
             exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 2^21 > 2^20
         with pytest.raises(ResourceCapError):
-            exact_EWn(env, 4, cap=8)
+            exact_EWn(env, 21)
