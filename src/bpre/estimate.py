@@ -15,12 +15,24 @@ Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
 Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
 Neither constant is a parameter.
 
+The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
+kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
+each block first draws Z_g ~ delta_1 K^g, one uniform per trial mapped by
+inverse CDF through the cumulative kernel law (computed once per call, before
+the blocks), and then draws the (size, n - g) environment matrix and steps
+generations g+1..n as above. The depth g is the largest g <= n whose kernel
+work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW multiply-adds per
+binomial draw that stepping generations 1..g would take, and at most
+oracle.MAX_KERNEL_WORK; it depends on the model, n and the trial count only.
+mc_logw_increments needs every generation's Z and steps from Z_0 = 1.
+
 Tail events are decided by oracle.tail_reached, the normalized statistic and
 TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
 sample path.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,15 +41,23 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .env import EnvDistribution, ResourceCapError, compute_moments
-from .oracle import TIE_EPS, tail_reached
+from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, kernel_work,
+                     tail_reached)
 from .simulate import (DEFAULT_POPULATION_CAP, DOMAIN_SN, DOMAIN_TRAJ,
-                       EnvTables, offspring, require_no_extinction, stream)
+                       EnvTables, binomial_draws, offspring,
+                       require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
 
 _POPULATION_CAP = float(DEFAULT_POPULATION_CAP)
 
 MIN_TRIALS = 1000
+
+# A log Z_n estimate draws Z_g from the kernel law instead of stepping
+# generations 1..g while the kernel costs at most this many multiply-adds per
+# binomial draw it saves; on a 2-CPU Xeon a draw costs about 100-190 ns and a
+# multiply-add about 2.6 ns.
+HEAD_WORK_PER_DRAW = 8
 
 
 @dataclass(frozen=True)
@@ -164,18 +184,19 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                           trials, level, x, n)
 
 
-def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator):
-    """Step a block of float64 populations from Z_0 = 1 in the pinned draw order.
+def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
+                 z: np.ndarray):
+    """Step a block of float64 populations z through n generations in the
+    pinned draw order.
 
-    Yields (state index per trial, Z) after each generation; Z is updated in
-    place by the next generation. Z is exact below 2^53 and rounds at 1e-16
-    relative above; the environment uniforms are mapped to states one
-    generation column at a time, so no (size, n) index matrix is built.
-    Raises ResourceCapError once a population passes DEFAULT_POPULATION_CAP,
-    well before float64 overflows.
+    Yields (state index per trial, Z) after each generation; z is updated in
+    place. Z is exact below 2^53 and rounds at 1e-16 relative above; the
+    environment uniforms are mapped to states one generation column at a
+    time, so no (size, n) index matrix is built. Raises ResourceCapError once
+    a population passes DEFAULT_POPULATION_CAP, well before float64
+    overflows.
     """
-    u = rng.random((size, n))
-    z = np.ones(size)
+    u = rng.random((z.size, n))
     for k in range(n):
         col = tables.pick_states(u[:, k])
         for s, sampler in enumerate(tables.samplers):
@@ -190,10 +211,59 @@ def _generations(tables: EnvTables, n: int, size: int, rng: np.random.Generator)
         yield col, z
 
 
-def _final_logz(tables: EnvTables, n: int, size: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """log Z_n for a block of trials: the log of _generations' last Z."""
-    for _, z in _generations(tables, n, size, rng):
+def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
+    """The largest g <= n whose kernel work is at most HEAD_WORK_PER_DRAW
+    multiply-adds per binomial draw that stepping generations 1..g would
+    take (trials * g * the mass-weighted draws per offspring pass), and at
+    most MAX_KERNEL_WORK."""
+    per_pass = [binomial_draws(sampler) for sampler in tables.samplers]
+    draws = trials * float(tables.masses @ per_pass)
+    g = 0
+    while g < n:
+        work = kernel_work(itertools.repeat(tables.states, g + 1))
+        if work > min(HEAD_WORK_PER_DRAW * draws * (g + 1), MAX_KERNEL_WORK):
+            break
+        g += 1
+    return g
+
+
+class _KernelHead:
+    """Z_g drawn exactly from the annealed law delta_1 K^g, whose cumulative
+    sums are computed once per call, before the blocks. Depth 0 is Z_0 = 1
+    and draws nothing."""
+
+    def __init__(self, tables: EnvTables, g: int):
+        self.g = g
+        if g:
+            law = _kernel_law(tables.env, g, [mass for _, mass in tables.env.states])
+            self.cdf = np.cumsum(law)
+            self.top = int(np.flatnonzero(law)[-1])
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """One uniform per trial, mapped by inverse CDF to a population; a
+        uniform at or above the last cumulative sum maps to the top atom."""
+        if not self.g:
+            return np.ones(size)
+        idx = np.searchsorted(self.cdf, rng.random(size), side="right")
+        return np.minimum(idx, self.top).astype(np.float64)
+
+
+def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
+                head: _KernelHead) -> np.ndarray:
+    """log Z_n for a block of trials.
+
+    Under the annealed law (Z_k) is a Markov chain, so Z_g ~ delta_1 K^g and
+    Z_{g+1..n} depend on the past only through Z_g. The block draws Z_g
+    first (head.draw), then steps the remaining n - g generations with
+    _generations; at depth 0 it steps all n from Z_0 = 1. The sampled law of
+    Z_g is within 2 gamma_N + (k_max^g + 1) u of delta_1 K^g in total
+    variation, u = 2^-53: gamma_N bounds each kernel atom's relative error
+    (see oracle._compose), and the running sum adds at most u to each atom's
+    mass. That is below 4e-12 for the binary model at g = 12, far below the
+    1/trials resolution of any estimate.
+    """
+    z = head.draw(rng, size)
+    for _ in _generations(tables, n - head.g, rng, z):
         pass
     return np.log(z)
 
@@ -209,9 +279,10 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         raise ValueError(f"n={n!r} must be >= 1")
     tables = EnvTables(env)
     mu = compute_moments(env).mu
+    head = _KernelHead(tables, _head_depth(tables, n, trials))
 
     def run_block(b: int, size: int) -> int:
-        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b))
+        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
         return int(np.count_nonzero(tail_reached(logz, n, mu, M, x)))
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
@@ -236,7 +307,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
         prev_logz = np.zeros(size)
         sums = np.empty(n)
         sums_sq = np.empty(n)
-        for k, (col, z) in enumerate(_generations(tables, n, size, rng)):
+        for k, (col, z) in enumerate(_generations(tables, n, rng, np.ones(size))):
             logz = np.log(z)
             inc = np.abs(logz - prev_logz - tables.X[col])
             sums[k] = inc.sum()
@@ -304,12 +375,17 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     tables = EnvTables(env)
     mu = compute_moments(env).mu
     rows = []
+    heads: dict[int, _KernelHead] = {}
     for n in n_values:
         if n < 1:
             raise ValueError(f"n={n!r} must be >= 1")
+        g = _head_depth(tables, n, trials)
+        if g not in heads:
+            heads[g] = _KernelHead(tables, g)
 
-        def run_block(b: int, size: int, n: int = n) -> np.ndarray:
-            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b))
+        def run_block(b: int, size: int, n: int = n,
+                      head: _KernelHead = heads[g]) -> np.ndarray:
+            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
 
         logz_parts = _map_blocks(run_block, trials, workers)
         deviations = np.abs(np.concatenate(logz_parts) / n - mu)

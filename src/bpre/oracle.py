@@ -10,8 +10,9 @@ the k^n sequences:
   K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
   offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). The law of Z_n
   is delta_1 K^n, propagated one generation at a time; E W_n uses the same
-  propagation with weights w_s / m_s. The population support is capped by
-  k_max^n <= 2^20.
+  propagation with weights w_s / m_s. The population DP is capped by its
+  kernel_work, the multiply-adds of its generation steps (MAX_KERNEL_WORK,
+  the binary {1, 2} model's work at n = 16).
 
 Complete enumeration of the environment law (cap 10^6 sequences) with a
 per-sequence population DP stays available as the brute-force reference the
@@ -55,7 +56,9 @@ def tail_reached(stat, n: int, mu: float, M: float, x: float):
 
 MAX_SEQUENCES = 10 ** 6
 MAX_COMPOSITIONS = 10 ** 6
-DEFAULT_DP_CAP = 1 << 20
+# kernel_work of the two-state binary {1, 2} model at n = 16 is 2^33 - 2
+# multiply-adds, about 22 s on a 2-CPU Xeon; its n = 17 is four times that.
+MAX_KERNEL_WORK = 1 << 33
 
 
 @dataclass(frozen=True)
@@ -214,10 +217,46 @@ def _compose(dist: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_dp_cap(k_max: int, n: int) -> None:
-    if k_max ** n > DEFAULT_DP_CAP:
-        raise ResourceCapError(
-            f"k_max^n = {k_max}^{n} exceeds the DP cap {DEFAULT_DP_CAP}")
+def _compose_work(length: int, size: int) -> int:
+    """Multiply-adds of _compose on a law of `length` atoms and an offspring
+    array of `size` entries: its j-th np.convolve (j = 0..length-2) takes an
+    accumulator of 1 + j (size - 1) entries times the size pmf entries."""
+    steps = length - 1
+    return size * (steps + (size - 1) * steps * (steps - 1) // 2)
+
+
+def _running_work(generations: Iterable[Sequence[EnvState]]) -> Iterator[int]:
+    """kernel_work of the first 1, 2, ... of the given generations."""
+    total, top = 0, 1
+    for states in generations:
+        sizes = [state.pmf.support[-1] + 1 for state in states]
+        total += sum(_compose_work(top + 1, size) for size in sizes)
+        top *= max(sizes) - 1
+        yield total
+
+
+def kernel_work(generations: Iterable[Sequence[EnvState]]) -> int:
+    """Multiply-adds _compose does to push delta_1 through the given
+    generations, each listed as the states its mixture steps with, summed
+    over generations and states. A step's offspring array has (largest
+    family size) + 1 entries whatever its zeros, and the law after a
+    generation reaches the product of the largest family sizes so far.
+    The two-state binary {1, 2} model does 2 (4^n - 1) at horizon n."""
+    total = 0
+    for total in _running_work(generations):
+        pass
+    return total
+
+
+def _check_kernel_work(generations: Iterable[Sequence[EnvState]]) -> None:
+    """Raise ResourceCapError at the first generation whose running work
+    passes MAX_KERNEL_WORK, before any big-integer support size of a long
+    horizon is formed."""
+    for work in _running_work(generations):
+        if work > MAX_KERNEL_WORK:
+            raise ResourceCapError(
+                f"population DP needs at least {work} multiply-adds, above "
+                f"the cap {MAX_KERNEL_WORK}")
 
 
 def _propagate(generations: Iterable[Sequence[tuple[np.ndarray, float]]]
@@ -239,7 +278,7 @@ def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
     n = len(env_seq)
     if n < 1:
         raise ValueError("environment sequence is empty")
-    _check_dp_cap(max(max(state.pmf.support) for state in env_seq), n)
+    _check_kernel_work([state] for state in env_seq)
     law = _propagate([(_offspring_array(state), 1.0)] for state in env_seq)
     return ExactPmf(tuple((v, p) for v, p in enumerate(law.tolist()) if p > 0.0))
 
@@ -249,7 +288,7 @@ def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float]) -> np.nd
     mixes every state's step output with that state's weight."""
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    _check_dp_cap(env.k_max, n)
+    _check_kernel_work(itertools.repeat([state for state, _ in env.states], n))
     mixture = [(_offspring_array(state), weight)
                for (state, _), weight in zip(env.states, weights)]
     return _propagate(itertools.repeat(mixture, n))

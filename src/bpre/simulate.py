@@ -225,6 +225,14 @@ def offspring(z, sampler, rng: np.random.Generator,
     return total + k_last * remaining
 
 
+def binomial_draws(sampler) -> int:
+    """Binomial draws one offspring pass takes per population under a
+    sampler descriptor; a deterministic {1,2} state takes none."""
+    if sampler[0] == "binary":
+        return int(0.0 < sampler[1] < 1.0)
+    return len(sampler[1])
+
+
 def require_no_extinction(env: EnvDistribution) -> None:
     """Raise ConfigError if any state has p0 > 0."""
     bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]

@@ -7,7 +7,9 @@ import pytest
 from bpre import cli
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
+from bpre.estimate import _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
+from bpre.simulate import EnvTables
 
 BINARY_TEXT = json.dumps({
     "model": "binary",
@@ -376,6 +378,22 @@ class TestWorkerInvariance:
             cli.main(["verify", "sn", binary_cfg, "--n", "8", "--x", "0.3",
                       "--trials", "50000", "--seed", "3", "--workers", w,
                       "--out", str(out)])
+            blobs.append((out / "result.csv").read_bytes())
+        capsys.readouterr()
+        assert blobs[0] == blobs[1]
+
+    def test_kernel_head_bytes_identical(self, tmp_path, capsys, binary_cfg):
+        # at n = 13 the estimates draw Z_g from the kernel law and step the
+        # rest; n = 4 is drawn whole
+        tables = EnvTables(parse_env_config(BINARY_TEXT))
+        assert 0 < _head_depth(tables, 13, 40000) < 13
+        assert _head_depth(tables, 4, 40000) == 4
+        blobs = []
+        for w in ("1", "2"):
+            out = tmp_path / f"w{w}"
+            cli.main(["converge", binary_cfg, "--n-values", "4,13",
+                      "--y-values", "0.05,0.1", "--trials", "40000",
+                      "--seed", "3", "--workers", w, "--out", str(out)])
             blobs.append((out / "result.csv").read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]

@@ -10,16 +10,29 @@ import scipy.stats
 import bpre
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
-from bpre.estimate import (BLOCK_TRIALS, DecayFit, TailEstimate, binomial_ci,
-                           convergence_report, fit_geometric_decay,
-                           mc_logw_increments, mc_tail_logzn, mc_tail_sn,
-                           theorem1_candidates)
-from bpre.oracle import exact_logZn_tail, exact_sn_tail
+from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
+                           TailEstimate, _final_logz, _head_depth, _KernelHead,
+                           _map_blocks, binomial_ci, convergence_report,
+                           fit_geometric_decay, mc_logw_increments,
+                           mc_tail_logzn, mc_tail_sn, theorem1_candidates)
+from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, exact_logZn_tail,
+                         exact_sn_tail, kernel_work, tail_reached)
+from bpre.simulate import DOMAIN_TRAJ, EnvTables, offspring, stream
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
 DOUBLING = {"model": "generic",
             "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
+# the benchmark's generic model: offspring {1,2,3}, two chain links per pass
+GENERIC = {"model": "generic",
+           "states": [{"label": "low", "mass": 0.5,
+                       "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
+                      {"label": "high", "mass": 0.5,
+                       "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]}
+# only odd populations have mass
+GAPPED = {"model": "generic",
+          "states": [{"label": "odd", "mass": 1.0,
+                      "offspring": {"1": 0.5, "3": 0.5}}]}
 
 # frozen closed-form CI endpoints
 CI_0_100_95_HIGH = 0.03621669264517642
@@ -239,6 +252,128 @@ class TestMcTailLogZn:
             {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
         with pytest.raises(ResourceCapError, match="cap is 512 bits"):
             mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0)
+
+
+def _state_masses(env):
+    return [mass for _, mass in env.states]
+
+
+def _deviation_tail(law, n, mu, y):
+    """Exact P(|log Z_n / n - mu| >= y) with convergence_report's tie rule."""
+    return math.fsum(p for v, p in enumerate(law.tolist())
+                     if v > 0 and abs(math.log(v) / n - mu) >= y - TIE_EPS)
+
+
+def _within(hits, trials, exact, sigmas):
+    sd = math.sqrt(trials * exact * (1.0 - exact))
+    return abs(hits - trials * exact) <= sigmas * sd
+
+
+class TestKernelHead:
+    @pytest.mark.parametrize("cfg, g", [(BINARY, 6), (GAPPED, 4)])
+    def test_head_draws_follow_the_kernel_law(self, cfg, g):
+        env = parse_env_config(cfg)
+        law = _kernel_law(env, g, _state_masses(env))
+        draws = 200_000
+        head = _KernelHead(EnvTables(env), g)
+        z = head.draw(stream(11, DOMAIN_TRAJ, 0), draws)
+        counts = np.bincount(z.astype(np.int64), minlength=len(law))
+        assert counts.size == len(law)
+        assert not counts[law == 0.0].any(), "a draw landed on a zero-mass atom"
+        for v in np.flatnonzero(law):
+            p = float(law[v])
+            score = (counts[v] - draws * p) / math.sqrt(draws * p * (1.0 - p))
+            assert abs(score) <= 5.0, f"Z_{g} = {v}: z = {score:.2f}"
+        if cfg is GAPPED:
+            assert not counts[::2].any()  # Z_g is a sum of odd family sizes
+
+    def test_depth_rule(self):
+        # the largest g <= n whose kernel work is at most HEAD_WORK_PER_DRAW
+        # per binomial draw saved; it depends on the trial count, not workers
+        for cfg, draws_per_pass in ((BINARY, 1), (GENERIC, 2)):
+            tables = EnvTables(parse_env_config(cfg))
+            for trials in (1000, 10 ** 4, 10 ** 6):
+                g = _head_depth(tables, 40, trials)
+
+                def fits(d):
+                    work = kernel_work([tables.states] * d)
+                    return work <= min(MAX_KERNEL_WORK, HEAD_WORK_PER_DRAW
+                                       * trials * d * draws_per_pass)
+                assert 0 < g < 40 and fits(g) and not fits(g + 1)
+                assert _head_depth(tables, g - 1, trials) == g - 1
+        deterministic = EnvTables(parse_env_config(DOUBLING))
+        assert _head_depth(deterministic, 10, 10 ** 6) == 0  # no draw to save
+
+    def test_draw_order_replayed_by_hand(self):
+        # head uniforms, inverse CDF, the (size, n - g) environment matrix,
+        # then one offspring pass per state per generation
+        for cfg, n in ((BINARY, 13), (GENERIC, 9)):
+            env = parse_env_config(cfg)
+            tables = EnvTables(env)
+            mom = compute_moments(env)
+            trials, seed = 5000, 21
+            g = _head_depth(tables, n, trials)
+            assert 0 < g < n
+            law = _kernel_law(env, g, _state_masses(env))
+            rng = stream(seed, DOMAIN_TRAJ, 0)
+            idx = np.searchsorted(np.cumsum(law), rng.random(trials), side="right")
+            z = np.minimum(idx, np.flatnonzero(law)[-1]).astype(np.float64)
+            u = rng.random((trials, n - g))
+            for k in range(n - g):
+                col = tables.pick_states(u[:, k])
+                for s, sampler in enumerate(tables.samplers):
+                    sel = np.flatnonzero(col == s)
+                    if sel.size:
+                        z[sel] = offspring(z[sel], sampler, rng)
+            replay = np.log(z)
+            got = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
+                              _KernelHead(tables, g))
+            assert replay.tobytes() == got.tobytes()
+            est = mc_tail_logzn(env, n, 0.3, mom.M_tight, trials, seed)
+            assert est.hits == int(np.count_nonzero(
+                tail_reached(replay, n, mom.mu, mom.M_tight, 0.3)))
+
+    def test_depth_zero_stepping_brackets_the_oracle(self):
+        # at n = 6 mc_tail_logzn draws Z_6 from the oracle's own law; stepping
+        # every generation from Z_0 = 1 keeps a route independent of it
+        env = binary_env()
+        tables = EnvTables(env)
+        mom = compute_moments(env)
+        n, trials = 6, 20_000
+        depth0 = _KernelHead(tables, 0)
+        for x in (0.25, 0.5, 1.0):
+            exact = exact_logZn_tail(env, n, x, mom, mom.M_tight)
+            wins = 0
+            for seed in range(20):
+                logz = np.concatenate(_map_blocks(
+                    lambda b, size: _final_logz(tables, n, size,
+                                                stream(seed, DOMAIN_TRAJ, b), depth0),
+                    trials, 2))
+                hits = int(np.count_nonzero(
+                    tail_reached(logz, n, mom.mu, mom.M_tight, x)))
+                low, high = binomial_ci(hits, trials, 0.99)
+                wins += low <= exact <= high
+            assert wins >= 19, f"depth-0 x={x}: {wins}/20"
+
+    @pytest.mark.parametrize("cfg, n, x", [(BINARY, 13, 0.3), (GENERIC, 9, 0.2)])
+    def test_head_then_steps_match_the_exact_tails(self, cfg, n, x):
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
+        trials = 100_000
+        assert 0 < _head_depth(EnvTables(env), n, trials) < n
+        law = _kernel_law(env, n, _state_masses(env))
+        exact = math.fsum(p for v, p in enumerate(law.tolist())
+                          if v > 0 and tail_reached(math.log(v), n, mom.mu,
+                                                    mom.M_tight, x))
+        assert 0.01 < exact < 0.99
+        est = mc_tail_logzn(env, n, x, mom.M_tight, trials, seed=31, workers=2)
+        assert _within(est.hits, trials, exact, 5.0)
+        ys = (0.05, 0.1)
+        rows = convergence_report(env, [n], ys, trials, seed=32, workers=2)
+        for row, y in zip(rows, ys):
+            expect = _deviation_tail(law, n, mom.mu, y)
+            assert 0.01 < expect < 0.99
+            assert _within(row.hits, trials, expect, 5.0), f"y={y}"
 
 
 class TestIncrements:

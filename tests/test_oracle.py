@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import defaultdict
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from bpre.env import ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
-from bpre.oracle import (MAX_COMPOSITIONS, TIE_EPS, ExactPmf, WeightedSequence,
-                         _kernel_law, _multiset_sum, composition_count,
-                         enumerate_env_sequences, exact_EWn, exact_logZn_tail,
-                         exact_population_distribution, exact_sn_tail,
-                         tail_reached)
+from bpre import oracle
+from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS, ExactPmf,
+                         WeightedSequence, _kernel_law, _multiset_sum,
+                         composition_count, enumerate_env_sequences, exact_EWn,
+                         exact_logZn_tail, exact_population_distribution,
+                         exact_sn_tail, kernel_work, tail_reached)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -416,3 +418,43 @@ class TestReach:
             exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 2^21 > 2^20
         with pytest.raises(ResourceCapError):
             exact_EWn(env, 21)
+
+    def test_kernel_work_cap_reach(self):
+        # the cap is the binary model's work at n = 16; past it the oracle
+        # refuses at once instead of running for minutes to hours
+        for cfg, last in ((BINARY, 16), (GENERIC, 10)):
+            states = [state for state, _ in parse_env_config(cfg).states]
+            assert kernel_work([states] * last) <= MAX_KERNEL_WORK
+            assert kernel_work([states] * (last + 1)) > MAX_KERNEL_WORK
+        assert kernel_work([[state for state, _ in binary_env().states]] * 16) \
+            == 2 * (4 ** 16 - 1)
+        env = binary_env()
+        mom = compute_moments(env)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="multiply-adds"):
+            exact_logZn_tail(env, 17, 0.5, mom, mom.M_tight)
+        assert time.perf_counter() - t0 < 0.1
+        generic = parse_env_config(GENERIC)
+        with pytest.raises(ResourceCapError):
+            exact_EWn(generic, 11)
+
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 6), (GENERIC, 4), (EXTINCT, 4),
+                                        (DOUBLING, 5)])
+    def test_kernel_work_counts_the_convolutions(self, cfg, n, monkeypatch):
+        # kernel_work is the multiply-adds np.convolve does inside _compose
+        done = []
+        convolve = np.convolve
+
+        def counting(a, v):
+            done.append(len(a) * len(v))
+            return convolve(a, v)
+        monkeypatch.setattr(oracle.np, "convolve", counting)
+        env = parse_env_config(cfg)
+        states = [state for state, _ in env.states]
+        _kernel_law(env, n, [mass for _, mass in env.states])
+        assert sum(done) == kernel_work([states] * n)
+        done.clear()
+        seq = [states[g % len(states)] for g in range(n)]
+        exact_population_distribution(seq)
+        assert sum(done) == kernel_work([state] for state in seq)
+
