@@ -23,7 +23,7 @@ from .oracle import (ExactPmf, WeightedSequence, enumerate_env_sequences,
 from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord,
                        QuenchedReport, SampleStats, SimConfig, Trajectory,
                        quenched_martingale_check, sample_env_sequence,
-                       simulate_trajectory, step_population, stream)
+                       simulate_trajectory, stream)
 
 __all__ = [
     "AssumptionReport", "BLOCK_TRIALS", "BoundQuery", "CheckResult",
@@ -37,6 +37,6 @@ __all__ = [
     "exact_sn_tail", "fit_geometric_decay", "log_H", "mc_logw_increments",
     "mc_tail_logzn", "mc_tail_sn", "parse_env_config",
     "quenched_martingale_check", "sample_env_sequence", "simulate_trajectory",
-    "sn_tail_bound", "state_mean", "step_population", "stream",
+    "sn_tail_bound", "state_mean", "stream",
     "theorem1_bound", "theorem1_candidates",
 ]

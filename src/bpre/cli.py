@@ -181,8 +181,6 @@ def cmd_simulate(args) -> int:
     if failed:
         print(f"env-check failed: {', '.join(failed)}", file=sys.stderr)
         return 1
-    if args.out is None:
-        raise ValueError("simulate writes files; --out DIR is required")
     if args.trials > _MAX_TRAJECTORY_FILES:
         raise ValueError(
             f"simulate writes one CSV per trajectory; --trials {args.trials} "
@@ -198,8 +196,8 @@ def cmd_simulate(args) -> int:
         approx_any = approx_any or traj.approx_sampling_used
         rows = []
         for gen, rec in enumerate(traj.records):
-            log2_z = "-inf" if rec.Z == 0 else fmt(math.log2(rec.Z))
-            rows.append([str(gen), str(rec.Z), log2_z, fmt(rec.S), fmt(rec.logW)])
+            rows.append([str(gen), str(rec.Z), fmt(math.log2(rec.Z)),
+                         fmt(rec.S), fmt(rec.logW)])
         name = "result.csv" if args.trials == 1 else f"result_{t:04d}.csv"
         csvs[name] = _csv(TRAJECTORY_CSV_HEADER, rows)
 
@@ -264,6 +262,11 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
                      moments: ModelMoments) -> int:
     x = 3.0 if args.x is None else args.x
     m = args.n if args.m is None else args.m
+    if m > args.n:
+        raise ValueError(f"--m {m} must be in [1, n={args.n}]")
+    if args.n < 6:
+        raise ValueError(f"--n {args.n}: the decay fit over k = 2..n-1 needs "
+                         "4 points, so n >= 6")
     kind = args.m_kind or "paper"
     M = _pick_M(moments, kind)
     seed = resolve_seed(args)
@@ -312,13 +315,16 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
 
 def _verify_increments(args, env: EnvDistribution, sha: str,
                        moments: ModelMoments) -> int:
-    seed = resolve_seed(args)
-    incs = mc_logw_increments(env, args.n, args.trials, seed,
-                              workers=_workers(args))
     lo = args.fit_lo
     hi = args.n - 1 if args.fit_hi is None else args.fit_hi
     if not 0 <= lo < hi <= args.n - 1:
         raise ValueError(f"fit window [{lo}, {hi}] outside [0, {args.n - 1}]")
+    if hi - lo < 3:
+        raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
+                         "points the decay fit needs")
+    seed = resolve_seed(args)
+    incs = mc_logw_increments(env, args.n, args.trials, seed,
+                              workers=_workers(args))
     fit = fit_geometric_decay(
         [(k, mean) for k, mean, _ in incs if lo <= k <= hi])
     passed = 0.0 < fit.delta_hat < 1.0
@@ -408,6 +414,16 @@ def _trials(text: str) -> int:
     return int(value)
 
 
+def _level(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be in (0, 1)")
+    return value
+
+
 def _seed(text: str) -> int:
     try:
         value = int(text)
@@ -491,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_trials, default=10 ** 5)
     p.add_argument("--seed", type=_seed, default=None,
                    help="master seed (default: $BPRE_SEED, else 0)")
-    p.add_argument("--level", type=float, default=0.99,
+    p.add_argument("--level", type=_level, default=0.99,
                    help="confidence level (default 0.99)")
     p.add_argument("--M-kind", dest="m_kind", choices=["tight", "paper"],
                    default=None,
@@ -517,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, help="comma-separated deviations")
     p.add_argument("--trials", type=_trials, default=10 ** 4)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_converge)

@@ -106,8 +106,7 @@ class ModelMoments:
     """Moments of X = log m(state) under the environment law, plus H1 constants.
 
     M_tight is ess-sup(X) - mu, the tightest constant satisfying H1; M_paper
-    defaults to log(k_max) - mu (always valid since m <= k_max) and can be
-    overridden by the caller after an exact H1 check on the support.
+    is log(k_max) - mu, always valid since m <= k_max.
     """
 
     mu: float
@@ -216,12 +215,8 @@ def state_mean(state: EnvState) -> float:
     return state.pmf.mean
 
 
-def compute_moments(env: EnvDistribution, m_override: float | None = None) -> ModelMoments:
-    """Exact moments of X = log m over the finite support.
-
-    m_override, when given, is recorded as M_paper after verifying H1,
-    (X - mu) <= m_override for every positive-mass state.
-    """
+def compute_moments(env: EnvDistribution) -> ModelMoments:
+    """Exact moments of X = log m over the finite support."""
     per_state = []
     for state, _ in env.states:
         m = state_mean(state)
@@ -237,18 +232,8 @@ def compute_moments(env: EnvDistribution, m_override: float | None = None) -> Mo
         mu = math.fsum(mass * x for (_, _, x), (_, mass) in zip(per_state, env.states))
     sigma2 = math.fsum(mass * (x - mu) ** 2 for (_, _, x), (_, mass) in zip(per_state, env.states))
     m_tight = max(x for _, _, x in per_state) - mu
-    if m_override is not None:
-        if not m_override > 0.0:
-            raise ValueError(f"m_override={m_override:g} must be positive")
-        for label, _, x in per_state:
-            if (x - mu) / m_override > 1.0:
-                raise ValueError(
-                    f"m_override={m_override:g} violates H1: state {label!r} has "
-                    f"(X - mu) = {x - mu:g} > m_override")
-        m_paper = m_override
-    else:
-        m_paper = math.log(env.k_max) - mu
-    return ModelMoments(mu=mu, sigma2=sigma2, M_tight=m_tight, M_paper=m_paper,
+    return ModelMoments(mu=mu, sigma2=sigma2, M_tight=m_tight,
+                        M_paper=math.log(env.k_max) - mu,
                         per_state=tuple(per_state))
 
 

@@ -40,16 +40,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import EnvDistribution, ResourceCapError, compute_moments
-from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, kernel_work,
+from .env import EnvDistribution, compute_moments
+from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _running_work,
                      tail_reached)
-from .simulate import (DEFAULT_POPULATION_CAP, DOMAIN_SN, DOMAIN_TRAJ,
-                       EnvTables, binomial_draws, offspring,
+from .simulate import (DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
+                       _check_population_cap, binomial_draws, offspring,
                        require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
-
-_POPULATION_CAP = float(DEFAULT_POPULATION_CAP)
 
 MIN_TRIALS = 1000
 
@@ -203,11 +201,7 @@ def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
             sel = np.nonzero(col == s)[0]
             if sel.size:
                 z[sel] = offspring(z[sel], sampler, rng)
-        top = z.max()
-        if top > _POPULATION_CAP:
-            raise ResourceCapError(
-                f"population reached {int(top).bit_length()} bits, cap is "
-                f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
+        _check_population_cap(z.max())
         yield col, z
 
 
@@ -218,13 +212,10 @@ def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
     most MAX_KERNEL_WORK."""
     per_pass = [binomial_draws(sampler) for sampler in tables.samplers]
     draws = trials * float(tables.masses @ per_pass)
-    g = 0
-    while g < n:
-        work = kernel_work(itertools.repeat(tables.states, g + 1))
+    for g, work in enumerate(_running_work(itertools.repeat(tables.states, n))):
         if work > min(HEAD_WORK_PER_DRAW * draws * (g + 1), MAX_KERNEL_WORK):
-            break
-        g += 1
-    return g
+            return g
+    return n
 
 
 class _KernelHead:

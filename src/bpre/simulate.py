@@ -1,14 +1,15 @@
 """Exact trajectory simulation: environment sequence, population counts,
 random walk S_n, and the normalized martingale W_n = Z_n / Pi_n.
 
-Populations are arbitrary-precision integers with a hard cap (default 2^512);
-the model stays exact at desk scale. Offspring totals are sampled as a chain
-of conditional binomials over ascending family sizes, with the shifted
-binomial z + Bin(z, p_2) shortcut for {1,2}-supported states. Binomial draws
-above the exactness threshold use a continuity-corrected Gaussian
-approximation and flag the trajectory. offspring() is the one implementation
-of this step, for a Python int or an int64 or float64 array of populations;
-the Monte Carlo estimators step float64 arrays with it.
+Populations are arbitrary-precision integers with a fixed cap of 2^512
+(DEFAULT_POPULATION_CAP); the model stays exact at desk scale. Offspring
+totals are sampled as a chain of conditional binomials over ascending family
+sizes, with the shifted binomial z + Bin(z, p_2) shortcut for
+{1,2}-supported states. Binomial draws above the exactness threshold use a
+continuity-corrected Gaussian approximation and flag the trajectory.
+offspring() is the one implementation of this step, for a Python int or an
+int64 or float64 array of populations; the Monte Carlo estimators step
+float64 arrays with it.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ConfigError, EnvDistribution, EnvState, ResourceCapError, state_mean
+from .env import ConfigError, EnvDistribution, ResourceCapError, state_mean
 
 RNG_ID = "philox4x64:key=seed<<64|domain<<48|index"
 
@@ -91,7 +92,6 @@ class Trajectory:
     env: EnvSequence
     seed: int
     approx_sampling_used: bool = False
-    extinct: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ class SimConfig:
     n: int
     seed: int
     exact_sampling_threshold: int = DEFAULT_EXACT_THRESHOLD
-    record_full_path: bool = True
-    population_cap: int = DEFAULT_POPULATION_CAP
-    allow_extinction: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -253,13 +250,16 @@ def sample_env_sequence(env: EnvDistribution, n: int,
                        log_means=tuple(float(tables.X[i]) for i in idx))
 
 
-def step_population(z: int, state: EnvState, rng: np.random.Generator,
-                    threshold: int = DEFAULT_EXACT_THRESHOLD,
-                    stats: SampleStats | None = None) -> int:
-    """One generation for a single population: offspring() in its bigint form."""
-    if z < 0:
-        raise ValueError(f"z={z!r} must be >= 0")
-    return offspring(z, _sampler_descriptor(state.pmf.entries), rng, threshold, stats)
+def _check_population_cap(top) -> None:
+    """Raise ResourceCapError once a population passes DEFAULT_POPULATION_CAP.
+
+    top is a Python int, or the largest entry of a float64 population
+    vector; the cap sits far below float64 overflow.
+    """
+    if top > DEFAULT_POPULATION_CAP:
+        raise ResourceCapError(
+            f"population reached {int(top).bit_length()} bits, cap is "
+            f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
 
 
 def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
@@ -269,10 +269,10 @@ def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
     S is the running sum of realized X_i and logW := log Z - S, making the
     decomposition an identity; the independent content is that S matches
     log Pi recomputed from per-state means, which the tests check.
-    Deterministic given (env, cfg.seed) when rng is not supplied.
+    Deterministic given (env, cfg.seed) when rng is not supplied. Every
+    state must have p0 = 0 (require_no_extinction), so Z never reaches 0.
     """
-    if not cfg.allow_extinction:
-        require_no_extinction(env)
+    require_no_extinction(env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
     tables = EnvTables(env)
@@ -281,25 +281,15 @@ def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
 
     z = 1
     s = 0.0
-    extinct = False
     records = [GenRecord(Z=1, S=0.0, logW=0.0)]
     for k, label in enumerate(seq.states):
         z = offspring(z, tables.samplers[tables.index_of[label]], rng,
                       cfg.exact_sampling_threshold, stats)
         s = s + seq.log_means[k]
-        if z > cfg.population_cap:
-            raise ResourceCapError(
-                f"population reached {z.bit_length()} bits at generation {k + 1}, "
-                f"cap is {cfg.population_cap.bit_length() - 1} bits")
-        if z == 0:
-            extinct = True
-            records.append(GenRecord(Z=0, S=s, logW=-math.inf))
-            continue
+        _check_population_cap(z)
         records.append(GenRecord(Z=z, S=s, logW=math.log(z) - s))
-    if not cfg.record_full_path:
-        records = [records[0], records[-1]]
     return Trajectory(records=tuple(records), env=seq, seed=cfg.seed,
-                      approx_sampling_used=stats.approx_used, extinct=extinct)
+                      approx_sampling_used=stats.approx_used)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def test_criterion_5_martingale_mean_one(env):
     with criterion(5, "normalized population is a mean-one martingale", 60.0):
         for n in range(1, 7):
             assert abs(exact_EWn(env, n) - 1.0) <= 1e-9
-        cfg = SimConfig(n=20, seed=0, record_full_path=False)
+        cfg = SimConfig(n=20, seed=0)
         ws = []
         for t in range(10 ** 4):
             traj = simulate_trajectory(env, cfg,

@@ -347,6 +347,56 @@ class TestConverge:
         assert 0.0 <= row["ci_low"] <= row["point"] <= row["ci_high"] <= 1.0
 
 
+class TestInputCheckedBeforeSampling:
+    """Bad verify/converge input exits 2 before any estimator runs."""
+
+    ESTIMATORS = ("mc_tail_sn", "mc_tail_logzn", "mc_logw_increments",
+                  "convergence_report")
+
+    @pytest.fixture(autouse=True)
+    def no_estimator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimator called")
+        for name in self.ESTIMATORS:
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("theorem1", ["--n", "16", "--m", "20"]),
+        ("theorem1", ["--n", "5"]),
+        ("increments", ["--n", "20", "--fit-lo", "25"]),
+        ("increments", ["--n", "40", "--fit-hi", "45"]),
+        ("increments", ["--n", "20", "--fit-lo", "2", "--fit-hi", "4"]),
+    ])
+    def test_range_rejected(self, capsys, binary_cfg, mode, flags):
+        assert cli.main(["verify", mode, binary_cfg, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5"],
+        ["verify", "theorem1", "{cfg}", "--n", "16"],
+        ["converge", "{cfg}", "--n-values", "8", "--y-values", "0.1"],
+    ])
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "nan", "high"])
+    def test_level_rejected(self, capsys, binary_cfg, argv, level):
+        argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--level", level])
+        assert exc.value.code == 2
+        assert "--level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5", "--level", "0.9"],
+        ["verify", "theorem1", "{cfg}", "--n", "6", "--m", "6"],
+        ["verify", "increments", "{cfg}", "--n", "20", "--fit-lo", "16"],
+        ["converge", "{cfg}", "--n-values", "8", "--y-values", "0.1"],
+    ])
+    def test_valid_input_reaches_the_estimator(self, binary_cfg, argv):
+        # the edge of each accepted range gets past the checks
+        argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+        with pytest.raises(AssertionError, match="estimator called"):
+            cli.main(argv)
+
+
 class TestSeedResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch, binary_cfg,
                               capsys):

@@ -120,19 +120,6 @@ class TestMoments:
         mom = compute_moments(binary_env())
         assert math.sqrt(mom.sigma2) == pytest.approx(mom.M_tight, rel=1e-14)
 
-    def test_m_override_recorded_after_h1_check(self):
-        mom = compute_moments(binary_env(), m_override=0.5)
-        assert mom.M_paper == 0.5
-        assert mom.M_tight == pytest.approx(M_TIGHT, abs=1e-12)
-
-    def test_m_override_violating_h1_rejected(self):
-        with pytest.raises(ValueError, match="H1"):
-            compute_moments(binary_env(), m_override=0.01)
-
-    def test_m_override_must_be_positive(self):
-        with pytest.raises(ValueError):
-            compute_moments(binary_env(), m_override=-1.0)
-
     def test_deterministic_env_has_zero_variance(self):
         mom = compute_moments(parse_env_config(DOUBLING))
         assert mom.mu == pytest.approx(math.log(2), rel=1e-15)

@@ -8,7 +8,7 @@ from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SampleStats,
                            SimConfig, _binomial_vector, offspring,
                            quenched_martingale_check, sample_env_sequence,
-                           simulate_trajectory, step_population, stream)
+                           simulate_trajectory, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -72,40 +72,39 @@ class TestEnvSampling:
         assert idx.tolist() == [0, 0, 1, 1]
 
 
+def first_sampler(env):
+    return EnvTables(env).samplers[0]
+
+
 class TestStepPopulation:
+    """The bigint form of offspring(), the step simulate_trajectory takes."""
+
     def test_deterministic_doubling(self):
-        env = parse_env_config(DOUBLING)
-        state = env.states[0][0]
+        sampler = first_sampler(parse_env_config(DOUBLING))
         rng = stream(0, DOMAIN_SIMULATE, 0)
         z = 1
         for _ in range(10):
-            z = step_population(z, state, rng)
+            z = offspring(z, sampler, rng)
         assert z == 1024
 
     def test_zero_stays_zero(self):
-        state = binary_env().states[0][0]
-        assert step_population(0, state, stream(0, DOMAIN_SIMULATE, 0)) == 0
-
-    def test_negative_rejected(self):
-        state = binary_env().states[0][0]
-        with pytest.raises(ValueError):
-            step_population(-1, state, stream(0, DOMAIN_SIMULATE, 0))
+        sampler = first_sampler(binary_env())
+        assert offspring(0, sampler, stream(0, DOMAIN_SIMULATE, 0)) == 0
 
     def test_binary_step_bounds(self):
         # z individuals each give 1 or 2 children: total in [z, 2z]
-        state = binary_env().states[0][0]
+        sampler = first_sampler(binary_env())
         rng = stream(5, DOMAIN_SIMULATE, 0)
         for _ in range(200):
-            out = step_population(100, state, rng)
+            out = offspring(100, sampler, rng)
             assert 100 <= out <= 200
 
     def test_binary_step_matches_binomial_law(self):
         # totals are z + Bin(z, p2); check the empirical mean tightly
-        env = binary_env()
-        state = env.states[0][0]  # p2 = 0.75
+        sampler = first_sampler(binary_env())  # p2 = 0.75
         rng = stream(7, DOMAIN_SIMULATE, 0)
         z, reps = 50, 20000
-        draws = [step_population(z, state, rng) - z for _ in range(reps)]
+        draws = [offspring(z, sampler, rng) - z for _ in range(reps)]
         mean = sum(draws) / reps
         sd = math.sqrt(z * 0.75 * 0.25)
         assert abs(mean - z * 0.75) < 4 * sd / math.sqrt(reps)
@@ -113,9 +112,10 @@ class TestStepPopulation:
     def test_chain_step_total_and_range(self):
         env = parse_env_config(THREE_POINT)
         state = env.states[0][0]
+        sampler = first_sampler(env)
         rng = stream(11, DOMAIN_SIMULATE, 0)
         z, reps = 40, 20000
-        totals = [step_population(z, state, rng) for _ in range(reps)]
+        totals = [offspring(z, sampler, rng) for _ in range(reps)]
         assert all(z <= t <= 3 * z for t in totals)
         mean = sum(totals) / reps
         m = state_mean(state)  # 1.9
@@ -123,29 +123,27 @@ class TestStepPopulation:
         assert abs(mean - z * m) < 4 * sd_one * math.sqrt(z) / math.sqrt(reps)
 
     def test_approx_path_sets_flag_and_stays_in_range(self):
-        state = binary_env().states[0][0]
+        sampler = first_sampler(binary_env())
         stats = SampleStats()
         rng = stream(13, DOMAIN_SIMULATE, 0)
         z = 10 ** 7
-        out = step_population(z, state, rng, threshold=10 ** 6, stats=stats)
+        out = offspring(z, sampler, rng, threshold=10 ** 6, stats=stats)
         assert stats.approx_used
         assert z <= out <= 2 * z
         # approximate mean still lands near z * (1 + p2)
         assert abs(out - z * 1.75) < 5 * math.sqrt(z)
 
     def test_exact_path_leaves_flag_unset(self):
-        state = binary_env().states[0][0]
+        sampler = first_sampler(binary_env())
         stats = SampleStats()
-        step_population(1000, state, stream(13, DOMAIN_SIMULATE, 0),
-                        stats=stats)
+        offspring(1000, sampler, stream(13, DOMAIN_SIMULATE, 0), stats=stats)
         assert not stats.approx_used
 
     def test_deterministic_state_consumes_no_randomness(self):
-        env = parse_env_config(DOUBLING)
-        state = env.states[0][0]
+        sampler = first_sampler(parse_env_config(DOUBLING))
         rng = stream(17, DOMAIN_SIMULATE, 0)
         before = rng.bit_generator.state["state"]["counter"].copy()
-        step_population(123, state, rng)
+        offspring(123, sampler, rng)
         after = rng.bit_generator.state["state"]["counter"]
         assert list(before) == list(after)
 
@@ -258,14 +256,6 @@ class TestTrajectory:
         c = simulate_trajectory(binary_env(), SimConfig(n=25, seed=78))
         assert a != c
 
-    def test_record_ends_only(self):
-        cfg = SimConfig(n=12, seed=3, record_full_path=False)
-        traj = simulate_trajectory(binary_env(), cfg)
-        full = simulate_trajectory(binary_env(), SimConfig(n=12, seed=3))
-        assert len(traj.records) == 2
-        assert traj.records[0] == full.records[0]
-        assert traj.records[1] == full.records[-1]
-
     def test_extinction_refused_by_default(self):
         env = parse_env_config({
             "model": "generic",
@@ -274,22 +264,14 @@ class TestTrajectory:
         with pytest.raises(ConfigError, match="p0 > 0"):
             simulate_trajectory(env, SimConfig(n=5, seed=0))
 
-    def test_extinction_allowed_when_opted_in(self):
-        env = parse_env_config({
-            "model": "generic",
-            "states": [{"label": "risky", "mass": 1.0,
-                        "offspring": {"0": 0.9, "2": 0.1}}]})
-        cfg = SimConfig(n=8, seed=12, allow_extinction=True)
-        traj = simulate_trajectory(env, cfg)
-        assert traj.extinct
-        assert traj.records[-1].Z == 0
-        assert traj.records[-1].logW == -math.inf
-
     def test_population_cap_raises(self):
+        # the cap is 2^512 inclusive: DOUBLING reaches it at n = 512 and
+        # passes it at n = 513
         env = parse_env_config(DOUBLING)
-        cfg = SimConfig(n=20, seed=0, population_cap=1 << 10)
-        with pytest.raises(ResourceCapError, match="cap"):
-            simulate_trajectory(env, cfg)
+        traj = simulate_trajectory(env, SimConfig(n=512, seed=0))
+        assert traj.records[-1].Z == 1 << 512
+        with pytest.raises(ResourceCapError, match="cap is 512 bits"):
+            simulate_trajectory(env, SimConfig(n=513, seed=0))
 
     def test_doubling_env_keeps_w_at_one(self):
         traj = simulate_trajectory(parse_env_config(DOUBLING),
