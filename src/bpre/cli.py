@@ -194,12 +194,13 @@ def cmd_simulate(args) -> int:
     for t in range(args.trials):
         traj = simulate_trajectory(env, cfg, rng=stream(seed, DOMAIN_SIMULATE, t))
         approx_any = approx_any or traj.approx_sampling_used
-        rows = []
-        for gen, rec in enumerate(traj.records):
-            rows.append([str(gen), str(rec.Z), fmt(math.log2(rec.Z)),
-                         fmt(rec.S), fmt(rec.logW)])
+        # One f-string per row writes what fmt() and _csv() would: .17g
+        # prints nan and +-inf as fmt does, and Z >= 1 keeps every value
+        # finite.
+        rows = "".join([f"{gen},{z},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
+                        for gen, (z, s, w) in enumerate(traj.records)])
         name = "result.csv" if args.trials == 1 else f"result_{t:04d}.csv"
-        csvs[name] = _csv(TRAJECTORY_CSV_HEADER, rows)
+        csvs[name] = f"{TRAJECTORY_CSV_HEADER}\n{rows}"
 
     result = {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,
               "n": args.n, "trials": args.trials,

@@ -9,7 +9,10 @@ sizes, with the shifted binomial z + Bin(z, p_2) shortcut for
 continuity-corrected Gaussian approximation and flag the trajectory.
 offspring() is the one implementation of this step, for a Python int or an
 int64 or float64 array of populations; the Monte Carlo estimators step
-float64 arrays with it.
+float64 arrays with it. simulate_trajectory() calls it too, except on a run
+of consecutive {1,2} generations past the threshold: Z never decreases, so
+every draw of such a run is Gaussian, and the run takes its normals in one
+standard_normal call, which gives the values of one call per generation.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +84,10 @@ class EnvSequence:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class GenRecord:
+class GenRecord(NamedTuple):
+    """One generation of a trajectory: Z_k, S_k and logW_k = log Z_k - S_k.
+    A NamedTuple: immutable, and cheap to build once per generation."""
+
     Z: int
     S: float
     logW: float
@@ -164,9 +171,14 @@ def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
         return int(rng.binomial(trials, prob))
     if stats is not None:
         stats.approx_used = True
+    return _gaussian_binomial(trials, prob, rng.standard_normal())
+
+
+def _gaussian_binomial(trials: int, prob: float, normal: float) -> int:
+    """The Gaussian stand-in for Bin(trials, prob) at a standard normal draw:
+    mean + sd * normal, rounded and clamped to [0, trials]."""
     mean = float(trials) * prob
-    sd = math.sqrt(float(trials) * prob * (1.0 - prob))
-    draw = int(round(mean + sd * rng.standard_normal()))
+    draw = round(mean + math.sqrt(mean * (1.0 - prob)) * normal)
     return min(max(draw, 0), trials)
 
 
@@ -245,9 +257,10 @@ def sample_env_sequence(env: EnvDistribution, n: int,
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
     tables = env if isinstance(env, EnvTables) else EnvTables(env)
-    idx = tables.pick_states(rng.random(n))
-    return EnvSequence(states=tuple(tables.labels[i] for i in idx),
-                       log_means=tuple(float(tables.X[i]) for i in idx))
+    idx = tables.pick_states(rng.random(n)).tolist()
+    labels, log_means = tables.labels, tables.X.tolist()
+    return EnvSequence(states=tuple(labels[i] for i in idx),
+                       log_means=tuple(log_means[i] for i in idx))
 
 
 def _check_population_cap(top) -> None:
@@ -271,25 +284,50 @@ def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
     log Pi recomputed from per-state means, which the tests check.
     Deterministic given (env, cfg.seed) when rng is not supplied. Every
     state must have p0 = 0 (require_no_extinction), so Z never reaches 0.
+
+    Draw order: n environment uniforms, then each generation's offspring
+    draws. Once Z passes min(threshold, INT64_SAFE), a run of consecutive
+    {1,2} generations draws all its normals (one per state with
+    0 < p2 < 1) in one call when its first draw is due; offspring() would
+    draw the same values one generation at a time.
     """
     require_no_extinction(env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
     tables = EnvTables(env)
     seq = sample_env_sequence(tables, cfg.n, rng)
+    samplers = [tables.samplers[tables.index_of[label]] for label in seq.states]
+    threshold = cfg.exact_sampling_threshold
+    limit = min(threshold, INT64_SAFE)
     stats = SampleStats()
 
     z = 1
     s = 0.0
-    records = [GenRecord(Z=1, S=0.0, logW=0.0)]
-    for k, label in enumerate(seq.states):
-        z = offspring(z, tables.samplers[tables.index_of[label]], rng,
-                      cfg.exact_sampling_threshold, stats)
+    records = [GenRecord(1, 0.0, 0.0)]
+    normals = iter(())
+    for k, sampler in enumerate(samplers):
+        if sampler[0] == "binary" and 0.0 < sampler[1] < 1.0 and z > limit:
+            normal = next(normals, None)
+            if normal is None:
+                normals = iter(rng.standard_normal(
+                    _gaussian_run_draws(samplers, k)).tolist())
+                normal = next(normals)
+                stats.approx_used = True
+            z = z + _gaussian_binomial(z, sampler[1], normal)
+        else:
+            z = offspring(z, sampler, rng, threshold, stats)
         s = s + seq.log_means[k]
         _check_population_cap(z)
-        records.append(GenRecord(Z=z, S=s, logW=math.log(z) - s))
+        records.append(GenRecord(z, s, math.log(z) - s))
     return Trajectory(records=tuple(records), env=seq, seed=cfg.seed,
                       approx_sampling_used=stats.approx_used)
+
+
+def _gaussian_run_draws(samplers: list, start: int) -> int:
+    """Normals the run of {1,2} states from start takes past the threshold:
+    one per state with 0 < p2 < 1, up to the next chain state."""
+    run = takewhile(lambda sampler: sampler[0] == "binary", samplers[start:])
+    return sum(binomial_draws(sampler) for sampler in run)
 
 
 @dataclass(frozen=True)
@@ -306,8 +344,9 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
     Simulates a single prefix to a common Z_k, then many independent one-step
     continuations; E[W_{k+1}/W_k | xi, Z_k] = 1, so the sample mean of
     Z_{k+1}/(Z_k m(xi_k)) should sit within a few stderr of 1. The prefix
-    steps a Python int; the replicas step as one float64 vector, exact while
-    Z_k times the largest family size stays below 2^53.
+    steps a Python int under the population cap; the replicas step as one
+    float64 vector, exact while Z_k times the largest family size stays
+    below 2^53.
     """
     if replicas < 100:
         raise ValueError(f"insufficient replicas: {replicas} < 100")
@@ -317,6 +356,7 @@ def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
     z = 1
     for label in env_seq.states[:k]:
         z = offspring(z, tables.samplers[tables.index_of[label]], rng)
+        _check_population_cap(z)
     state_idx = tables.index_of[env_seq.states[k]]
     sampler = tables.samplers[state_idx]
     m = float(tables.means[state_idx])

@@ -9,7 +9,8 @@ from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
 from bpre.estimate import _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
-from bpre.simulate import EnvTables
+from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
+                           simulate_trajectory, stream)
 
 BINARY_TEXT = json.dumps({
     "model": "binary",
@@ -212,6 +213,23 @@ class TestSimulate:
         assert cli.main(["simulate", binary_cfg, "--n", "3",
                          "--trials", "1025",
                          "--out", str(tmp_path / "x")]) == 2
+
+    def test_rows_match_the_shared_formatter(self, tmp_path, binary_cfg):
+        out = tmp_path / "rows"
+        assert cli.main(["simulate", binary_cfg, "--n", "80", "--trials", "3",
+                         "--exact-threshold", "1000", "--seed", "11",
+                         "--out", str(out)]) == 0
+        env = parse_env_config(BINARY_TEXT)
+        cfg = SimConfig(n=80, seed=11, exact_sampling_threshold=1000)
+        for t in range(3):
+            traj = simulate_trajectory(env, cfg,
+                                       rng=stream(11, DOMAIN_SIMULATE, t))
+            assert traj.approx_sampling_used
+            rows = [[str(gen), str(rec.Z), cli.fmt(math.log2(rec.Z)),
+                     cli.fmt(rec.S), cli.fmt(rec.logW)]
+                    for gen, rec in enumerate(traj.records)]
+            expected = cli._csv(cli.TRAJECTORY_CSV_HEADER, rows)
+            assert (out / f"result_{t:04d}.csv").read_text() == expected
 
 
 class TestVerify:

@@ -6,9 +6,9 @@ import pytest
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SampleStats,
-                           SimConfig, _binomial_vector, offspring,
-                           quenched_martingale_check, sample_env_sequence,
-                           simulate_trajectory, stream)
+                           SimConfig, _binomial_vector, _check_population_cap,
+                           offspring, quenched_martingale_check,
+                           sample_env_sequence, simulate_trajectory, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -17,10 +17,38 @@ DOUBLING = {"model": "generic",
 THREE_POINT = {"model": "generic",
                "states": [{"label": "mix", "mass": 1.0,
                            "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
+# A {1,2} state, a deterministic doubling state and a {1,2,3} chain state:
+# chain generations break the runs of {1,2} generations, and p2 = 1 sits
+# inside them.
+MIXED = {"model": "generic",
+         "states": [{"label": "bin", "mass": 0.4,
+                     "offspring": {"1": 0.6, "2": 0.4}},
+                    {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
+                    {"label": "chain", "mass": 0.3,
+                     "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
 
 
 def binary_env():
     return parse_env_config(BINARY)
+
+
+def reference_trajectory(env, cfg, rng):
+    """The per-generation loop simulate_trajectory must replay: one
+    offspring() call per generation on the same stream. Returns the
+    (Z, S, logW) records, the environment sequence and the approximation
+    flag."""
+    tables = EnvTables(env)
+    seq = sample_env_sequence(env, cfg.n, rng)
+    stats = SampleStats()
+    z, s = 1, 0.0
+    records = [(1, 0.0, 0.0)]
+    for k, label in enumerate(seq.states):
+        z = offspring(z, tables.samplers[tables.index_of[label]], rng,
+                      cfg.exact_sampling_threshold, stats)
+        s = s + seq.log_means[k]
+        _check_population_cap(z)
+        records.append((z, s, math.log(z) - s))
+    return records, seq, stats.approx_used
 
 
 class TestStream:
@@ -280,6 +308,41 @@ class TestTrajectory:
         assert all(rec.logW == pytest.approx(0.0, abs=1e-12)
                    for rec in traj.records)
 
+    @pytest.mark.parametrize("config, n, threshold", [
+        (BINARY, 200, 1 << 32),
+        (BINARY, 200, 50),
+        (MIXED, 120, 100),
+        (DOUBLING, 512, 1 << 32),
+    ])
+    def test_replays_the_per_generation_loop(self, config, n, threshold):
+        env = parse_env_config(config)
+        cfg = SimConfig(n=n, seed=13, exact_sampling_threshold=threshold)
+        approx = []
+        for t in range(8):
+            ref_rng = stream(13, DOMAIN_SIMULATE, t)
+            records, seq, approx_used = reference_trajectory(env, cfg, ref_rng)
+            rng = stream(13, DOMAIN_SIMULATE, t)
+            traj = simulate_trajectory(env, cfg, rng=rng)
+            assert list(traj.records) == records
+            assert traj.env == seq
+            assert traj.approx_sampling_used == approx_used
+            # the same number of draws was taken from the stream
+            assert rng.random() == ref_rng.random()
+            approx.append(approx_used)
+        # every random-model trajectory reaches the Gaussian runs; DOUBLING
+        # never draws
+        assert approx == [config is not DOUBLING] * 8
+
+    def test_replay_raises_at_the_same_generation(self):
+        env = parse_env_config(DOUBLING)
+        cfg = SimConfig(n=513, seed=13)
+        with pytest.raises(ResourceCapError) as ref_err:
+            reference_trajectory(env, cfg, stream(13, DOMAIN_SIMULATE, 0))
+        with pytest.raises(ResourceCapError) as err:
+            simulate_trajectory(env, cfg)
+        assert str(err.value) == str(ref_err.value)
+        assert "reached 514 bits" in str(err.value)
+
     def test_annealed_martingale_mean_near_one(self):
         env = binary_env()
         ws = []
@@ -336,6 +399,17 @@ class TestQuenched:
         report = quenched_martingale_check(env, seq, k=39, replicas=100,
                                            rng=stream(0, DOMAIN_QUENCHED, 0))
         assert report.mean_ratio == pytest.approx(1.0, rel=1e-15)
+
+    def test_prefix_stops_at_population_cap(self):
+        env = parse_env_config(DOUBLING)
+        seq = EnvSequence(states=("double",) * 601,
+                          log_means=(math.log(2.0),) * 601)
+        report = quenched_martingale_check(env, seq, k=512, replicas=100,
+                                           rng=stream(0, DOMAIN_QUENCHED, 0))
+        assert report.mean_ratio == 1.0
+        with pytest.raises(ResourceCapError, match="cap is 512 bits"):
+            quenched_martingale_check(env, seq, k=600, replicas=100,
+                                      rng=stream(0, DOMAIN_QUENCHED, 0))
 
     def test_scalar_fallback_for_chain_states(self):
         env = parse_env_config(THREE_POINT)
