@@ -21,7 +21,7 @@ from .oracle import (ExactPmf, WeightedSequence, enumerate_env_sequences,
                      exact_EWn, exact_logZn_tail, exact_population_distribution,
                      exact_sn_tail)
 from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord,
-                       QuenchedReport, SampleStats, SimConfig, Trajectory,
+                       QuenchedReport, SimConfig, Trajectory,
                        quenched_martingale_check, sample_env_sequence,
                        simulate_trajectory, stream)
 
@@ -30,7 +30,7 @@ __all__ = [
     "ConfigError", "DecayFit", "EnvDistribution", "EnvSequence", "EnvState",
     "EnvTables", "ExactPmf", "GenRecord", "H", "H_upper", "IncrementStat",
     "ModelMoments", "OffspringPmf", "QuenchedReport", "ResourceCapError",
-    "RNG_ID", "SampleStats", "SimConfig", "TailEstimate", "Theorem1Params",
+    "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params",
     "Trajectory", "WeightedSequence", "binomial_ci", "check_assumptions",
     "compute_moments", "convergence_report", "dH_dx", "enumerate_env_sequences",
     "exact_EWn", "exact_logZn_tail", "exact_population_distribution",

@@ -29,8 +29,8 @@ from .estimate import (convergence_report, fit_geometric_decay,
                        mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                        theorem1_candidates)
 from .oracle import composition_count, exact_logZn_tail, exact_sn_tail
-from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, SimConfig,
-                       simulate_trajectory, stream)
+from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
+                       SimConfig, simulate_trajectory, stream)
 
 # Incidental exact cross-checks inside verify runs stay small; larger exact
 # computations are the oracle commands' job. verify sn sums over at most this
@@ -189,10 +189,12 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(n=args.n, seed=seed,
                     exact_sampling_threshold=args.exact_threshold)
 
+    tables = EnvTables(env)
     csvs: dict[str, str] = {}
     approx_any = False
     for t in range(args.trials):
-        traj = simulate_trajectory(env, cfg, rng=stream(seed, DOMAIN_SIMULATE, t))
+        traj = simulate_trajectory(tables, cfg,
+                                   rng=stream(seed, DOMAIN_SIMULATE, t))
         approx_any = approx_any or traj.approx_sampling_used
         # One f-string per row writes what fmt() and _csv() would: .17g
         # prints nan and +-inf as fmt does, and Z >= 1 keeps every value
@@ -277,7 +279,7 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
 
     # Constants are fitted from increment decay at the same horizon; the
     # fit needs far fewer trials than the tail estimate.
-    fit_trials = max(1000, min(args.trials, 10 ** 5))
+    fit_trials = min(args.trials, 10 ** 5)
     incs = mc_logw_increments(env, args.n, fit_trials, seed, workers=workers)
     fit = fit_geometric_decay(
         [(k, mean) for k, mean, _ in incs if 2 <= k <= args.n - 1])
@@ -329,7 +331,7 @@ def _verify_increments(args, env: EnvDistribution, sha: str,
     fit = fit_geometric_decay(
         [(k, mean) for k, mean, _ in incs if lo <= k <= hi])
     passed = 0.0 < fit.delta_hat < 1.0
-    C_hat = fit.c_hat / (1.0 - fit.delta_hat) if passed else None
+    C_hat = theorem1_candidates(fit)[0] if passed else None
 
     rows = [[str(k), fmt(mean), fmt(stderr)] for k, mean, stderr in incs]
     result = {"mode": "increments", "n": args.n, "trials": args.trials,

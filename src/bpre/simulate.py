@@ -5,14 +5,18 @@ Populations are arbitrary-precision integers with a fixed cap of 2^512
 (DEFAULT_POPULATION_CAP); the model stays exact at desk scale. Offspring
 totals are sampled as a chain of conditional binomials over ascending family
 sizes, with the shifted binomial z + Bin(z, p_2) shortcut for
-{1,2}-supported states. Binomial draws above the exactness threshold use a
-continuity-corrected Gaussian approximation and flag the trajectory.
-offspring() is the one implementation of this step, for a Python int or an
-int64 or float64 array of populations; the Monte Carlo estimators step
-float64 arrays with it. simulate_trajectory() calls it too, except on a run
-of consecutive {1,2} generations past the threshold: Z never decreases, so
-every draw of such a run is Gaussian, and the run takes its normals in one
-standard_normal call, which gives the values of one call per generation.
+{1,2}-supported states. A binomial draw on at most `limit` trials is exact;
+above it, a rounded Gaussian approximation. offspring() is the one
+implementation of this step, for a Python int or an int64 or float64 array
+of populations; the Monte Carlo estimators step float64 arrays with it.
+simulate_trajectory() calls it with limit = min(exactness threshold,
+INT64_SAFE), except on a run of consecutive {1,2} generations past the
+limit: Z never decreases, so every draw of such a run is Gaussian, and the
+run takes its normals in one standard_normal call, which gives the values of
+one call per generation. A generation's first draw is on all Z_k
+individuals and each later chain link draws on fewer, so the generation
+takes a Gaussian draw iff Z_k > limit and its state draws at all; a
+trajectory's approx_sampling_used is read off its records by that rule.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
@@ -60,13 +64,6 @@ def stream(seed: int, domain: int, index: int) -> np.random.Generator:
         raise ValueError(f"index={index!r} out of range")
     key = (seed << 64) | (domain << 48) | index
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass
-class SampleStats:
-    """Mutable accumulator: did any draw take the Gaussian-approximation path?"""
-
-    approx_used: bool = False
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,8 @@ def _sampler_descriptor(entries: dict[int, float]):
 
 
 def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
-                     threshold: int, stats: SampleStats | None) -> int:
-    """One binomial draw; exact up to the threshold, Gaussian-approximate above.
+                     limit: int) -> int:
+    """One binomial draw; exact up to limit, Gaussian-approximate above.
 
     Degenerate probabilities short-circuit without consuming randomness, so
     deterministic states never touch the stream.
@@ -167,10 +164,8 @@ def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
         return 0
     if prob >= 1.0:
         return trials
-    if trials <= threshold and trials <= INT64_SAFE:
+    if trials <= limit:
         return int(rng.binomial(trials, prob))
-    if stats is not None:
-        stats.approx_used = True
     return _gaussian_binomial(trials, prob, rng.standard_normal())
 
 
@@ -183,7 +178,7 @@ def _gaussian_binomial(trials: int, prob: float, normal: float) -> int:
 
 
 def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
-                     threshold: int, stats: SampleStats | None) -> np.ndarray:
+                     limit: int) -> np.ndarray:
     """_binomial_scalar over an int64 or float64 array: the exact draws
     first, in array order, then the Gaussian ones. Exact draws pass the
     trial counts to rng.binomial as int64; the result keeps the input dtype.
@@ -192,12 +187,10 @@ def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
         return np.zeros_like(trials)
     if prob >= 1.0:
         return trials
-    small = trials <= min(threshold, INT64_SAFE)
+    small = trials <= limit
     if small.all():
         return rng.binomial(trials.astype(np.int64), prob).astype(trials.dtype,
                                                                   copy=False)
-    if stats is not None:
-        stats.approx_used = True
     out = np.zeros_like(trials)
     if small.any():
         out[small] = rng.binomial(trials[small].astype(np.int64), prob)
@@ -210,8 +203,7 @@ def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
 
 
 def offspring(z, sampler, rng: np.random.Generator,
-              threshold: int = DEFAULT_EXACT_THRESHOLD,
-              stats: SampleStats | None = None):
+              limit: int = DEFAULT_EXACT_THRESHOLD):
     """One generation: total offspring of z individuals under one state.
 
     This is the package's only offspring step. z is a Python int (the bigint
@@ -220,15 +212,17 @@ def offspring(z, sampler, rng: np.random.Generator,
     EnvTables.samplers descriptor. {1,2}-supported states draw
     z + Bin(z, p_2); other states realize the multinomial family counts as
     conditional binomials over ascending family sizes, one binomial per
-    chain link.
+    chain link. Each binomial draw on trials <= limit is exact and one above
+    it is Gaussian; limit must not pass INT64_SAFE, the largest trial count
+    the exact sampler takes.
     """
     binomial = _binomial_vector if isinstance(z, np.ndarray) else _binomial_scalar
     if sampler[0] == "binary":
-        return z + binomial(z, sampler[1], rng, threshold, stats)
+        return z + binomial(z, sampler[1], rng, limit)
     _, chain, k_last = sampler
     remaining, total = z, 0
     for k, cond_p in chain:
-        c = binomial(remaining, cond_p, rng, threshold, stats)
+        c = binomial(remaining, cond_p, rng, limit)
         total = total + k * c
         remaining = remaining - c
     return total + k_last * remaining
@@ -275,31 +269,31 @@ def _check_population_cap(top) -> None:
             f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
 
 
-def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
+def simulate_trajectory(env: EnvDistribution | EnvTables, cfg: SimConfig,
                         rng: np.random.Generator | None = None) -> Trajectory:
     """Full trajectory: Z_0 = 1, Z_{k+1} = offspring(Z_k, xi_k).
 
     S is the running sum of realized X_i and logW := log Z - S, making the
     decomposition an identity; the independent content is that S matches
     log Pi recomputed from per-state means, which the tests check.
-    Deterministic given (env, cfg.seed) when rng is not supplied. Every
-    state must have p0 = 0 (require_no_extinction), so Z never reaches 0.
+    Deterministic given (env, cfg.seed) when rng is not supplied. env may be
+    prebuilt EnvTables, so that many trajectories share one. Every state must
+    have p0 = 0 (require_no_extinction), so Z never reaches 0.
 
     Draw order: n environment uniforms, then each generation's offspring
-    draws. Once Z passes min(threshold, INT64_SAFE), a run of consecutive
-    {1,2} generations draws all its normals (one per state with
+    draws. Once Z passes limit = min(threshold, INT64_SAFE), a run of
+    consecutive {1,2} generations draws all its normals (one per state with
     0 < p2 < 1) in one call when its first draw is due; offspring() would
-    draw the same values one generation at a time.
+    draw the same values one generation at a time. approx_sampling_used is
+    true iff some generation starts above limit in a state that draws.
     """
-    require_no_extinction(env)
+    tables = env if isinstance(env, EnvTables) else EnvTables(env)
+    require_no_extinction(tables.env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
-    tables = EnvTables(env)
     seq = sample_env_sequence(tables, cfg.n, rng)
     samplers = [tables.samplers[tables.index_of[label]] for label in seq.states]
-    threshold = cfg.exact_sampling_threshold
-    limit = min(threshold, INT64_SAFE)
-    stats = SampleStats()
+    limit = min(cfg.exact_sampling_threshold, INT64_SAFE)
 
     z = 1
     s = 0.0
@@ -312,15 +306,16 @@ def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
                 normals = iter(rng.standard_normal(
                     _gaussian_run_draws(samplers, k)).tolist())
                 normal = next(normals)
-                stats.approx_used = True
             z = z + _gaussian_binomial(z, sampler[1], normal)
         else:
-            z = offspring(z, sampler, rng, threshold, stats)
+            z = offspring(z, sampler, rng, limit)
         s = s + seq.log_means[k]
         _check_population_cap(z)
         records.append(GenRecord(z, s, math.log(z) - s))
+    approx = any(binomial_draws(sampler)
+                 for rec, sampler in zip(records, samplers) if rec.Z > limit)
     return Trajectory(records=tuple(records), env=seq, seed=cfg.seed,
-                      approx_sampling_used=stats.approx_used)
+                      approx_sampling_used=approx)
 
 
 def _gaussian_run_draws(samplers: list, start: int) -> int:

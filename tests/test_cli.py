@@ -7,7 +7,7 @@ import pytest
 from bpre import cli
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
-from bpre.estimate import _head_depth
+from bpre.estimate import IncrementStat, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
                            simulate_trajectory, stream)
@@ -214,6 +214,25 @@ class TestSimulate:
                          "--trials", "1025",
                          "--out", str(tmp_path / "x")]) == 2
 
+    def test_population_cap_exits_3(self, tmp_path, capsys, doubling_cfg):
+        # Z_513 = 2^513 passes the 2^512 cap
+        assert cli.main(["simulate", doubling_cfg, "--n", "513",
+                         "--out", str(tmp_path / "cap")]) == 3
+        assert "cap is 512 bits" in capsys.readouterr().err
+
+    def test_env_tables_built_once(self, tmp_path, monkeypatch, binary_cfg):
+        built = []
+        init = EnvTables.__init__
+
+        def counted(self, env):
+            built.append(env)
+            init(self, env)
+
+        monkeypatch.setattr(EnvTables, "__init__", counted)
+        assert cli.main(["simulate", binary_cfg, "--n", "6", "--trials", "3",
+                         "--out", str(tmp_path / "once")]) == 0
+        assert len(built) == 1
+
     def test_rows_match_the_shared_formatter(self, tmp_path, binary_cfg):
         out = tmp_path / "rows"
         assert cli.main(["simulate", binary_cfg, "--n", "80", "--trials", "3",
@@ -274,6 +293,27 @@ class TestVerify:
         assert result["C_hat"] > 0.0
         assert result["bound_thm1"] > 0.0
         assert result["M_kind"] == "paper"
+
+    def test_theorem1_fails_without_decay(self, tmp_path, capsys,
+                                          monkeypatch, binary_cfg):
+        # increment means that double per generation fit delta_hat = 2: no
+        # geometric-decay candidate, so there is no bound to pass
+        def growing(env, n, trials, seed, workers=1):
+            return [IncrementStat(k=k, mean=0.01 * 2.0 ** k, stderr=0.0)
+                    for k in range(n)]
+
+        monkeypatch.setattr(cli, "mc_logw_increments", growing)
+        out = tmp_path / "t1fail"
+        code = cli.main(["verify", "theorem1", binary_cfg, "--n", "8",
+                         "--trials", "2000", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "verify theorem1: FAIL"
+        result = json.loads((out / "result.json").read_text())
+        assert result["pass"] is False
+        assert result["bound_thm1"] is None
+        assert result["C_hat"] is None
+        assert result["delta_hat"] == pytest.approx(2.0)
+        assert "delta_hat" in result["failure"]
 
     def test_theorem1_runs_past_int64(self, tmp_path, binary_cfg):
         # 2^70 > 2^62: the tail estimate and the increment fit both step

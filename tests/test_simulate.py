@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import bpre.simulate
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
-                           DOMAIN_TRAJ, EnvSequence, EnvTables, SampleStats,
-                           SimConfig, _binomial_vector, _check_population_cap,
-                           offspring, quenched_martingale_check,
-                           sample_env_sequence, simulate_trajectory, stream)
+                           DOMAIN_TRAJ, EnvSequence, EnvTables, SimConfig,
+                           _binomial_vector, _check_population_cap, offspring,
+                           quenched_martingale_check, sample_env_sequence,
+                           simulate_trajectory, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -32,23 +33,39 @@ def binary_env():
     return parse_env_config(BINARY)
 
 
+def counting_gaussian(monkeypatch):
+    """Wrap simulate._gaussian_binomial, the scalar Gaussian draw, so that
+    each call is counted; returns the one-element list holding the count."""
+    calls = [0]
+    draw = bpre.simulate._gaussian_binomial
+
+    def counted(trials, prob, normal):
+        calls[0] += 1
+        return draw(trials, prob, normal)
+
+    monkeypatch.setattr(bpre.simulate, "_gaussian_binomial", counted)
+    return calls
+
+
 def reference_trajectory(env, cfg, rng):
     """The per-generation loop simulate_trajectory must replay: one
     offspring() call per generation on the same stream. Returns the
     (Z, S, logW) records, the environment sequence and the approximation
-    flag."""
+    flag, which is whether any Gaussian draw was made: the counted calls of
+    simulate._gaussian_binomial during the loop."""
     tables = EnvTables(env)
     seq = sample_env_sequence(env, cfg.n, rng)
-    stats = SampleStats()
     z, s = 1, 0.0
     records = [(1, 0.0, 0.0)]
-    for k, label in enumerate(seq.states):
-        z = offspring(z, tables.samplers[tables.index_of[label]], rng,
-                      cfg.exact_sampling_threshold, stats)
-        s = s + seq.log_means[k]
-        _check_population_cap(z)
-        records.append((z, s, math.log(z) - s))
-    return records, seq, stats.approx_used
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        gaussian = counting_gaussian(monkeypatch)
+        for k, label in enumerate(seq.states):
+            z = offspring(z, tables.samplers[tables.index_of[label]], rng,
+                          cfg.exact_sampling_threshold)
+            s = s + seq.log_means[k]
+            _check_population_cap(z)
+            records.append((z, s, math.log(z) - s))
+    return records, seq, gaussian[0] > 0
 
 
 class TestStream:
@@ -104,7 +121,7 @@ def first_sampler(env):
     return EnvTables(env).samplers[0]
 
 
-class TestStepPopulation:
+class TestBigintOffspring:
     """The bigint form of offspring(), the step simulate_trajectory takes."""
 
     def test_deterministic_doubling(self):
@@ -150,28 +167,44 @@ class TestStepPopulation:
         sd_one = math.sqrt(0.3 * 1 + 0.5 * 4 + 0.2 * 9 - m * m)
         assert abs(mean - z * m) < 4 * sd_one * math.sqrt(z) / math.sqrt(reps)
 
-    def test_approx_path_sets_flag_and_stays_in_range(self):
+    def test_approx_path_draws_gaussian_and_stays_in_range(self, monkeypatch):
         sampler = first_sampler(binary_env())
-        stats = SampleStats()
+        gaussian = counting_gaussian(monkeypatch)
         rng = stream(13, DOMAIN_SIMULATE, 0)
         z = 10 ** 7
-        out = offspring(z, sampler, rng, threshold=10 ** 6, stats=stats)
-        assert stats.approx_used
+        out = offspring(z, sampler, rng, limit=10 ** 6)
+        assert gaussian[0] == 1
         assert z <= out <= 2 * z
         # approximate mean still lands near z * (1 + p2)
         assert abs(out - z * 1.75) < 5 * math.sqrt(z)
 
-    def test_exact_path_leaves_flag_unset(self):
+    def test_exact_path_draws_no_gaussian(self, monkeypatch):
         sampler = first_sampler(binary_env())
-        stats = SampleStats()
-        offspring(1000, sampler, stream(13, DOMAIN_SIMULATE, 0), stats=stats)
-        assert not stats.approx_used
+        gaussian = counting_gaussian(monkeypatch)
+        offspring(1000, sampler, stream(13, DOMAIN_SIMULATE, 0))
+        offspring(10 ** 6, sampler, stream(13, DOMAIN_SIMULATE, 1),
+                  limit=10 ** 6)
+        assert gaussian[0] == 0
 
     def test_deterministic_state_consumes_no_randomness(self):
         sampler = first_sampler(parse_env_config(DOUBLING))
         rng = stream(17, DOMAIN_SIMULATE, 0)
         before = rng.bit_generator.state["state"]["counter"].copy()
         offspring(123, sampler, rng)
+        after = rng.bit_generator.state["state"]["counter"]
+        assert list(before) == list(after)
+
+    def test_deterministic_vector_returns_its_input_without_draws(self):
+        # {1: 1.0} is a {1,2} state with p2 = 0: Bin(z, 0) takes no draw
+        sampler = first_sampler(parse_env_config({"model": "generic", "states": [
+            {"label": "one", "mass": 1.0, "offspring": {"1": 1.0}}]}))
+        assert sampler == ("binary", 0.0)
+        rng = stream(19, DOMAIN_SIMULATE, 0)
+        before = rng.bit_generator.state["state"]["counter"].copy()
+        z = np.array([1.0, 7.0, 2.0 ** 40])
+        out = offspring(z, sampler, rng)
+        assert out.dtype == np.float64
+        assert out.tolist() == z.tolist()
         after = rng.bit_generator.state["state"]["counter"]
         assert list(before) == list(after)
 
@@ -199,13 +232,11 @@ class TestOffspringForms:
     def test_vector_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
         sampler = self.sampler(pmf)
         rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        stats_vec, stats_big = SampleStats(), SampleStats()
         vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
-                        threshold, stats_vec)
-        big = offspring(z, sampler, rng_big, threshold, stats_big)
+                        threshold)
+        big = offspring(z, sampler, rng_big, threshold)
         assert vec.dtype == np.int64
         assert int(vec[0]) == big
-        assert stats_vec.approx_used == stats_big.approx_used
         assert rng_vec.random() == rng_big.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
@@ -214,13 +245,10 @@ class TestOffspringForms:
     def test_float64_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
         sampler = self.sampler(pmf)
         rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        stats_vec, stats_big = SampleStats(), SampleStats()
-        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold,
-                        stats_vec)
-        big = offspring(z, sampler, rng_big, threshold, stats_big)
+        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold)
+        big = offspring(z, sampler, rng_big, threshold)
         assert vec.dtype == np.float64
         assert vec[0] == big
-        assert stats_vec.approx_used == stats_big.approx_used
         assert rng_vec.random() == rng_big.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
@@ -231,14 +259,12 @@ class TestOffspringForms:
         sampler = self.sampler(pmf)
         zs = self.ZS + [2 ** 50]
         rng_int, rng_float = stream(37, DOMAIN_SIMULATE, 0), stream(37, DOMAIN_SIMULATE, 0)
-        stats_int, stats_float = SampleStats(), SampleStats()
         ints = offspring(np.array(zs, dtype=np.int64), sampler, rng_int,
-                         threshold, stats_int)
+                         threshold)
         floats = offspring(np.array(zs, dtype=np.float64), sampler, rng_float,
-                           threshold, stats_float)
+                           threshold)
         assert ints.dtype == np.int64 and floats.dtype == np.float64
         assert floats.tolist() == [float(v) for v in ints.tolist()]
-        assert stats_int.approx_used == stats_float.approx_used
         assert rng_int.random() == rng_float.random()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
@@ -246,7 +272,7 @@ class TestOffspringForms:
     def test_binomial_draws_keep_the_input_dtype(self, dtype, threshold):
         trials = np.array([1, 50, 10 ** 6], dtype=dtype)
         out = _binomial_vector(trials, 0.3, stream(41, DOMAIN_SIMULATE, 0),
-                               threshold, None)
+                               threshold)
         assert out.dtype == dtype
         assert np.all((0 <= out) & (out <= trials))
 
@@ -333,6 +359,43 @@ class TestTrajectory:
         # never draws
         assert approx == [config is not DOUBLING] * 8
 
+    @pytest.mark.parametrize("label, approx", [
+        ("chain", True), ("bin", True), ("double", False)])
+    def test_flag_read_off_the_one_generation_past_the_limit(self, label,
+                                                             approx):
+        # With the limit just below Z_{n-1}, only the last generation starts
+        # above it, so the flag says whether that generation's state draws:
+        # a chain state's first link and a {1,2} state do, "double" does not.
+        env = parse_env_config(MIXED)
+        n = 12
+        for t in range(100):
+            exact = simulate_trajectory(env, SimConfig(n=n, seed=13),
+                                        rng=stream(13, DOMAIN_SIMULATE, t))
+            zs = [rec.Z for rec in exact.records]
+            if exact.env.states[-1] == label and zs[-3] < zs[-2]:
+                break
+        else:
+            pytest.fail(f"no trajectory ends in a {label} generation")
+        for limit, expect in ((zs[-2] - 1, approx), (zs[-2], False)):
+            cfg = SimConfig(n=n, seed=13, exact_sampling_threshold=limit)
+            records, _, ref_approx = reference_trajectory(
+                env, cfg, stream(13, DOMAIN_SIMULATE, t))
+            traj = simulate_trajectory(env, cfg,
+                                       rng=stream(13, DOMAIN_SIMULATE, t))
+            assert list(traj.records) == records
+            assert traj.records[:-1] == exact.records[:-1]
+            assert traj.approx_sampling_used == ref_approx == expect
+
+    def test_env_tables_in_place_of_the_env(self):
+        env = parse_env_config(MIXED)
+        cfg = SimConfig(n=60, seed=5, exact_sampling_threshold=100)
+        assert (simulate_trajectory(EnvTables(env), cfg)
+                == simulate_trajectory(env, cfg))
+        risky = parse_env_config({"model": "generic", "states": [
+            {"label": "risky", "mass": 1.0, "offspring": {"0": 0.5, "2": 0.5}}]})
+        with pytest.raises(ConfigError, match="p0 > 0"):
+            simulate_trajectory(EnvTables(risky), cfg)
+
     def test_replay_raises_at_the_same_generation(self):
         env = parse_env_config(DOUBLING)
         cfg = SimConfig(n=513, seed=13)
@@ -378,7 +441,7 @@ class TestQuenched:
             quenched_martingale_check(env, seq, k=4, replicas=200,
                                       rng=stream(1, DOMAIN_QUENCHED, 0))
 
-    def test_bigint_fallback_beyond_int64(self):
+    def test_float64_replicas_of_a_population_past_int64(self):
         # Z_65 of a {1,2} state with p = 0.01 is about 2^64, past int64 and
         # past 2^53, so the float64 replicas round at 1e-16 relative.
         env = parse_env_config({"model": "binary",
@@ -390,7 +453,7 @@ class TestQuenched:
                                            rng=stream(29, DOMAIN_QUENCHED, 0))
         assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
 
-    def test_totals_past_int64_step_as_python_ints(self):
+    def test_float64_replicas_hold_totals_past_int64(self):
         # Z_39 = 3^39 is below 2^62, but Z_40 = 3^40 does not fit in int64;
         # the float64 replicas hold 3 * Z_39 to 1e-16 relative.
         env = parse_env_config({"model": "generic", "states": [
@@ -411,7 +474,7 @@ class TestQuenched:
             quenched_martingale_check(env, seq, k=600, replicas=100,
                                       rng=stream(0, DOMAIN_QUENCHED, 0))
 
-    def test_scalar_fallback_for_chain_states(self):
+    def test_chain_state_replicas(self):
         env = parse_env_config(THREE_POINT)
         seq = sample_env_sequence(env, 6, stream(23, DOMAIN_SN, 0))
         report = quenched_martingale_check(env, seq, k=3, replicas=5000,

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""sha256 digest of the output files of a fixed list of bpre commands.
+
+Run from anywhere; bpre is imported from src/ of the checkout this script
+sits in:
+
+    python3 tools/output_digest.py > digest.txt
+
+Each command runs in-process through bpre.cli.main, at seed 3 where it
+takes one, with --out in a temporary directory. The script prints one
+`exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
+result* file. manifest.json is skipped: it carries a timestamp. A refactor that must keep every output byte
+gives the same digest on the old and the new tree, so `diff` the two.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bpre.cli import main  # noqa: E402
+
+SEED = "3"
+
+# The README model (offspring {1, 2}), the bench's {1, 2, 3} model, and a
+# {1,2} / deterministic {2} / {1,2,3} chain mix.
+MODELS = {
+    "binary": {"model": "binary",
+               "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]},
+    "generic": {"model": "generic", "states": [
+        {"label": "low", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
+        {"label": "high", "mass": 0.5, "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]},
+    "mixed": {"model": "generic", "states": [
+        {"label": "bin", "mass": 0.4, "offspring": {"1": 0.6, "2": 0.4}},
+        {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
+        {"label": "chain", "mass": 0.3,
+         "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]},
+}
+
+# (run name, command, model, flags)
+RUNS = [
+    ("simulate-binary-n200", "simulate", "binary", "--n 200 --trials 512"),
+    ("simulate-binary-n30", "simulate", "binary",
+     "--n 30 --trials 8 --exact-threshold 1000"),
+    ("simulate-generic-n30", "simulate", "generic",
+     "--n 30 --trials 8 --exact-threshold 1000"),
+    ("simulate-generic-n120", "simulate", "generic", "--n 120 --trials 8"),
+    ("simulate-mixed-n60", "simulate", "mixed",
+     "--n 60 --trials 8 --exact-threshold 100"),
+    ("simulate-mixed-n150", "simulate", "mixed", "--n 150 --trials 16"),
+    ("verify-sn", "verify sn", "binary",
+     "--n 10 --x 0.5 --trials 1e5 --workers 2"),
+    ("verify-theorem1", "verify theorem1", "generic",
+     "--n 16 --trials 1e5 --workers 2"),
+    ("verify-increments", "verify increments", "generic",
+     "--n 20 --trials 1e4 --workers 2"),
+    ("converge", "converge", "binary",
+     "--n-values 8,16,32,70 --y-values 0.05,0.1,0.2 --trials 1e4 --workers 2"),
+    ("oracle", "oracle", "binary", "--n 16 --x 0.5"),
+]
+
+
+def digest(root: Path) -> list[str]:
+    for name, config in MODELS.items():
+        (root / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+    lines = []
+    for run, command, model, flags in RUNS:
+        argv = [*command.split(), str(root / f"{model}.json"), *flags.split(),
+                "--out", str(root / run)]
+        if command != "oracle":  # the exact oracle draws nothing
+            argv += ["--seed", SEED]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        lines.append(f"exit {code}  {run}")
+        for path in sorted((root / run).glob("result*")):
+            sha = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{sha}  {run}/{path.name}")
+    return lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("\n".join(digest(Path(tmp))))
