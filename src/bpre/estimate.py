@@ -6,9 +6,10 @@ the Philox stream keyed by (seed, domain, b) regardless of how many workers
 process the blocks, and partial results are reduced in block order. Estimates
 are therefore bit-identical for any worker count. Within a block the draw
 order is pinned: the environment uniform matrix first, then per generation
-one offspring pass per state in declaration order. Each pass is one call of
-bpre.simulate.offspring on a float64 population vector, which fixes the draws
-inside it (exact binomial draws before Gaussian-approximate ones). The
+one offspring pass per state in declaration order, over the trials still
+stepped (all of them, except in mc_tail_logzn; see below). Each pass is one
+call of bpre.simulate.offspring on a float64 population vector, which fixes
+the draws inside it (exact binomial draws before Gaussian-approximate ones). The
 vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
 Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
@@ -24,7 +25,24 @@ generations g+1..n as above. The depth g is the largest g <= n whose kernel
 work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW multiply-adds per
 binomial draw that stepping generations 1..g would take, and at most
 oracle.MAX_KERNEL_WORK; it depends on the model, n and the trial count only.
-mc_logw_increments needs every generation's Z and steps from Z_0 = 1.
+mc_logw_increments needs every generation's Z and steps from Z_0 = 1, and
+convergence_report needs every trial's log Z_n, so both step every trial.
+
+mc_tail_logzn steps a trial only while its outcome is open. With p0 = 0
+(require_no_extinction), Z_k <= Z_n <= k_max^(n-k) Z_k on every path: Z
+never decreases, and one generation multiplies it by at most k_max, Gaussian
+draws included, since each is clamped to [0, trials]. tail_reached is
+monotone in its statistic. So before each generation k a trial with
+tail_reached(log Z_k) is a hit and one without
+tail_reached(log Z_k + (n - k) log k_max) is a miss, whatever its remaining
+draws; both are dropped. The rule is exact in integer arithmetic; float64
+rounding moves a statistic by a few ulp, which can change a decision only
+for a bound within that of the closed threshold x - TIE_EPS. Only the open
+trials, compacted in block order with their rows of the environment matrix,
+take generation k's offspring pass, so the draws a block takes depend on
+the event, and a reachable x gives other bytes than stepping every trial
+to n would (the same law). An event decided at the head for every trial,
+such as x = 3 under M_paper, draws nothing past the environment matrix.
 
 Tail events are decided by oracle.tail_reached, the normalized statistic and
 TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
@@ -182,27 +200,34 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                           trials, level, x, n)
 
 
+def _generation(tables: EnvTables, u: np.ndarray, z: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """One generation of a block of float64 populations z, updated in place:
+    the states picked from one column u of environment uniforms, then one
+    offspring pass per state in declaration order. Returns the state index
+    per trial. Raises ResourceCapError once a population passes
+    DEFAULT_POPULATION_CAP, well before float64 overflows."""
+    col = tables.pick_states(u)
+    for s, sampler in enumerate(tables.samplers):
+        sel = np.nonzero(col == s)[0]
+        if sel.size:
+            z[sel] = offspring(z[sel], sampler, rng)
+    _check_population_cap(z.max())
+    return col
+
+
 def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
                  z: np.ndarray):
     """Step a block of float64 populations z through n generations in the
-    pinned draw order.
+    pinned draw order: the (size, n) environment matrix, then _generation
+    per column.
 
     Yields (state index per trial, Z) after each generation; z is updated in
-    place. Z is exact below 2^53 and rounds at 1e-16 relative above; the
-    environment uniforms are mapped to states one generation column at a
-    time, so no (size, n) index matrix is built. Raises ResourceCapError once
-    a population passes DEFAULT_POPULATION_CAP, well before float64
-    overflows.
+    place. Z is exact below 2^53 and rounds at 1e-16 relative above.
     """
     u = rng.random((z.size, n))
     for k in range(n):
-        col = tables.pick_states(u[:, k])
-        for s, sampler in enumerate(tables.samplers):
-            sel = np.nonzero(col == s)[0]
-            if sel.size:
-                z[sel] = offspring(z[sel], sampler, rng)
-        _check_population_cap(z.max())
-        yield col, z
+        yield _generation(tables, u[:, k], z, rng), z
 
 
 def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
@@ -259,9 +284,46 @@ def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     return np.log(z)
 
 
+def _decide(reached, logz: np.ndarray, rest: int,
+            log_kmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, open) masks for trials at log Z_k with rest = n - k generations
+    to go. With p0 = 0, Z_k <= Z_n <= k_max^rest * Z_k, and reached (the tail
+    event at n, monotone in its statistic) holds at log Z_n if it holds at
+    log Z_k, and fails there if it fails at log Z_k + rest * log k_max. A
+    trial that is neither a hit nor a miss is open."""
+    hit = reached(logz)
+    return hit, ~hit & reached(logz + rest * log_kmax)
+
+
+def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
+               head: _KernelHead, reached) -> int:
+    """Trials of a block whose log Z_n satisfies reached.
+
+    Draws Z_g (head.draw) and the (size, n - g) environment matrix, then
+    before each generation k decides every open trial by _decide: hits are
+    counted and dropped, misses dropped. Only the open trials, in block
+    order, take generation k's _generation, each with its own row of the
+    matrix.
+    """
+    z = head.draw(rng, size)
+    u = rng.random((size, n - head.g))
+    rows = np.arange(size)
+    log_kmax = math.log(tables.env.k_max)
+    hits = 0
+    for j, rest in enumerate(range(n - head.g, 0, -1)):
+        hit, live = _decide(reached, np.log(z), rest, log_kmax)
+        hits += int(np.count_nonzero(hit))
+        z, rows = z[live], rows[live]
+        if not z.size:
+            return hits
+        _generation(tables, u[rows, j], z, rng)
+    return hits + int(np.count_nonzero(reached(np.log(z))))
+
+
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                   seed: int, level: float = 0.99, workers: int = 1) -> TailEstimate:
-    """Estimate P((log Z_n - n*mu)/(n*M) >= x) from full trajectories."""
+    """Estimate P((log Z_n - n*mu)/(n*M) >= x) from trajectories stepped
+    until their outcome is fixed (_tail_hits)."""
     _require_trials(trials)
     require_no_extinction(env)
     if not M > 0.0:
@@ -272,9 +334,12 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     mu = compute_moments(env).mu
     head = _KernelHead(tables, _head_depth(tables, n, trials))
 
+    def reached(logz: np.ndarray) -> np.ndarray:
+        return tail_reached(logz, n, mu, M, x)
+
     def run_block(b: int, size: int) -> int:
-        logz = _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
-        return int(np.count_nonzero(tail_reached(logz, n, mu, M, x)))
+        return _tail_hits(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head,
+                          reached)
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
                           trials, level, x, n)

@@ -191,7 +191,7 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
     with criterion(8, "byte-identical CSVs across worker counts", None):
         cfg_path = tmp_path / "binary.json"
         cfg_path.write_text(json.dumps(BINARY))
-        blobs = {}
+        blobs, codes = {}, {}
         for w in ("1", "8"):
             for mode, argv in {
                 "sn": ["verify", "sn", str(cfg_path), "--n", "8",
@@ -201,11 +201,21 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
                 "cvg": ["converge", str(cfg_path), "--n-values", "4,8",
                         "--y-values", "0.1,0.3", "--trials", "20000",
                         "--seed", "3"],
+                # a reachable tail: head depth 10, six generations stepped
+                # over the trials each block leaves undecided
+                "thm1": ["verify", "theorem1", str(cfg_path), "--n", "16",
+                         "--x", "0.2", "--M-kind", "tight", "--trials",
+                         "50000", "--seed", "3"],
             }.items():
                 out = tmp_path / f"{mode}-w{w}"
                 code = cli.main(argv + ["--workers", w, "--out", str(out)])
-                assert code == 0
+                # the fitted bound fails at this reachable x (exit 1), so
+                # theorem1 is held to the same code at both worker counts
+                if mode != "thm1":
+                    assert code == 0
+                codes[(mode, w)] = code
                 blobs[(mode, w)] = (out / "result.csv").read_bytes()
         capsys.readouterr()
-        for mode in ("sn", "inc", "cvg"):
+        for mode in ("sn", "inc", "cvg", "thm1"):
+            assert codes[(mode, "1")] == codes[(mode, "8")], mode
             assert blobs[(mode, "1")] == blobs[(mode, "8")], mode

@@ -11,10 +11,11 @@ import bpre
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
-                           TailEstimate, _final_logz, _head_depth, _KernelHead,
-                           _map_blocks, binomial_ci, convergence_report,
-                           fit_geometric_decay, mc_logw_increments,
-                           mc_tail_logzn, mc_tail_sn, theorem1_candidates)
+                           TailEstimate, _decide, _final_logz, _generations,
+                           _head_depth, _KernelHead, _map_blocks, binomial_ci,
+                           convergence_report, fit_geometric_decay,
+                           mc_logw_increments, mc_tail_logzn, mc_tail_sn,
+                           theorem1_candidates)
 from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
 from bpre.simulate import DOMAIN_TRAJ, EnvTables, offspring, stream
@@ -33,6 +34,14 @@ GENERIC = {"model": "generic",
 GAPPED = {"model": "generic",
           "states": [{"label": "odd", "mass": 1.0,
                       "offspring": {"1": 0.5, "3": 0.5}}]}
+# a {1,2} state, a deterministic {2} state and a {1,2,3} chain state
+MIXED = {"model": "generic",
+         "states": [{"label": "bin", "mass": 0.4, "offspring": {"1": 0.6, "2": 0.4}},
+                    {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
+                    {"label": "chain", "mass": 0.3,
+                     "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
+TRIPLE = {"model": "generic",
+          "states": [{"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]}
 
 # frozen closed-form CI endpoints
 CI_0_100_95_HIGH = 0.03621669264517642
@@ -247,11 +256,16 @@ class TestMcTailLogZn:
             mc_tail_logzn(env, 5, 0.5, 0.3, 2000, seed=0)
 
     def test_population_cap_raises(self):
-        # 3^330 > 2^512: the cap stops float64 populations long before overflow
-        env = parse_env_config({"model": "generic", "states": [
-            {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
-        with pytest.raises(ResourceCapError, match="cap is 512 bits"):
-            mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0)
+        # 3^330 > 2^512: the cap stops float64 populations long before
+        # overflow. At x = 0 every trial stays open until generation n (its
+        # bound log Z_k + (n - k) log 3 sits on the threshold), so it is
+        # stepped into the cap.
+        env = parse_env_config(TRIPLE)
+        with pytest.raises(ResourceCapError, match="514 bits, cap is 512 bits"):
+            mc_tail_logzn(env, 330, 0.0, 1.0, 1000, seed=0)
+        # at x = 0.5 that bound misses the threshold at the head, so every
+        # trial is a miss before any generation is stepped
+        assert mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0).hits == 0
 
 
 def _state_masses(env):
@@ -306,7 +320,9 @@ class TestKernelHead:
 
     def test_draw_order_replayed_by_hand(self):
         # head uniforms, inverse CDF, the (size, n - g) environment matrix,
-        # then one offspring pass per state per generation
+        # then one offspring pass per state per generation; mc_tail_logzn
+        # first decides each trial and steps only the open ones, in block
+        # order, each with its own row of the matrix
         for cfg, n in ((BINARY, 13), (GENERIC, 9)):
             env = parse_env_config(cfg)
             tables = EnvTables(env)
@@ -329,9 +345,32 @@ class TestKernelHead:
             got = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
                               _KernelHead(tables, g))
             assert replay.tobytes() == got.tobytes()
+
+            def reached(logz):
+                return tail_reached(logz, n, mom.mu, mom.M_tight, 0.3)
+            rng = stream(seed, DOMAIN_TRAJ, 0)
+            idx = np.searchsorted(np.cumsum(law), rng.random(trials), side="right")
+            z = np.minimum(idx, np.flatnonzero(law)[-1]).astype(np.float64)
+            u = rng.random((trials, n - g))
+            rows = np.arange(trials)
+            hits, stepped = 0, []
+            for k in range(g, n):
+                logz = np.log(z)
+                hit = reached(logz)
+                hits += int(np.count_nonzero(hit))
+                keep = ~hit & reached(logz + (n - k) * math.log(env.k_max))
+                z, rows = z[keep], rows[keep]
+                stepped.append(z.size)
+                col = tables.pick_states(u[rows, k - g])
+                for s, sampler in enumerate(tables.samplers):
+                    sel = np.flatnonzero(col == s)
+                    if sel.size:
+                        z[sel] = offspring(z[sel], sampler, rng)
+            hits += int(np.count_nonzero(reached(np.log(z))))
+            # some trials are decided early, and some are stepped to n
+            assert trials > stepped[0] and stepped[-1] > 0, stepped
             est = mc_tail_logzn(env, n, 0.3, mom.M_tight, trials, seed)
-            assert est.hits == int(np.count_nonzero(
-                tail_reached(replay, n, mom.mu, mom.M_tight, 0.3)))
+            assert est.hits == hits
 
     def test_depth_zero_stepping_brackets_the_oracle(self):
         # at n = 6 mc_tail_logzn draws Z_6 from the oracle's own law; stepping
@@ -374,6 +413,48 @@ class TestKernelHead:
             expect = _deviation_tail(law, n, mom.mu, y)
             assert 0.01 < expect < 0.99
             assert _within(row.hits, trials, expect, 5.0), f"y={y}"
+
+
+class TestEarlyDecision:
+    @pytest.mark.parametrize("cfg, n, M, xs", [
+        (BINARY, 16, "M_tight", (0.05, 0.2, 0.5)),
+        (GENERIC, 12, "M_tight", (0.05, 0.2, 0.5)),
+        # a single random state: S_n is constant, so M_tight is 0
+        (GAPPED, 12, "M_paper", (0.05, 0.2, 0.5)),
+        (MIXED, 12, "M_tight", (0.05, 0.2, 0.5)),
+        # populations pass 2^32 and take clamped Gaussian draws
+        (BINARY, 70, "M_tight", (0.05,)),
+        # the bound lands on the threshold: only generation n decides
+        (TRIPLE, 20, 1.0, (0.0,)),
+    ])
+    def test_decisions_match_full_stepping(self, cfg, n, M, xs):
+        env = parse_env_config(cfg)
+        tables = EnvTables(env)
+        mom = compute_moments(env)
+        M = getattr(mom, M) if isinstance(M, str) else M
+        trials = 4000
+        logz = [np.zeros(trials)]
+        for _, z in _generations(tables, n, stream(5, DOMAIN_TRAJ, 0),
+                                 np.ones(trials)):
+            logz.append(np.log(z))
+        if n == 70:
+            assert logz[-1].max() > 32 * math.log(2)
+        early_hits = early_misses = 0
+        for x in xs:
+            def reached(stat):
+                return tail_reached(stat, n, mom.mu, M, x)
+            final = reached(logz[n])
+            for k in range(n):
+                hit, live = _decide(reached, logz[k], n - k, math.log(env.k_max))
+                miss = ~hit & ~live
+                assert final[hit].all(), f"x={x} k={k}: a decided hit misses"
+                assert not final[miss].any(), f"x={x} k={k}: a decided miss hits"
+                early_hits += int(np.count_nonzero(hit))
+                early_misses += int(np.count_nonzero(miss))
+        if cfg is TRIPLE:
+            assert early_hits == early_misses == 0 and final.all()
+        else:
+            assert early_hits > 0 and early_misses > 0
 
 
 class TestIncrements:

@@ -58,6 +58,8 @@ RUNS = [
      "--n 10 --x 0.5 --trials 1e5 --workers 2"),
     ("verify-theorem1", "verify theorem1", "generic",
      "--n 16 --trials 1e5 --workers 2"),
+    ("verify-theorem1-reachable", "verify theorem1", "binary",
+     "--n 16 --x 0.2 --M-kind tight --trials 1e5 --workers 2"),
     ("verify-increments", "verify increments", "generic",
      "--n 20 --trials 1e4 --workers 2"),
     ("converge", "converge", "binary",
