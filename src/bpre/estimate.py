@@ -61,7 +61,7 @@ import numpy as np
 from .env import EnvDistribution, compute_moments
 from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _running_work,
                      tail_reached)
-from .simulate import (DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
+from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
                        _check_population_cap, binomial_draws, offspring,
                        require_no_extinction, stream)
 
@@ -351,6 +351,8 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
 
     The increment is log Z_{k+1} - log Z_k - X_{k+1}, the per-generation
     deviation of actual growth from the environment's conditional mean.
+    Blocks draw from DOMAIN_INCREMENTS, so a decay fit shares no stream with
+    the mc_tail_logzn estimate it is checked against.
     """
     _require_trials(trials)
     require_no_extinction(env)
@@ -359,7 +361,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     tables = EnvTables(env)
 
     def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = stream(seed, DOMAIN_TRAJ, b)
+        rng = stream(seed, DOMAIN_INCREMENTS, b)
         prev_logz = np.zeros(size)
         sums = np.empty(n)
         sums_sq = np.empty(n)

@@ -19,9 +19,11 @@ takes a Gaussian draw iff Z_k > limit and its state draws at all; a
 trajectory's approx_sampling_used is read off its records by that rule.
 
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
-(seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler,
-the batched trajectory sampler, quenched replicas, and single-trajectory
-simulation, so a master seed can drive all of them without stream reuse.
+(seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler
+(DOMAIN_SN), the log Z_n tail and deviation estimators (DOMAIN_TRAJ),
+quenched replicas (DOMAIN_QUENCHED), single-trajectory simulation
+(DOMAIN_SIMULATE) and the martingale-increment estimator (DOMAIN_INCREMENTS),
+so a master seed can drive all of them without stream reuse.
 The key derivation is the whole contract: any implementation of Philox4x64
 can replay a run from (seed, domain, index) and the documented draw order.
 """
@@ -42,6 +44,7 @@ DOMAIN_SN = 1
 DOMAIN_TRAJ = 2
 DOMAIN_QUENCHED = 3
 DOMAIN_SIMULATE = 4
+DOMAIN_INCREMENTS = 5
 
 DEFAULT_EXACT_THRESHOLD = 1 << 32
 DEFAULT_POPULATION_CAP = 1 << 512
