@@ -9,8 +9,8 @@ order is pinned: the environment uniform matrix first, then per generation
 one offspring pass per state in declaration order, over the trials still
 stepped (all of them, except in mc_tail_logzn; see below). Each pass is one
 call of bpre.simulate.offspring on a float64 population vector, which fixes
-the draws inside it (exact binomial draws before Gaussian-approximate ones). The
-vector form is the same at every horizon: populations are exact integers
+the draws inside it (exact binomial draws before Gaussian-approximate ones).
+The vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
 Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
 Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
@@ -220,7 +220,7 @@ def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
                  z: np.ndarray):
     """Step a block of float64 populations z through n generations in the
     pinned draw order: the (size, n) environment matrix, then _generation
-    per column.
+    per column, so no (size, n) state index matrix is built.
 
     Yields (state index per trial, Z) after each generation; z is updated in
     place. Z is exact below 2^53 and rounds at 1e-16 relative above.
