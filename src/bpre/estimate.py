@@ -4,8 +4,10 @@ decay, with exact binomial confidence intervals and geometric-decay fitting.
 Trials are partitioned into fixed blocks of BLOCK_TRIALS; block b draws from
 the Philox stream keyed by (seed, domain, b) regardless of how many workers
 process the blocks, and partial results are reduced in block order. Estimates
-are therefore bit-identical for any worker count. Within a block the draw
-order is pinned: the environment uniform matrix first, then per generation
+are therefore bit-identical for any worker count. mc_tail_sn draws each
+block's (size, k) matrix of state counts in one multinomial call and needs
+no other draw. Within a block of the population estimators the draw order
+is pinned: the environment uniform matrix first, then per generation
 one offspring pass per state in declaration order, over the trials still
 stepped (all of them, except in mc_tail_logzn; see below). Each pass is one
 call of bpre.simulate.offspring on a float64 population vector, which fixes
@@ -21,10 +23,12 @@ kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
 each block first draws Z_g ~ delta_1 K^g, one uniform per trial mapped by
 inverse CDF through the cumulative kernel law (computed once per call, before
 the blocks), and then draws the (size, n - g) environment matrix and steps
-generations g+1..n as above. The depth g is the largest g <= n whose kernel
-work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW multiply-adds per
-binomial draw that stepping generations 1..g would take, and at most
-oracle.MAX_KERNEL_WORK; it depends on the model, n and the trial count only.
+generations g+1..n as above (mc_tail_logzn draws the matrix only once some
+trial is still open after the head). The depth g is the largest g <= n
+whose kernel work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW
+multiply-adds per binomial draw that stepping generations 1..g would take,
+and at most oracle.MAX_KERNEL_WORK; it depends on the model, n and the
+trial count only.
 mc_logw_increments needs every generation's Z and steps from Z_0 = 1, and
 convergence_report needs every trial's log Z_n, so both step every trial.
 
@@ -41,8 +45,11 @@ for a bound within that of the closed threshold x - TIE_EPS. Only the open
 trials, compacted in block order with their rows of the environment matrix,
 take generation k's offspring pass, so the draws a block takes depend on
 the event, and a reachable x gives other bytes than stepping every trial
-to n would (the same law). An event decided at the head for every trial,
-such as x = 3 under M_paper, draws nothing past the environment matrix.
+to n would (the same law). The rule is applied first at Z_0 = 1 with all n
+generations to go: an event it fixes there, such as x = 3 under M_paper,
+holds for every trial or for none, and mc_tail_logzn returns it without
+building a head or drawing anything. A block whose trials are all decided
+at the head draws no environment matrix.
 
 Tail events are decided by oracle.tail_reached, the normalized statistic and
 TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
@@ -180,7 +187,10 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                seed: int, level: float = 0.99, workers: int = 1) -> TailEstimate:
     """Estimate P((S_n - n*mu)/(n*M) >= x) from environment draws alone.
 
-    S_n needs no offspring sampling, so a trial is just n state picks.
+    S_n = sum_s c_s X_s depends on the environment only through the state
+    counts c, so a block draws its trials' counts in one multinomial call,
+    under the law pick_states implies (EnvTables.pick_probs), and takes
+    S_n = counts @ X: O(k) work per trial instead of n state picks.
     """
     _require_trials(trials)
     if not M > 0.0:
@@ -191,9 +201,8 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     mu = compute_moments(env).mu
 
     def run_block(b: int, size: int) -> int:
-        rng = stream(seed, DOMAIN_SN, b)
-        idx = tables.pick_states(rng.random((size, n)))
-        s_n = tables.X[idx].sum(axis=1)
+        counts = stream(seed, DOMAIN_SN, b).multinomial(n, tables.pick_probs, size)
+        s_n = counts @ tables.X
         return int(np.count_nonzero(tail_reached(s_n, n, mu, M, x)))
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
@@ -299,14 +308,13 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
                head: _KernelHead, reached) -> int:
     """Trials of a block whose log Z_n satisfies reached.
 
-    Draws Z_g (head.draw) and the (size, n - g) environment matrix, then
-    before each generation k decides every open trial by _decide: hits are
-    counted and dropped, misses dropped. Only the open trials, in block
-    order, take generation k's _generation, each with its own row of the
-    matrix.
+    Draws Z_g (head.draw), then before each generation k decides every open
+    trial by _decide: hits are counted and dropped, misses dropped. The
+    (size, n - g) environment matrix is drawn once some trial is still open
+    after the head. Only the open trials, in block order, take generation
+    k's _generation, each with its own row of the matrix.
     """
     z = head.draw(rng, size)
-    u = rng.random((size, n - head.g))
     rows = np.arange(size)
     log_kmax = math.log(tables.env.k_max)
     hits = 0
@@ -316,6 +324,8 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
         z, rows = z[live], rows[live]
         if not z.size:
             return hits
+        if not j:
+            u = rng.random((size, n - head.g))
         _generation(tables, u[rows, j], z, rng)
     return hits + int(np.count_nonzero(reached(np.log(z))))
 
@@ -323,7 +333,9 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                   seed: int, level: float = 0.99, workers: int = 1) -> TailEstimate:
     """Estimate P((log Z_n - n*mu)/(n*M) >= x) from trajectories stepped
-    until their outcome is fixed (_tail_hits)."""
+    until their outcome is fixed (_tail_hits). An event that _decide fixes
+    at Z_0 = 1 with all n generations to go holds for every trial or for
+    none, and is returned without building a head or opening a stream."""
     _require_trials(trials)
     require_no_extinction(env)
     if not M > 0.0:
@@ -332,10 +344,14 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         raise ValueError(f"n={n!r} must be >= 1")
     tables = EnvTables(env)
     mu = compute_moments(env).mu
-    head = _KernelHead(tables, _head_depth(tables, n, trials))
 
     def reached(logz: np.ndarray) -> np.ndarray:
         return tail_reached(logz, n, mu, M, x)
+
+    hit, live = _decide(reached, np.zeros(1), n, math.log(env.k_max))
+    if not live[0]:  # fixed at Z_0 = 1: every trial a hit, or none
+        return _tail_estimate(trials if hit[0] else 0, trials, level, x, n)
+    head = _KernelHead(tables, _head_depth(tables, n, trials))
 
     def run_block(b: int, size: int) -> int:
         return _tail_hits(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head,

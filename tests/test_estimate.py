@@ -10,15 +10,17 @@ import scipy.stats
 import bpre
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
+import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
                            TailEstimate, _decide, _final_logz, _generations,
-                           _head_depth, _KernelHead, _map_blocks, binomial_ci,
+                           _head_depth, _KernelHead, _map_blocks, _tail_estimate,
+                           _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
 from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
-from bpre.simulate import DOMAIN_TRAJ, EnvTables, offspring, stream
+from bpre.simulate import DOMAIN_SN, DOMAIN_TRAJ, EnvTables, offspring, stream
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -198,6 +200,59 @@ class TestMcTailSn:
                            workers=w) for w in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_block_replayed_by_hand(self):
+        # one multinomial call for the block's state counts, then counts @ X
+        for cfg in (BINARY, GENERIC, MIXED):
+            env = parse_env_config(cfg)
+            tables = EnvTables(env)
+            mom = compute_moments(env)
+            trials, n, x = 5000, 12, 0.2
+            counts = stream(9, DOMAIN_SN, 0).multinomial(n, tables.pick_probs,
+                                                          trials)
+            assert counts.shape == (trials, len(env.states))
+            assert (counts.sum(axis=1) == n).all()
+            s_n = counts @ tables.X
+            hits = int(np.count_nonzero(tail_reached(s_n, n, mom.mu,
+                                                     mom.M_tight, x)))
+            assert 0 < hits < trials
+            assert mc_tail_sn(env, n, x, mom.M_tight, trials, seed=9).hits == hits
+
+    @pytest.mark.parametrize("cfg, n, xs", [
+        # x = 1 under M_tight: only the all-high sequence, on the threshold
+        (BINARY, 10, (0.2, 0.5, 1.0)),
+        (GENERIC, 10, (0.2, 0.5, 1.0)),
+        (MIXED, 9, (0.0, 0.3, 0.6)),
+    ])
+    def test_hits_bracket_the_exact_tail(self, cfg, n, xs):
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
+        trials = 200_000
+        for x in xs:
+            exact = exact_sn_tail(env, n, x, mom.M_tight, mom.mu)
+            assert exact > 0.0
+            est = mc_tail_sn(env, n, x, mom.M_tight, trials, seed=12,
+                             level=1 - 1e-6, workers=2)
+            assert est.ci_low <= exact <= est.ci_high, (x, est.hits, exact)
+
+    @pytest.mark.parametrize("masses", [
+        [0.5, 0.3, 0.2 - 1e-12],  # cum[-1] < 1: the last state takes the rest
+        [0.3, 0.7 + 4.5e-13, 4.5e-13],  # cum[1] > 1: the last state is never picked
+    ])
+    def test_masses_off_one_by_mass_tol(self, masses):
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": f"s{j}", "mass": mass, "offspring": {str(j + 1): 1.0}}
+            for j, mass in enumerate(masses)]})
+        tables = EnvTables(env)
+        mom = compute_moments(env)
+        n, x, trials = 8, 0.2, 100_000
+        exact = exact_sn_tail(env, n, x, mom.M_tight, mom.mu)
+        est = mc_tail_sn(env, n, x, mom.M_tight, trials, seed=13,
+                         level=1 - 1e-6)
+        assert est.ci_low <= exact <= est.ci_high
+        counts = stream(13, DOMAIN_SN, 0).multinomial(n, tables.pick_probs,
+                                                      1000)
+        assert (counts[:, 2] > 0).any() == (masses[2] > 1e-12)
+
     def test_insufficient_trials(self):
         env = binary_env()
         with pytest.raises(ValueError, match="insufficient trials"):
@@ -266,6 +321,40 @@ class TestMcTailLogZn:
         # at x = 0.5 that bound misses the threshold at the head, so every
         # trial is a miss before any generation is stepped
         assert mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0).hits == 0
+
+
+class TestDecidedAtZ0:
+    @pytest.mark.parametrize("cfg, x, M, expect", [
+        # (log Z_n - n mu)/(n M_paper) <= 1 on every path: x = 3 is empty
+        (BINARY, 3.0, "M_paper", 0),
+        (GENERIC, 3.0, "M_paper", 0),
+        # below the statistic of log Z_0 = 0, -mu/M: every trial is in it
+        (BINARY, -2.0, "M_paper", 1),
+        (GENERIC, -5.0, "M_tight", 1),
+    ])
+    def test_nothing_is_drawn(self, monkeypatch, cfg, x, M, expect):
+        env = parse_env_config(cfg)
+        tables = EnvTables(env)
+        mom = compute_moments(env)
+        M = getattr(mom, M)
+        n, trials = 16, 2 * BLOCK_TRIALS + 7
+        head = _KernelHead(tables, _head_depth(tables, n, trials))
+
+        def reached(logz):
+            return tail_reached(logz, n, mom.mu, M, x)
+        # the route that draws a head per block
+        hits = sum(_map_blocks(
+            lambda b, size: _tail_hits(tables, n, size,
+                                       stream(4, DOMAIN_TRAJ, b), head, reached),
+            trials, 1))
+        drawn = _tail_estimate(hits, trials, 0.99, x, n)
+        assert hits == expect * trials
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an event fixed at Z_0 drew something")
+        monkeypatch.setattr(bpre.estimate, "_KernelHead", refuse)
+        monkeypatch.setattr(bpre.estimate, "stream", refuse)
+        assert mc_tail_logzn(env, n, x, M, trials, seed=4, workers=2) == drawn
 
 
 def _state_masses(env):

@@ -116,6 +116,40 @@ class TestEnvSampling:
         idx = tables.pick_states(np.array([0.0, 0.499999, 0.5, 0.999999]))
         assert idx.tolist() == [0, 0, 1, 1]
 
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_pick_states_is_the_clamped_searchsorted(self, k):
+        # masses summing to 1 - 1e-13, inside MASS_TOL: uniforms at or above
+        # cum[-1] must still map to the last state
+        masses = [(j + 1) / (k * (k + 1) / 2) for j in range(k - 1)]
+        masses.append(1.0 - 1e-13 - math.fsum(masses))
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": f"s{j}", "mass": mass, "offspring": {"1": 0.5, "2": 0.5}}
+            for j, mass in enumerate(masses)]})
+        tables = EnvTables(env)
+        cum = tables.cum
+        assert cum[-1] < 1.0
+        top = np.linspace(cum[-1], 1.0, 5)[:-1]
+        u = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), top,
+                            [np.nextafter(1.0, 0.0)]])
+        expect = np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+        assert tables.pick_states(u).tolist() == expect.tolist()
+        assert tables.pick_states(top).tolist() == [k - 1] * top.size
+
+    @pytest.mark.parametrize("masses", [
+        [0.5, 0.3, 0.2 - 9e-13],  # cum[-1] < 1
+        [0.5, 0.5 + 4.5e-13, 4.5e-13],  # cum[1] > 1
+    ])
+    def test_pick_probs_is_the_law_pick_states_implies(self, masses):
+        # cum[:-1] is clipped at 1 and the last state takes the remainder
+        env = parse_env_config({"model": "generic", "states": [
+            {"label": f"s{j}", "mass": mass, "offspring": {"1": 0.5, "2": 0.5}}
+            for j, mass in enumerate(masses)]})
+        tables = EnvTables(env)
+        edges = [min(float(c), 1.0) for c in tables.cum[:-1]]
+        assert tables.pick_probs.tolist() == [
+            edges[0], edges[1] - edges[0], 1.0 - edges[1]]
+        assert math.fsum(tables.pick_probs) == pytest.approx(1.0, abs=1e-15)
+
 
 def first_sampler(env):
     return EnvTables(env).samplers[0]

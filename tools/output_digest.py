@@ -56,6 +56,11 @@ RUNS = [
     ("simulate-mixed-n150", "simulate", "mixed", "--n 150 --trials 16"),
     ("verify-sn", "verify sn", "binary",
      "--n 10 --x 0.5 --trials 1e5 --workers 2"),
+    ("verify-sn-generic", "verify sn", "generic",
+     "--n 10 --x 0.5 --trials 1e5 --workers 2"),
+    # x = 1 under M_tight: only the all-high sequence, on the threshold
+    ("verify-sn-tie", "verify sn", "binary",
+     "--n 10 --x 1 --M-kind tight --trials 1e5 --workers 2"),
     ("verify-theorem1", "verify theorem1", "generic",
      "--n 16 --trials 1e5 --workers 2"),
     ("verify-theorem1-reachable", "verify theorem1", "binary",
