@@ -13,10 +13,10 @@ from .env import (AssumptionReport, CheckResult, ConfigError, EnvDistribution,
                   EnvState, ModelMoments, OffspringPmf, ResourceCapError,
                   check_assumptions, compute_moments, parse_env_config,
                   state_mean)
-from .estimate import (BLOCK_TRIALS, DecayFit, IncrementStat, TailEstimate,
-                       binomial_ci, convergence_report, fit_geometric_decay,
-                       mc_logw_increments, mc_tail_logzn, mc_tail_sn,
-                       theorem1_candidates)
+from .estimate import (BLOCK_TRIALS, DecayFit, IncrementStat, IncrementStats,
+                       TailEstimate, binomial_ci, convergence_report,
+                       fit_geometric_decay, mc_logw_increments, mc_tail_logzn,
+                       mc_tail_sn, theorem1_candidates)
 from .oracle import (ExactPmf, WeightedSequence, enumerate_env_sequences,
                      exact_EWn, exact_logZn_tail, exact_population_distribution,
                      exact_sn_tail)
@@ -29,7 +29,8 @@ __all__ = [
     "AssumptionReport", "BLOCK_TRIALS", "BoundQuery", "CheckResult",
     "ConfigError", "DecayFit", "EnvDistribution", "EnvSequence", "EnvState",
     "EnvTables", "ExactPmf", "GenRecord", "H", "H_upper", "IncrementStat",
-    "ModelMoments", "OffspringPmf", "QuenchedReport", "ResourceCapError",
+    "IncrementStats", "ModelMoments", "OffspringPmf", "QuenchedReport",
+    "ResourceCapError",
     "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params",
     "Trajectory", "WeightedSequence", "binomial_ci", "check_assumptions",
     "compute_moments", "convergence_report", "dH_dx", "enumerate_env_sequences",

@@ -308,8 +308,10 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
               "level": est.level, "bound_thm1": bound, "C_hat": C_hat,
               "delta_hat": delta_hat, "fit_r2": fit.r2,
               "fit_trials": fit_trials, "exact_tail": exact,
-              "failure": failure, "pass": passed, "seed": seed,
-              "rng_id": RNG_ID}
+              "failure": failure, "pass": passed,
+              "approx_sampling_used": (est.approx_sampling_used
+                                       or incs.approx_sampling_used),
+              "seed": seed, "rng_id": RNG_ID}
     emit(args, result, csv_text=_csv(TAIL_CSV_HEADER, [row]), config_sha=sha,
          seed=seed)
     _verdict_line(args, "theorem1", passed)
@@ -337,7 +339,9 @@ def _verify_increments(args, env: EnvDistribution, sha: str,
     result = {"mode": "increments", "n": args.n, "trials": args.trials,
               "delta_hat": fit.delta_hat, "c_hat": fit.c_hat, "r2": fit.r2,
               "C_hat": C_hat, "fit_k_lo": lo, "fit_k_hi": hi,
-              "pass": passed, "seed": seed, "rng_id": RNG_ID}
+              "pass": passed,
+              "approx_sampling_used": incs.approx_sampling_used,
+              "seed": seed, "rng_id": RNG_ID}
     emit(args, result, csv_text=_csv(INCREMENT_CSV_HEADER, rows),
          config_sha=sha, seed=seed)
     _verdict_line(args, "increments", passed)
@@ -386,8 +390,10 @@ def cmd_converge(args) -> int:
     csv_rows = [[str(r.n), fmt(r.threshold_x), str(r.hits), str(r.trials),
                  fmt(r.point), fmt(r.ci_low), fmt(r.ci_high)] for r in rows]
     result = {"n_values": list(args.n_values), "y_values": list(args.y_values),
-              "trials": args.trials, "level": args.level, "seed": seed,
-              "rng_id": RNG_ID,
+              "trials": args.trials, "level": args.level,
+              "approx_sampling_used": any(r.approx_sampling_used
+                                          for r in rows),
+              "seed": seed, "rng_id": RNG_ID,
               "rows": [{"n": r.n, "y": r.threshold_x, "hits": r.hits,
                         "point": r.point, "ci_low": r.ci_low,
                         "ci_high": r.ci_high} for r in rows]}

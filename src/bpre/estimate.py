@@ -16,7 +16,10 @@ The vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
 Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
 Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
-Neither constant is a parameter.
+Neither constant is a parameter. Each generation reports whether it took a
+Gaussian draw by simulate's rule (some population starts above the
+threshold in a state that draws); the reports of a call's blocks are ORed
+in block order into approx_sampling_used.
 
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
@@ -68,9 +71,9 @@ import numpy as np
 from .env import EnvDistribution, compute_moments
 from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _running_work,
                      tail_reached)
-from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
-                       _check_population_cap, binomial_draws, offspring,
-                       require_no_extinction, stream)
+from .simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS, DOMAIN_SN,
+                       DOMAIN_TRAJ, EnvTables, _check_population_cap,
+                       offspring, require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
 
@@ -93,6 +96,7 @@ class TailEstimate:
     level: float
     threshold_x: float
     n: int
+    approx_sampling_used: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.hits <= self.trials:
@@ -105,6 +109,16 @@ class IncrementStat(NamedTuple):
     k: int
     mean: float
     stderr: float
+
+
+class IncrementStats(list):
+    """The IncrementStat of each k = 0..n-1, in k order, as a list, and
+    whether any offspring draw behind them was Gaussian."""
+
+    def __init__(self, stats: Iterable[IncrementStat],
+                 approx_sampling_used: bool):
+        super().__init__(stats)
+        self.approx_sampling_used = approx_sampling_used
 
 
 @dataclass(frozen=True)
@@ -176,11 +190,11 @@ def _require_trials(trials: int) -> None:
 
 
 def _tail_estimate(hits: int, trials: int, level: float, x: float,
-                   n: int) -> TailEstimate:
+                   n: int, approx: bool = False) -> TailEstimate:
     low, high = binomial_ci(hits, trials, level)
     return TailEstimate(hits=hits, trials=trials, point=hits / trials,
                         ci_low=low, ci_high=high, level=level,
-                        threshold_x=x, n=n)
+                        threshold_x=x, n=n, approx_sampling_used=approx)
 
 
 def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
@@ -210,19 +224,23 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
 
 
 def _generation(tables: EnvTables, u: np.ndarray, z: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """One generation of a block of float64 populations z, updated in place:
     the states picked from one column u of environment uniforms, then one
     offspring pass per state in declaration order. Returns the state index
-    per trial. Raises ResourceCapError once a population passes
-    DEFAULT_POPULATION_CAP, well before float64 overflows."""
+    per trial and whether the generation took a Gaussian draw, by
+    simulate's rule: some population starts above DEFAULT_EXACT_THRESHOLD
+    in a state whose pass draws. Raises ResourceCapError once a population
+    passes DEFAULT_POPULATION_CAP, well before float64 overflows."""
     col = tables.pick_states(u)
+    approx = (bool(z.max() > DEFAULT_EXACT_THRESHOLD)
+              and bool(tables.draws[col[z > DEFAULT_EXACT_THRESHOLD]].any()))
     for s, sampler in enumerate(tables.samplers):
         sel = np.nonzero(col == s)[0]
         if sel.size:
             z[sel] = offspring(z[sel], sampler, rng)
     _check_population_cap(z.max())
-    return col
+    return col, approx
 
 
 def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
@@ -231,12 +249,14 @@ def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
     pinned draw order: the (size, n) environment matrix, then _generation
     per column, so no (size, n) state index matrix is built.
 
-    Yields (state index per trial, Z) after each generation; z is updated in
-    place. Z is exact below 2^53 and rounds at 1e-16 relative above.
+    Yields (state index per trial, Z, whether a draw was Gaussian) after
+    each generation; z is updated in place. Z is exact below 2^53 and
+    rounds at 1e-16 relative above.
     """
     u = rng.random((z.size, n))
     for k in range(n):
-        yield _generation(tables, u[:, k], z, rng), z
+        col, approx = _generation(tables, u[:, k], z, rng)
+        yield col, z, approx
 
 
 def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
@@ -244,8 +264,7 @@ def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
     multiply-adds per binomial draw that stepping generations 1..g would
     take (trials * g * the mass-weighted draws per offspring pass), and at
     most MAX_KERNEL_WORK."""
-    per_pass = [binomial_draws(sampler) for sampler in tables.samplers]
-    draws = trials * float(tables.masses @ per_pass)
+    draws = trials * float(tables.masses @ tables.draws)
     for g, work in enumerate(_running_work(itertools.repeat(tables.states, n))):
         if work > min(HEAD_WORK_PER_DRAW * draws * (g + 1), MAX_KERNEL_WORK):
             return g
@@ -274,8 +293,9 @@ class _KernelHead:
 
 
 def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-                head: _KernelHead) -> np.ndarray:
-    """log Z_n for a block of trials.
+                head: _KernelHead) -> tuple[np.ndarray, bool]:
+    """log Z_n for a block of trials, and whether a draw was Gaussian (the
+    head's exact draws never are).
 
     Under the annealed law (Z_k) is a Markov chain, so Z_g ~ delta_1 K^g and
     Z_{g+1..n} depend on the past only through Z_g. The block draws Z_g
@@ -288,9 +308,10 @@ def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     1/trials resolution of any estimate.
     """
     z = head.draw(rng, size)
-    for _ in _generations(tables, n - head.g, rng, z):
-        pass
-    return np.log(z)
+    approx = False
+    for _, _, gaussian in _generations(tables, n - head.g, rng, z):
+        approx |= gaussian
+    return np.log(z), approx
 
 
 def _decide(reached, logz: np.ndarray, rest: int,
@@ -305,8 +326,9 @@ def _decide(reached, logz: np.ndarray, rest: int,
 
 
 def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-               head: _KernelHead, reached) -> int:
-    """Trials of a block whose log Z_n satisfies reached.
+               head: _KernelHead, reached) -> tuple[int, bool]:
+    """Trials of a block whose log Z_n satisfies reached, and whether a draw
+    was Gaussian.
 
     Draws Z_g (head.draw), then before each generation k decides every open
     trial by _decide: hits are counted and dropped, misses dropped. The
@@ -317,17 +339,17 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     z = head.draw(rng, size)
     rows = np.arange(size)
     log_kmax = math.log(tables.env.k_max)
-    hits = 0
+    hits, approx = 0, False
     for j, rest in enumerate(range(n - head.g, 0, -1)):
         hit, live = _decide(reached, np.log(z), rest, log_kmax)
         hits += int(np.count_nonzero(hit))
         z, rows = z[live], rows[live]
         if not z.size:
-            return hits
+            return hits, approx
         if not j:
             u = rng.random((size, n - head.g))
-        _generation(tables, u[rows, j], z, rng)
-    return hits + int(np.count_nonzero(reached(np.log(z))))
+        approx |= _generation(tables, u[rows, j], z, rng)[1]
+    return hits + int(np.count_nonzero(reached(np.log(z)))), approx
 
 
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
@@ -353,22 +375,24 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
         return _tail_estimate(trials if hit[0] else 0, trials, level, x, n)
     head = _KernelHead(tables, _head_depth(tables, n, trials))
 
-    def run_block(b: int, size: int) -> int:
+    def run_block(b: int, size: int) -> tuple[int, bool]:
         return _tail_hits(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head,
                           reached)
 
-    return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
-                          trials, level, x, n)
+    parts = _map_blocks(run_block, trials, workers)
+    return _tail_estimate(sum(hits for hits, _ in parts), trials, level, x, n,
+                          any(approx for _, approx in parts))
 
 
 def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
-                       workers: int = 1) -> list[IncrementStat]:
+                       workers: int = 1) -> IncrementStats:
     """Sample means of |log W_{k+1} - log W_k| for k = 0..n-1.
 
     The increment is log Z_{k+1} - log Z_k - X_{k+1}, the per-generation
     deviation of actual growth from the environment's conditional mean.
     Blocks draw from DOMAIN_INCREMENTS, so a decay fit shares no stream with
-    the mc_tail_logzn estimate it is checked against.
+    the mc_tail_logzn estimate it is checked against. The list also carries
+    approx_sampling_used.
     """
     _require_trials(trials)
     require_no_extinction(env)
@@ -376,18 +400,21 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
         raise ValueError(f"n={n!r} must be >= 3")
     tables = EnvTables(env)
 
-    def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, bool]:
         rng = stream(seed, DOMAIN_INCREMENTS, b)
         prev_logz = np.zeros(size)
         sums = np.empty(n)
         sums_sq = np.empty(n)
-        for k, (col, z) in enumerate(_generations(tables, n, rng, np.ones(size))):
+        approx = False
+        for k, (col, z, gaussian) in enumerate(
+                _generations(tables, n, rng, np.ones(size))):
             logz = np.log(z)
             inc = np.abs(logz - prev_logz - tables.X[col])
             sums[k] = inc.sum()
             sums_sq[k] = (inc * inc).sum()
             prev_logz = logz
-        return sums, sums_sq
+            approx |= gaussian
+        return sums, sums_sq, approx
 
     partials = _map_blocks(run_block, trials, workers)
     stats = []
@@ -397,7 +424,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
         mean = total / trials
         var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
         stats.append(IncrementStat(k=k, mean=mean, stderr=math.sqrt(var / trials)))
-    return stats
+    return IncrementStats(stats, any(p[2] for p in partials))
 
 
 def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
@@ -442,7 +469,7 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     """TailEstimates of P(|log Z_n / n - mu| >= y) over an (n, y) grid.
 
     Rows come out n-major, y-minor; threshold_x holds y. One trajectory set
-    is shared by all y at a given n.
+    is shared by all y at a given n, and so is approx_sampling_used.
     """
     _require_trials(trials)
     require_no_extinction(env)
@@ -458,12 +485,15 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
             heads[g] = _KernelHead(tables, g)
 
         def run_block(b: int, size: int, n: int = n,
-                      head: _KernelHead = heads[g]) -> np.ndarray:
+                      head: _KernelHead = heads[g]) -> tuple[np.ndarray, bool]:
             return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
 
-        logz_parts = _map_blocks(run_block, trials, workers)
-        deviations = np.abs(np.concatenate(logz_parts) / n - mu)
+        parts = _map_blocks(run_block, trials, workers)
+        logz = np.concatenate([block for block, _ in parts])
+        deviations = np.abs(logz / n - mu)
+        approx = any(gaussian for _, gaussian in parts)
         for y in y_values:
             hits = int(np.count_nonzero(deviations >= y - TIE_EPS))
-            rows.append(_tail_estimate(hits, trials, level, float(y), int(n)))
+            rows.append(_tail_estimate(hits, trials, level, float(y), int(n),
+                                       approx))
     return rows

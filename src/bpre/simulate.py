@@ -128,7 +128,7 @@ class EnvTables:
     pick_probs the state probabilities that lookup implies; per-state
     sampler descriptors are either ("binary", p2) for {1,2}-supported pmfs
     or ("chain", ((k, conditional_p), ...), k_last) for the ascending
-    conditional-binomial chain.
+    conditional-binomial chain, and draws holds binomial_draws of each.
     """
 
     def __init__(self, env: EnvDistribution):
@@ -145,6 +145,7 @@ class EnvTables:
         self.X = np.log(self.means)
         self.index_of = {label: i for i, label in enumerate(self.labels)}
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)
+        self.draws = np.array([binomial_draws(s) for s in self.samplers])
 
     def pick_states(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0,1) to state indices by inverse CDF.

@@ -7,7 +7,7 @@ import pytest
 from bpre import cli
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
-from bpre.estimate import IncrementStat, _head_depth
+from bpre.estimate import IncrementStat, IncrementStats, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
                            simulate_trajectory, stream)
@@ -299,8 +299,9 @@ class TestVerify:
         # increment means that double per generation fit delta_hat = 2: no
         # geometric-decay candidate, so there is no bound to pass
         def growing(env, n, trials, seed, workers=1):
-            return [IncrementStat(k=k, mean=0.01 * 2.0 ** k, stderr=0.0)
-                    for k in range(n)]
+            return IncrementStats([IncrementStat(k=k, mean=0.01 * 2.0 ** k,
+                                                 stderr=0.0)
+                                   for k in range(n)], False)
 
         monkeypatch.setattr(cli, "mc_logw_increments", growing)
         out = tmp_path / "t1fail"
@@ -327,6 +328,8 @@ class TestVerify:
         assert result["hits"] == 0  # x=3 is far outside the support
         assert "delta_hat" in result
         assert "bound_thm1" in result
+        # the fit's populations pass 2^32 and take Gaussian draws
+        assert result["approx_sampling_used"] is True
 
     def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
         # 5^7 state sequences exceed 2^14 but the population support 2^7 is
@@ -356,6 +359,7 @@ class TestVerify:
         result = json.loads((out / "result.json").read_text())
         assert 0.0 < result["delta_hat"] < 1.0
         assert result["fit_k_lo"] == 2 and result["fit_k_hi"] == 7
+        assert result["approx_sampling_used"] is False  # Z_8 <= 2^8
         lines = (out / "result.csv").read_text().splitlines()
         assert lines[0] == "k,mean_abs_increment,stderr"
         assert len(lines) == 9  # header + k = 0..7
@@ -393,6 +397,15 @@ class TestConverge:
                           ("4", "0.29999999999999999"),
                           ("8", "0.10000000000000001"),
                           ("8", "0.29999999999999999")]
+
+    def test_approx_sampling_recorded(self, capsys, binary_cfg):
+        # Z_70 is about 2^39 on the README model; Z_16 stays below 2^32
+        for n, approx in (("70", True), ("8,16", False)):
+            code, out = run_json(capsys, ["converge", binary_cfg,
+                                          "--n-values", n, "--y-values", "0.1",
+                                          "--trials", "1000", "--seed", "1"])
+            assert code == 0
+            assert out["approx_sampling_used"] is approx
 
     def test_stdout_json(self, capsys, binary_cfg):
         code, out = run_json(capsys, ["converge", binary_cfg,

@@ -12,7 +12,8 @@ from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
-                           TailEstimate, _decide, _final_logz, _generations,
+                           TailEstimate, _decide, _final_logz, _generation,
+                           _generations,
                            _head_depth, _KernelHead, _map_blocks, _tail_estimate,
                            _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
@@ -20,7 +21,8 @@ from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
                            theorem1_candidates)
 from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
-from bpre.simulate import DOMAIN_SN, DOMAIN_TRAJ, EnvTables, offspring, stream
+from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_SN, DOMAIN_TRAJ,
+                           EnvTables, offspring, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -343,7 +345,7 @@ class TestDecidedAtZ0:
         def reached(logz):
             return tail_reached(logz, n, mom.mu, M, x)
         # the route that draws a head per block
-        hits = sum(_map_blocks(
+        hits = sum(hits for hits, _ in _map_blocks(
             lambda b, size: _tail_hits(tables, n, size,
                                        stream(4, DOMAIN_TRAJ, b), head, reached),
             trials, 1))
@@ -431,8 +433,8 @@ class TestKernelHead:
                     if sel.size:
                         z[sel] = offspring(z[sel], sampler, rng)
             replay = np.log(z)
-            got = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
-                              _KernelHead(tables, g))
+            got, _ = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
+                                 _KernelHead(tables, g))
             assert replay.tobytes() == got.tobytes()
 
             def reached(logz):
@@ -473,10 +475,10 @@ class TestKernelHead:
             exact = exact_logZn_tail(env, n, x, mom, mom.M_tight)
             wins = 0
             for seed in range(20):
-                logz = np.concatenate(_map_blocks(
+                logz = np.concatenate([logz for logz, _ in _map_blocks(
                     lambda b, size: _final_logz(tables, n, size,
                                                 stream(seed, DOMAIN_TRAJ, b), depth0),
-                    trials, 2))
+                    trials, 2)])
                 hits = int(np.count_nonzero(
                     tail_reached(logz, n, mom.mu, mom.M_tight, x)))
                 low, high = binomial_ci(hits, trials, 0.99)
@@ -523,7 +525,7 @@ class TestEarlyDecision:
         M = getattr(mom, M) if isinstance(M, str) else M
         trials = 4000
         logz = [np.zeros(trials)]
-        for _, z in _generations(tables, n, stream(5, DOMAIN_TRAJ, 0),
+        for _, z, _ in _generations(tables, n, stream(5, DOMAIN_TRAJ, 0),
                                  np.ones(trials)):
             logz.append(np.log(z))
         if n == 70:
@@ -544,6 +546,45 @@ class TestEarlyDecision:
             assert early_hits == early_misses == 0 and final.all()
         else:
             assert early_hits > 0 and early_misses > 0
+
+
+class TestApproxSampling:
+    # MIXED picks "bin" below 0.4, "double" in [0.4, 0.7), "chain" above
+    @pytest.mark.parametrize("u, z, approx", [
+        (0.1, DEFAULT_EXACT_THRESHOLD + 1, True),
+        (0.5, DEFAULT_EXACT_THRESHOLD + 1, False),  # {2} draws nothing
+        (0.9, DEFAULT_EXACT_THRESHOLD + 1, True),
+        (0.1, DEFAULT_EXACT_THRESHOLD, False),  # at the threshold: exact
+    ])
+    def test_generation_flag_follows_simulates_rule(self, u, z, approx):
+        # a generation draws a Gaussian iff some population starts above
+        # the threshold in a state that draws
+        tables = EnvTables(parse_env_config(MIXED))
+        pops = np.array([3.0, float(z)])
+        _, got = _generation(tables, np.array([0.1, u]), pops,
+                             stream(0, DOMAIN_TRAJ, 0))
+        assert got is approx
+
+    def test_estimators_record_gaussian_draws(self):
+        env = binary_env()
+        mom = compute_moments(env)
+        # Z_70 is about 2^39, Z_16 at most 2^16
+        assert mc_logw_increments(env, 70, 2000, seed=0).approx_sampling_used
+        assert not mc_logw_increments(env, 16, 2000,
+                                      seed=0).approx_sampling_used
+        assert mc_tail_logzn(env, 70, 0.05, mom.M_tight, 2000,
+                             seed=0).approx_sampling_used
+        assert not mc_tail_logzn(env, 16, 0.05, mom.M_tight, 2000,
+                                 seed=0).approx_sampling_used
+        rows = convergence_report(env, [16, 70], [0.05, 0.1], 2000, seed=0)
+        assert [r.approx_sampling_used for r in rows] == [False, False,
+                                                          True, True]
+        # a deterministic doubling state draws nothing, even past 2^32
+        doubling = parse_env_config(DOUBLING)
+        assert not mc_logw_increments(doubling, 70, 2000,
+                                      seed=0).approx_sampling_used
+        assert not mc_tail_sn(env, 70, 0.05, mom.M_tight, 2000,
+                              seed=0).approx_sampling_used
 
 
 class TestIncrements:
