@@ -233,8 +233,7 @@ def _generation(tables: EnvTables, u: np.ndarray, z: np.ndarray,
     in a state whose pass draws. Raises ResourceCapError once a population
     passes DEFAULT_POPULATION_CAP, well before float64 overflows."""
     col = tables.pick_states(u)
-    approx = (bool(z.max() > DEFAULT_EXACT_THRESHOLD)
-              and bool(tables.draws[col[z > DEFAULT_EXACT_THRESHOLD]].any()))
+    approx = bool(tables.draws[col[z > DEFAULT_EXACT_THRESHOLD]].any())
     for s, sampler in enumerate(tables.samplers):
         sel = np.nonzero(col == s)[0]
         if sel.size:
