@@ -65,6 +65,9 @@ RUNS = [
      "--n 16 --trials 1e5 --workers 2"),
     ("verify-theorem1-reachable", "verify theorem1", "binary",
      "--n 16 --x 0.2 --M-kind tight --trials 1e5 --workers 2"),
+    # 2^10 <= cli._INCIDENTAL_POPULATION: writes the kernel's exact_tail
+    ("verify-theorem1-kernel", "verify theorem1", "binary",
+     "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
     ("verify-increments", "verify increments", "generic",
      "--n 20 --trials 1e4 --workers 2"),
     ("converge", "converge", "binary",
