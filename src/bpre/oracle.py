@@ -17,9 +17,11 @@ the k^n sequences:
 Complete enumeration of the environment law (cap 10^6 sequences) with a
 per-sequence population DP stays available as the brute-force reference the
 two routes are tested against. A population law is a float64 array indexed
-by value; one generation step builds it by Horner's rule on the offspring
-pgf, and _compose states its error bound (every atom within 1e-13 of the
-exact law for the binary model at n = 8). Tails and E W_n are summed with
+by value; one generation step evaluates the offspring pgf's powers
+weighted by the law in blocks of about sqrt(len) atoms (Paterson and
+Stockmeyer's baby and giant steps), and _compose states its error bound
+(every atom within 9.0e-14 of the exact law for the binary model at n = 8,
+while the atoms stay normal numbers). Tails and E W_n are summed with
 math.fsum. There is no exact-rational mode; the tests check the kernel
 against one.
 
@@ -56,8 +58,8 @@ def tail_reached(stat, n: int, mu: float, M: float, x: float):
 
 MAX_SEQUENCES = 10 ** 6
 MAX_COMPOSITIONS = 10 ** 6
-# kernel_work of the two-state binary {1, 2} model at n = 16 is 2^33 - 2
-# multiply-adds, about 22 s on a 2-CPU Xeon; its n = 17 is four times that.
+# kernel_work of the two-state binary {1, 2} model at n = 16 is 5.8e9
+# multiply-adds, about 1.4 s on a 2-CPU Xeon; its n = 17 is four times that.
 MAX_KERNEL_WORK = 1 << 33
 
 
@@ -194,43 +196,98 @@ def _offspring_array(state: EnvState) -> np.ndarray:
     return np.array([entries.get(k, 0.0) for k in range(state.pmf.support[-1] + 1)])
 
 
-def _compose(dist: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+def _block_size(length: int) -> int:
+    """B = ceil(sqrt(length)), _compose's block length on a law of `length`
+    atoms."""
+    return math.isqrt(length - 1) + 1
+
+
+def _compose(dist: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     """The law of the next generation when the current one has law dist and
-    each individual has offspring law pmf (both indexed by value): the
-    coefficients of sum_z dist[z] f(t)^z, f being the offspring pgf, by
-    Horner's rule dist[0] + f(dist[1] + f(dist[2] + ...)).
+    each individual has offspring law f (both indexed by value): the
+    coefficients of sum_z dist[z] f(t)^z, f being the offspring pgf.
 
-    np.convolve sums the products directly, so each coefficient is a sum of
-    nonnegative terms and nothing cancels (an FFT would leave negative
-    round-off in the far tail). A Horner step puts at most s + 1 roundings on
-    a term, for s nonzero pmf entries, and dist[z] passes through z steps. So
-    each atom's relative error grows by at most gamma_N = N u / (1 - N u),
-    u = 2^-53, with N = (s + 1)(len(dist) - 1). Over n kernel generations
-    with k states, N <= sum_{g<n} ((s + 1) k_max^g + k), the k counting the
-    weighted mixture: 781 for the two-state {1, 2} model at n = 8, a bound
-    of 8.7e-14.
+    powers holds f^0 = 1, f^1 = the offspring array, ... as arrays; _compose
+    appends the powers it lacks, so one list serves every generation of a
+    state. The sum is evaluated in blocks (Paterson & Stockmeyer, SIAM J.
+    Comput. 1973): with B = ceil(sqrt(L)) for L = len(dist), the baby steps
+    form every block P_b = sum_{i<B} dist[bB + i] f^i at once, one outer
+    product per i, and the giant steps run Horner's rule over the
+    ceil(L / B) blocks with the multiplier f^B,
+    P_0 + f^B (P_1 + f^B (P_2 + ...)), one np.convolve each: about
+    2 sqrt(L) numpy calls with long dot products, not one short convolution
+    per atom. No step is a BLAS matrix product, whose summation order can
+    follow the thread count.
+
+    Every product is of nonnegative numbers and every sum adds them up, so
+    nothing cancels (an FFT would leave negative round-off in the far tail),
+    adding an exact zero rounds nothing, and each atom's relative error is
+    at most gamma_N = N u / (1 - N u), u = 2^-53, for N the most roundings
+    on any one term. Let the offspring array have c nonzero entries spread
+    over w = (largest - smallest family size), so f^i has at most i w + 1
+    nonzero entries. Then f^i carries (i - 1) c roundings (each power's
+    convolution adds a product and at most c - 1 sums), a baby-step term at
+    most (B - 1) c + 1 (its power, one product and at most B - i sums), and
+    each giant step adds at most (B - 1) c + B w + 2 (f^B, one product, at
+    most B w sums in the dot product and the block's sum). So
+    N = (B - 1) c + 1 + (ceil(L / B) - 1) ((B - 1) c + B w + 2).
+    Over n kernel generations with k states the terms take the sum of the
+    steps' N plus k per generation for the weighted mixture: 809 for the
+    two-state {1, 2} model at n = 8, a bound of 9.0e-14. The bound holds
+    while products and sums stay normal numbers; a term that underflows to
+    the subnormal range loses its relative accuracy.
     """
-    acc = dist[-1:]
-    for pz in dist[-2::-1]:
-        acc = np.convolve(acc, pmf)
-        acc[0] += pz
-    return acc
+    length, pmf = len(dist), powers[1]
+    block = _block_size(length)
+    while len(powers) <= block:
+        powers.append(np.convolve(powers[-1], pmf))
+    coeffs = np.zeros(-(-length // block) * block)
+    coeffs[:length] = dist
+    coeffs = coeffs.reshape(-1, block)
+    blocks = np.zeros((len(coeffs), len(powers[block - 1])))
+    blocks[:, 0] = coeffs[:, 0]
+    for i in range(1, block):
+        f = powers[i]
+        blocks[:, :len(f)] += np.outer(coeffs[:, i], f)
+    acc = blocks[-1]
+    for part in blocks[-2::-1]:
+        acc = np.convolve(acc, powers[block])
+        acc[:len(part)] += part
+    return acc[:(length - 1) * (len(pmf) - 1) + 1]
 
 
-def _compose_work(length: int, size: int) -> int:
+def _compose_work(length: int, size: int, built: int) -> int:
     """Multiply-adds of _compose on a law of `length` atoms and an offspring
-    array of `size` entries: its j-th np.convolve (j = 0..length-2) takes an
-    accumulator of 1 + j (size - 1) entries times the size pmf entries."""
-    steps = length - 1
-    return size * (steps + (size - 1) * steps * (steps - 1) // 2)
+    array of `size` entries, s = size - 1, when the powers up to f^built
+    exist: the np.convolve that makes each missing power f^i (i = built+1..B)
+    takes 1 + (i - 1) s entries times size; the baby steps' np.outer for
+    i = 1..B-1 takes the ceil(length / B) blocks times the 1 + i s entries of
+    f^i; the giant steps' j-th np.convolve (j = 0..blocks-2) takes an
+    accumulator of 1 + (B - 1 + j B) s entries times the 1 + B s of f^B."""
+    s, block = size - 1, _block_size(length)
+    blocks = -(-length // block)
+    powers = 0
+    if block > built:
+        powers = size * (block - built
+                         + s * (block * (block - 1) - built * (built - 1)) // 2)
+    baby = blocks * (block - 1 + s * block * (block - 1) // 2)
+    giant = (1 + block * s) * ((blocks - 1) * (1 + (block - 1) * s)
+                               + block * s * (blocks - 1) * (blocks - 2) // 2)
+    return powers + baby + giant
 
 
 def _running_work(generations: Iterable[Sequence[EnvState]]) -> Iterator[int]:
     """kernel_work of the first 1, 2, ... of the given generations."""
     total, top = 0, 1
+    built: dict[int, int] = {}  # id(state) -> its highest power so far
     for states in generations:
-        sizes = [state.pmf.support[-1] + 1 for state in states]
-        total += sum(_compose_work(top + 1, size) for size in sizes)
+        block = _block_size(top + 1)
+        sizes = []
+        for state in states:
+            sizes.append(state.pmf.support[-1] + 1)
+            have = built.get(id(state), 1)
+            total += _compose_work(top + 1, sizes[-1], have)
+            built[id(state)] = max(have, block)
         top *= max(sizes) - 1
         yield total
 
@@ -239,9 +296,10 @@ def kernel_work(generations: Iterable[Sequence[EnvState]]) -> int:
     """Multiply-adds _compose does to push delta_1 through the given
     generations, each listed as the states its mixture steps with, summed
     over generations and states. A step's offspring array has (largest
-    family size) + 1 entries whatever its zeros, and the law after a
-    generation reaches the product of the largest family sizes so far.
-    The two-state binary {1, 2} model does 2 (4^n - 1) at horizon n."""
+    family size) + 1 entries whatever its zeros, the law after a
+    generation reaches the product of the largest family sizes so far, and
+    each state's powers are built once, in the first generation that needs
+    them. The two-state binary {1, 2} model does 5,797,609,192 at n = 16."""
     total = 0
     for total in _running_work(generations):
         pass
@@ -259,13 +317,19 @@ def _check_kernel_work(generations: Iterable[Sequence[EnvState]]) -> None:
                 f"the cap {MAX_KERNEL_WORK}")
 
 
-def _propagate(generations: Iterable[Sequence[tuple[np.ndarray, float]]]
+def _propagate(generations: Iterable[Sequence[tuple[EnvState, float]]]
                ) -> np.ndarray:
     """Push delta_1 through one mixture sum_s weight_s T_s per generation,
-    given as (offspring array, weight) pairs; the result is indexed by value."""
+    given as (state, weight) pairs; the result is indexed by value. Each
+    state keeps one list of the powers of its offspring pgf for the call."""
     law = np.array([0.0, 1.0])
+    powers: dict[int, list[np.ndarray]] = {}  # keyed by id(state)
     for mixture in generations:
-        parts = [weight * _compose(law, pmf) for pmf, weight in mixture]
+        parts = []
+        for state, weight in mixture:
+            if id(state) not in powers:
+                powers[id(state)] = [np.ones(1), _offspring_array(state)]
+            parts.append(weight * _compose(law, powers[id(state)]))
         law = np.zeros(max(len(part) for part in parts))
         for part in parts:
             law[:len(part)] += part
@@ -279,7 +343,7 @@ def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
     if n < 1:
         raise ValueError("environment sequence is empty")
     _check_kernel_work([state] for state in env_seq)
-    law = _propagate([(_offspring_array(state), 1.0)] for state in env_seq)
+    law = _propagate([(state, 1.0)] for state in env_seq)
     return ExactPmf(tuple((v, p) for v, p in enumerate(law.tolist()) if p > 0.0))
 
 
@@ -289,8 +353,7 @@ def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float]) -> np.nd
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
     _check_kernel_work(itertools.repeat([state for state, _ in env.states], n))
-    mixture = [(_offspring_array(state), weight)
-               for (state, _), weight in zip(env.states, weights)]
+    mixture = [(state, weight) for (state, _), weight in zip(env.states, weights)]
     return _propagate(itertools.repeat(mixture, n))
 
 

@@ -67,7 +67,7 @@ def brute_population_pmf(states):
 
 def rational_kernel_laws(env, n):
     """The kernel laws of Z_1..Z_n, weighted by the state masses, in exact
-    arithmetic by the same Horner recurrence as the float kernel. Every float
+    arithmetic by Horner's recurrence on the offspring pgf. Every float
     is a dyadic rational, so the recurrence runs on integers over one power
     of two, which avoids Fraction's gcds on every product."""
     floats = [mass for _, mass in env.states] + [
@@ -261,6 +261,76 @@ class TestPopulationDistribution:
             assert worst <= 1e-13, (g, float(worst))
 
 
+def horner_compose(dist, pmf):
+    """The kernel step before blocking: Horner's rule on the atoms,
+    dist[0] + f (dist[1] + f (dist[2] + ...)), one convolution per atom.
+    Each atom is within gamma_N, N = (c + 1)(len(dist) - 1) for c nonzero
+    pmf entries, of the exact one."""
+    acc = dist[-1:]
+    for pz in dist[-2::-1]:
+        acc = np.convolve(acc, pmf)
+        acc[0] += pz
+    return acc
+
+
+def gamma(n):
+    u = 2.0 ** -53
+    return n * u / (1 - n * u)
+
+
+def blocked_roundings(length, pmf):
+    """N of the _compose docstring: the most roundings on a term of one step."""
+    support = np.flatnonzero(pmf)
+    c, w = len(support), int(support[-1] - support[0])
+    block = math.isqrt(length - 1) + 1
+    blocks = -(-length // block)
+    return (block - 1) * c + 1 + (blocks - 1) * ((block - 1) * c + block * w + 2)
+
+
+STEP_PMFS = {"binary": {1: 0.25, 2: 0.75}, "one-two-three": {1: 0.5, 2: 0.3, 3: 0.2},
+             "gapped": {1: 0.4, 3: 0.6}, "deterministic": {2: 1.0},
+             "die": {k: 1 / 6 for k in range(1, 7)}}
+NORMAL_ATOM = 1e-280  # far enough above the subnormal range
+
+
+def step_pmf(name):
+    entries = STEP_PMFS[name]
+    pmf = np.zeros(max(entries) + 1)
+    for k, p in entries.items():
+        pmf[k] = p
+    return pmf
+
+
+class TestBlockedStep:
+    # block length 8 at 64 atoms, 9 at 65
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 65, 4097])
+    @pytest.mark.parametrize("name", sorted(STEP_PMFS))
+    def test_matches_horner_within_the_bound(self, name, length):
+        pmf = step_pmf(name)
+        dist = np.random.default_rng(length).random(length)
+        got = oracle._compose(dist, [np.ones(1), pmf])
+        ref = horner_compose(dist, pmf)
+        assert len(got) == len(ref)
+        # both within their gamma of the exact atom, so of each other
+        g_ref = gamma((np.count_nonzero(pmf) + 1) * (length - 1))
+        tol = (gamma(blocked_roundings(length, pmf)) + g_ref) / (1 - g_ref)
+        normal = ref > NORMAL_ATOM
+        assert normal.any()
+        assert np.all(np.abs(got[normal] - ref[normal]) <= tol * ref[normal])
+        assert np.all(got[~normal] <= NORMAL_ATOM * (1 + tol))
+
+    def test_repeated_calls_are_bit_identical(self):
+        pmf = step_pmf("one-two-three")
+        dist = np.random.default_rng(7).random(4097)
+        powers = [np.ones(1), pmf]
+        first = oracle._compose(dist, powers)
+        assert oracle._compose(dist, powers).tobytes() == first.tobytes()
+        grown = [np.ones(1), pmf]  # powers built up over shorter laws first
+        for length in (3, 65, 1025):
+            oracle._compose(dist[:length], grown)
+        assert oracle._compose(dist, grown).tobytes() == first.tobytes()
+
+
 class TestLogZnTail:
     @pytest.mark.parametrize("cfg, n", [(BINARY, 2), (BINARY, 3),
                                         (THREE_POINT, 2), (EXTINCT, 2)])
@@ -426,8 +496,9 @@ class TestReach:
             states = [state for state, _ in parse_env_config(cfg).states]
             assert kernel_work([states] * last) <= MAX_KERNEL_WORK
             assert kernel_work([states] * (last + 1)) > MAX_KERNEL_WORK
+        # the blocked step's exact count (test_kernel_work_counts_the_convolutions)
         assert kernel_work([[state for state, _ in binary_env().states]] * 16) \
-            == 2 * (4 ** 16 - 1)
+            == 5_797_609_192
         env = binary_env()
         mom = compute_moments(env)
         t0 = time.perf_counter()
@@ -441,14 +512,17 @@ class TestReach:
     @pytest.mark.parametrize("cfg, n", [(BINARY, 6), (GENERIC, 4), (EXTINCT, 4),
                                         (DOUBLING, 5)])
     def test_kernel_work_counts_the_convolutions(self, cfg, n, monkeypatch):
-        # kernel_work is the multiply-adds np.convolve does inside _compose
+        # kernel_work is the multiply-adds of _compose: the np.convolve of its
+        # powers and giant steps and the np.outer of its baby steps
         done = []
-        convolve = np.convolve
 
-        def counting(a, v):
-            done.append(len(a) * len(v))
-            return convolve(a, v)
-        monkeypatch.setattr(oracle.np, "convolve", counting)
+        def counting(product):
+            def count(a, v):
+                done.append(len(a) * len(v))
+                return product(a, v)
+            return count
+        monkeypatch.setattr(oracle.np, "convolve", counting(np.convolve))
+        monkeypatch.setattr(oracle.np, "outer", counting(np.outer))
         env = parse_env_config(cfg)
         states = [state for state, _ in env.states]
         _kernel_law(env, n, [mass for _, mass in env.states])
