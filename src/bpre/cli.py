@@ -10,6 +10,7 @@ parse error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import json
@@ -455,7 +456,10 @@ def _float_list(text: str) -> list[float]:
                                          "list of numbers") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bpre argument parser, built once per process: parse_args keeps no
+    state between calls, so in-process callers (tests, library use) reuse it."""
     parser = argparse.ArgumentParser(
         prog="bpre",
         description="Branching processes in random environments: simulation, "

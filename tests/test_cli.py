@@ -538,6 +538,35 @@ class TestManifest:
             assert (out / name).exists()
 
 
+class TestParserBuiltOnce:
+    # (command, plain flags, flags that override defaults), each run alone
+    # with a fresh parser and in alternating order with the cached one
+    RUNS = [(["verify", "oracle"], ["--n", "8"],
+             ["--grid-points", "7", "--M-kind", "paper"]),
+            (["oracle"], ["--n", "8", "--x", "0.5"], ["--M-kind", "paper"]),
+            (["verify", "sn"], ["--n", "8", "--x", "0.5", "--trials", "2000",
+                                "--seed", "1"],
+             ["--level", "0.9", "--M-kind", "paper", "--workers", "1"])]
+
+    def test_no_default_leaks_between_calls(self, tmp_path, capsys, binary_cfg):
+        def run(argv, out):
+            assert cli.main([*argv, "--out", str(out)]) in (0, 1)
+            return {p.name: p.read_bytes() for p in sorted(out.glob("result*"))}
+        argvs = [cmd + [binary_cfg] + plain + extra
+                 for cmd, plain, flags in self.RUNS for extra in ([], flags)]
+        order = [0, 3, 4, 1, 2, 5, 1, 4, 3, 0, 5, 2]  # plain and flagged alternate
+        assert cli.build_parser() is cli.build_parser()
+        cached = [(i, run(argvs[i], tmp_path / f"cached{k}"))
+                  for k, i in enumerate(order)]
+        fresh = []
+        for i, argv in enumerate(argvs):
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv, tmp_path / f"fresh{i}"))
+            assert fresh[i] and all(files == fresh[i] for j, files in cached
+                                    if j == i), argv
+        assert all(fresh[i] != fresh[i + 1] for i in range(0, len(fresh), 2))
+
+
 class TestArgsAndFormat:
     def test_trials_scientific(self):
         assert cli._trials("1e6") == 10 ** 6
