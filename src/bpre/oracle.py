@@ -357,18 +357,31 @@ def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float]) -> np.nd
     return _propagate(itertools.repeat(mixture, n))
 
 
+def _first_tail_atom(top: int, n: int, mu: float, M: float, x: float) -> int:
+    """The least population v in 1..top whose log v reaches the tail, or
+    top + 1 if none does. log v and the normalized statistic are monotone in
+    v, so integer bisection finds it with O(log top) tail_reached calls."""
+    lo, hi = 1, top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail_reached(math.log(mid), n, mu, M, x):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
                      moments: ModelMoments, M: float) -> float:
-    """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n.
-    Extinct mass (Z_n = 0) never lies in an upper tail; ties follow
-    tail_reached."""
+    """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n:
+    the correctly rounded sum of the atoms from the first one in the tail
+    (_first_tail_atom) up. Extinct mass (Z_n = 0) never lies in an upper
+    tail; ties follow tail_reached."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
-    mu = moments.mu
     law = _kernel_law(env, n, [mass for _, mass in env.states])
-    return math.fsum(
-        p for v, p in enumerate(law.tolist())
-        if v > 0 and tail_reached(math.log(v), n, mu, M, x))
+    first = _first_tail_atom(len(law) - 1, n, moments.mu, M, x)
+    return math.fsum(law[first:].tolist())
 
 
 def exact_EWn(env: EnvDistribution, n: int) -> float:

@@ -342,6 +342,35 @@ class TestLogZnTail:
             expect = brute_logzn_tail(env, n, x, mom.mu, mom.M_tight)
             assert got == pytest.approx(expect, abs=1e-12), (cfg, n, x)
 
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (GENERIC, 5), (EXTINCT, 4)])
+    def test_first_atom_matches_per_atom_selection(self, cfg, n):
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
+        law = _kernel_law(env, n, [mass for _, mass in env.states]).tolist()
+        top, atom = len(law) - 1, (len(law) - 1) // 3
+        for M in (mom.M_tight, mom.M_paper):
+            def stat(v):
+                return (math.log(v) - n * mom.mu) / (n * M)
+            # stat(1) reaches every v >= 1; x = 1 is the top atom's edge, a
+            # tie, under M_paper (the all-max-state path, Z_n = k_max^n); one
+            # x lies past the top atom, and two within and just past TIE_EPS
+            # of an atom
+            grid = (stat(1), 0.0, 0.3, 1.0, stat(top) + 0.1,
+                    stat(atom) + TIE_EPS / 2, stat(atom) + 2 * TIE_EPS)
+            firsts = []
+            for x in grid:
+                picked = [v for v in range(1, top + 1)
+                          if tail_reached(math.log(v), n, mom.mu, M, x)]
+                first = oracle._first_tail_atom(top, n, mom.mu, M, x)
+                assert picked == list(range(first, top + 1)), x
+                assert exact_logZn_tail(env, n, x, mom, M) \
+                    == math.fsum(law[v] for v in picked), x
+                firsts.append(first)
+            assert firsts[0] == 1
+            assert firsts[4] == top + 1
+            assert exact_logZn_tail(env, n, grid[4], mom, M) == 0.0
+            assert firsts[5] <= atom < firsts[6]
+
     def test_doubling_point_mass_tail(self):
         env = parse_env_config(DOUBLING)
         mom = compute_moments(env)
