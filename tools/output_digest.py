@@ -27,6 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bpre.cli import main  # noqa: E402
 
 SEED = "3"
+# The exact oracles draw nothing and take no --seed.
+EXACT = ("oracle", "verify oracle")
 
 # The README model (offspring {1, 2}), the bench's {1, 2, 3} model, and a
 # {1,2} / deterministic {2} / {1,2,3} chain mix.
@@ -61,6 +63,8 @@ RUNS = [
     # x = 1 under M_tight: only the all-high sequence, on the threshold
     ("verify-sn-tie", "verify sn", "binary",
      "--n 10 --x 1 --M-kind tight --trials 1e5 --workers 2"),
+    ("verify-sn-paper", "verify sn", "binary",
+     "--n 10 --x 0.5 --M-kind paper --level 0.9 --trials 1e5 --workers 2"),
     ("verify-theorem1", "verify theorem1", "generic",
      "--n 16 --trials 1e5 --workers 2"),
     ("verify-theorem1-reachable", "verify theorem1", "binary",
@@ -70,6 +74,11 @@ RUNS = [
      "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
     ("verify-increments", "verify increments", "generic",
      "--n 20 --trials 1e4 --workers 2"),
+    ("verify-increments-window", "verify increments", "binary",
+     "--n 12 --fit-lo 3 --fit-hi 9 --trials 1e4"),
+    ("verify-oracle", "verify oracle", "binary", "--n 8 --grid-points 11"),
+    ("verify-oracle-paper", "verify oracle", "generic",
+     "--n 6 --grid-points 5 --M-kind paper"),
     ("converge", "converge", "binary",
      "--n-values 8,16,32,70 --y-values 0.05,0.1,0.2 --trials 1e4 --workers 2"),
     ("oracle", "oracle", "binary", "--n 16 --x 0.5"),
@@ -83,7 +92,7 @@ def digest(root: Path) -> list[str]:
     for run, command, model, flags in RUNS:
         argv = [*command.split(), str(root / f"{model}.json"), *flags.split(),
                 "--out", str(root / run)]
-        if command != "oracle":  # the exact oracle draws nothing
+        if command not in EXACT:
             argv += ["--seed", SEED]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
