@@ -89,19 +89,16 @@ def _csv(header: str, rows: list[list[str]]) -> str:
     return "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
 
 
-def emit(args, result: dict, csv_text: str | None = None,
-         extra_csvs: dict[str, str] | None = None,
+def emit(args, result: dict, files: dict[str, str] | None = None,
          config_sha: str | None = None, seed: int | None = None) -> None:
-    """Write the --out directory convention, or print the JSON to stdout."""
+    """Write the --out directory convention, or print the JSON to stdout;
+    files maps each CSV's name to its text."""
     if args.out is None:
         print(render_json(result))
         return
+    files = files or {}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = ["result.json"]
-    if csv_text is not None:
-        outputs.append("result.csv")
-    outputs.extend(sorted(extra_csvs or ()))
     manifest = {
         "command": "bpre " + shlex.join(args.argv),
         "env_config_sha256": config_sha,
@@ -109,27 +106,25 @@ def emit(args, result: dict, csv_text: str | None = None,
         "rng_id": RNG_ID,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": outputs,
+        "outputs": ["result.json", *sorted(files)],
     }
     (outdir / "manifest.json").write_text(render_json(manifest) + "\n",
                                           encoding="utf-8")
     (outdir / "result.json").write_text(
         render_json({**result, "manifest": "manifest.json"}) + "\n",
         encoding="utf-8")
-    if csv_text is not None:
-        (outdir / "result.csv").write_text(csv_text, encoding="utf-8")
-    for name, text in (extra_csvs or {}).items():
+    for name, text in files.items():
         (outdir / name).write_text(text, encoding="utf-8")
 
 
 def resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        raw = os.environ.get("BPRE_SEED", "")
-        seed = int(raw) if raw else 0
-    if not 0 <= seed < SEED_MAX:
-        raise ValueError(f"seed={seed} outside the unsigned 64-bit range")
-    return seed
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("BPRE_SEED", "")
+    try:
+        return _seed(raw) if raw else 0
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"$BPRE_SEED {exc}") from None
 
 
 def load_env(path: str) -> tuple[EnvDistribution, str]:
@@ -209,9 +204,7 @@ def cmd_simulate(args) -> int:
               "n": args.n, "trials": args.trials,
               "approx_sampling_used": approx_any,
               "files": sorted(csvs)}
-    single = csvs.pop("result.csv", None)
-    emit(args, result, csv_text=single, extra_csvs=csvs, config_sha=sha,
-         seed=seed)
+    emit(args, result, csvs, config_sha=sha, seed=seed)
     return 0
 
 
@@ -233,12 +226,10 @@ def _verdict_line(args, mode: str, passed: bool) -> None:
         print(f"verify {mode}: {'PASS' if passed else 'FAIL'}")
 
 
-def _verify_sn(args, env: EnvDistribution, sha: str,
-               moments: ModelMoments) -> int:
-    if args.x is None:
-        raise ValueError("verify sn requires --x")
-    kind = args.m_kind or "tight"
-    M = _pick_M(moments, kind)
+def cmd_verify_sn(args) -> int:
+    env, sha = load_env(args.config)
+    moments = compute_moments(env)
+    M = _pick_M(moments, args.m_kind)
     seed = resolve_seed(args)
     est = mc_tail_sn(env, args.n, args.x, M, args.trials, seed,
                      level=args.level, workers=_workers(args))
@@ -248,34 +239,33 @@ def _verify_sn(args, env: EnvDistribution, sha: str,
         exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
     passed = est.ci_low <= bound and (exact is None or exact <= bound)
 
-    row = [str(args.n), fmt(args.x), kind, str(est.hits), str(est.trials),
+    row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits), str(est.trials),
            fmt(est.point), fmt(est.ci_low), fmt(est.ci_high), fmt(bound), ""]
-    result = {"mode": "sn", "n": args.n, "x": args.x, "M_kind": kind,
+    result = {"mode": "sn", "n": args.n, "x": args.x, "M_kind": args.m_kind,
               "hits": est.hits, "trials": est.trials, "point": est.point,
               "ci_low": est.ci_low, "ci_high": est.ci_high,
               "level": est.level, "bound_H": bound, "exact_tail": exact,
               "dominated": passed, "pass": passed, "seed": seed,
               "rng_id": RNG_ID}
-    emit(args, result, csv_text=_csv(TAIL_CSV_HEADER, [row]), config_sha=sha,
-         seed=seed)
+    emit(args, result, {"result.csv": _csv(TAIL_CSV_HEADER, [row])},
+         config_sha=sha, seed=seed)
     _verdict_line(args, "sn", passed)
     return 0 if passed else 1
 
 
-def _verify_theorem1(args, env: EnvDistribution, sha: str,
-                     moments: ModelMoments) -> int:
-    x = 3.0 if args.x is None else args.x
+def cmd_verify_theorem1(args) -> int:
+    env, sha = load_env(args.config)
+    moments = compute_moments(env)
     m = args.n if args.m is None else args.m
     if m > args.n:
         raise ValueError(f"--m {m} must be in [1, n={args.n}]")
     if args.n < 6:
         raise ValueError(f"--n {args.n}: the decay fit over k = 2..n-1 needs "
                          "4 points, so n >= 6")
-    kind = args.m_kind or "paper"
-    M = _pick_M(moments, kind)
+    M = _pick_M(moments, args.m_kind)
     seed = resolve_seed(args)
     workers = _workers(args)
-    est = mc_tail_logzn(env, args.n, x, M, args.trials, seed,
+    est = mc_tail_logzn(env, args.n, args.x, M, args.trials, seed,
                         level=args.level, workers=workers)
 
     # Constants are fitted from increment decay at the same horizon; the
@@ -296,16 +286,16 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
 
     exact = None
     if env.k_max ** args.n <= _INCIDENTAL_POPULATION:
-        exact = exact_logZn_tail(env, args.n, x, moments, M)
+        exact = exact_logZn_tail(env, args.n, args.x, moments, M)
     passed = (bound is not None and est.point <= bound
               and (exact is None or exact <= bound))
 
-    row = [str(args.n), fmt(x), kind, str(est.hits), str(est.trials),
-           fmt(est.point), fmt(est.ci_low), fmt(est.ci_high), "",
-           fmt(bound) if bound is not None else ""]
-    result = {"mode": "theorem1", "n": args.n, "x": x, "m": m, "M_kind": kind,
-              "hits": est.hits, "trials": est.trials, "point": est.point,
-              "ci_low": est.ci_low, "ci_high": est.ci_high,
+    row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits),
+           str(est.trials), fmt(est.point), fmt(est.ci_low), fmt(est.ci_high),
+           "", fmt(bound) if bound is not None else ""]
+    result = {"mode": "theorem1", "n": args.n, "x": args.x, "m": m,
+              "M_kind": args.m_kind, "hits": est.hits, "trials": est.trials,
+              "point": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
               "level": est.level, "bound_thm1": bound, "C_hat": C_hat,
               "delta_hat": delta_hat, "fit_r2": fit.r2,
               "fit_trials": fit_trials, "exact_tail": exact,
@@ -313,14 +303,14 @@ def _verify_theorem1(args, env: EnvDistribution, sha: str,
               "approx_sampling_used": (est.approx_sampling_used
                                        or incs.approx_sampling_used),
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, csv_text=_csv(TAIL_CSV_HEADER, [row]), config_sha=sha,
-         seed=seed)
+    emit(args, result, {"result.csv": _csv(TAIL_CSV_HEADER, [row])},
+         config_sha=sha, seed=seed)
     _verdict_line(args, "theorem1", passed)
     return 0 if passed else 1
 
 
-def _verify_increments(args, env: EnvDistribution, sha: str,
-                       moments: ModelMoments) -> int:
+def cmd_verify_increments(args) -> int:
+    env, sha = load_env(args.config)
     lo = args.fit_lo
     hi = args.n - 1 if args.fit_hi is None else args.fit_hi
     if not 0 <= lo < hi <= args.n - 1:
@@ -343,19 +333,17 @@ def _verify_increments(args, env: EnvDistribution, sha: str,
               "pass": passed,
               "approx_sampling_used": incs.approx_sampling_used,
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, csv_text=_csv(INCREMENT_CSV_HEADER, rows),
+    emit(args, result, {"result.csv": _csv(INCREMENT_CSV_HEADER, rows)},
          config_sha=sha, seed=seed)
     _verdict_line(args, "increments", passed)
     return 0 if passed else 1
 
 
-def _verify_oracle(args, env: EnvDistribution, sha: str,
-                   moments: ModelMoments) -> int:
-    kind = args.m_kind or "tight"
-    M = _pick_M(moments, kind)
+def cmd_verify_oracle(args) -> int:
+    env, sha = load_env(args.config)
+    moments = compute_moments(env)
+    M = _pick_M(moments, args.m_kind)
     sigma = math.sqrt(moments.sigma2)
-    if args.grid_points < 2:
-        raise ValueError("--grid-points must be >= 2")
     rows = []
     violations = 0
     for i in range(args.grid_points):
@@ -364,23 +352,16 @@ def _verify_oracle(args, env: EnvDistribution, sha: str,
         bound = sn_tail_bound(args.n, x, sigma, M)
         dominated = exact <= bound
         violations += 0 if dominated else 1
-        rows.append([str(args.n), fmt(x), kind, fmt(exact), fmt(bound),
+        rows.append([str(args.n), fmt(x), args.m_kind, fmt(exact), fmt(bound),
                      "true" if dominated else "false"])
     passed = violations == 0
-    result = {"mode": "oracle", "n": args.n, "M_kind": kind,
+    result = {"mode": "oracle", "n": args.n, "M_kind": args.m_kind,
               "grid_points": args.grid_points, "violations": violations,
               "pass": passed}
-    emit(args, result, csv_text=_csv(ORACLE_CSV_HEADER, rows), config_sha=sha)
+    emit(args, result, {"result.csv": _csv(ORACLE_CSV_HEADER, rows)},
+         config_sha=sha)
     _verdict_line(args, "oracle", passed)
     return 0 if passed else 1
-
-
-def cmd_verify(args) -> int:
-    env, sha = load_env(args.config)
-    moments = compute_moments(env)
-    handler = {"sn": _verify_sn, "theorem1": _verify_theorem1,
-               "increments": _verify_increments, "oracle": _verify_oracle}
-    return handler[args.mode](args, env, sha, moments)
 
 
 def cmd_converge(args) -> int:
@@ -398,62 +379,92 @@ def cmd_converge(args) -> int:
               "rows": [{"n": r.n, "y": r.threshold_x, "hits": r.hits,
                         "point": r.point, "ci_low": r.ci_low,
                         "ci_high": r.ci_high} for r in rows]}
-    emit(args, result, csv_text=_csv(CONVERGE_CSV_HEADER, csv_rows),
+    emit(args, result, {"result.csv": _csv(CONVERGE_CSV_HEADER, csv_rows)},
          config_sha=sha, seed=seed)
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} must be >= {low}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _number(text: str) -> float:
     try:
-        value = int(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
-    return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
 
 
 def _trials(text: str) -> int:
     # accepts scientific notation: --trials 1e6
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    value = _number(text)
     if not value.is_integer() or value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be a positive integer")
     return int(value)
 
 
 def _level(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    value = _number(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"{text!r} must be in (0, 1)")
     return value
 
 
+def _threshold(text: str) -> float:
+    """A tail threshold x or deviation y: no statistic reaches a NaN or
+    infinite one, so a run against it would pass by vacuity."""
+    value = _number(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite and >= 0")
+    return value
+
+
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 0 <= value < SEED_MAX:
+    value = _int_at_least(0)(text)
+    if value >= SEED_MAX:
         raise argparse.ArgumentTypeError(f"{text!r} outside the unsigned 64-bit range")
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",") if part]
+def _list_of(parse):
+    def parse_list(text: str) -> list:
+        values = [parse(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} lists no values")
+        return values
+    return parse_list
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated "
-                                         "list of numbers") from None
+def _add_m_kind(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--M-kind", dest="m_kind", choices=["tight", "paper"],
+                   default=default, help=f"H1 constant (default {default})")
+
+
+def _add_sampling(p: argparse.ArgumentParser, trials: int,
+                  level: float | None) -> None:
+    """The Monte Carlo flags, with the command's defaults; --level only
+    where a confidence interval is reported."""
+    p.add_argument("--trials", type=_trials, default=trials,
+                   help=f"number of trials (default {trials:g})")
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="master seed (default: $BPRE_SEED, else 0)")
+    if level is not None:
+        p.add_argument("--level", type=_level, default=level,
+                       help=f"confidence level (default {level:g})")
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker threads (default: available parallelism); "
+                        "results are identical for any value")
 
 
 @functools.cache
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate the Hoeffding-type tail bound")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_threshold, required=True)
     p.add_argument("--v", type=float, help="variance parameter, given directly")
     p.add_argument("--sigma", type=float,
                    help="with --M, forms v = sqrt(n)*sigma/M")
@@ -503,51 +514,58 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact walk tail vs the H bound at one point")
     p.add_argument("config")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--M-kind", dest="m_kind", choices=["tight", "paper"],
-                   default="tight")
+    p.add_argument("--x", type=_threshold, required=True)
+    _add_m_kind(p, "tight")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="Monte Carlo / exact verification runs")
-    p.add_argument("mode", choices=["sn", "theorem1", "increments", "oracle"])
-    p.add_argument("config")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--x", type=float, default=None,
-                   help="tail threshold (sn: required; theorem1: default 3)")
+    verify = sub.add_parser("verify", help="Monte Carlo / exact verification "
+                                           "runs; see bpre verify MODE --help")
+    modes = verify.add_subparsers(dest="mode", required=True)
+
+    def mode(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = modes.add_parser(name, help=help_text)
+        p.add_argument("config")
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+        return p
+
+    p = mode("sn", cmd_verify_sn, "walk tail, Monte Carlo and exact, vs H")
+    p.add_argument("--x", type=_threshold, required=True, help="tail threshold")
+    _add_m_kind(p, "tight")
+    _add_sampling(p, trials=10 ** 5, level=0.99)
+
+    p = mode("theorem1", cmd_verify_theorem1,
+             "log Z_n far tail vs the fitted Theorem 1 bound")
+    p.add_argument("--x", type=_threshold, default=3.0,
+                   help="tail threshold (default 3)")
     p.add_argument("--m", type=_positive_int, default=None,
-                   help="theorem1 exponent, 1 <= m <= n (default n)")
-    p.add_argument("--trials", type=_trials, default=10 ** 5)
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="master seed (default: $BPRE_SEED, else 0)")
-    p.add_argument("--level", type=_level, default=0.99,
-                   help="confidence level (default 0.99)")
-    p.add_argument("--M-kind", dest="m_kind", choices=["tight", "paper"],
-                   default=None,
-                   help="H1 constant (default: tight; theorem1 uses paper)")
-    p.add_argument("--grid-points", dest="grid_points", type=_positive_int,
-                   default=101, help="oracle mode: x-grid size on [0, n]")
+                   help="exponent, 1 <= m <= n (default n)")
+    _add_m_kind(p, "paper")
+    _add_sampling(p, trials=10 ** 5, level=0.99)
+
+    p = mode("increments", cmd_verify_increments,
+             "geometric decay of the log W increments")
     p.add_argument("--fit-lo", dest="fit_lo", type=int, default=2,
-                   help="increments mode: first k in the decay fit")
+                   help="first k in the decay fit (default 2)")
     p.add_argument("--fit-hi", dest="fit_hi", type=int, default=None,
-                   help="increments mode: last k in the decay fit (default n-1)")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker threads (default: available parallelism); "
-                        "results are identical for any value")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+                   help="last k in the decay fit (default n-1)")
+    _add_sampling(p, trials=10 ** 5, level=None)
+
+    p = mode("oracle", cmd_verify_oracle, "exact walk tail vs H on an x-grid")
+    p.add_argument("--grid-points", dest="grid_points", type=_int_at_least(2),
+                   default=101, help="x-grid size on [0, n] (default 101)")
+    _add_m_kind(p, "tight")
 
     p = sub.add_parser("converge", help="tail of |log Z_n / n - mu| over an "
                                         "(n, y) grid")
     p.add_argument("config")
-    p.add_argument("--n-values", dest="n_values", type=_int_list, required=True,
-                   help="comma-separated horizons, e.g. 8,16,32")
-    p.add_argument("--y-values", dest="y_values", type=_float_list,
+    p.add_argument("--n-values", dest="n_values", type=_list_of(_positive_int),
+                   required=True, help="comma-separated horizons, e.g. 8,16,32")
+    p.add_argument("--y-values", dest="y_values", type=_list_of(_threshold),
                    required=True, help="comma-separated deviations")
-    p.add_argument("--trials", type=_trials, default=10 ** 4)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--level", type=_level, default=0.95)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    _add_sampling(p, trials=10 ** 4, level=0.95)
     p.add_argument("--out")
     p.set_defaults(func=cmd_converge)
     return parser

@@ -277,8 +277,10 @@ class TestVerify:
         assert 0.0 < result["exact_tail"] <= result["bound_H"]
 
     def test_sn_requires_x(self, binary_cfg):
-        assert cli.main(["verify", "sn", binary_cfg, "--n", "6",
-                         "--trials", "2000"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "sn", binary_cfg, "--n", "6",
+                      "--trials", "2000"])
+        assert exc.value.code == 2
 
     def test_theorem1_passes(self, tmp_path, capsys, binary_cfg):
         out = tmp_path / "t1"
@@ -419,10 +421,11 @@ class TestConverge:
 
 
 class TestInputCheckedBeforeSampling:
-    """Bad verify/converge input exits 2 before any estimator runs."""
+    """Bad verify/converge/oracle input exits 2 before any estimator or
+    exact oracle runs."""
 
     ESTIMATORS = ("mc_tail_sn", "mc_tail_logzn", "mc_logw_increments",
-                  "convergence_report")
+                  "convergence_report", "exact_sn_tail", "exact_logZn_tail")
 
     @pytest.fixture(autouse=True)
     def no_estimator(self, monkeypatch):
@@ -455,17 +458,121 @@ class TestInputCheckedBeforeSampling:
         assert exc.value.code == 2
         assert "--level" in capsys.readouterr().err
 
+    @staticmethod
+    def rejected_by_parser(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
-        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5", "--level", "0.9"],
-        ["verify", "theorem1", "{cfg}", "--n", "6", "--m", "6"],
-        ["verify", "increments", "{cfg}", "--n", "20", "--fit-lo", "16"],
+        ["verify", "sn", "{cfg}", "--n", "10"],
+        ["verify", "theorem1", "{cfg}", "--n", "16"],
+        ["oracle", "{cfg}", "--n", "10"],
+        ["bound", "--n", "10", "--v", "1"],
+    ])
+    @pytest.mark.parametrize("x", ["-1", "nan", "inf"])
+    def test_bad_x_rejected(self, capsys, binary_cfg, argv, x):
+        # no statistic reaches a NaN or infinite threshold: such a run
+        # would pass by vacuity
+        argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+        self.rejected_by_parser(capsys, [*argv, "--x", x], "--x")
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--n-values", ",", "--y-values", "0.1"], "--n-values"),
+        (["--n-values", "8", "--y-values", ","], "--y-values"),
+        (["--n-values", "8", "--y-values", "0.1,nan"], "--y-values"),
+        (["--n-values", "8", "--y-values", "-0.1"], "--y-values"),
+        (["--n-values", "8", "--y-values", "inf"], "--y-values"),
+    ])
+    def test_bad_converge_grid_rejected(self, capsys, binary_cfg, flags, flag):
+        self.rejected_by_parser(capsys, ["converge", binary_cfg, *flags], flag)
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_small_oracle_grid_rejected(self, capsys, binary_cfg, points):
+        self.rejected_by_parser(capsys, ["verify", "oracle", binary_cfg,
+                                         "--n", "8", "--grid-points", points],
+                                "--grid-points")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5"],
+        ["verify", "theorem1", "{cfg}", "--n", "16"],
+        ["verify", "increments", "{cfg}", "--n", "16"],
         ["converge", "{cfg}", "--n-values", "8", "--y-values", "0.1"],
     ])
-    def test_valid_input_reaches_the_estimator(self, binary_cfg, argv):
+    @pytest.mark.parametrize("seed", ["-1", "abc", str(2 ** 64)])
+    def test_bad_seed_rejected(self, capsys, monkeypatch, binary_cfg, argv,
+                               seed):
+        argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+        self.rejected_by_parser(capsys, [*argv, "--seed", seed], "--seed")
+        monkeypatch.setenv("BPRE_SEED", seed)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: $BPRE_SEED {seed!r} ")
+
+    # Each mode's flags that the mode does not read.
+    UNREAD_FLAGS = [
+        ("sn", "--m", "5"), ("sn", "--grid-points", "11"),
+        ("sn", "--fit-lo", "2"), ("sn", "--fit-hi", "7"),
+        ("theorem1", "--grid-points", "11"), ("theorem1", "--fit-lo", "2"),
+        ("theorem1", "--fit-hi", "7"),
+        ("increments", "--x", "9"), ("increments", "--m", "5"),
+        ("increments", "--level", "0.5"), ("increments", "--M-kind", "paper"),
+        ("increments", "--grid-points", "11"),
+        ("oracle", "--x", "0.5"), ("oracle", "--m", "5"),
+        ("oracle", "--trials", "7"), ("oracle", "--seed", "5"),
+        ("oracle", "--level", "0.5"), ("oracle", "--fit-lo", "2"),
+        ("oracle", "--fit-hi", "7"), ("oracle", "--workers", "3"),
+    ]
+
+    @pytest.mark.parametrize("mode, flag, value", UNREAD_FLAGS)
+    def test_unread_flag_rejected(self, capsys, binary_cfg, mode, flag, value):
+        argv = ["verify", mode, binary_cfg, "--n", "8"]
+        if mode == "sn":
+            argv += ["--x", "0.5"]
+        self.rejected_by_parser(capsys, [*argv, flag, value], flag)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5", "--level", "0.9"],
+        ["verify", "sn", "{cfg}", "--n", "10", "--x", "0"],
+        ["verify", "theorem1", "{cfg}", "--n", "6", "--m", "6"],
+        ["verify", "increments", "{cfg}", "--n", "20", "--fit-lo", "16"],
+        ["verify", "oracle", "{cfg}", "--n", "8", "--grid-points", "2"],
+        ["oracle", "{cfg}", "--n", "8", "--x", "0"],
+        ["converge", "{cfg}", "--n-values", "8", "--y-values", "0,0.1"],
+    ])
+    def test_valid_input_reaches_the_estimator(self, monkeypatch, binary_cfg,
+                                               argv):
         # the edge of each accepted range gets past the checks
+        monkeypatch.setenv("BPRE_SEED", str(2 ** 64 - 1))
         argv = [binary_cfg if a == "{cfg}" else a for a in argv]
         with pytest.raises(AssertionError, match="estimator called"):
             cli.main(argv)
+
+
+class TestDefaults:
+    """Each command's own defaults, as its result.json reports them."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "sn", "{cfg}", "--n", "6", "--x", "0.5"],
+         {"M_kind": "tight", "trials": 10 ** 5, "level": 0.99}),
+        (["verify", "theorem1", "{cfg}", "--n", "6"],
+         {"M_kind": "paper", "x": 3.0, "m": 6, "trials": 10 ** 5,
+          "level": 0.99}),
+        (["verify", "increments", "{cfg}", "--n", "6"],
+         {"trials": 10 ** 5, "fit_k_lo": 2, "fit_k_hi": 5}),
+        (["verify", "oracle", "{cfg}", "--n", "4"],
+         {"M_kind": "tight", "grid_points": 101}),
+        (["converge", "{cfg}", "--n-values", "4", "--y-values", "0.1"],
+         {"trials": 10 ** 4, "level": 0.95}),
+    ])
+    def test_result_reports_defaults(self, capsys, monkeypatch, binary_cfg,
+                                     argv, expected):
+        monkeypatch.delenv("BPRE_SEED", raising=False)
+        argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert {key: out[key] for key in expected} == expected
 
 
 class TestSeedResolution:
