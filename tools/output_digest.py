@@ -76,6 +76,10 @@ RUNS = [
      "--n 20 --trials 1e4 --workers 2"),
     ("verify-increments-window", "verify increments", "binary",
      "--n 12 --fit-lo 3 --fit-hi 9 --trials 1e4"),
+    # a horizon short enough for every increment mean to come from the
+    # annealed kernel law
+    ("verify-increments-exact", "verify increments", "binary",
+     "--n 8 --trials 1e4"),
     ("verify-oracle", "verify oracle", "binary", "--n 8 --grid-points 11"),
     ("verify-oracle-paper", "verify oracle", "generic",
      "--n 6 --grid-points 5 --M-kind paper"),
