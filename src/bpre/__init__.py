@@ -18,8 +18,8 @@ from .estimate import (BLOCK_TRIALS, DecayFit, IncrementStat, IncrementStats,
                        fit_geometric_decay, mc_logw_increments, mc_tail_logzn,
                        mc_tail_sn, theorem1_candidates)
 from .oracle import (ExactPmf, WeightedSequence, enumerate_env_sequences,
-                     exact_EWn, exact_logZn_tail, exact_population_distribution,
-                     exact_sn_tail)
+                     exact_EWn, exact_logw_increments, exact_logZn_tail,
+                     exact_population_distribution, exact_sn_tail)
 from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord,
                        QuenchedReport, SimConfig, Trajectory,
                        quenched_martingale_check, sample_env_sequence,
@@ -34,7 +34,8 @@ __all__ = [
     "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params",
     "Trajectory", "WeightedSequence", "binomial_ci", "check_assumptions",
     "compute_moments", "convergence_report", "dH_dx", "enumerate_env_sequences",
-    "exact_EWn", "exact_logZn_tail", "exact_population_distribution",
+    "exact_EWn", "exact_logw_increments", "exact_logZn_tail",
+    "exact_population_distribution",
     "exact_sn_tail", "fit_geometric_decay", "log_H", "mc_logw_increments",
     "mc_tail_logzn", "mc_tail_sn", "parse_env_config",
     "quenched_martingale_check", "sample_env_sequence", "simulate_trajectory",

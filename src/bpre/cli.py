@@ -298,7 +298,8 @@ def cmd_verify_theorem1(args) -> int:
               "point": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
               "level": est.level, "bound_thm1": bound, "C_hat": C_hat,
               "delta_hat": delta_hat, "fit_r2": fit.r2,
-              "fit_trials": fit_trials, "exact_tail": exact,
+              "fit_trials": fit_trials,
+              "increment_head_depth": incs.head_depth, "exact_tail": exact,
               "failure": failure, "pass": passed,
               "approx_sampling_used": (est.approx_sampling_used
                                        or incs.approx_sampling_used),
@@ -330,7 +331,7 @@ def cmd_verify_increments(args) -> int:
     result = {"mode": "increments", "n": args.n, "trials": args.trials,
               "delta_hat": fit.delta_hat, "c_hat": fit.c_hat, "r2": fit.r2,
               "C_hat": C_hat, "fit_k_lo": lo, "fit_k_hi": hi,
-              "pass": passed,
+              "increment_head_depth": incs.head_depth, "pass": passed,
               "approx_sampling_used": incs.approx_sampling_used,
               "seed": seed, "rng_id": RNG_ID}
     emit(args, result, {"result.csv": _csv(INCREMENT_CSV_HEADER, rows)},

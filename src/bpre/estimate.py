@@ -31,9 +31,18 @@ trial is still open after the head). The depth g is the largest g <= n
 whose kernel work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW
 multiply-adds per binomial draw that stepping generations 1..g would take,
 and at most oracle.MAX_KERNEL_WORK; it depends on the model, n and the
-trial count only.
-mc_logw_increments needs every generation's Z and steps from Z_0 = 1, and
-convergence_report needs every trial's log Z_n, so both step every trial.
+trial count only. convergence_report needs every trial's log Z_n, so it
+steps every trial to n; the blocks of all its horizons share one thread
+pool.
+
+mc_logw_increments takes the means for k < g from the annealed law
+(oracle._increment_means: E|Delta_k| = sum_z P(Z_k = z) h(z), h a table of
+E|log(S_z / (z m))| over the states), as one task in the thread pool beside
+the blocks, and reports them with stderr 0.0; its blocks draw Z_g from the
+same kernel head and step generations g..n-1 for the rows k >= g. Its depth
+g (_increment_depth) follows the same rule with the table's work added,
+and it changes the bytes of verify increments and of verify theorem1's
+decay fit, not of any other output. At g = n it opens no stream.
 
 mc_tail_logzn steps a trial only while its outcome is open. With p0 = 0
 (require_no_extinction), Z_k <= Z_n <= k_max^(n-k) Z_k on every path: Z
@@ -60,17 +69,19 @@ sample path.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .env import EnvDistribution, compute_moments
-from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _running_work,
-                     tail_reached)
+from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws,
+                     _increment_means, _kernel_law, _running_work, _table_work,
+                     kernel_work, tail_reached)
 from .simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS, DOMAIN_SN,
                        DOMAIN_TRAJ, EnvTables, _check_population_cap,
                        offspring, require_no_extinction, stream)
@@ -112,13 +123,15 @@ class IncrementStat(NamedTuple):
 
 
 class IncrementStats(list):
-    """The IncrementStat of each k = 0..n-1, in k order, as a list, and
-    whether any offspring draw behind them was Gaussian."""
+    """The IncrementStat of each k = 0..n-1, in k order, as a list, whether
+    any offspring draw behind them was Gaussian, and the head depth g: rows
+    k < g are exact, with stderr 0.0."""
 
     def __init__(self, stats: Iterable[IncrementStat],
-                 approx_sampling_used: bool):
+                 approx_sampling_used: bool, head_depth: int = 0):
         super().__init__(stats)
         self.approx_sampling_used = approx_sampling_used
+        self.head_depth = head_depth
 
 
 @dataclass(frozen=True)
@@ -175,13 +188,23 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     return [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
             for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)]
 
+def _run(tasks: Sequence[Callable[[], object]], workers: int) -> list:
+    """Call every task, results in task order; with workers > 1 the tasks
+    share one pool of that many threads, taken up in task order."""
+    if workers <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda task: task(), tasks))
+
+
+def _block_tasks(fn, trials: int) -> list[Callable[[], object]]:
+    """fn(block_index, block_size) for every block, in block order."""
+    return [functools.partial(fn, b, size) for b, size in _blocks(trials)]
+
+
 def _map_blocks(fn, trials: int, workers: int) -> list:
     """Run fn(block_index, block_size) over all blocks, results in block order."""
-    blocks = _blocks(trials)
-    if workers <= 1:
-        return [fn(b, size) for b, size in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pair: fn(*pair), blocks))
+    return _run(_block_tasks(fn, trials), workers)
 
 
 def _require_trials(trials: int) -> None:
@@ -258,27 +281,48 @@ def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
         yield col, z, approx
 
 
-def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
-    """The largest g <= n whose kernel work is at most HEAD_WORK_PER_DRAW
-    multiply-adds per binomial draw that stepping generations 1..g would
-    take (trials * g * the mass-weighted draws per offspring pass), and at
-    most MAX_KERNEL_WORK."""
+def _deepest(tables: EnvTables, n: int, trials: int,
+             works: Iterable[int]) -> int:
+    """The largest g <= n whose work (works yields it for g = 1, 2, ...) is
+    at most HEAD_WORK_PER_DRAW multiply-adds per binomial draw that stepping
+    g generations would take (trials * g * the mass-weighted draws per
+    offspring pass), and at most MAX_KERNEL_WORK."""
     draws = trials * float(tables.masses @ tables.draws)
-    for g, work in enumerate(_running_work(itertools.repeat(tables.states, n))):
-        if work > min(HEAD_WORK_PER_DRAW * draws * (g + 1), MAX_KERNEL_WORK):
-            return g
+    for g, work in enumerate(works, 1):
+        if work > min(HEAD_WORK_PER_DRAW * draws * g, MAX_KERNEL_WORK):
+            return g - 1
     return n
+
+
+def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
+    """The depth of a log Z_n estimate's kernel head (_deepest): its work is
+    the kernel's propagation to delta_1 K^g."""
+    return _deepest(tables, n, trials,
+                    _running_work(itertools.repeat(tables.states, n)))
+
+
+def _increment_depth(tables: EnvTables, n: int, trials: int) -> int:
+    """The depth g of mc_logw_increments' exact rows (_deepest): its work is
+    the kernel's propagation to delta_1 K^min(g, n-1) (delta_1 K^g is the
+    head's law, which g = n does without) and the increment tables up to
+    the top atom k_max^(g-1) of delta_1 K^(g-1) (oracle._table_work)."""
+    return _deepest(tables, n, trials, (
+        kernel_work(itertools.repeat(tables.states, min(g, n - 1)))
+        + _table_work(tables.states, tables.env.k_max ** (g - 1))
+        for g in range(1, n + 1)))
 
 
 class _KernelHead:
     """Z_g drawn exactly from the annealed law delta_1 K^g, whose cumulative
-    sums are computed once per call, before the blocks. Depth 0 is Z_0 = 1
-    and draws nothing."""
+    sums are computed once per call, before the blocks, from law if given.
+    Depth 0 is Z_0 = 1 and draws nothing."""
 
-    def __init__(self, tables: EnvTables, g: int):
+    def __init__(self, tables: EnvTables, g: int, law: np.ndarray | None = None):
         self.g = g
         if g:
-            law = _kernel_law(tables.env, g, [mass for _, mass in tables.env.states])
+            if law is None:
+                law = _kernel_law(tables.env, g,
+                                  [mass for _, mass in tables.env.states])
             self.cdf = np.cumsum(law)
             self.top = int(np.flatnonzero(law)[-1])
 
@@ -385,45 +429,69 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
 
 def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
                        workers: int = 1) -> IncrementStats:
-    """Sample means of |log W_{k+1} - log W_k| for k = 0..n-1.
+    """Means of |log W_{k+1} - log W_k| for k = 0..n-1: exact for k < g,
+    sample means for k >= g.
 
     The increment is log Z_{k+1} - log Z_k - X_{k+1}, the per-generation
     deviation of actual growth from the environment's conditional mean.
+    The head depth g = _increment_depth(model, n, trials) decides the
+    split; no argument sets it. One kernel propagation gives
+    delta_1 K^k for k <= min(g, n - 1), before the blocks. Rows k < g are
+    oracle._increment_means of those laws, computed as one task in the same
+    thread pool as the blocks, with stderr 0.0: not a sample, but exact
+    within the bound oracle.exact_logw_increments states (sums of
+    nonnegative terms, below 1e-12 relative on the binary model at g = 11).
+    Each block draws Z_g from _KernelHead (delta_1 K^g) and steps
+    generations g..n-1 from it, so rows k >= g are sample means with their
+    standard errors. At g = n nothing is sampled and no stream is opened;
+    at g = 0 each block steps every generation from Z_0 = 1. Against
+    stepping every trial from Z_0 = 1 this split changes the bytes of
+    verify increments and of verify theorem1's decay fit, and of nothing
+    else.
     Blocks draw from DOMAIN_INCREMENTS, so a decay fit shares no stream with
     the mc_tail_logzn estimate it is checked against. The list also carries
-    approx_sampling_used.
+    approx_sampling_used and head_depth.
     """
     _require_trials(trials)
     require_no_extinction(env)
     if n < 3:
         raise ValueError(f"n={n!r} must be >= 3")
     tables = EnvTables(env)
+    g = _increment_depth(tables, n, trials)
+    laws = _annealed_laws(env, min(g, n - 1))
+    tasks = [functools.partial(_increment_means, env, laws[:g])]
+    if g < n:
+        head = _KernelHead(tables, g, laws[g])
 
-    def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        rng = stream(seed, DOMAIN_INCREMENTS, b)
-        prev_logz = np.zeros(size)
-        sums = np.empty(n)
-        sums_sq = np.empty(n)
-        approx = False
-        for k, (col, z, gaussian) in enumerate(
-                _generations(tables, n, rng, np.ones(size))):
-            logz = np.log(z)
-            inc = np.abs(logz - prev_logz - tables.X[col])
-            sums[k] = inc.sum()
-            sums_sq[k] = (inc * inc).sum()
-            prev_logz = logz
-            approx |= gaussian
-        return sums, sums_sq, approx
+        def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, bool]:
+            rng = stream(seed, DOMAIN_INCREMENTS, b)
+            z = head.draw(rng, size)
+            prev_logz = np.log(z)
+            sums = np.empty(n - g)
+            sums_sq = np.empty(n - g)
+            approx = False
+            for j, (col, z, gaussian) in enumerate(
+                    _generations(tables, n - g, rng, z)):
+                logz = np.log(z)
+                inc = np.abs(logz - prev_logz - tables.X[col])
+                sums[j] = inc.sum()
+                sums_sq[j] = (inc * inc).sum()
+                prev_logz = logz
+                approx |= gaussian
+            return sums, sums_sq, approx
 
-    partials = _map_blocks(run_block, trials, workers)
-    stats = []
-    for k in range(n):
-        total = math.fsum(p[0][k] for p in partials)
-        total_sq = math.fsum(p[1][k] for p in partials)
+        tasks += _block_tasks(run_block, trials)
+    exact, *partials = _run(tasks, workers)
+    stats = [IncrementStat(k=k, mean=mean, stderr=0.0)
+             for k, mean in enumerate(exact)]
+    for j in range(n - g):
+        total = math.fsum(p[0][j] for p in partials)
+        total_sq = math.fsum(p[1][j] for p in partials)
         mean = total / trials
         var = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
-        stats.append(IncrementStat(k=k, mean=mean, stderr=math.sqrt(var / trials)))
-    return IncrementStats(stats, any(p[2] for p in partials))
+        stats.append(IncrementStat(k=g + j, mean=mean,
+                                   stderr=math.sqrt(var / trials)))
+    return IncrementStats(stats, any(p[2] for p in partials), g)
 
 
 def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
@@ -468,17 +536,20 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     """TailEstimates of P(|log Z_n / n - mu| >= y) over an (n, y) grid.
 
     Rows come out n-major, y-minor; threshold_x holds y. One trajectory set
-    is shared by all y at a given n, and so is approx_sampling_used.
+    is shared by all y at a given n, and so is approx_sampling_used. The
+    blocks of every horizon go to one thread pool, horizon by horizon in
+    block order, so a horizon of one block runs beside the others.
     """
     _require_trials(trials)
     require_no_extinction(env)
-    tables = EnvTables(env)
-    mu = compute_moments(env).mu
-    rows = []
-    heads: dict[int, _KernelHead] = {}
     for n in n_values:
         if n < 1:
             raise ValueError(f"n={n!r} must be >= 1")
+    tables = EnvTables(env)
+    mu = compute_moments(env).mu
+    heads: dict[int, _KernelHead] = {}
+    tasks = []
+    for n in n_values:
         g = _head_depth(tables, n, trials)
         if g not in heads:
             heads[g] = _KernelHead(tables, g)
@@ -487,7 +558,12 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
                       head: _KernelHead = heads[g]) -> tuple[np.ndarray, bool]:
             return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
 
-        parts = _map_blocks(run_block, trials, workers)
+        tasks += _block_tasks(run_block, trials)
+    results = _run(tasks, workers)
+    per_n = len(results) // len(n_values)
+    rows = []
+    for i, n in enumerate(n_values):
+        parts = results[i * per_n:(i + 1) * per_n]
         logz = np.concatenate([block for block, _ in parts])
         deviations = np.abs(logz / n - mu)
         approx = any(gaussian for _, gaussian in parts)

@@ -198,6 +198,9 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
                        "--x", "0.3", "--trials", "50000", "--seed", "3"],
                 "inc": ["verify", "increments", str(cfg_path), "--n", "10",
                         "--trials", "20000", "--seed", "3"],
+                # head depth 9: rows k >= 9 are sampled over two blocks
+                "inc-sampled": ["verify", "increments", str(cfg_path), "--n",
+                                "16", "--trials", "20000", "--seed", "3"],
                 "cvg": ["converge", str(cfg_path), "--n-values", "4,8",
                         "--y-values", "0.1,0.3", "--trials", "20000",
                         "--seed", "3"],
@@ -216,6 +219,6 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
                 codes[(mode, w)] = code
                 blobs[(mode, w)] = (out / "result.csv").read_bytes()
         capsys.readouterr()
-        for mode in ("sn", "inc", "cvg", "thm1"):
+        for mode in ("sn", "inc", "inc-sampled", "cvg", "thm1"):
             assert codes[(mode, "1")] == codes[(mode, "8")], mode
             assert blobs[(mode, "1")] == blobs[(mode, "8")], mode

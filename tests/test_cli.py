@@ -332,6 +332,8 @@ class TestVerify:
         assert "bound_thm1" in result
         # the fit's populations pass 2^32 and take Gaussian draws
         assert result["approx_sampling_used"] is True
+        # the fit's means below the head depth are exact, the rest sampled
+        assert 0 < result["increment_head_depth"] < 70
 
     def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
         # 5^7 state sequences exceed 2^14 but the population support 2^7 is
@@ -362,9 +364,12 @@ class TestVerify:
         assert 0.0 < result["delta_hat"] < 1.0
         assert result["fit_k_lo"] == 2 and result["fit_k_hi"] == 7
         assert result["approx_sampling_used"] is False  # Z_8 <= 2^8
+        # every mean comes from the annealed law: stderr 0
+        assert result["increment_head_depth"] == 8
         lines = (out / "result.csv").read_text().splitlines()
         assert lines[0] == "k,mean_abs_increment,stderr"
         assert len(lines) == 9  # header + k = 0..7
+        assert all(line.endswith(",0") for line in lines[1:])
 
     def test_increments_bad_window(self, binary_cfg):
         assert cli.main(["verify", "increments", binary_cfg, "--n", "8",

@@ -13,16 +13,17 @@ from bpre.env import compute_moments
 import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
                            TailEstimate, _decide, _final_logz, _generation,
-                           _generations,
-                           _head_depth, _KernelHead, _map_blocks, _tail_estimate,
+                           _generations, _head_depth, _increment_depth,
+                           _KernelHead, _map_blocks, _tail_estimate,
                            _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
-from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, exact_logZn_tail,
+from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _table_work,
+                         exact_logw_increments, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
-from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_SN, DOMAIN_TRAJ,
-                           EnvTables, offspring, stream)
+from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS,
+                           DOMAIN_SN, DOMAIN_TRAJ, EnvTables, offspring, stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -154,14 +155,19 @@ class TestBinomialCI:
 
 def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(bpre.__file__)))
-    # nor does the exact kernel, at populations past 1000
+    # nor does the exact kernel, at populations past 1000, nor the increment
+    # estimator, all exact at n = 8 and with a kernel head at n = 12
     code = ("import bpre, sys; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules); "
-            "bpre.exact_EWn(bpre.parse_env_config(%r), 11); "
-            "print('scipy.stats' in sys.modules)" % BINARY)
+            "env = bpre.parse_env_config(%r); bpre.exact_EWn(env, 11); "
+            "print('scipy.stats' in sys.modules); "
+            "bpre.mc_logw_increments(env, 8, 2000, 0); "
+            "bpre.mc_logw_increments(env, 12, 2000, 0); "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+            % BINARY)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["False"] * 5
 
 
 class TestMcTailSn:
@@ -611,11 +617,91 @@ class TestIncrements:
         with pytest.raises(ValueError):
             mc_logw_increments(binary_env(), 2, 2000, seed=0)
 
-    def test_worker_invariance(self):
+    @pytest.mark.parametrize("n, trials, sampled", [
+        (8, BLOCK_TRIALS + 100, False), (16, 2 * BLOCK_TRIALS + 100, True)])
+    def test_worker_invariance(self, n, trials, sampled):
+        # g = n: every row exact; g < n: the exact task and three blocks
+        # share the pool
         env = binary_env()
-        a = mc_logw_increments(env, 8, BLOCK_TRIALS + 100, seed=2, workers=1)
-        b = mc_logw_increments(env, 8, BLOCK_TRIALS + 100, seed=2, workers=4)
-        assert a == b
+        runs = [mc_logw_increments(env, n, trials, seed=2, workers=w)
+                for w in (1, 2, 4)]
+        g = runs[0].head_depth
+        assert (0 < g < n) if sampled else g == n
+        for run in runs[1:]:
+            assert run == runs[0]
+            assert run.head_depth == g
+            assert run.approx_sampling_used == runs[0].approx_sampling_used
+
+    def test_full_depth_opens_no_stream(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stream was opened")
+        monkeypatch.setattr(bpre.estimate, "stream", refuse)
+        env = binary_env()
+        stats = mc_logw_increments(env, 8, 2000, seed=0, workers=2)
+        assert stats.head_depth == 8
+        assert [s.mean for s in stats] == exact_logw_increments(env, 8)
+        assert all(s.stderr == 0.0 for s in stats)
+        assert not stats.approx_sampling_used
+
+    def test_rows_below_the_depth_are_exact(self):
+        env = parse_env_config(GENERIC)
+        stats = mc_logw_increments(env, 10, 5000, seed=1)
+        g = stats.head_depth
+        assert 0 < g < 10
+        assert [s.mean for s in stats[:g]] == exact_logw_increments(env, g)
+        assert all(s.stderr == 0.0 for s in stats[:g])
+        assert all(s.stderr > 0.0 for s in stats[g:])
+        assert [s.k for s in stats] == list(range(10))
+
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 12), (GENERIC, 9), (GAPPED, 9)])
+    def test_rows_match_full_stepping(self, cfg, n):
+        # a replay that steps every generation from Z_0 = 1 on other
+        # streams: the sampled rows k >= g agree with it within 5 combined
+        # standard errors, the exact rows k < g within 5 of its own
+        env = parse_env_config(cfg)
+        tables = EnvTables(env)
+        trials = 20_000
+        stats = mc_logw_increments(env, n, trials, seed=5, workers=2)
+        g = stats.head_depth
+        assert 0 < g < n
+        incs = np.empty((n, trials))
+        prev = np.zeros(trials)
+        for k, (col, z, _) in enumerate(_generations(
+                tables, n, stream(6, DOMAIN_INCREMENTS, 0), np.ones(trials))):
+            logz = np.log(z)
+            incs[k] = np.abs(logz - prev - tables.X[col])
+            prev = logz
+        means = incs.mean(axis=1)
+        errs = incs.std(axis=1, ddof=1) / math.sqrt(trials)
+        for s, mean, err in zip(stats, means, errs):
+            score = (s.mean - mean) / math.hypot(s.stderr, err)
+            assert abs(score) <= 5.0, f"k={s.k} (g={g}): z = {score:.2f}"
+
+    def test_depth_rule(self):
+        # the largest g <= n whose kernel (to delta_1 K^min(g, n-1)) and
+        # table (to k_max^(g-1)) work is at most HEAD_WORK_PER_DRAW per
+        # binomial draw saved; it depends on the trial count, not workers
+        for cfg, draws_per_pass in ((BINARY, 1), (GENERIC, 2)):
+            tables = EnvTables(parse_env_config(cfg))
+            for trials in (1000, 10 ** 4, 10 ** 5):
+                n = 30
+                g = _increment_depth(tables, n, trials)
+
+                def fits(d):
+                    work = (kernel_work([tables.states] * d)
+                            + _table_work(tables.states,
+                                          tables.env.k_max ** (d - 1)))
+                    return work <= min(MAX_KERNEL_WORK, HEAD_WORK_PER_DRAW
+                                       * trials * d * draws_per_pass)
+                assert 0 < g < n and fits(g) and not fits(g + 1)
+                # at n = g the head's own generation is not needed
+                assert _increment_depth(tables, g, trials) == g
+        binary = EnvTables(binary_env())
+        assert _increment_depth(binary, 20, 10 ** 5) == 10
+        assert _increment_depth(EnvTables(parse_env_config(GENERIC)), 20,
+                                10 ** 5) == 7
+        deterministic = EnvTables(parse_env_config(DOUBLING))
+        assert _increment_depth(deterministic, 10, 10 ** 6) == 0
 
     def test_doubling_past_int64_has_zero_increments(self):
         # Z_70 = 2^70 is past int64; float64 holds every power of two exactly
@@ -701,6 +787,18 @@ class TestConvergenceReport:
         env = binary_env()
         rows = convergence_report(env, [4, 32], [0.2], 4000, seed=2)
         assert rows[1].point < rows[0].point
+
+    def test_worker_invariance(self):
+        # every horizon's blocks share one pool; each horizon gives the rows
+        # it gives alone
+        env = binary_env()
+        ns, ys, trials = [4, 8, 16], [0.05, 0.1], BLOCK_TRIALS + 100
+        runs = [convergence_report(env, ns, ys, trials, seed=3, workers=w)
+                for w in (1, 2, 4)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        alone = [row for n in ns
+                 for row in convergence_report(env, [n], ys, trials, seed=3)]
+        assert alone == runs[0]
 
 
 class TestTailEstimateType:

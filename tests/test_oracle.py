@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpre.env import ResourceCapError, parse_env_config, state_mean
+from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
 from bpre import oracle
 from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS, ExactPmf,
                          WeightedSequence, _kernel_law, _multiset_sum,
-                         composition_count, enumerate_env_sequences, exact_EWn,
-                         exact_logZn_tail, exact_population_distribution,
-                         exact_sn_tail, kernel_work, tail_reached)
+                         _increment_table, _table_work, composition_count,
+                         enumerate_env_sequences, exact_EWn,
+                         exact_logw_increments, exact_logZn_tail,
+                         exact_population_distribution, exact_sn_tail,
+                         increment_work, kernel_work, tail_reached)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -35,6 +37,10 @@ EXTINCT = {"model": "generic",
                        "offspring": {"0": 0.2, "1": 0.3, "3": 0.5}},
                       {"label": "b", "mass": 0.5,
                        "offspring": {"1": 0.4, "2": 0.6}}]}
+# only odd populations have mass
+GAPPED = {"model": "generic",
+          "states": [{"label": "odd", "mass": 1.0,
+                      "offspring": {"1": 0.5, "3": 0.5}}]}
 # the benchmark's generic model
 GENERIC = {"model": "generic",
            "states": [{"label": "low", "mass": 0.5,
@@ -561,3 +567,137 @@ class TestReach:
         exact_population_distribution(seq)
         assert sum(done) == kernel_work([state] for state in seq)
 
+
+
+# --- E|log W_{k+1} - log W_k|: brute force over sequences and z-fold sums -----
+
+def brute_sum_laws(state, top):
+    """P(S_z = j) for z = 1..top, S_z the sum of z family sizes of the
+    state: the binomial closed form for a {1, 2} state, else one
+    plain-Python convolution per z."""
+    entries = {k: p for k, p in state.pmf.entries.items() if p > 0.0}
+    if set(entries) <= {1, 2}:
+        q = entries.get(2, 0.0)
+        for z in range(1, top + 1):
+            yield {z + j: math.comb(z, j) * q ** j * (1.0 - q) ** (z - j)
+                   for j in range(z + 1)}
+        return
+    law = {0: 1.0}
+    for _ in range(top):
+        nxt = defaultdict(float)
+        for v, a in law.items():
+            for k, b in entries.items():
+                nxt[v + k] += a * b
+        law = nxt
+        yield law
+
+
+def brute_increment_means(env, g):
+    """E|log Z_{k+1} - log Z_k - X_{k+1}| for k < g: every sequence of k
+    states, the law of Z_k under it (exact_population_distribution), then
+    every state of generation k + 1 and the law of the z-fold sum."""
+    by_label = {state.label: state for state, _ in env.states}
+    laws = [[(1.0, [(1, 1.0)])]] + [
+        [(seq.probability, exact_population_distribution(
+            [by_label[label] for label in seq.states]).support)
+         for seq in enumerate_env_sequences(env, k)] for k in range(1, g)]
+    top = max(z for prob, law in laws[-1] for z, _ in law)
+    tables = []
+    for state, _ in env.states:
+        log_m = math.log(state_mean(state))
+        tables.append([0.0] + [
+            math.fsum(p * abs(math.log(j) - (math.log(z) + log_m))
+                      for j, p in sum_law.items())
+            for z, sum_law in enumerate(brute_sum_laws(state, top), 1)])
+    return [math.fsum(prob * pz * mass * table[z]
+                      for prob, law in step for z, pz in law
+                      for (_, mass), table in zip(env.states, tables))
+            for step in laws]
+
+
+class TestExactLogwIncrements:
+    @pytest.mark.parametrize("cfg", [BINARY, GENERIC, GAPPED])
+    def test_matches_brute_force(self, cfg):
+        env = parse_env_config(cfg)
+        got = exact_logw_increments(env, 7)
+        expect = brute_increment_means(env, 7)
+        assert len(got) == 7
+        for k, (a, b) in enumerate(zip(got, expect)):
+            assert b > 0.0
+            assert abs(a - b) <= 1e-12 * b, f"k={k}: {a!r} vs {b!r}"
+
+    def test_first_mean_in_closed_form(self):
+        # E|log Z_1 - X_1| from Z_0 = 1: one family size per state
+        env = parse_env_config(GENERIC)
+        expect = math.fsum(
+            mass * p * abs(math.log(k) - math.log(state_mean(state)))
+            for state, mass in env.states for k, p in state.pmf.entries.items())
+        assert exact_logw_increments(env, 1)[0] == pytest.approx(expect, rel=1e-15)
+
+    def test_doubling_has_zero_increments(self):
+        means = exact_logw_increments(parse_env_config(DOUBLING), 12)
+        assert len(means) == 12
+        assert all(0.0 <= m <= 1e-12 for m in means)
+
+    def test_prefix_of_a_deeper_call(self):
+        # the table reaches the deepest law's top atom; the shallow means
+        # only read the part of it their laws cover
+        env = binary_env()
+        assert exact_logw_increments(env, 11)[:6] == pytest.approx(
+            exact_logw_increments(env, 6), rel=1e-13)
+
+    def test_refuses_extinction_and_depth_zero(self):
+        with pytest.raises(ConfigError):
+            exact_logw_increments(parse_env_config(EXTINCT), 3)
+        with pytest.raises(ValueError):
+            exact_logw_increments(binary_env(), 0)
+
+    def test_work_cap_refuses_at_once(self):
+        # binary reaches g = 16; g = 17 needs the kernel's 16 generations
+        # (5.8e9) and tables to z = 2^16, past the cap
+        states = [state for state, _ in binary_env().states]
+        assert increment_work(states, 16) <= MAX_KERNEL_WORK
+        assert increment_work(states, 17) > MAX_KERNEL_WORK
+        assert increment_work(states, 11) == 4_659_624
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="multiply-adds"):
+            exact_logw_increments(binary_env(), 17)
+        with pytest.raises(ResourceCapError):
+            exact_logw_increments(binary_env(), 10 ** 6)
+        assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("cfg, top", [(BINARY, 40), (GENERIC, 30),
+                                          (GAPPED, 30), (DOUBLING, 20)])
+    def test_table_work_counts_the_convolutions(self, cfg, top, monkeypatch):
+        # with no atom dropped, _table_work is the np.convolve work plus one
+        # product per atom of each z-fold law
+        done = []
+        convolve = np.convolve
+
+        def count(a, v):
+            done.append(len(a) * len(v))
+            return convolve(a, v)
+        for state, _ in parse_env_config(cfg).states:
+            done.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle.np, "convolve", count)
+                _increment_table(state, top)
+            w = state.pmf.support[-1] - state.pmf.support[0]
+            products = sum(z * w + 1 for z in range(1, top + 1))
+            assert sum(done) + products == _table_work([state], top)
+
+    def test_dropped_atoms_leave_the_table(self):
+        # at z = 2000 the {1, 2} state's tails fall below 2^-960 and are
+        # dropped; the table still agrees with the closed form, whose
+        # lgamma terms near 1.3e4 carry about 1e-12 relative error
+        state = binary_env().states[0][0]
+        top = 2000
+        table = _increment_table(state, top)
+        c = math.log(top) + math.log(state_mean(state))
+        q = state.pmf.entries[2]
+        lgam = math.lgamma(top + 1)
+        expect = math.fsum(
+            math.exp(lgam - math.lgamma(j + 1) - math.lgamma(top - j + 1)
+                     + j * math.log(q) + (top - j) * math.log1p(-q))
+            * abs(math.log(top + j) - c) for j in range(top + 1))
+        assert table[top] == pytest.approx(expect, rel=1e-11)
