@@ -568,7 +568,6 @@ class TestReach:
         assert sum(done) == kernel_work([state] for state in seq)
 
 
-
 # --- E|log W_{k+1} - log W_k|: brute force over sequences and z-fold sums -----
 
 def brute_sum_laws(state, top):
