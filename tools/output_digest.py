@@ -9,8 +9,9 @@ sits in:
 Each command runs in-process through bpre.cli.main, at seed 3 where it
 takes one, with --out in a temporary directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
-result* file. manifest.json is skipped: it carries a timestamp. A refactor that must keep every output byte
-gives the same digest on the old and the new tree, so `diff` the two.
+result* file. manifest.json is skipped: it carries a timestamp. A refactor
+that must keep every output byte gives the same digest on the old and the
+new tree, so `diff` the two.
 """
 from __future__ import annotations
 
@@ -72,6 +73,9 @@ RUNS = [
     # 2^10 <= cli._INCIDENTAL_POPULATION: writes the kernel's exact_tail
     ("verify-theorem1-kernel", "verify theorem1", "binary",
      "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
+    # 3^6 <= cli._INCIDENTAL_POPULATION: the exact tail of a {1, 2, 3} model
+    ("verify-theorem1-kernel-generic", "verify theorem1", "generic",
+     "--n 6 --x 0.2 --M-kind tight --trials 1e4"),
     ("verify-increments", "verify increments", "generic",
      "--n 20 --trials 1e4 --workers 2"),
     ("verify-increments-window", "verify increments", "binary",
