@@ -1,8 +1,10 @@
 """Supercritical branching processes in i.i.d. random environments.
 
 Simulation of population trajectories, Hoeffding-type tail bounds for the
-log-population walk, exact small-scale oracles by enumeration and dynamic
-programming, and Monte Carlo verification with exact confidence intervals.
+log-population walk, exact laws over state-count compositions and under the
+annealed population kernel (complete enumeration of environment sequences
+is only the tests' brute-force reference), and Monte Carlo verification
+with exact confidence intervals.
 """
 
 __version__ = "0.1.0"

@@ -422,6 +422,13 @@ def _level(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = _number(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite")
+    return value
+
+
 def _threshold(text: str) -> float:
     """A tail threshold x or deviation y: no statistic reaches a NaN or
     infinite one, so a run against it would pass by vacuity."""
@@ -481,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("env-check", help="validate a model config against the "
                                          "six standing assumptions")
     p.add_argument("config")
-    p.add_argument("--p", type=float, default=DEFAULT_P,
+    p.add_argument("--p", type=_finite, default=DEFAULT_P,
                    help=f"moment order for the offspring check (default {DEFAULT_P:g})")
-    p.add_argument("--q", type=float, default=DEFAULT_Q,
+    p.add_argument("--q", type=_finite, default=DEFAULT_Q,
                    help=f"moment order for the log-mean check (default {DEFAULT_Q:g})")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_env_check)

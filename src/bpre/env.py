@@ -249,12 +249,13 @@ def check_assumptions(env: EnvDistribution, p: float = DEFAULT_P,
     P0_ZERO: every positive-mass state has p_0 = 0 (extinction impossible).
     H1: M_tight > 0, so a positive a.s. bound M on (X - mu) exists.
     H2: E(Z_1/m_0)^p and E|log m_0|^q; finite on finite support, reported.
-    Failures are reported, never raised.
+    Failures are reported, never raised. An order that is not finite, or
+    whose witness overflows a double, raises ValueError.
     """
-    if not p > 1.0:
-        raise ValueError(f"p={p:g} must be > 1")
-    if not q > 2.0:
-        raise ValueError(f"q={q:g} must be > 2")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p={p:g} must be finite and > 1")
+    if not 2.0 < q < math.inf:
+        raise ValueError(f"q={q:g} must be finite and > 2")
     moments = compute_moments(env)
     masses = [mass for _, mass in env.states]
     states = [state for state, _ in env.states]
@@ -284,11 +285,17 @@ def check_assumptions(env: EnvDistribution, p: float = DEFAULT_P,
     h1 = CheckResult("H1", moments.M_tight > 0.0, moments.M_tight,
                      f"M_tight=ess-sup(X)-mu={moments.M_tight:.12g} (need > 0)")
 
-    h2_p = math.fsum(
-        w * math.fsum(pk * (k / m) ** p for k, pk in s.pmf.entries.items())
-        for w, s, (_, m, _) in zip(masses, states, moments.per_state))
-    h2_q = math.fsum(w * abs(x) ** q
-                     for w, (_, _, x) in zip(masses, moments.per_state))
+    try:
+        h2_p = math.fsum(
+            w * math.fsum(pk * (k / m) ** p for k, pk in s.pmf.entries.items())
+            for w, s, (_, m, _) in zip(masses, states, moments.per_state))
+    except OverflowError:
+        raise ValueError(f"E(Z1/m0)^p overflows a double at p={p:g}") from None
+    try:
+        h2_q = math.fsum(w * abs(x) ** q
+                         for w, (_, _, x) in zip(masses, moments.per_state))
+    except OverflowError:
+        raise ValueError(f"E|log m0|^q overflows a double at q={q:g}") from None
     h2 = CheckResult(
         "H2", math.isfinite(h2_p) and math.isfinite(h2_q), h2_p,
         f"E(Z1/m0)^p={h2_p:.12g} (p={p:g}), E|log m0|^q={h2_q:.12g} (q={q:g})")

@@ -24,25 +24,26 @@ in block order into approx_sampling_used.
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
 each block first draws Z_g ~ delta_1 K^g, one uniform per trial mapped by
-inverse CDF through the cumulative kernel law (computed once per call, before
-the blocks), and then draws the (size, n - g) environment matrix and steps
-generations g+1..n as above (mc_tail_logzn draws the matrix only once some
-trial is still open after the head). The depth g is the largest g <= n
-whose kernel work (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW
-multiply-adds per binomial draw that stepping generations 1..g would take,
-and at most oracle.MAX_KERNEL_WORK; it depends on the model, n and the
-trial count only. convergence_report needs every trial's log Z_n, so it
-steps every trial to n; the blocks of all its horizons share one thread
-pool.
+inverse CDF through the cumulative kernel law, and then draws the
+(size, n - g) environment matrix and steps generations g+1..n as above
+(mc_tail_logzn draws the matrix only once some trial is still open after
+the head). The depth g is the largest g <= n whose kernel work
+(oracle.kernel_work) is at most HEAD_WORK_PER_DRAW multiply-adds per
+binomial draw that stepping generations 1..g would take, and at most
+oracle.MAX_KERNEL_WORK; it depends on the model, n and the trial count
+only. A call propagates the kernel at most once, before the blocks
+(oracle._annealed_laws), to its deepest head; convergence_report takes
+every horizon's head law from that one propagation. It needs every trial's
+log Z_n, so it steps every trial to n; the blocks of all its horizons share
+one thread pool.
 
 mc_logw_increments takes the means for k < g from the annealed law
 (oracle._increment_means: E|Delta_k| = sum_z P(Z_k = z) h(z), h a table of
 E|log(S_z / (z m))| over the states), as one task in the thread pool beside
 the blocks, and reports them with stderr 0.0; its blocks draw Z_g from the
 same kernel head and step generations g..n-1 for the rows k >= g. Its depth
-g (_increment_depth) follows the same rule with the table's work added,
-and it changes the bytes of verify increments and of verify theorem1's
-decay fit, not of any other output. At g = n it opens no stream.
+g (_increment_depth) follows the same rule with the table's work added.
+At g = n it opens no stream.
 
 mc_tail_logzn steps a trial only while its outcome is open. With p0 = 0
 (require_no_extinction), Z_k <= Z_n <= k_max^(n-k) Z_k on every path: Z
@@ -80,8 +81,8 @@ import numpy as np
 
 from .env import EnvDistribution, compute_moments
 from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws,
-                     _increment_means, _kernel_law, _running_work, _table_work,
-                     kernel_work, tail_reached)
+                     _increment_means, _running_work, _table_work, kernel_work,
+                     tail_reached)
 from .simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS, DOMAIN_SN,
                        DOMAIN_TRAJ, EnvTables, _check_population_cap,
                        offspring, require_no_extinction, stream)
@@ -313,18 +314,14 @@ def _increment_depth(tables: EnvTables, n: int, trials: int) -> int:
 
 
 class _KernelHead:
-    """Z_g drawn exactly from the annealed law delta_1 K^g, whose cumulative
-    sums are computed once per call, before the blocks, from law if given.
-    Depth 0 is Z_0 = 1 and draws nothing."""
+    """Z_g drawn exactly from law, the annealed law delta_1 K^g
+    (oracle._annealed_laws), whose cumulative sums are computed once per
+    call, before the blocks. Depth 0 is Z_0 = 1 and draws nothing."""
 
-    def __init__(self, tables: EnvTables, g: int, law: np.ndarray | None = None):
+    def __init__(self, g: int, law: np.ndarray):
         self.g = g
-        if g:
-            if law is None:
-                law = _kernel_law(tables.env, g,
-                                  [mass for _, mass in tables.env.states])
-            self.cdf = np.cumsum(law)
-            self.top = int(np.flatnonzero(law)[-1])
+        self.cdf = np.cumsum(law)
+        self.top = int(np.flatnonzero(law)[-1])
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One uniform per trial, mapped by inverse CDF to a population; a
@@ -416,7 +413,8 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     hit, live = _decide(reached, np.zeros(1), n, math.log(env.k_max))
     if not live[0]:  # fixed at Z_0 = 1: every trial a hit, or none
         return _tail_estimate(trials if hit[0] else 0, trials, level, x, n)
-    head = _KernelHead(tables, _head_depth(tables, n, trials))
+    g = _head_depth(tables, n, trials)
+    head = _KernelHead(g, _annealed_laws(env, g)[g])
 
     def run_block(b: int, size: int) -> tuple[int, bool]:
         return _tail_hits(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head,
@@ -444,10 +442,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     Each block draws Z_g from _KernelHead (delta_1 K^g) and steps
     generations g..n-1 from it, so rows k >= g are sample means with their
     standard errors. At g = n nothing is sampled and no stream is opened;
-    at g = 0 each block steps every generation from Z_0 = 1. Against
-    stepping every trial from Z_0 = 1 this split changes the bytes of
-    verify increments and of verify theorem1's decay fit, and of nothing
-    else.
+    at g = 0 each block steps every generation from Z_0 = 1.
     Blocks draw from DOMAIN_INCREMENTS, so a decay fit shares no stream with
     the mc_tail_logzn estimate it is checked against. The list also carries
     approx_sampling_used and head_depth.
@@ -461,7 +456,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     laws = _annealed_laws(env, min(g, n - 1))
     tasks = [functools.partial(_increment_means, env, laws[:g])]
     if g < n:
-        head = _KernelHead(tables, g, laws[g])
+        head = _KernelHead(g, laws[g])
 
         def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, bool]:
             rng = stream(seed, DOMAIN_INCREMENTS, b)
@@ -547,15 +542,13 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
             raise ValueError(f"n={n!r} must be >= 1")
     tables = EnvTables(env)
     mu = compute_moments(env).mu
-    heads: dict[int, _KernelHead] = {}
+    depths = [_head_depth(tables, n, trials) for n in n_values]
+    laws = _annealed_laws(env, max(depths))
     tasks = []
-    for n in n_values:
-        g = _head_depth(tables, n, trials)
-        if g not in heads:
-            heads[g] = _KernelHead(tables, g)
-
+    for n, g in zip(n_values, depths):
         def run_block(b: int, size: int, n: int = n,
-                      head: _KernelHead = heads[g]) -> tuple[np.ndarray, bool]:
+                      head: _KernelHead = _KernelHead(g, laws[g])
+                      ) -> tuple[np.ndarray, bool]:
             return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
 
         tasks += _block_tasks(run_block, trials)

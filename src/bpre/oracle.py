@@ -8,25 +8,28 @@ the k^n sequences:
   multinomial weights (cap 10^6 compositions).
 - Under the annealed law Z_n is a Markov chain with kernel
   K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
-  offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). The law of Z_n
-  is delta_1 K^n, propagated one generation at a time; E W_n uses the same
-  propagation with weights w_s / m_s, and the martingale increments
-  E|log W_{k+1} - log W_k| one dot product per k of delta_1 K^k with a
-  table of E|log(S_z / (z m_s))| over the states (exact_logw_increments,
-  capped by increment_work). The population DP is capped by its
+  offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). Every annealed
+  law comes from _annealed_laws, which propagates delta_1 one generation at
+  a time and returns delta_1 K^k for k = 0..n from one propagation: the
+  log Z_n tail reads delta_1 K^n, E W_n the same propagation with weights
+  w_s / m_s, the martingale increments E|log W_{k+1} - log W_k| one dot
+  product per k of delta_1 K^k with a table of E|log(S_z / (z m_s))| over
+  the states (exact_logw_increments), and the Monte Carlo kernel heads in
+  bpre.estimate their law of Z_g. The population DP is capped by its
   kernel_work, the multiply-adds of its generation steps (MAX_KERNEL_WORK,
-  the binary {1, 2} model's work at n = 16).
+  the binary {1, 2} model's work at n = 16), checked once per call before
+  any work.
 
 Complete enumeration of the environment law (cap 10^6 sequences) with a
-per-sequence population DP stays available as the brute-force reference the
-two routes are tested against. A population law is a float64 array indexed
-by value; one generation step evaluates the offspring pgf's powers
-weighted by the law in blocks of about sqrt(len) atoms (Paterson and
-Stockmeyer's baby and giant steps), and _compose states its error bound
-(every atom within 9.0e-14 of the exact law for the binary model at n = 8,
-while the atoms stay normal numbers). Tails and E W_n are summed with
-math.fsum. There is no exact-rational mode; the tests check the kernel
-against one.
+per-sequence population DP (exact_population_distribution) stays available
+as the brute-force reference the two routes are tested against. A
+population law is a float64 array indexed by value; one generation step
+evaluates the offspring pgf's powers weighted by the law in blocks of about
+sqrt(len) atoms (Paterson and Stockmeyer's baby and giant steps), and
+_compose states its error bound (every atom within 9.0e-14 of the exact law
+for the binary model at n = 8, while the atoms stay normal numbers). Tails
+and E W_n are summed with math.fsum. There is no exact-rational mode; the
+tests check the kernel against one.
 
 Tail events compare a normalized statistic (stat - n*mu)/(n*M) against the
 threshold x with a closed tail (>=). Exact-boundary atoms, such as the
@@ -310,15 +313,22 @@ def kernel_work(generations: Iterable[Sequence[EnvState]]) -> int:
     return total
 
 
-def _check_kernel_work(generations: Iterable[Sequence[EnvState]]) -> None:
+def _check_kernel_work(generations: Iterable[Sequence[EnvState]],
+                       extra: Callable[[], int] = lambda: 0) -> None:
     """Raise ResourceCapError at the first generation whose running work
     passes MAX_KERNEL_WORK, before any big-integer support size of a long
-    horizon is formed."""
+    horizon is formed, or if the whole kernel work plus extra() does; extra
+    is called only once every generation is within the cap."""
+    work = 0
     for work in _running_work(generations):
         if work > MAX_KERNEL_WORK:
-            raise ResourceCapError(
-                f"population DP needs at least {work} multiply-adds, above "
-                f"the cap {MAX_KERNEL_WORK}")
+            break
+    else:
+        work += extra()
+    if work > MAX_KERNEL_WORK:
+        raise ResourceCapError(
+            f"population DP needs at least {work} multiply-adds, above "
+            f"the cap {MAX_KERNEL_WORK}")
 
 
 def _laws(generations: Iterable[Sequence[tuple[EnvState, float]]]
@@ -341,14 +351,6 @@ def _laws(generations: Iterable[Sequence[tuple[EnvState, float]]]
         yield law
 
 
-def _propagate(generations: Iterable[Sequence[tuple[EnvState, float]]]
-               ) -> np.ndarray:
-    """The law after the last of the given generations (_laws)."""
-    for law in _laws(generations):
-        pass
-    return law
-
-
 def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
     """Exact law of Z_n under a fixed environment sequence, one generation
     step per state; the brute-force reference for the annealed kernel."""
@@ -356,18 +358,21 @@ def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
     if n < 1:
         raise ValueError("environment sequence is empty")
     _check_kernel_work([state] for state in env_seq)
-    law = _propagate([(state, 1.0)] for state in env_seq)
+    *_, law = _laws([(state, 1.0)] for state in env_seq)
     return ExactPmf(tuple((v, p) for v, p in enumerate(law.tolist()) if p > 0.0))
 
 
-def _kernel_law(env: EnvDistribution, n: int, weights: Sequence[float]) -> np.ndarray:
-    """delta_1 (sum_s weights[s] T_s)^n, indexed by value: each generation
-    mixes every state's step output with that state's weight."""
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
-    _check_kernel_work(itertools.repeat([state for state, _ in env.states], n))
-    mixture = [(state, weight) for (state, _), weight in zip(env.states, weights)]
-    return _propagate(itertools.repeat(mixture, n))
+def _annealed_laws(env: EnvDistribution, n: int,
+                   weights: Sequence[float] | None = None,
+                   extra_work: Callable[[], int] = lambda: 0) -> list[np.ndarray]:
+    """[delta_1 K^k for k = 0..n], K = sum_s weights[s] T_s (by default the
+    state masses w_s: the annealed kernel), each indexed by value, from one
+    propagation. Its kernel_work plus extra_work() (a caller's own work on
+    the laws) is checked against MAX_KERNEL_WORK once, before any work."""
+    states = [state for state, _ in env.states]
+    _check_kernel_work(itertools.repeat(states, n), extra_work)
+    mixture = env.states if weights is None else list(zip(states, weights))
+    return [np.array([0.0, 1.0]), *_laws(itertools.repeat(mixture, n))]
 
 
 def _first_tail_atom(top: int, n: int, mu: float, M: float, x: float) -> int:
@@ -392,7 +397,9 @@ def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
     tail; ties follow tail_reached."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
-    law = _kernel_law(env, n, [mass for _, mass in env.states])
+    if n < 1:
+        raise ValueError(f"n={n!r} must be >= 1")
+    law = _annealed_laws(env, n)[n]
     first = _first_tail_atom(len(law) - 1, n, moments.mu, M, x)
     return math.fsum(law[first:].tolist())
 
@@ -404,8 +411,11 @@ def exact_EWn(env: EnvDistribution, n: int) -> float:
     numerator, so the value closing to 1 within 1e-9 certifies the whole
     oracle chain.
     """
+    if n < 1:
+        raise ValueError(f"n={n!r} must be >= 1")
     weights = [mass / state_mean(state) for state, mass in env.states]
-    return math.fsum(v * p for v, p in enumerate(_kernel_law(env, n, weights).tolist()))
+    law = _annealed_laws(env, n, weights)[n]
+    return math.fsum(v * p for v, p in enumerate(law.tolist()))
 
 
 # --- E|log W_{k+1} - log W_k|: the annealed laws and one table per state ------
@@ -413,14 +423,6 @@ def exact_EWn(env: EnvDistribution, n: int) -> float:
 # Atoms of a z-fold offspring law below this are dropped at either end of its
 # support, which keeps the atoms the increment table sums normal numbers.
 _ATOM_FLOOR = 2.0 ** -960
-
-
-def _annealed_laws(env: EnvDistribution, n: int) -> list[np.ndarray]:
-    """[delta_1 K^k for k = 0..n], K = sum_s w_s T_s the annealed kernel,
-    each indexed by value, from one propagation; capped by its kernel_work
-    like every kernel law."""
-    _check_kernel_work(itertools.repeat([state for state, _ in env.states], n))
-    return [np.array([0.0, 1.0]), *_laws(itertools.repeat(env.states, n))]
 
 
 def _increment_table(state: EnvState, top: int) -> np.ndarray:
@@ -463,15 +465,6 @@ def _table_work(states: Iterable[EnvState], top: int) -> int:
     return total
 
 
-def increment_work(states: Sequence[EnvState], g: int) -> int:
-    """Multiply-adds of exact_logw_increments at depth g: the kernel_work of
-    the g - 1 generations to delta_1 K^(g-1), and the tables up to its top
-    atom k_max^(g-1). The binary {1, 2} model does 4,659,624 at g = 11."""
-    k_max = max(state.pmf.support[-1] for state in states)
-    return (kernel_work(itertools.repeat(states, g - 1))
-            + _table_work(states, k_max ** (g - 1)))
-
-
 def _increment_means(env: EnvDistribution, laws: Sequence[np.ndarray]
                     ) -> list[float]:
     """sum_z P(Z_k = z) sum_s w_s h_s(z) for each law of Z_k given, in
@@ -494,8 +487,9 @@ def exact_logw_increments(env: EnvDistribution, g: int) -> list[float]:
     depend on k: it is built once, up to the top atom k_max^(g-1) of
     delta_1 K^(g-1), and the laws delta_1 K^k, k < g, come from one
     propagation (_annealed_laws). Needs p0 = 0, else log Z_k is -inf with
-    positive probability; capped at MAX_KERNEL_WORK by increment_work,
-    checked before any work.
+    positive probability. The kernel_work of the g - 1 generations plus the
+    tables' _table_work (4,659,624 multiply-adds for the binary {1, 2}
+    model at g = 11) is capped at MAX_KERNEL_WORK, checked before any work.
 
     Error. E|Delta_k| is a sum of nonnegative terms
     P(Z_k = z) w_s f_s^{*z}(j) |d|, d = log j - (log z + log m_s), so, as in
@@ -518,11 +512,6 @@ def exact_logw_increments(env: EnvDistribution, g: int) -> list[float]:
     if g < 1:
         raise ValueError(f"g={g!r} must be >= 1")
     require_no_extinction(env)
-    states = [state for state, _ in env.states]
-    _check_kernel_work(itertools.repeat(states, g - 1))
-    work = increment_work(states, g)
-    if work > MAX_KERNEL_WORK:
-        raise ResourceCapError(
-            f"exact increments need {work} multiply-adds, above the cap "
-            f"{MAX_KERNEL_WORK}")
-    return _increment_means(env, _annealed_laws(env, g - 1))
+    laws = _annealed_laws(env, g - 1, extra_work=lambda: _table_work(
+        [state for state, _ in env.states], env.k_max ** (g - 1)))
+    return _increment_means(env, laws)

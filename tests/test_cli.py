@@ -118,6 +118,26 @@ class TestEnvCheck:
         bad.write_text("{not json")
         assert cli.main(["env-check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e400"])
+    def test_nonfinite_order_exits_2(self, capsys, binary_cfg, flag, value):
+        # not an assumption verdict: the order itself is bad input
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["env-check", binary_cfg, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_overflowing_witness_exits_2(self, capsys, tmp_path, binary_cfg):
+        assert cli.main(["env-check", binary_cfg, "--p", "5000"]) == 2
+        assert "p=5000" in capsys.readouterr().err
+        # a state of mean 15.5: |log m|^1000 is past a double
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"model": "generic", "states": [
+            {"label": "big", "mass": 0.5, "offspring": {"15": 0.5, "16": 0.5}},
+            {"label": "small", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.5}}]}))
+        assert cli.main(["env-check", str(cfg), "--q", "1000"]) == 2
+        assert "q=1000" in capsys.readouterr().err
+
     def test_out_dir(self, tmp_path, capsys, binary_cfg):
         out = tmp_path / "report"
         assert cli.main(["env-check", binary_cfg, "--out", str(out)]) == 0

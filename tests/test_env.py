@@ -195,6 +195,21 @@ class TestAssumptions:
         assert not next(c for c in report.checks if c.check == "A1").passed
         assert not report.all_pass
 
+    @pytest.mark.parametrize("order", [{"p": math.inf}, {"p": math.nan},
+                                       {"q": math.inf}, {"q": math.nan}])
+    def test_nonfinite_order_raises(self, order):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_assumptions(binary_env(), **order)
+
+    def test_overflowing_witness_names_its_order(self):
+        with pytest.raises(ValueError, match="p=5000"):
+            check_assumptions(binary_env(), p=5000.0)
+        wide = parse_env_config({"model": "generic", "states": [
+            {"label": "big", "mass": 0.5, "offspring": {"15": 0.5, "16": 0.5}},
+            {"label": "small", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.5}}]})
+        with pytest.raises(ValueError, match="q=1000"):
+            check_assumptions(wide, q=1000.0)
+
     def test_report_json_shape(self):
         report = check_assumptions(binary_env())
         doc = report.to_json()

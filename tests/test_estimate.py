@@ -2,12 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import bpre
+from bpre import oracle
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 import bpre.estimate
@@ -19,8 +21,8 @@ from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
-from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _kernel_law, _table_work,
-                         exact_logw_increments, exact_logZn_tail,
+from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws, _table_work,
+                         exact_EWn, exact_logw_increments, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
 from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS,
                            DOMAIN_SN, DOMAIN_TRAJ, EnvTables, offspring, stream)
@@ -346,7 +348,8 @@ class TestDecidedAtZ0:
         mom = compute_moments(env)
         M = getattr(mom, M)
         n, trials = 16, 2 * BLOCK_TRIALS + 7
-        head = _KernelHead(tables, _head_depth(tables, n, trials))
+        g = _head_depth(tables, n, trials)
+        head = _KernelHead(g, _annealed_laws(env, g)[g])
 
         def reached(logz):
             return tail_reached(logz, n, mom.mu, M, x)
@@ -360,13 +363,10 @@ class TestDecidedAtZ0:
 
         def refuse(*args, **kwargs):
             raise AssertionError("an event fixed at Z_0 drew something")
+        monkeypatch.setattr(bpre.estimate, "_annealed_laws", refuse)
         monkeypatch.setattr(bpre.estimate, "_KernelHead", refuse)
         monkeypatch.setattr(bpre.estimate, "stream", refuse)
         assert mc_tail_logzn(env, n, x, M, trials, seed=4, workers=2) == drawn
-
-
-def _state_masses(env):
-    return [mass for _, mass in env.states]
 
 
 def _deviation_tail(law, n, mu, y):
@@ -384,9 +384,9 @@ class TestKernelHead:
     @pytest.mark.parametrize("cfg, g", [(BINARY, 6), (GAPPED, 4)])
     def test_head_draws_follow_the_kernel_law(self, cfg, g):
         env = parse_env_config(cfg)
-        law = _kernel_law(env, g, _state_masses(env))
+        law = _annealed_laws(env, g)[g]
         draws = 200_000
-        head = _KernelHead(EnvTables(env), g)
+        head = _KernelHead(g, law)
         z = head.draw(stream(11, DOMAIN_TRAJ, 0), draws)
         counts = np.bincount(z.astype(np.int64), minlength=len(law))
         assert counts.size == len(law)
@@ -427,7 +427,7 @@ class TestKernelHead:
             trials, seed = 5000, 21
             g = _head_depth(tables, n, trials)
             assert 0 < g < n
-            law = _kernel_law(env, g, _state_masses(env))
+            law = _annealed_laws(env, g)[g]
             rng = stream(seed, DOMAIN_TRAJ, 0)
             idx = np.searchsorted(np.cumsum(law), rng.random(trials), side="right")
             z = np.minimum(idx, np.flatnonzero(law)[-1]).astype(np.float64)
@@ -440,7 +440,7 @@ class TestKernelHead:
                         z[sel] = offspring(z[sel], sampler, rng)
             replay = np.log(z)
             got, _ = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
-                                 _KernelHead(tables, g))
+                                 _KernelHead(g, law))
             assert replay.tobytes() == got.tobytes()
 
             def reached(logz):
@@ -476,7 +476,7 @@ class TestKernelHead:
         tables = EnvTables(env)
         mom = compute_moments(env)
         n, trials = 6, 20_000
-        depth0 = _KernelHead(tables, 0)
+        depth0 = _KernelHead(0, _annealed_laws(env, 0)[0])
         for x in (0.25, 0.5, 1.0):
             exact = exact_logZn_tail(env, n, x, mom, mom.M_tight)
             wins = 0
@@ -497,7 +497,7 @@ class TestKernelHead:
         mom = compute_moments(env)
         trials = 100_000
         assert 0 < _head_depth(EnvTables(env), n, trials) < n
-        law = _kernel_law(env, n, _state_masses(env))
+        law = _annealed_laws(env, n)[n]
         exact = math.fsum(p for v, p in enumerate(law.tolist())
                           if v > 0 and tail_reached(math.log(v), n, mom.mu,
                                                     mom.M_tight, x))
@@ -703,6 +703,17 @@ class TestIncrements:
         deterministic = EnvTables(parse_env_config(DOUBLING))
         assert _increment_depth(deterministic, 10, 10 ** 6) == 0
 
+    def test_depths_stop_at_the_rule_on_a_long_horizon(self):
+        # both depth rules stop at the first depth past their bound, so a
+        # horizon of a million generations gives the depth of n = 20 at once
+        # and never forms k_max^n
+        binary = EnvTables(binary_env())
+        t0 = time.perf_counter()
+        for n in (20, 10 ** 6):
+            assert _head_depth(binary, n, 10 ** 5) == 11
+            assert _increment_depth(binary, n, 10 ** 5) == 10
+        assert time.perf_counter() - t0 < 0.5
+
     def test_doubling_past_int64_has_zero_increments(self):
         # Z_70 = 2^70 is past int64; float64 holds every power of two exactly
         env = parse_env_config(DOUBLING)
@@ -799,6 +810,55 @@ class TestConvergenceReport:
         alone = [row for n in ns
                  for row in convergence_report(env, [n], ys, trials, seed=3)]
         assert alone == runs[0]
+
+
+@pytest.fixture
+def propagations(monkeypatch):
+    """The generations of each kernel propagation (call of oracle._laws)
+    made once this fixture is set up, one entry per propagation."""
+    made = []
+    laws = oracle._laws
+
+    def count(generations):
+        made.append(0)
+        for law in laws(generations):
+            made[-1] += 1
+            yield law
+    monkeypatch.setattr(oracle, "_laws", count)
+    return made
+
+
+class TestOnePropagation:
+    def test_convergence_report_propagates_to_its_deepest_head(self, propagations):
+        # head depths 8, 9 and 9: one propagation of 9 generations serves all
+        env = binary_env()
+        tables = EnvTables(env)
+        assert [_head_depth(tables, n, 10 ** 4) for n in (8, 16, 32)] == [8, 9, 9]
+        convergence_report(env, [8, 16, 32], [0.1], 10 ** 4, seed=1, workers=2)
+        assert propagations == [9]
+
+    def test_mc_tail_logzn_propagates_to_its_head(self, propagations):
+        env = binary_env()
+        mom = compute_moments(env)
+        g = _head_depth(EnvTables(env), 13, 5000)
+        est = mc_tail_logzn(env, 13, 0.3, mom.M_tight, 5000, seed=2)
+        assert 0 < est.hits < est.trials  # a reachable event
+        assert propagations == [g]
+
+    def test_every_other_route_propagates_once(self, propagations):
+        env = binary_env()
+        mom = compute_moments(env)
+        g = _increment_depth(EnvTables(env), 16, 10 ** 4)
+        calls = [
+            (lambda: mc_logw_increments(env, 16, 10 ** 4, seed=3), [g]),
+            (lambda: exact_logZn_tail(env, 10, 0.2, mom, mom.M_tight), [10]),
+            (lambda: exact_EWn(env, 10), [10]),
+            (lambda: exact_logw_increments(env, 11), [10]),
+        ]
+        for call, made in calls:
+            propagations.clear()
+            call()
+            assert propagations == made
 
 
 class TestTailEstimateType:

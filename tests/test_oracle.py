@@ -14,12 +14,12 @@ from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
 from bpre import oracle
 from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS, ExactPmf,
-                         WeightedSequence, _kernel_law, _multiset_sum,
+                         WeightedSequence, _annealed_laws, _multiset_sum,
                          _increment_table, _table_work, composition_count,
                          enumerate_env_sequences, exact_EWn,
                          exact_logw_increments, exact_logZn_tail,
                          exact_population_distribution, exact_sn_tail,
-                         increment_work, kernel_work, tail_reached)
+                         kernel_work, tail_reached)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -261,7 +261,7 @@ class TestPopulationDistribution:
         env = parse_env_config(cfg)
         masses = [mass for _, mass in env.states]
         for g, exact in enumerate(rational_kernel_laws(env, n), 1):
-            law = _kernel_law(env, g, masses).tolist()
+            law = _annealed_laws(env, g, masses)[g].tolist()
             assert {v for v, p in enumerate(law) if p > 0.0} == set(exact), g
             worst = max(abs(Fraction(law[v]) - p) / p for v, p in exact.items())
             assert worst <= 1e-13, (g, float(worst))
@@ -352,7 +352,7 @@ class TestLogZnTail:
     def test_first_atom_matches_per_atom_selection(self, cfg, n):
         env = parse_env_config(cfg)
         mom = compute_moments(env)
-        law = _kernel_law(env, n, [mass for _, mass in env.states]).tolist()
+        law = _annealed_laws(env, n)[n].tolist()
         top, atom = len(law) - 1, (len(law) - 1) // 3
         for M in (mom.M_tight, mom.M_paper):
             def stat(v):
@@ -399,6 +399,12 @@ class TestLogZnTail:
         vals = [exact_logZn_tail(env, 4, x, mom, mom.M_tight) for x in xs]
         assert all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1))
 
+    def test_refuses_horizon_zero(self):
+        env = binary_env()
+        mom = compute_moments(env)
+        with pytest.raises(ValueError, match="n=0"):
+            exact_logZn_tail(env, 0, 0.5, mom, mom.M_tight)
+
 
 class TestExactEWn:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -414,6 +420,10 @@ class TestExactEWn:
         env = parse_env_config(THREE_POINT)
         for n in (1, 2, 3):
             assert exact_EWn(env, n) == pytest.approx(1.0, abs=1e-9)
+
+    def test_refuses_horizon_zero(self):
+        with pytest.raises(ValueError, match="n=0"):
+            exact_EWn(binary_env(), 0)
 
 
 class TestExactPmfType:
@@ -560,7 +570,7 @@ class TestReach:
         monkeypatch.setattr(oracle.np, "outer", counting(np.outer))
         env = parse_env_config(cfg)
         states = [state for state, _ in env.states]
-        _kernel_law(env, n, [mass for _, mass in env.states])
+        _annealed_laws(env, n)
         assert sum(done) == kernel_work([states] * n)
         done.clear()
         seq = [states[g % len(states)] for g in range(n)]
@@ -655,15 +665,35 @@ class TestExactLogwIncrements:
         # binary reaches g = 16; g = 17 needs the kernel's 16 generations
         # (5.8e9) and tables to z = 2^16, past the cap
         states = [state for state, _ in binary_env().states]
-        assert increment_work(states, 16) <= MAX_KERNEL_WORK
-        assert increment_work(states, 17) > MAX_KERNEL_WORK
-        assert increment_work(states, 11) == 4_659_624
+        def increment_work(g):
+            # the kernel to delta_1 K^(g-1) and the tables to its top atom
+            return kernel_work([states] * (g - 1)) + _table_work(states, 2 ** (g - 1))
+        assert increment_work(16) <= MAX_KERNEL_WORK
+        assert increment_work(17) > MAX_KERNEL_WORK
+        assert increment_work(11) == 4_659_624
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="multiply-adds"):
             exact_logw_increments(binary_env(), 17)
         with pytest.raises(ResourceCapError):
             exact_logw_increments(binary_env(), 10 ** 6)
         assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize("g", [11, 17])
+    def test_walks_its_cap_once(self, g, monkeypatch):
+        # one pass over the kernel's generations decides the cap, also
+        # when it refuses
+        walks = []
+        running = oracle._running_work
+
+        def count(generations):
+            walks.append(g)
+            return running(generations)
+        monkeypatch.setattr(oracle, "_running_work", count)
+        try:
+            exact_logw_increments(binary_env(), g)
+        except ResourceCapError:
+            assert g == 17
+        assert walks == [g]
 
     @pytest.mark.parametrize("cfg, top", [(BINARY, 40), (GENERIC, 30),
                                           (GAPPED, 30), (DOUBLING, 20)])
