@@ -423,6 +423,7 @@ def _level(text: str) -> float:
 
 
 def _finite(text: str) -> float:
+    """A moment order; inf and NaN are bad input, not failed assumptions."""
     value = _number(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} must be finite")

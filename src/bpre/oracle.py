@@ -8,17 +8,15 @@ the k^n sequences:
   multinomial weights (cap 10^6 compositions).
 - Under the annealed law Z_n is a Markov chain with kernel
   K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
-  offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). Every annealed
-  law comes from _annealed_laws, which propagates delta_1 one generation at
-  a time and returns delta_1 K^k for k = 0..n from one propagation: the
-  log Z_n tail reads delta_1 K^n, E W_n the same propagation with weights
-  w_s / m_s, the martingale increments E|log W_{k+1} - log W_k| one dot
-  product per k of delta_1 K^k with a table of E|log(S_z / (z m_s))| over
-  the states (exact_logw_increments), and the Monte Carlo kernel heads in
-  bpre.estimate their law of Z_g. The population DP is capped by its
-  kernel_work, the multiply-adds of its generation steps (MAX_KERNEL_WORK,
-  the binary {1, 2} model's work at n = 16), checked once per call before
-  any work.
+  offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). Every law
+  delta_1 K^k comes from one propagation of _annealed_laws, one generation
+  at a time: the log Z_n tail reads delta_1 K^n, E W_n uses weights
+  w_s / m_s, the martingale increments E|log W_{k+1} - log W_k| take one
+  dot product per k of delta_1 K^k with a table of E|log(S_z / (z m_s))|
+  over the states (exact_logw_increments), and bpre.estimate's kernel heads
+  draw Z_g from it. The population DP is capped by its kernel_work, the
+  multiply-adds of its generation steps (MAX_KERNEL_WORK, the binary {1, 2}
+  model's work at n = 16), checked once per call before any work.
 
 Complete enumeration of the environment law (cap 10^6 sequences) with a
 per-sequence population DP (exact_population_distribution) stays available
