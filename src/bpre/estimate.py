@@ -537,6 +537,8 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     """
     _require_trials(trials)
     require_no_extinction(env)
+    if not n_values:
+        raise ValueError("n_values must not be empty")
     for n in n_values:
         if n < 1:
             raise ValueError(f"n={n!r} must be >= 1")

@@ -811,6 +811,13 @@ class TestConvergenceReport:
                  for row in convergence_report(env, [n], ys, trials, seed=3)]
         assert alone == runs[0]
 
+    def test_refuses_empty_and_nonpositive_horizons(self):
+        env = binary_env()
+        with pytest.raises(ValueError, match="n_values must not be empty"):
+            convergence_report(env, [], [0.1], 1500, seed=0)
+        with pytest.raises(ValueError, match="n=0"):
+            convergence_report(env, [4, 0], [0.1], 1500, seed=0)
+
 
 @pytest.fixture
 def propagations(monkeypatch):

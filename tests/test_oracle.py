@@ -661,16 +661,28 @@ class TestExactLogwIncrements:
         with pytest.raises(ValueError):
             exact_logw_increments(binary_env(), 0)
 
-    def test_work_cap_refuses_at_once(self):
+    def test_work_cap_refuses_at_once(self, monkeypatch):
         # binary reaches g = 16; g = 17 needs the kernel's 16 generations
-        # (5.8e9) and tables to z = 2^16, past the cap
-        states = [state for state, _ in binary_env().states]
-        def increment_work(g):
-            # the kernel to delta_1 K^(g-1) and the tables to its top atom
-            return kernel_work([states] * (g - 1)) + _table_work(states, 2 ** (g - 1))
-        assert increment_work(16) <= MAX_KERNEL_WORK
-        assert increment_work(17) > MAX_KERNEL_WORK
-        assert increment_work(11) == 4_659_624
+        # (5.8e9) and tables to z = 2^16, past the cap. The cap is read
+        # from the check the call makes, with its propagation and table
+        # work stubbed out so that an accepted g costs nothing
+        checked = {}
+        check = oracle._check_kernel_work
+
+        def record(generations, extra=lambda: 0):
+            generations = list(generations)
+            checked[len(generations) + 1] = kernel_work(generations) + extra()
+            check(generations, extra)
+        monkeypatch.setattr(oracle, "_check_kernel_work", record)
+        monkeypatch.setattr(oracle, "_laws", lambda generations: iter(()))
+        monkeypatch.setattr(oracle, "_increment_means", lambda env, laws: [])
+        exact_logw_increments(binary_env(), 11)
+        exact_logw_increments(binary_env(), 16)
+        with pytest.raises(ResourceCapError, match="multiply-adds"):
+            exact_logw_increments(binary_env(), 17)
+        assert checked[11] == 4_659_624
+        assert checked[16] <= MAX_KERNEL_WORK < checked[17]
+        monkeypatch.undo()
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="multiply-adds"):
             exact_logw_increments(binary_env(), 17)
@@ -689,10 +701,11 @@ class TestExactLogwIncrements:
             walks.append(g)
             return running(generations)
         monkeypatch.setattr(oracle, "_running_work", count)
-        try:
+        if g == 17:
+            with pytest.raises(ResourceCapError):
+                exact_logw_increments(binary_env(), g)
+        else:
             exact_logw_increments(binary_env(), g)
-        except ResourceCapError:
-            assert g == 17
         assert walks == [g]
 
     @pytest.mark.parametrize("cfg, top", [(BINARY, 40), (GENERIC, 30),
