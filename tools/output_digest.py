@@ -76,6 +76,10 @@ RUNS = [
     # 3^6 <= cli._INCIDENTAL_POPULATION: the exact tail of a {1, 2, 3} model
     ("verify-theorem1-kernel-generic", "verify theorem1", "generic",
      "--n 6 --x 0.2 --M-kind tight --trials 1e4"),
+    # three states, one deterministic: state indices above 1 in the open
+    # trials' rows
+    ("verify-theorem1-mixed", "verify theorem1", "mixed",
+     "--n 20 --x 0.2 --M-kind tight --trials 1e5 --workers 2"),
     ("verify-increments", "verify increments", "generic",
      "--n 20 --trials 1e4 --workers 2"),
     ("verify-increments-window", "verify increments", "binary",
@@ -89,6 +93,8 @@ RUNS = [
      "--n 6 --grid-points 5 --M-kind paper"),
     ("converge", "converge", "binary",
      "--n-values 8,16,32,70 --y-values 0.05,0.1,0.2 --trials 1e4 --workers 2"),
+    ("converge-mixed", "converge", "mixed",
+     "--n-values 8,20,60 --y-values 0.05,0.1,0.2 --trials 2e4 --workers 2"),
     ("oracle", "oracle", "binary", "--n 16 --x 0.5"),
 ]
 
