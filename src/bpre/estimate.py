@@ -7,9 +7,14 @@ process the blocks, and partial results are reduced in block order. Estimates
 are therefore bit-identical for any worker count. mc_tail_sn draws each
 block's (size, k) matrix of state counts in one multinomial call and needs
 no other draw. Within a block of the population estimators the draw order
-is pinned: the environment uniform matrix first, then per generation
-one offspring pass per state in declaration order, over the trials still
-stepped (all of them, except in mc_tail_logzn; see below). Each pass is one
+is pinned: the (size, n) environment uniform matrix first, then per
+generation one offspring pass per state in declaration order, over the
+trials still stepped (all of them, except in mc_tail_logzn; see below).
+The block holds that matrix only as its (n, size) state indices
+(_state_rows), one byte each up to 256 states: the uniforms are drawn in
+row chunks of about STATE_CHUNK values, which take the same values from
+the stream as one (size, n) call, and mapped by EnvTables.pick_states
+chunk by chunk. Generation k reads row k of the states. Each pass is one
 call of bpre.simulate.offspring on a float64 population vector, which fixes
 the draws inside it (exact binomial draws before Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
@@ -55,7 +60,7 @@ tail_reached(log Z_k + (n - k) log k_max) is a miss, whatever its remaining
 draws; both are dropped. The rule is exact in integer arithmetic; float64
 rounding moves a statistic by a few ulp, which can change a decision only
 for a bound within that of the closed threshold x - TIE_EPS. Only the open
-trials, compacted in block order with their rows of the environment matrix,
+trials, compacted in block order with their states of generation k,
 take generation k's offspring pass, so the draws a block takes depend on
 the event, and a reachable x gives other bytes than stepping every trial
 to n would (the same law). The rule is applied first at Z_0 = 1 with all n
@@ -96,6 +101,10 @@ MIN_TRIALS = 1000
 # binomial draw it saves; on a 2-CPU Xeon a draw costs about 100-190 ns and a
 # multiply-add about 2 ns at g = 10 and 0.4-0.7 ns at g = 12-13.
 HEAD_WORK_PER_DRAW = 8
+
+# A block draws its environment uniforms in row chunks of about this many
+# values and keeps only their state indices (_state_rows).
+STATE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,39 +256,59 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                           trials, level, x, n)
 
 
-def _generation(tables: EnvTables, u: np.ndarray, z: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+def _state_rows(tables: EnvTables, n: int, size: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The states of a block's (size, n) environment uniform matrix, as an
+    (n, size) array whose row k is generation k's state index per trial,
+    in the smallest unsigned dtype that holds the top index (uint8 up to
+    256 states).
+
+    The uniforms are drawn in row chunks of about STATE_CHUNK values and
+    mapped by tables.pick_states chunk by chunk. Row-major chunks take the
+    values of one rng.random((size, n)) call and leave the stream where it
+    would, so the draws are those of the whole matrix, while the block
+    holds one byte per trial-generation instead of eight.
+    """
+    dtype = np.min_scalar_type(len(tables.states) - 1)
+    states = np.empty((n, size), dtype=dtype)
+    step = max(1, STATE_CHUNK // max(n, 1))
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        states[:, lo:hi] = tables.pick_states(rng.random((hi - lo, n))).T
+    return states
+
+
+def _generation(tables: EnvTables, col: np.ndarray, z: np.ndarray,
+                rng: np.random.Generator) -> bool:
     """One generation of a block of float64 populations z, updated in place:
-    the states picked from one column u of environment uniforms, then one
-    offspring pass per state in declaration order. Returns the state index
-    per trial and whether the generation took a Gaussian draw, by
+    one offspring pass per state in declaration order, the trials' state
+    indices in col. Returns whether the generation took a Gaussian draw, by
     simulate's rule: some population starts above DEFAULT_EXACT_THRESHOLD
     in a state whose pass draws. Raises ResourceCapError once a population
     passes DEFAULT_POPULATION_CAP, well before float64 overflows."""
-    col = tables.pick_states(u)
     approx = bool(tables.draws[col[z > DEFAULT_EXACT_THRESHOLD]].any())
     for s, sampler in enumerate(tables.samplers):
         sel = np.nonzero(col == s)[0]
         if sel.size:
             z[sel] = offspring(z[sel], sampler, rng)
     _check_population_cap(z.max())
-    return col, approx
+    return approx
 
 
 def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
                  z: np.ndarray):
     """Step a block of float64 populations z through n generations in the
-    pinned draw order: the (size, n) environment matrix, then _generation
-    per column, so no (size, n) state index matrix is built.
+    pinned draw order: the (size, n) environment matrix, held as its state
+    rows (_state_rows), then _generation per row. At one byte per
+    trial-generation the state matrix is an eighth of the uniforms it
+    replaces, and each generation reads one contiguous row.
 
     Yields (state index per trial, Z, whether a draw was Gaussian) after
     each generation; z is updated in place. Z is exact below 2^53 and
     rounds at 1e-16 relative above.
     """
-    u = rng.random((z.size, n))
-    for k in range(n):
-        col, approx = _generation(tables, u[:, k], z, rng)
-        yield col, z, approx
+    for col in _state_rows(tables, n, z.size, rng):
+        yield col, z, _generation(tables, col, z, rng)
 
 
 def _deepest(tables: EnvTables, n: int, trials: int,
@@ -372,9 +401,10 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
 
     Draws Z_g (head.draw), then before each generation k decides every open
     trial by _decide: hits are counted and dropped, misses dropped. The
-    (size, n - g) environment matrix is drawn once some trial is still open
-    after the head. Only the open trials, in block order, take generation
-    k's _generation, each with its own row of the matrix.
+    (size, n - g) environment matrix is drawn, as its state rows
+    (_state_rows), once some trial is still open after the head. Only the
+    open trials, in block order, take generation k's _generation, each
+    with its own state from row k.
     """
     z = head.draw(rng, size)
     rows = np.arange(size)
@@ -387,8 +417,8 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
         if not z.size:
             return hits, approx
         if not j:
-            u = rng.random((size, n - head.g))
-        approx |= _generation(tables, u[rows, j], z, rng)[1]
+            states = _state_rows(tables, n - head.g, size, rng)
+        approx |= _generation(tables, states[j][rows], z, rng)
     return hits + int(np.count_nonzero(reached(np.log(z)))), approx
 
 
@@ -533,7 +563,9 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     Rows come out n-major, y-minor; threshold_x holds y. One trajectory set
     is shared by all y at a given n, and so is approx_sampling_used. The
     blocks of every horizon go to one thread pool, horizon by horizon in
-    block order, so a horizon of one block runs beside the others.
+    block order, so a horizon of one block runs beside the others. Each
+    block returns its hit count per y and whether a draw was Gaussian, not
+    its log Z_n, so a horizon holds no array over all its trials.
     """
     _require_trials(trials)
     require_no_extinction(env)
@@ -550,8 +582,12 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     for n, g in zip(n_values, depths):
         def run_block(b: int, size: int, n: int = n,
                       head: _KernelHead = _KernelHead(g, laws[g])
-                      ) -> tuple[np.ndarray, bool]:
-            return _final_logz(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head)
+                      ) -> tuple[list[int], bool]:
+            logz, approx = _final_logz(tables, n, size,
+                                       stream(seed, DOMAIN_TRAJ, b), head)
+            deviations = np.abs(logz / n - mu)
+            return [int(np.count_nonzero(deviations >= y - TIE_EPS))
+                    for y in y_values], approx
 
         tasks += _block_tasks(run_block, trials)
     results = _run(tasks, workers)
@@ -559,11 +595,8 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     rows = []
     for i, n in enumerate(n_values):
         parts = results[i * per_n:(i + 1) * per_n]
-        logz = np.concatenate([block for block, _ in parts])
-        deviations = np.abs(logz / n - mu)
         approx = any(gaussian for _, gaussian in parts)
-        for y in y_values:
-            hits = int(np.count_nonzero(deviations >= y - TIE_EPS))
-            rows.append(_tail_estimate(hits, trials, level, float(y), int(n),
-                                       approx))
+        for y, *block_hits in zip(y_values, *(hits for hits, _ in parts)):
+            rows.append(_tail_estimate(sum(block_hits), trials, level,
+                                       float(y), int(n), approx))
     return rows

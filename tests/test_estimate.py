@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from bpre import oracle
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 import bpre.estimate
-from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
-                           TailEstimate, _decide, _final_logz, _generation,
-                           _generations, _head_depth, _increment_depth,
-                           _KernelHead, _map_blocks, _tail_estimate,
-                           _tail_hits, binomial_ci,
+from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, STATE_CHUNK,
+                           DecayFit, TailEstimate, _decide, _final_logz,
+                           _generation, _generations, _head_depth,
+                           _increment_depth, _KernelHead, _map_blocks,
+                           _state_rows, _tail_estimate, _tail_hits,
+                           binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
@@ -567,8 +569,8 @@ class TestApproxSampling:
         # the threshold in a state that draws
         tables = EnvTables(parse_env_config(MIXED))
         pops = np.array([3.0, float(z)])
-        _, got = _generation(tables, np.array([0.1, u]), pops,
-                             stream(0, DOMAIN_TRAJ, 0))
+        row = tables.pick_states(np.array([0.1, u])).astype(np.uint8)
+        got = _generation(tables, row, pops, stream(0, DOMAIN_TRAJ, 0))
         assert got is approx
 
     def test_estimators_record_gaussian_draws(self):
@@ -591,6 +593,32 @@ class TestApproxSampling:
                                       seed=0).approx_sampling_used
         assert not mc_tail_sn(env, 70, 0.05, mom.M_tight, 2000,
                               seed=0).approx_sampling_used
+
+
+def uniform_states(k):
+    return EnvTables(parse_env_config({"model": "generic", "states": [
+        {"label": f"s{i}", "mass": 1.0 / k, "offspring": {"1": 0.5, "2": 0.5}}
+        for i in range(k)]}))
+
+
+class TestStateRows:
+    # STATE_CHUNK // 7 rows of n = 7 make one chunk
+    @pytest.mark.parametrize("n, size", [
+        (0, 5), (1, 3), (1, STATE_CHUNK), (1, STATE_CHUNK + 1),
+        (7, STATE_CHUNK // 7), (7, STATE_CHUNK // 7 + 1),
+        (7, 3 * (STATE_CHUNK // 7) + 2), (STATE_CHUNK + 3, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 257])
+    def test_rows_are_the_states_of_one_uniform_matrix(self, k, n, size):
+        # the chunked draws are those of one (size, n) call, and the stream
+        # is left where that call leaves it
+        tables = uniform_states(k)
+        rng, ref = stream(4, DOMAIN_TRAJ, 0), stream(4, DOMAIN_TRAJ, 0)
+        got = _state_rows(tables, n, size, rng)
+        expect = tables.pick_states(ref.random((size, n))).T
+        assert got.dtype == (np.uint8 if k <= 256 else np.uint16)
+        assert got.shape == (n, size)
+        assert np.array_equal(got, expect)
+        assert rng.random() == ref.random()
 
 
 class TestIncrements:
@@ -810,6 +838,39 @@ class TestConvergenceReport:
         alone = [row for n in ns
                  for row in convergence_report(env, [n], ys, trials, seed=3)]
         assert alone == runs[0]
+
+    def test_block_hit_counts_sum_to_the_pooled_count(self):
+        # each block counts its own hits per y; their sums are the counts
+        # over every trial's log Z_n
+        env = binary_env()
+        tables = EnvTables(env)
+        mu = compute_moments(env).mu
+        n, ys, trials = 20, [0.05, 0.1, 0.2], BLOCK_TRIALS + 100
+        g = _head_depth(tables, n, trials)
+        head = _KernelHead(g, _annealed_laws(env, g)[g])
+        logz = np.concatenate([logz for logz, _ in _map_blocks(
+            lambda b, size: _final_logz(tables, n, size,
+                                        stream(3, DOMAIN_TRAJ, b), head),
+            trials, 1)])
+        deviations = np.abs(logz / n - mu)
+        rows = convergence_report(env, [n], ys, trials, seed=3)
+        assert [r.hits for r in rows] == [
+            int(np.count_nonzero(deviations >= y - TIE_EPS)) for y in ys]
+
+    def test_block_holds_no_float_uniform_matrix(self):
+        # a float64 (16384, 200) uniform matrix alone is 25 MB; the block
+        # holds its environment as 1-byte states. binomial_ci imports scipy,
+        # which is loaded before tracing.
+        import scipy.special  # noqa: F401
+        n, trials = 200, BLOCK_TRIALS
+        matrix = trials * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            convergence_report(binary_env(), [n], [0.05], trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix / 2, f"peak {peak / 2**20:.1f} MB"
 
     def test_refuses_empty_and_nonpositive_horizons(self):
         env = binary_env()
