@@ -3,9 +3,10 @@ and estimation into reproducible experiments with machine-readable reports.
 
 Every command is deterministic given (config bytes, flags, seed). With --out
 DIR the convention is manifest.json + result.json + result.csv (plus numbered
-CSVs for multi-trajectory simulate runs); without --out the JSON result goes
-to stdout. Exit codes: 0 pass, 1 verdict or assumption failure, 2 usage or
-parse error, 3 resource cap.
+CSVs for multi-trajectory simulate runs), with manifest.json written last as
+the mark of a complete run; without --out the JSON result goes to stdout.
+Exit codes: 0 pass, 1 verdict or assumption failure, 2 usage or parse error,
+3 resource cap.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import json
 import os
 import shlex
 import sys
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,16 +91,33 @@ def _csv(header: str, rows: list[list[str]]) -> str:
     return "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
 
 
-def emit(args, result: dict, files: dict[str, str] | None = None,
+def emit(args, result: dict | Callable[[], dict],
+         files: Iterable[tuple[str, str]] = (),
          config_sha: str | None = None, seed: int | None = None) -> None:
-    """Write the --out directory convention, or print the JSON to stdout;
-    files maps each CSV's name to its text."""
+    """Write the --out directory convention, or print the JSON to stdout.
+
+    files yields each CSV's (name, text), and each is written as it
+    arrives, so a run holds one file's text at a time. result is the JSON
+    result, or a callable that builds it once every file is written.
+    result.json follows the files and manifest.json comes last: a stale
+    manifest is removed before the first file, so a directory has one
+    exactly when its run completed.
+    """
     if args.out is None:
-        print(render_json(result))
+        print(render_json(result() if callable(result) else result))
         return
-    files = files or {}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
+    names = []
+    for name, text in files:
+        (outdir / name).write_text(text, encoding="utf-8")
+        names.append(name)
+    if callable(result):
+        result = result()
+    (outdir / "result.json").write_text(
+        render_json({**result, "manifest": "manifest.json"}) + "\n",
+        encoding="utf-8")
     manifest = {
         "command": "bpre " + shlex.join(args.argv),
         "env_config_sha256": config_sha,
@@ -106,15 +125,10 @@ def emit(args, result: dict, files: dict[str, str] | None = None,
         "rng_id": RNG_ID,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": ["result.json", *sorted(files)],
+        "outputs": ["result.json", *sorted(names)],
     }
     (outdir / "manifest.json").write_text(render_json(manifest) + "\n",
                                           encoding="utf-8")
-    (outdir / "result.json").write_text(
-        render_json({**result, "manifest": "manifest.json"}) + "\n",
-        encoding="utf-8")
-    for name, text in files.items():
-        (outdir / name).write_text(text, encoding="utf-8")
 
 
 def resolve_seed(args) -> int:
@@ -186,25 +200,29 @@ def cmd_simulate(args) -> int:
                     exact_sampling_threshold=args.exact_threshold)
 
     tables = EnvTables(env)
-    csvs: dict[str, str] = {}
-    approx_any = False
-    for t in range(args.trials):
-        traj = simulate_trajectory(tables, cfg,
-                                   rng=stream(seed, DOMAIN_SIMULATE, t))
-        approx_any = approx_any or traj.approx_sampling_used
-        # One f-string per row writes what fmt() and _csv() would: .17g
-        # prints nan and +-inf as fmt does, and Z >= 1 keeps every value
-        # finite.
-        rows = "".join([f"{gen},{z},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
-                        for gen, (z, s, w) in enumerate(traj.records)])
-        name = "result.csv" if args.trials == 1 else f"result_{t:04d}.csv"
-        csvs[name] = f"{TRAJECTORY_CSV_HEADER}\n{rows}"
+    names = (["result.csv"] if args.trials == 1
+             else [f"result_{t:04d}.csv" for t in range(args.trials)])
+    approx = []
 
-    result = {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,
-              "n": args.n, "trials": args.trials,
-              "approx_sampling_used": approx_any,
-              "files": sorted(csvs)}
-    emit(args, result, csvs, config_sha=sha, seed=seed)
+    def trajectories():
+        for t, name in enumerate(names):
+            traj = simulate_trajectory(tables, cfg,
+                                       rng=stream(seed, DOMAIN_SIMULATE, t))
+            approx.append(traj.approx_sampling_used)
+            # One f-string per row writes what fmt() and _csv() would: .17g
+            # prints nan and +-inf as fmt does, and Z >= 1 keeps every value
+            # finite.
+            rows = "".join(
+                [f"{gen},{z},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
+                 for gen, (z, s, w) in enumerate(traj.records)])
+            yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
+
+    def result() -> dict:
+        return {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,
+                "n": args.n, "trials": args.trials,
+                "approx_sampling_used": any(approx), "files": names}
+
+    emit(args, result, trajectories(), config_sha=sha, seed=seed)
     return 0
 
 
@@ -247,7 +265,7 @@ def cmd_verify_sn(args) -> int:
               "level": est.level, "bound_H": bound, "exact_tail": exact,
               "dominated": passed, "pass": passed, "seed": seed,
               "rng_id": RNG_ID}
-    emit(args, result, {"result.csv": _csv(TAIL_CSV_HEADER, [row])},
+    emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
          config_sha=sha, seed=seed)
     _verdict_line(args, "sn", passed)
     return 0 if passed else 1
@@ -304,7 +322,7 @@ def cmd_verify_theorem1(args) -> int:
               "approx_sampling_used": (est.approx_sampling_used
                                        or incs.approx_sampling_used),
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, {"result.csv": _csv(TAIL_CSV_HEADER, [row])},
+    emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
          config_sha=sha, seed=seed)
     _verdict_line(args, "theorem1", passed)
     return 0 if passed else 1
@@ -334,7 +352,7 @@ def cmd_verify_increments(args) -> int:
               "increment_head_depth": incs.head_depth, "pass": passed,
               "approx_sampling_used": incs.approx_sampling_used,
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, {"result.csv": _csv(INCREMENT_CSV_HEADER, rows)},
+    emit(args, result, [("result.csv", _csv(INCREMENT_CSV_HEADER, rows))],
          config_sha=sha, seed=seed)
     _verdict_line(args, "increments", passed)
     return 0 if passed else 1
@@ -359,7 +377,7 @@ def cmd_verify_oracle(args) -> int:
     result = {"mode": "oracle", "n": args.n, "M_kind": args.m_kind,
               "grid_points": args.grid_points, "violations": violations,
               "pass": passed}
-    emit(args, result, {"result.csv": _csv(ORACLE_CSV_HEADER, rows)},
+    emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, rows))],
          config_sha=sha)
     _verdict_line(args, "oracle", passed)
     return 0 if passed else 1
@@ -380,7 +398,7 @@ def cmd_converge(args) -> int:
               "rows": [{"n": r.n, "y": r.threshold_x, "hits": r.hits,
                         "point": r.point, "ci_low": r.ci_low,
                         "ci_high": r.ci_high} for r in rows]}
-    emit(args, result, {"result.csv": _csv(CONVERGE_CSV_HEADER, csv_rows)},
+    emit(args, result, [("result.csv", _csv(CONVERGE_CSV_HEADER, csv_rows))],
          config_sha=sha, seed=seed)
     return 0
 

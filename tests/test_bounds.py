@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bpre.bounds import (BoundQuery, H, H_upper, Theorem1Params, dH_dx, log_H,
                          sn_tail_bound, theorem1_bound)
+from bpre.env import compute_moments, parse_env_config
+from bpre.oracle import exact_sn_tail
 
 # frozen high-precision evaluations of the closed forms
 LOG_H_4_2_1 = -1.5276340039075507
@@ -156,3 +160,105 @@ class TestValidation:
             Theorem1Params(n=4, m=2, M=-0.3, C=1.0, delta=0.5)
         with pytest.raises(ValueError):
             Theorem1Params(n=4, m=2, M=0.3, C=0.0, delta=0.5)
+
+
+# the README model and the bench's {1, 2, 3} model, whose log means are
+# symmetric two-point laws like the extremal law of H, and a three-state mix
+# whose law is not
+CHERNOFF_MODELS = {
+    "binary": {"model": "binary", "support": [{"p": 0.25, "mass": 0.5},
+                                              {"p": 0.75, "mass": 0.5}]},
+    "generic": {"model": "generic", "states": [
+        {"label": "low", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
+        {"label": "high", "mass": 0.5, "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]},
+    "three-state": {"model": "generic", "states": [
+        {"label": "bin", "mass": 0.4, "offspring": {"1": 0.6, "2": 0.4}},
+        {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
+        {"label": "chain", "mass": 0.3,
+         "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]},
+}
+
+
+def chernoff_sn(env, n, x, M):
+    """inf over theta >= 0 of exp(-theta*x*M + n*Lambda(theta)), with
+    Lambda(theta) = log sum_s w_s exp(theta*(X_s - mu)) the log-mgf of one
+    step of the walk: the Chernoff bound on P(S_n - n*mu >= x*M)."""
+    mom = compute_moments(env)
+    w = np.array([mass for _, mass in env.states])
+    d = np.array([X for _, _, X in mom.per_state]) - mom.mu
+    t, top = x * M / n, d.max()
+
+    def excess(theta):
+        # Lambda(theta) - theta*t, shifted by the top deviation so no
+        # exponential overflows
+        return theta * (top - t) + math.log(w @ np.exp(theta * (d - top)))
+
+    def slope(theta):
+        # Lambda'(theta) - t: the tilted mean deviation past t
+        e = w * np.exp(theta * (d - top))
+        return float(e @ d) / float(e.sum()) - t
+
+    if t > top:
+        return 0.0
+    if t == top:
+        # the infimum is the limit theta -> inf: the top state every step
+        return float(w[d == top].sum()) ** n
+    if slope(0.0) >= 0.0:
+        return math.exp(n * excess(0.0))
+    hi = 1.0
+    while slope(hi) < 0.0:
+        hi *= 2.0
+    theta = brentq(slope, 0.0, hi, xtol=1e-15, rtol=1e-15)
+    return math.exp(n * excess(theta))
+
+
+class TestChernoffChain:
+    """exact <= Chernoff <= H at every x in [0, n]: H is the Chernoff bound
+    of the extremal law with the model's variance and upper bound M, so
+    the middle term tests the derivation of H, deterministically."""
+
+    POINTS = 65
+
+    @pytest.mark.parametrize("model", sorted(CHERNOFF_MODELS))
+    @pytest.mark.parametrize("m_kind", ["tight", "paper"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_exact_below_chernoff_below_h(self, model, m_kind, n):
+        env = parse_env_config(CHERNOFF_MODELS[model])
+        mom = compute_moments(env)
+        M = mom.M_tight if m_kind == "tight" else mom.M_paper
+        sigma = math.sqrt(mom.sigma2)
+        for i in range(self.POINTS):
+            x = n * i / (self.POINTS - 1)
+            # the walk event (S_n - n*mu)/M >= x, in the normalized form
+            # the oracle takes
+            exact = exact_sn_tail(env, n, x / n, M, mom.mu)
+            chernoff = chernoff_sn(env, n, x, M)
+            bound = sn_tail_bound(n, x, sigma, M)
+            # at x = n under M_tight exact and Chernoff are both the top
+            # state's mass to the n, each rounded its own way
+            assert exact <= chernoff * (1 + 1e-12), (x, exact, chernoff)
+            assert chernoff <= bound * (1 + 1e-9), (x, chernoff, bound)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_equality_under_m_tight_on_the_extremal_law(self, n):
+        # the README model's X - mu is +-M_tight with mass 1/2 each, the
+        # extremal two-point law itself, so Chernoff and H agree; at x = n
+        # both are the all-high sequence's 2^-n
+        env = parse_env_config(CHERNOFF_MODELS["binary"])
+        mom = compute_moments(env)
+        sigma = math.sqrt(mom.sigma2)
+        for i in range(self.POINTS):
+            x = n * i / (self.POINTS - 1)
+            assert chernoff_sn(env, n, x, mom.M_tight) == pytest.approx(
+                sn_tail_bound(n, x, sigma, mom.M_tight), rel=1e-9), x
+        assert exact_sn_tail(env, n, 1.0, mom.M_tight, mom.mu) == 2.0 ** -n
+        assert chernoff_sn(env, n, n, mom.M_tight) == 2.0 ** -n
+
+    def test_strict_gap_under_m_paper(self):
+        # M_paper = log 2 - mu exceeds the law's top deviation
+        env = parse_env_config(CHERNOFF_MODELS["binary"])
+        mom = compute_moments(env)
+        chernoff = chernoff_sn(env, 16, 8.0, mom.M_paper)
+        bound = sn_tail_bound(16, 8.0, math.sqrt(mom.sigma2), mom.M_paper)
+        assert chernoff == pytest.approx(3.9e-4, rel=0.02)
+        assert bound == pytest.approx(5.2e-3, rel=0.02)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,12 @@ BINARY_TEXT = json.dumps({
 DOUBLING_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]})
+# Z doubles in about half the generations: at --n 1024 --seed 3,
+# trajectories 0 and 1 stay within the 2^512 cap and trajectory 2 passes it.
+STAY_OR_DOUBLE_TEXT = json.dumps({
+    "model": "generic",
+    "states": [{"label": "stay", "mass": 0.5, "offspring": {"1": 1.0}},
+               {"label": "double", "mass": 0.5, "offspring": {"2": 1.0}}]})
 RISKY_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "risky", "mass": 1.0,
@@ -35,6 +42,13 @@ def binary_cfg(tmp_path):
 def doubling_cfg(tmp_path):
     path = tmp_path / "doubling.json"
     path.write_text(DOUBLING_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def stay_or_double_cfg(tmp_path):
+    path = tmp_path / "stay_or_double.json"
+    path.write_text(STAY_OR_DOUBLE_TEXT)
     return str(path)
 
 
@@ -224,6 +238,9 @@ class TestSimulate:
         assert result["files"] == names
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["result.json"] + names
+        # a complete run's manifest lists exactly the files it wrote
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"])
 
     def test_extinction_env_rejected(self, tmp_path, risky_cfg):
         assert cli.main(["simulate", risky_cfg, "--n", "5",
@@ -269,6 +286,42 @@ class TestSimulate:
                     for gen, rec in enumerate(traj.records)]
             expected = cli._csv(cli.TRAJECTORY_CSV_HEADER, rows)
             assert (out / f"result_{t:04d}.csv").read_text() == expected
+
+    def test_holds_one_trajectory_at_a_time(self, tmp_path, binary_cfg):
+        # holding all 512 CSV texts until the end peaked at 8.0 MB traced;
+        # each is written as it is drawn
+        whole_run_peak = 8.0 * 2 ** 20
+        assert cli.main(["simulate", binary_cfg, "--n", "5",
+                         "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(["simulate", binary_cfg, "--n", "200",
+                             "--trials", "512", "--seed", "0",
+                             "--out", str(tmp_path / "big")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < whole_run_peak / 4, f"peak {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_run_stopped_at_the_cap_leaves_no_manifest(
+            self, tmp_path, capsys, stay_or_double_cfg, earlier_run):
+        out = tmp_path / "cap"
+        if earlier_run:
+            assert cli.main(["simulate", stay_or_double_cfg, "--n", "64",
+                             "--trials", "4", "--seed", "3",
+                             "--out", str(out)]) == 0
+            assert (out / "manifest.json").exists()
+        assert cli.main(["simulate", stay_or_double_cfg, "--n", "1024",
+                         "--trials", "4", "--seed", "3",
+                         "--out", str(out)]) == 3
+        assert "cap is 512 bits" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        # the trajectories drawn before the cap are on disk
+        for t in (0, 1):
+            assert len((out / f"result_{t:04d}.csv").read_text()
+                       .splitlines()) == 1026
 
 
 class TestVerify:

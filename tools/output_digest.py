@@ -11,7 +11,8 @@ takes one, with --out in a temporary directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
 result* file. manifest.json is skipped: it carries a timestamp. A refactor
 that must keep every output byte gives the same digest on the old and the
-new tree, so `diff` the two.
+new tree, so `diff` the two. For every run that exits 0 the script asserts
+that manifest.json lists exactly the result* files of its directory.
 """
 from __future__ import annotations
 
@@ -112,7 +113,11 @@ def digest(root: Path) -> list[str]:
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         lines.append(f"exit {code}  {run}")
-        for path in sorted((root / run).glob("result*")):
+        results = sorted((root / run).glob("result*"))
+        if code == 0:
+            manifest = json.loads((root / run / "manifest.json").read_text())
+            assert sorted(manifest["outputs"]) == [p.name for p in results], run
+        for path in results:
             sha = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{sha}  {run}/{path.name}")
     return lines
