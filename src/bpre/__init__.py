@@ -2,9 +2,9 @@
 
 Simulation of population trajectories, Hoeffding-type tail bounds for the
 log-population walk, exact laws over state-count compositions and under the
-annealed population kernel (complete enumeration of environment sequences
-is only the tests' brute-force reference), and Monte Carlo verification
-with exact confidence intervals.
+annealed population kernel (the one exact population route; the
+brute-force references it is tested against live in the tests), and Monte
+Carlo verification with exact confidence intervals.
 """
 
 __version__ = "0.1.0"
@@ -19,28 +19,22 @@ from .estimate import (BLOCK_TRIALS, DecayFit, IncrementStat, IncrementStats,
                        TailEstimate, binomial_ci, convergence_report,
                        fit_geometric_decay, mc_logw_increments, mc_tail_logzn,
                        mc_tail_sn, theorem1_candidates)
-from .oracle import (ExactPmf, WeightedSequence, enumerate_env_sequences,
-                     exact_EWn, exact_logw_increments, exact_logZn_tail,
-                     exact_population_distribution, exact_sn_tail)
-from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord,
-                       QuenchedReport, SimConfig, Trajectory,
-                       quenched_martingale_check, sample_env_sequence,
-                       simulate_trajectory, stream)
+from .oracle import (exact_EWn, exact_logw_increments, exact_logZn_tail,
+                     exact_sn_tail)
+from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord, SimConfig,
+                       Trajectory, sample_env_sequence, simulate_trajectory,
+                       stream)
 
 __all__ = [
     "AssumptionReport", "BLOCK_TRIALS", "BoundQuery", "CheckResult",
     "ConfigError", "DecayFit", "EnvDistribution", "EnvSequence", "EnvState",
-    "EnvTables", "ExactPmf", "GenRecord", "H", "H_upper", "IncrementStat",
-    "IncrementStats", "ModelMoments", "OffspringPmf", "QuenchedReport",
-    "ResourceCapError",
-    "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params",
-    "Trajectory", "WeightedSequence", "binomial_ci", "check_assumptions",
-    "compute_moments", "convergence_report", "dH_dx", "enumerate_env_sequences",
-    "exact_EWn", "exact_logw_increments", "exact_logZn_tail",
-    "exact_population_distribution",
-    "exact_sn_tail", "fit_geometric_decay", "log_H", "mc_logw_increments",
-    "mc_tail_logzn", "mc_tail_sn", "parse_env_config",
-    "quenched_martingale_check", "sample_env_sequence", "simulate_trajectory",
-    "sn_tail_bound", "state_mean", "stream",
-    "theorem1_bound", "theorem1_candidates",
+    "EnvTables", "GenRecord", "H", "H_upper", "IncrementStat",
+    "IncrementStats", "ModelMoments", "OffspringPmf", "ResourceCapError",
+    "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params", "Trajectory",
+    "binomial_ci", "check_assumptions", "compute_moments",
+    "convergence_report", "dH_dx", "exact_EWn", "exact_logw_increments",
+    "exact_logZn_tail", "exact_sn_tail", "fit_geometric_decay", "log_H",
+    "mc_logw_increments", "mc_tail_logzn", "mc_tail_sn", "parse_env_config",
+    "sample_env_sequence", "simulate_trajectory", "sn_tail_bound",
+    "state_mean", "stream", "theorem1_bound", "theorem1_candidates",
 ]

@@ -100,15 +100,16 @@ def emit(args, result: dict | Callable[[], dict],
     arrives, so a run holds one file's text at a time. result is the JSON
     result, or a callable that builds it once every file is written.
     result.json follows the files and manifest.json comes last: a stale
-    manifest is removed before the first file, so a directory has one
-    exactly when its run completed.
+    manifest and result.json are removed before the first file, so a
+    directory has them exactly when its run completed.
     """
     if args.out is None:
         print(render_json(result() if callable(result) else result))
         return
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "manifest.json").unlink(missing_ok=True)
+    for stale in ("manifest.json", "result.json"):
+        (outdir / stale).unlink(missing_ok=True)
     names = []
     for name, text in files:
         (outdir / name).write_text(text, encoding="utf-8")

@@ -76,7 +76,6 @@ sample path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -328,7 +327,7 @@ def _head_depth(tables: EnvTables, n: int, trials: int) -> int:
     """The depth of a log Z_n estimate's kernel head (_deepest): its work is
     the kernel's propagation to delta_1 K^g."""
     return _deepest(tables, n, trials,
-                    _running_work(itertools.repeat(tables.states, n)))
+                    _running_work(tables.states, n))
 
 
 def _increment_depth(tables: EnvTables, n: int, trials: int) -> int:
@@ -337,7 +336,7 @@ def _increment_depth(tables: EnvTables, n: int, trials: int) -> int:
     head's law, which g = n does without) and the increment tables up to
     the top atom k_max^(g-1) of delta_1 K^(g-1) (oracle._table_work)."""
     return _deepest(tables, n, trials, (
-        kernel_work(itertools.repeat(tables.states, min(g, n - 1)))
+        kernel_work(tables.states, min(g, n - 1))
         + _table_work(tables.states, tables.env.k_max ** (g - 1))
         for g in range(1, n + 1)))
 

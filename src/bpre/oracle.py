@@ -9,25 +9,25 @@ the k^n sequences:
 - Under the annealed law Z_n is a Markov chain with kernel
   K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
   offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). Every law
-  delta_1 K^k comes from one propagation of _annealed_laws, one generation
-  at a time: the log Z_n tail reads delta_1 K^n, E W_n uses weights
-  w_s / m_s, the martingale increments E|log W_{k+1} - log W_k| take one
-  dot product per k of delta_1 K^k with a table of E|log(S_z / (z m_s))|
-  over the states (exact_logw_increments), and bpre.estimate's kernel heads
-  draw Z_g from it. The population DP is capped by its kernel_work, the
-  multiply-adds of its generation steps (MAX_KERNEL_WORK, the binary {1, 2}
-  model's work at n = 16), checked once per call before any work.
+  delta_1 K^k comes from one propagation of _annealed_laws, the package's
+  only population DP, one generation at a time: the log Z_n tail reads
+  delta_1 K^n, E W_n uses weights w_s / m_s, the martingale increments
+  E|log W_{k+1} - log W_k| take one dot product per k of delta_1 K^k with a
+  table of E|log(S_z / (z m_s))| over the states (exact_logw_increments),
+  and bpre.estimate's kernel heads draw Z_g from it. The population DP is
+  capped by its kernel_work, the multiply-adds of its generation steps
+  (MAX_KERNEL_WORK, the binary {1, 2} model's work at n = 16), checked once
+  per call before any work.
 
-Complete enumeration of the environment law (cap 10^6 sequences) with a
-per-sequence population DP (exact_population_distribution) stays available
-as the brute-force reference the two routes are tested against. A
-population law is a float64 array indexed by value; one generation step
+A population law is a float64 array indexed by value; one generation step
 evaluates the offspring pgf's powers weighted by the law in blocks of about
 sqrt(len) atoms (Paterson and Stockmeyer's baby and giant steps), and
 _compose states its error bound (every atom within 9.0e-14 of the exact law
 for the binary model at n = 8, while the atoms stay normal numbers). Tails
-and E W_n are summed with math.fsum. There is no exact-rational mode; the
-tests check the kernel against one.
+and E W_n are summed with math.fsum. There is no exact-rational mode and no
+per-sequence route; the tests check the kernel against exact rationals and
+against per-sequence laws mixed over the enumerated environment law
+(tests/brute.py).
 
 Tail events compare a normalized statistic (stat - n*mu)/(n*M) against the
 threshold x with a closed tail (>=). Exact-boundary atoms, such as the
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,60 +60,10 @@ def tail_reached(stat, n: int, mu: float, M: float, x: float):
     return (stat - n * mu) / (n * M) >= x - TIE_EPS
 
 
-MAX_SEQUENCES = 10 ** 6
 MAX_COMPOSITIONS = 10 ** 6
 # kernel_work of the two-state binary {1, 2} model at n = 16 is 5.8e9
 # multiply-adds, about 1.4 s on a 2-CPU Xeon; its n = 17 is four times that.
 MAX_KERNEL_WORK = 1 << 33
-
-
-@dataclass(frozen=True)
-class WeightedSequence:
-    """One fully specified environment sequence and its product probability."""
-
-    states: tuple[str, ...]
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.probability <= 1.0:
-            raise ValueError(f"probability {self.probability!r} outside (0,1]")
-
-
-@dataclass(frozen=True)
-class ExactPmf:
-    """Exact law of an integer population: (value, probability), ascending."""
-
-    support: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        values = [v for v, _ in self.support]
-        if values != sorted(set(values)):
-            raise ValueError("support values must be strictly increasing")
-        total = math.fsum(p for _, p in self.support)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}")
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in self.support)
-
-
-def _check_enumeration_cap(env: EnvDistribution, n: int) -> None:
-    count = len(env.states) ** n
-    if count > MAX_SEQUENCES:
-        raise ResourceCapError(
-            f"{len(env.states)}^{n} = {count} environment sequences exceeds "
-            f"the cap {MAX_SEQUENCES}")
-
-
-def enumerate_env_sequences(env: EnvDistribution, n: int) -> Iterator[WeightedSequence]:
-    """All k_0^n environment sequences with product probabilities."""
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
-    _check_enumeration_cap(env, n)
-    for combo in itertools.product(env.states, repeat=n):
-        prob = math.prod(mass for _, mass in combo)
-        yield WeightedSequence(tuple(state.label for state, _ in combo), prob)
 
 
 # --- S_n: state-count compositions ------------------------------------------
@@ -193,7 +142,7 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
     return math.fsum(hits)
 
 
-# --- Z_n: one generation step, per sequence or under the kernel ---------------
+# --- Z_n: the annealed kernel, one generation step at a time ------------------
 
 def _offspring_array(state: EnvState) -> np.ndarray:
     """The state's offspring pmf as a float64 array indexed by family size."""
@@ -281,44 +230,38 @@ def _compose_work(length: int, size: int, built: int) -> int:
     return powers + baby + giant
 
 
-def _running_work(generations: Iterable[Sequence[EnvState]]) -> Iterator[int]:
-    """kernel_work of the first 1, 2, ... of the given generations."""
-    total, top = 0, 1
-    built: dict[int, int] = {}  # id(state) -> its highest power so far
-    for states in generations:
-        block = _block_size(top + 1)
-        sizes = []
-        for state in states:
-            sizes.append(state.pmf.support[-1] + 1)
-            have = built.get(id(state), 1)
-            total += _compose_work(top + 1, sizes[-1], have)
-            built[id(state)] = max(have, block)
+def _running_work(states: Sequence[EnvState], n: int) -> Iterator[int]:
+    """kernel_work of the first 1, 2, ..., n generations."""
+    sizes = [state.pmf.support[-1] + 1 for state in states]
+    total, top, built = 0, 1, 1  # built: the highest power f^i made so far
+    for _ in range(n):
+        total += sum(_compose_work(top + 1, size, built) for size in sizes)
+        built = _block_size(top + 1)  # top never falls: every k_max >= 1
         top *= max(sizes) - 1
         yield total
 
 
-def kernel_work(generations: Iterable[Sequence[EnvState]]) -> int:
-    """Multiply-adds _compose does to push delta_1 through the given
-    generations, each listed as the states its mixture steps with, summed
-    over generations and states. A step's offspring array has (largest
-    family size) + 1 entries whatever its zeros, the law after a
-    generation reaches the product of the largest family sizes so far, and
-    each state's powers are built once, in the first generation that needs
-    them. The two-state binary {1, 2} model does 5,797,609,192 at n = 16."""
+def kernel_work(states: Sequence[EnvState], n: int) -> int:
+    """Multiply-adds _compose does to push delta_1 through n generations of
+    the kernel over the given states, summed over generations and states. A
+    step's offspring array has (largest family size) + 1 entries whatever
+    its zeros, the law after g generations reaches k_max^g, and each state's
+    powers are built once, in the first generation that needs them. The
+    two-state binary {1, 2} model does 5,797,609,192 at n = 16."""
     total = 0
-    for total in _running_work(generations):
+    for total in _running_work(states, n):
         pass
     return total
 
 
-def _check_kernel_work(generations: Iterable[Sequence[EnvState]],
+def _check_kernel_work(states: Sequence[EnvState], n: int,
                        extra: Callable[[], int] = lambda: 0) -> None:
     """Raise ResourceCapError at the first generation whose running work
     passes MAX_KERNEL_WORK, before any big-integer support size of a long
     horizon is formed, or if the whole kernel work plus extra() does; extra
     is called only once every generation is within the cap."""
     work = 0
-    for work in _running_work(generations):
+    for work in _running_work(states, n):
         if work > MAX_KERNEL_WORK:
             break
     else:
@@ -329,48 +272,29 @@ def _check_kernel_work(generations: Iterable[Sequence[EnvState]],
             f"the cap {MAX_KERNEL_WORK}")
 
 
-def _laws(generations: Iterable[Sequence[tuple[EnvState, float]]]
-          ) -> Iterator[np.ndarray]:
-    """Push delta_1 through one mixture sum_s weight_s T_s per generation,
-    given as (state, weight) pairs, and yield the law after each, indexed by
-    value. Each state keeps one list of the powers of its offspring pgf for
-    the call."""
-    law = np.array([0.0, 1.0])
-    powers: dict[int, list[np.ndarray]] = {}  # keyed by id(state)
-    for mixture in generations:
-        parts = []
-        for state, weight in mixture:
-            if id(state) not in powers:
-                powers[id(state)] = [np.ones(1), _offspring_array(state)]
-            parts.append(weight * _compose(law, powers[id(state)]))
-        law = np.zeros(max(len(part) for part in parts))
-        for part in parts:
-            law[:len(part)] += part
-        yield law
-
-
-def exact_population_distribution(env_seq: Sequence[EnvState]) -> ExactPmf:
-    """Exact law of Z_n under a fixed environment sequence, one generation
-    step per state; the brute-force reference for the annealed kernel."""
-    n = len(env_seq)
-    if n < 1:
-        raise ValueError("environment sequence is empty")
-    _check_kernel_work([state] for state in env_seq)
-    *_, law = _laws([(state, 1.0)] for state in env_seq)
-    return ExactPmf(tuple((v, p) for v, p in enumerate(law.tolist()) if p > 0.0))
-
-
 def _annealed_laws(env: EnvDistribution, n: int,
                    weights: Sequence[float] | None = None,
                    extra_work: Callable[[], int] = lambda: 0) -> list[np.ndarray]:
     """[delta_1 K^k for k = 0..n], K = sum_s weights[s] T_s (by default the
     state masses w_s: the annealed kernel), each indexed by value, from one
     propagation. Its kernel_work plus extra_work() (a caller's own work on
-    the laws) is checked against MAX_KERNEL_WORK once, before any work."""
+    the laws) is checked against MAX_KERNEL_WORK once, before any work.
+    Each state keeps one list of the powers of its offspring pgf for the
+    call."""
     states = [state for state, _ in env.states]
-    _check_kernel_work(itertools.repeat(states, n), extra_work)
-    mixture = env.states if weights is None else list(zip(states, weights))
-    return [np.array([0.0, 1.0]), *_laws(itertools.repeat(mixture, n))]
+    _check_kernel_work(states, n, extra_work)
+    if weights is None:
+        weights = [mass for _, mass in env.states]
+    powers = [[np.ones(1), _offspring_array(state)] for state in states]
+    laws = [np.array([0.0, 1.0])]
+    for _ in range(n):
+        parts = [weight * _compose(laws[-1], power)
+                 for weight, power in zip(weights, powers)]
+        law = np.zeros(max(len(part) for part in parts))
+        for part in parts:
+            law[:len(part)] += part
+        laws.append(law)
+    return laws
 
 
 def _first_tail_atom(top: int, n: int, mu: float, M: float, x: float) -> int:

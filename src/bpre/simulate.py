@@ -26,9 +26,10 @@ from it, since S_n depends on the environment only through those counts.
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler
 (DOMAIN_SN), the log Z_n tail and deviation estimators (DOMAIN_TRAJ),
-quenched replicas (DOMAIN_QUENCHED), single-trajectory simulation
-(DOMAIN_SIMULATE) and the martingale-increment estimator (DOMAIN_INCREMENTS),
-so a master seed can drive all of them without stream reuse.
+single-trajectory simulation (DOMAIN_SIMULATE) and the martingale-increment
+estimator (DOMAIN_INCREMENTS), so a master seed can drive all of them
+without stream reuse. DOMAIN_QUENCHED is reserved: the tests' quenched
+one-step martingale check draws its replicas there.
 The key derivation is the whole contract: any implementation of Philox4x64
 can replay a run from (seed, domain, index) and the documented draw order.
 """
@@ -349,38 +350,3 @@ def _gaussian_run_draws(samplers: list, start: int) -> int:
     run = takewhile(lambda sampler: sampler[0] == "binary", samplers[start:])
     return sum(binomial_draws(sampler) for sampler in run)
 
-
-@dataclass(frozen=True)
-class QuenchedReport:
-    mean_ratio: float
-    stderr: float
-
-
-def quenched_martingale_check(env: EnvDistribution, env_seq: EnvSequence,
-                              k: int, replicas: int,
-                              rng: np.random.Generator) -> QuenchedReport:
-    """Quenched one-step martingale test at generation k of a fixed sequence.
-
-    Simulates a single prefix to a common Z_k, then many independent one-step
-    continuations; E[W_{k+1}/W_k | xi, Z_k] = 1, so the sample mean of
-    Z_{k+1}/(Z_k m(xi_k)) should sit within a few stderr of 1. The prefix
-    steps a Python int under the population cap; the replicas step as one
-    float64 vector, exact while Z_k times the largest family size stays
-    below 2^53.
-    """
-    if replicas < 100:
-        raise ValueError(f"insufficient replicas: {replicas} < 100")
-    if not 0 <= k < len(env_seq):
-        raise ValueError(f"k={k} outside the sequence of length {len(env_seq)}")
-    tables = EnvTables(env)
-    z = 1
-    for label in env_seq.states[:k]:
-        z = offspring(z, tables.samplers[tables.index_of[label]], rng)
-        _check_population_cap(z)
-    state_idx = tables.index_of[env_seq.states[k]]
-    sampler = tables.samplers[state_idx]
-    m = float(tables.means[state_idx])
-    totals = offspring(np.full(replicas, float(z)), sampler, rng)
-    ratios = totals / (float(z) * m)
-    stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)
-    return QuenchedReport(mean_ratio=float(np.mean(ratios)), stderr=stderr)

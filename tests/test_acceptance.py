@@ -24,8 +24,8 @@ from bpre.estimate import (fit_geometric_decay, mc_logw_increments,
                            mc_tail_logzn, mc_tail_sn, theorem1_candidates)
 from bpre.oracle import exact_EWn, exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, SimConfig,
-                           quenched_martingale_check, sample_env_sequence,
-                           simulate_trajectory, stream)
+                           sample_env_sequence, simulate_trajectory, stream)
+from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}

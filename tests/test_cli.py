@@ -288,15 +288,16 @@ class TestSimulate:
             assert (out / f"result_{t:04d}.csv").read_text() == expected
 
     def test_holds_one_trajectory_at_a_time(self, tmp_path, binary_cfg):
-        # holding all 512 CSV texts until the end peaked at 8.0 MB traced;
-        # each is written as it is drawn
-        whole_run_peak = 8.0 * 2 ** 20
+        # holding all 64 CSV texts until the end peaked at 1.07 MB traced
+        # (0.13 MB when each is written as it is drawn); 512 trials peaked
+        # at 8.0 MB, so the held texts, not a fixed cost, set the figure
+        whole_run_peak = 1.07 * 2 ** 20
         assert cli.main(["simulate", binary_cfg, "--n", "5",
                          "--out", str(tmp_path / "warm")]) == 0
         tracemalloc.start()
         try:
             code = cli.main(["simulate", binary_cfg, "--n", "200",
-                             "--trials", "512", "--seed", "0",
+                             "--trials", "64", "--seed", "0",
                              "--out", str(tmp_path / "big")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -318,6 +319,7 @@ class TestSimulate:
                          "--out", str(out)]) == 3
         assert "cap is 512 bits" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+        assert not (out / "result.json").exists()
         # the trajectories drawn before the cap are on disk
         for t in (0, 1):
             assert len((out / f"result_{t:04d}.csv").read_text()

@@ -409,7 +409,7 @@ class TestKernelHead:
                 g = _head_depth(tables, 40, trials)
 
                 def fits(d):
-                    work = kernel_work([tables.states] * d)
+                    work = kernel_work(tables.states, d)
                     return work <= min(MAX_KERNEL_WORK, HEAD_WORK_PER_DRAW
                                        * trials * d * draws_per_pass)
                 assert 0 < g < 40 and fits(g) and not fits(g + 1)
@@ -716,7 +716,7 @@ class TestIncrements:
                 g = _increment_depth(tables, n, trials)
 
                 def fits(d):
-                    work = (kernel_work([tables.states] * d)
+                    work = (kernel_work(tables.states, d)
                             + _table_work(tables.states,
                                           tables.env.k_max ** (d - 1)))
                     return work <= min(MAX_KERNEL_WORK, HEAD_WORK_PER_DRAW
@@ -882,17 +882,18 @@ class TestConvergenceReport:
 
 @pytest.fixture
 def propagations(monkeypatch):
-    """The generations of each kernel propagation (call of oracle._laws)
-    made once this fixture is set up, one entry per propagation."""
+    """The generations of each kernel propagation (call of
+    oracle._annealed_laws) made once this fixture is set up, one entry per
+    propagation."""
     made = []
-    laws = oracle._laws
+    annealed_laws = oracle._annealed_laws
 
-    def count(generations):
-        made.append(0)
-        for law in laws(generations):
-            made[-1] += 1
-            yield law
-    monkeypatch.setattr(oracle, "_laws", count)
+    def count(*args, **kwargs):
+        laws = annealed_laws(*args, **kwargs)
+        made.append(len(laws) - 1)
+        return laws
+    monkeypatch.setattr(oracle, "_annealed_laws", count)
+    monkeypatch.setattr(bpre.estimate, "_annealed_laws", count)
     return made
 
 

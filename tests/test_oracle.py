@@ -1,4 +1,3 @@
-import itertools
 import math
 import time
 from collections import defaultdict
@@ -13,13 +12,12 @@ from hypothesis import strategies as st
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
 from bpre import oracle
-from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS, ExactPmf,
-                         WeightedSequence, _annealed_laws, _multiset_sum,
-                         _increment_table, _table_work, composition_count,
-                         enumerate_env_sequences, exact_EWn,
+from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
+                         _annealed_laws, _multiset_sum, _increment_table,
+                         _table_work, composition_count, exact_EWn,
                          exact_logw_increments, exact_logZn_tail,
-                         exact_population_distribution, exact_sn_tail,
-                         kernel_work, tail_reached)
+                         exact_sn_tail, kernel_work, tail_reached)
+from brute import brute_population_pmf, env_law, population_law
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -51,24 +49,6 @@ GENERIC = {"model": "generic",
 
 def binary_env():
     return parse_env_config(BINARY)
-
-
-# --- independent route: enumerate every joint offspring assignment ----------
-
-def brute_population_pmf(states):
-    """P(Z_n = .) for a fixed state sequence by enumerating each individual's
-    offspring count explicitly. Exponential in the population; only for tiny
-    cases, which is the point: it shares no code with the DP."""
-    dist = {1: 1.0}
-    for state in states:
-        entries = sorted(state.pmf.entries.items())
-        nxt = defaultdict(float)
-        for z, pz in dist.items():
-            for combo in itertools.product(entries, repeat=z):
-                total = sum(k for k, _ in combo)
-                nxt[total] += pz * math.prod(p for _, p in combo)
-        dist = dict(nxt)
-    return dist
 
 
 def rational_kernel_laws(env, n):
@@ -107,8 +87,7 @@ def rational_kernel_laws(env, n):
 
 def brute_logzn_tail(env, n, x, mu, M):
     total = 0.0
-    for combo in itertools.product(env.states, repeat=n):
-        prob = math.prod(mass for _, mass in combo)
+    for combo, prob in env_law(env, n):
         pmf = brute_population_pmf([s for s, _ in combo])
         for z, pz in pmf.items():
             if z > 0 and (math.log(z) - n * mu) / (n * M) >= x - TIE_EPS:
@@ -118,8 +97,7 @@ def brute_logzn_tail(env, n, x, mu, M):
 
 def brute_ewn(env, n):
     total = 0.0
-    for combo in itertools.product(env.states, repeat=n):
-        prob = math.prod(mass for _, mass in combo)
+    for combo, prob in env_law(env, n):
         pi = math.prod(state_mean(s) for s, _ in combo)
         pmf = brute_population_pmf([s for s, _ in combo])
         mean = sum(z * pz for z, pz in pmf.items())
@@ -128,20 +106,17 @@ def brute_ewn(env, n):
 
 
 class TestEnumeration:
+    # the environment law the brute references mix over
     def test_sequence_probabilities_sum_to_one(self):
         for n in (1, 2, 5):
-            total = math.fsum(ws.probability
-                              for ws in enumerate_env_sequences(binary_env(), n))
+            total = math.fsum(prob for _, prob in env_law(binary_env(), n))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sequence_count(self):
-        seqs = list(enumerate_env_sequences(binary_env(), 4))
+        seqs = list(env_law(binary_env(), 4))
         assert len(seqs) == 16
-        assert all(isinstance(ws, WeightedSequence) for ws in seqs)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceCapError):
-            list(enumerate_env_sequences(binary_env(), 21))  # 2^21 > 10^6
+        assert len({tuple(s.label for s, _ in combo) for combo, _ in seqs}) == 16
+        assert all(len(combo) == 4 for combo, _ in seqs)
 
 
 class TestExactSnTail:
@@ -219,40 +194,70 @@ class TestPopulationDistribution:
                                         (THREE_POINT, 1), (THREE_POINT, 2),
                                         (EXTINCT, 3)])
     def test_dp_matches_brute_force(self, cfg, n):
+        # the kernel law is the per-sequence laws mixed over the environment
+        # law; the tests' power-sum DP gives each sequence's law exactly
         env = parse_env_config(cfg)
-        for combo in itertools.product([s for s, _ in env.states], repeat=n):
-            pmf = exact_population_distribution(list(combo))
-            brute = brute_population_pmf(list(combo))
-            assert set(dict(pmf.support)) == set(brute)
-            for z, p in pmf.support:
-                assert p == pytest.approx(brute[z], abs=1e-12), (n, z)
+        mixed = defaultdict(float)
+        for combo, prob in env_law(env, n):
+            brute = brute_population_pmf([s for s, _ in combo])
+            dp = population_law([s for s, _ in combo])
+            assert set(dp) == set(brute)
+            for z, p in brute.items():
+                assert dp[z] == pytest.approx(p, abs=1e-12), (n, z)
+                mixed[z] += prob * p
+        law = _annealed_laws(env, n)[n]
+        assert set(np.flatnonzero(law).tolist()) == set(mixed)
+        for z, p in mixed.items():
+            assert law[z] == pytest.approx(p, abs=1e-12), (n, z)
 
     def test_support_is_sorted_and_normalized(self):
-        env = binary_env()
-        states = [env.states[0][0]] * 5
-        pmf = exact_population_distribution(states)
-        zs = [z for z, _ in pmf.support]
-        assert zs == sorted(zs)
-        assert math.fsum(p for _, p in pmf.support) == pytest.approx(1.0, abs=1e-12)
+        law = _annealed_laws(binary_env(), 5)[5]
+        zs = np.flatnonzero(law).tolist()
+        assert len(law) == 33 and (law >= 0.0).all()  # indexed by value 0..32
+        assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-12)
         assert zs[0] >= 1 and zs[-1] <= 32
 
     def test_doubling_is_a_point_mass(self):
-        env = parse_env_config(DOUBLING)
-        pmf = exact_population_distribution([env.states[0][0]] * 7)
-        assert pmf.support == ((128, 1.0),)
+        law = _annealed_laws(parse_env_config(DOUBLING), 7)[7]
+        assert np.flatnonzero(law).tolist() == [128]
+        assert law[128] == 1.0
 
     def test_mean_matches_product_of_state_means(self):
-        # E Z_n = prod m_i, the annealed first-moment identity
+        # E Z_n = (sum_s w_s m_s)^n, the annealed first-moment identity
         env = parse_env_config(THREE_POINT)
-        states = [env.states[0][0], env.states[1][0], env.states[0][0]]
-        pmf = exact_population_distribution(states)
-        expect = math.prod(state_mean(s) for s in states)
-        assert pmf.mean == pytest.approx(expect, rel=1e-12)
+        law = _annealed_laws(env, 3)[3]
+        expect = math.fsum(mass * state_mean(s) for s, mass in env.states) ** 3
+        assert math.fsum(v * p for v, p in enumerate(law.tolist())) \
+            == pytest.approx(expect, rel=1e-12)
 
     def test_cap_enforced(self):
-        env = parse_env_config(DOUBLING)
         with pytest.raises(ResourceCapError):
-            exact_population_distribution([env.states[0][0]] * 25)
+            _annealed_laws(parse_env_config(DOUBLING), 25)
+
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 6), (THREE_POINT, 4),
+                                        (EXTINCT, 4), (GENERIC, 4)])
+    def test_every_generation_has_the_annealed_mean(self, cfg, n):
+        # each of the n + 1 laws is normalised, with E Z_k = (sum_s w_s m_s)^k
+        env = parse_env_config(cfg)
+        mean = math.fsum(mass * state_mean(s) for s, mass in env.states)
+        laws = _annealed_laws(env, n)
+        assert len(laws) == n + 1
+        for k, law in enumerate(laws):
+            assert (law >= 0.0).all()
+            assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(v * p for v, p in enumerate(law.tolist())) \
+                == pytest.approx(mean ** k, rel=1e-12), k
+
+    @pytest.mark.parametrize("pick", [0, 1])
+    def test_weights_select_one_state(self, pick):
+        # weight 1 on one state is that state's fixed-sequence law
+        env = parse_env_config(THREE_POINT)
+        weights = [1.0 if i == pick else 0.0 for i in range(len(env.states))]
+        law = _annealed_laws(env, 3, weights=weights)[3]
+        expect = population_law([env.states[pick][0]] * 3)
+        assert set(np.flatnonzero(law).tolist()) == set(expect)
+        for z, p in expect.items():
+            assert law[z] == pytest.approx(p, abs=1e-12), z
 
     @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (GENERIC, 5)])
     def test_kernel_law_matches_rational_law(self, cfg, n):
@@ -426,20 +431,6 @@ class TestExactEWn:
             exact_EWn(binary_env(), 0)
 
 
-class TestExactPmfType:
-    def test_rejects_unsorted_support(self):
-        with pytest.raises(ValueError):
-            ExactPmf(support=((2, 0.5), (1, 0.5)))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            ExactPmf(support=((1, 0.5), (2, 0.4)))
-
-    def test_mean(self):
-        pmf = ExactPmf(support=((1, 0.25), (2, 0.75)))
-        assert pmf.mean == pytest.approx(1.75)
-
-
 # --- kernel and compositions against the enumeration reference ---------------
 
 @st.composite
@@ -466,33 +457,31 @@ def test_routes_match_enumeration(cfg, n, M, pick, shift):
     per-sequence laws over the enumerated environment law. The thresholds sit
     on (or next to) an achievable statistic, so tie decisions are exercised."""
     env = parse_env_config(cfg)
-    by_label = {s.label: s for s, _ in env.states}
-    log_mean = {label: math.log(state_mean(s)) for label, s in by_label.items()}
+    log_mean = {s.label: math.log(state_mean(s)) for s, _ in env.states}
     # mu directly: compute_moments rejects equal-mean states whose rounded
     # sigma2 is positive, and the oracles read nothing else from the moments
     mu = math.fsum(mass * log_mean[s.label] for s, mass in env.states)
-    seqs = list(enumerate_env_sequences(env, n))
-    walk = [(math.fsum(log_mean[l] for l in ws.states) - n * mu) / (n * M)
-            for ws in seqs]
-    laws = [exact_population_distribution([by_label[l] for l in ws.states])
-            for ws in seqs]
+    seqs = [([s for s, _ in combo], prob) for combo, prob in env_law(env, n)]
+    walk = [(math.fsum(log_mean[s.label] for s in states) - n * mu) / (n * M)
+            for states, _ in seqs]
+    laws = [population_law(states) for states, _ in seqs]
     x_sn = walk[pick % len(seqs)] + shift
-    expect_sn = math.fsum(ws.probability for ws, stat in zip(seqs, walk)
+    expect_sn = math.fsum(prob for (_, prob), stat in zip(seqs, walk)
                           if stat >= x_sn - TIE_EPS)
     assert exact_sn_tail(env, n, x_sn, M, mu) == pytest.approx(expect_sn, abs=1e-12)
 
-    atoms = [(math.log(v) - n * mu) / (n * M)
-             for law in laws for v, _ in law.support]
+    atoms = [(math.log(v) - n * mu) / (n * M) for law in laws for v in law]
     x_z = atoms[pick % len(atoms)] + shift
     expect_z = math.fsum(
-        ws.probability * p for ws, law in zip(seqs, laws) for v, p in law.support
+        prob * p for (_, prob), law in zip(seqs, laws) for v, p in law.items()
         if (math.log(v) - n * mu) / (n * M) >= x_z - TIE_EPS)
     got_z = exact_logZn_tail(env, n, x_z, SimpleNamespace(mu=mu), M)
     assert got_z == pytest.approx(expect_z, abs=1e-12)
 
     expect_w = math.fsum(
-        ws.probability * law.mean / math.prod(state_mean(by_label[l]) for l in ws.states)
-        for ws, law in zip(seqs, laws))
+        prob * math.fsum(v * p for v, p in law.items())
+        / math.prod(state_mean(s) for s in states)
+        for (states, prob), law in zip(seqs, laws))
     assert exact_EWn(env, n) == pytest.approx(expect_w, abs=1e-12)
 
 
@@ -507,7 +496,7 @@ def test_multiset_sum_is_fsum_of_the_expansion(values, data):
 
 class TestReach:
     def test_sn_tail_past_the_enumeration_cap(self):
-        # 2^24 sequences exceed MAX_SEQUENCES; the walk tail needs 25 compositions
+        # 2^24 environment sequences; the walk tail needs 25 compositions
         env = binary_env()
         mom = compute_moments(env)
         assert composition_count(env, 24) == 25
@@ -539,10 +528,10 @@ class TestReach:
         # refuses at once instead of running for minutes to hours
         for cfg, last in ((BINARY, 16), (GENERIC, 10)):
             states = [state for state, _ in parse_env_config(cfg).states]
-            assert kernel_work([states] * last) <= MAX_KERNEL_WORK
-            assert kernel_work([states] * (last + 1)) > MAX_KERNEL_WORK
+            assert kernel_work(states, last) <= MAX_KERNEL_WORK
+            assert kernel_work(states, last + 1) > MAX_KERNEL_WORK
         # the blocked step's exact count (test_kernel_work_counts_the_convolutions)
-        assert kernel_work([[state for state, _ in binary_env().states]] * 16) \
+        assert kernel_work([state for state, _ in binary_env().states], 16) \
             == 5_797_609_192
         env = binary_env()
         mom = compute_moments(env)
@@ -553,6 +542,14 @@ class TestReach:
         generic = parse_env_config(GENERIC)
         with pytest.raises(ResourceCapError):
             exact_EWn(generic, 11)
+
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 16), (GENERIC, 10)])
+    def test_running_work_is_kernel_work_of_each_prefix(self, cfg, n):
+        states = [state for state, _ in parse_env_config(cfg).states]
+        running = list(oracle._running_work(states, n))
+        assert running == [kernel_work(states, g) for g in range(1, n + 1)]
+        assert all(a < b for a, b in zip(running, running[1:]))
+        assert kernel_work(states, 0) == 0
 
     @pytest.mark.parametrize("cfg, n", [(BINARY, 6), (GENERIC, 4), (EXTINCT, 4),
                                         (DOUBLING, 5)])
@@ -571,11 +568,7 @@ class TestReach:
         env = parse_env_config(cfg)
         states = [state for state, _ in env.states]
         _annealed_laws(env, n)
-        assert sum(done) == kernel_work([states] * n)
-        done.clear()
-        seq = [states[g % len(states)] for g in range(n)]
-        exact_population_distribution(seq)
-        assert sum(done) == kernel_work([state] for state in seq)
+        assert sum(done) == kernel_work(states, n)
 
 
 # --- E|log W_{k+1} - log W_k|: brute force over sequences and z-fold sums -----
@@ -603,14 +596,12 @@ def brute_sum_laws(state, top):
 
 def brute_increment_means(env, g):
     """E|log Z_{k+1} - log Z_k - X_{k+1}| for k < g: every sequence of k
-    states, the law of Z_k under it (exact_population_distribution), then
-    every state of generation k + 1 and the law of the z-fold sum."""
-    by_label = {state.label: state for state, _ in env.states}
-    laws = [[(1.0, [(1, 1.0)])]] + [
-        [(seq.probability, exact_population_distribution(
-            [by_label[label] for label in seq.states]).support)
-         for seq in enumerate_env_sequences(env, k)] for k in range(1, g)]
-    top = max(z for prob, law in laws[-1] for z, _ in law)
+    states, the law of Z_k under it (brute.population_law), then every state
+    of generation k + 1 and the law of the z-fold sum."""
+    laws = [[(1.0, {1: 1.0})]] + [
+        [(prob, population_law([s for s, _ in combo]))
+         for combo, prob in env_law(env, k)] for k in range(1, g)]
+    top = max(z for prob, law in laws[-1] for z in law)
     tables = []
     for state, _ in env.states:
         log_m = math.log(state_mean(state))
@@ -619,7 +610,7 @@ def brute_increment_means(env, g):
                       for j, p in sum_law.items())
             for z, sum_law in enumerate(brute_sum_laws(state, top), 1)])
     return [math.fsum(prob * pz * mass * table[z]
-                      for prob, law in step for z, pz in law
+                      for prob, law in step for z, pz in law.items()
                       for (_, mass), table in zip(env.states, tables))
             for step in laws]
 
@@ -669,12 +660,11 @@ class TestExactLogwIncrements:
         checked = {}
         check = oracle._check_kernel_work
 
-        def record(generations, extra=lambda: 0):
-            generations = list(generations)
-            checked[len(generations) + 1] = kernel_work(generations) + extra()
-            check(generations, extra)
+        def record(states, n, extra=lambda: 0):
+            checked[n + 1] = kernel_work(states, n) + extra()
+            check(states, n, extra)
         monkeypatch.setattr(oracle, "_check_kernel_work", record)
-        monkeypatch.setattr(oracle, "_laws", lambda generations: iter(()))
+        monkeypatch.setattr(oracle, "_compose", lambda dist, powers: dist)
         monkeypatch.setattr(oracle, "_increment_means", lambda env, laws: [])
         exact_logw_increments(binary_env(), 11)
         exact_logw_increments(binary_env(), 16)
@@ -697,9 +687,9 @@ class TestExactLogwIncrements:
         walks = []
         running = oracle._running_work
 
-        def count(generations):
+        def count(states, n):
             walks.append(g)
-            return running(generations)
+            return running(states, n)
         monkeypatch.setattr(oracle, "_running_work", count)
         if g == 17:
             with pytest.raises(ResourceCapError):

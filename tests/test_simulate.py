@@ -8,8 +8,8 @@ from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SimConfig,
                            _binomial_vector, _check_population_cap, offspring,
-                           quenched_martingale_check, sample_env_sequence,
-                           simulate_trajectory, stream)
+                           sample_env_sequence, simulate_trajectory, stream)
+from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
