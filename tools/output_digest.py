@@ -77,6 +77,10 @@ RUNS = [
     # 3^6 <= cli._INCIDENTAL_POPULATION: the exact tail of a {1, 2, 3} model
     ("verify-theorem1-kernel-generic", "verify theorem1", "generic",
      "--n 6 --x 0.2 --M-kind tight --trials 1e4"),
+    # a {1, 2, 3} model at n = 10, the last horizon whose whole kernel work
+    # is within oracle.MAX_KERNEL_WORK
+    ("verify-theorem1-cut-generic", "verify theorem1", "generic",
+     "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
     # three states, one deterministic: state indices above 1 in the open
     # trials' rows
     ("verify-theorem1-mixed", "verify theorem1", "mixed",
