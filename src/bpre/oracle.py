@@ -10,14 +10,16 @@ the k^n sequences:
   K = sum_s w_s T_s, where T_s maps z to the z-fold convolution of state s's
   offspring pmf (Athreya & Karlin, Ann. Math. Statist. 1971). Every law
   delta_1 K^k comes from one propagation of _annealed_laws, the package's
-  only population DP, one generation at a time: the log Z_n tail reads
-  delta_1 K^n, E W_n uses weights w_s / m_s, the martingale increments
-  E|log W_{k+1} - log W_k| take one dot product per k of delta_1 K^k with a
-  table of E|log(S_z / (z m_s))| over the states (exact_logw_increments),
-  and bpre.estimate's kernel heads draw Z_g from it. The population DP is
-  capped by its kernel_work, the multiply-adds of its generation steps
-  (MAX_KERNEL_WORK, the binary {1, 2} model's work at n = 16), checked once
-  per call before any work.
+  only population DP, one generation at a time: the log Z_n tail
+  P(Z_n >= c) propagates only the atoms below its first tail atom c and
+  absorbs the rest, which Z, with p0 = 0, never leaves; E W_n uses weights
+  w_s / m_s, the martingale increments E|log W_{k+1} - log W_k| take one
+  dot product per k of delta_1 K^k with a table of E|log(S_z / (z m_s))|
+  over the states (exact_logw_increments), and bpre.estimate's kernel heads
+  draw Z_g from it. The population DP is capped by its kernel_work, the
+  multiply-adds of its generation steps on the atoms it composes
+  (MAX_KERNEL_WORK, the binary {1, 2} model's uncut work at n = 16),
+  checked once per call before any work.
 
 A population law is a float64 array indexed by value; one generation step
 evaluates the offspring pgf's powers weighted by the law in blocks of about
@@ -230,38 +232,47 @@ def _compose_work(length: int, size: int, built: int) -> int:
     return powers + baby + giant
 
 
-def _running_work(states: Sequence[EnvState], n: int) -> Iterator[int]:
-    """kernel_work of the first 1, 2, ..., n generations."""
+def _running_work(states: Sequence[EnvState], n: int,
+                  cut: int | None = None) -> Iterator[int]:
+    """kernel_work of the first 1, 2, ..., n generations, each composing at
+    most the `cut` atoms below a cut when one is given."""
     sizes = [state.pmf.support[-1] + 1 for state in states]
     total, top, built = 0, 1, 1  # built: the highest power f^i made so far
     for _ in range(n):
-        total += sum(_compose_work(top + 1, size, built) for size in sizes)
-        built = _block_size(top + 1)  # top never falls: every k_max >= 1
+        length = top + 1 if cut is None else min(top + 1, cut)
+        total += sum(_compose_work(length, size, built) for size in sizes)
+        built = _block_size(length)  # length never falls: every k_max >= 1
         top *= max(sizes) - 1
+        if cut is not None:
+            top = min(top, cut)
         yield total
 
 
-def kernel_work(states: Sequence[EnvState], n: int) -> int:
+def kernel_work(states: Sequence[EnvState], n: int,
+                cut: int | None = None) -> int:
     """Multiply-adds _compose does to push delta_1 through n generations of
     the kernel over the given states, summed over generations and states. A
     step's offspring array has (largest family size) + 1 entries whatever
-    its zeros, the law after g generations reaches k_max^g, and each state's
-    powers are built once, in the first generation that needs them. The
-    two-state binary {1, 2} model does 5,797,609,192 at n = 16."""
+    its zeros, the law after g generations reaches k_max^g, or holds `cut`
+    atoms below a cut, and each state's powers are built once, in the first
+    generation that needs them. The two-state binary {1, 2} model does
+    5,797,609,192 at n = 16 without a cut."""
     total = 0
-    for total in _running_work(states, n):
+    for total in _running_work(states, n, cut):
         pass
     return total
 
 
 def _check_kernel_work(states: Sequence[EnvState], n: int,
-                       extra: Callable[[], int] = lambda: 0) -> None:
+                       extra: Callable[[], int] = lambda: 0,
+                       cut: int | None = None) -> None:
     """Raise ResourceCapError at the first generation whose running work
-    passes MAX_KERNEL_WORK, before any big-integer support size of a long
-    horizon is formed, or if the whole kernel work plus extra() does; extra
-    is called only once every generation is within the cap."""
+    (under the cut, if any) passes MAX_KERNEL_WORK, before any big-integer
+    support size of a long horizon is formed, or if the whole kernel work
+    plus extra() does; extra is called only once every generation is within
+    the cap."""
     work = 0
-    for work in _running_work(states, n):
+    for work in _running_work(states, n, cut):
         if work > MAX_KERNEL_WORK:
             break
     else:
@@ -274,25 +285,39 @@ def _check_kernel_work(states: Sequence[EnvState], n: int,
 
 def _annealed_laws(env: EnvDistribution, n: int,
                    weights: Sequence[float] | None = None,
-                   extra_work: Callable[[], int] = lambda: 0) -> list[np.ndarray]:
+                   extra_work: Callable[[], int] = lambda: 0,
+                   cut: int | None = None) -> list[np.ndarray]:
     """[delta_1 K^k for k = 0..n], K = sum_s weights[s] T_s (by default the
     state masses w_s: the annealed kernel), each indexed by value, from one
     propagation. Its kernel_work plus extra_work() (a caller's own work on
     the laws) is checked against MAX_KERNEL_WORK once, before any work.
     Each state keeps one list of the powers of its offspring pgf for the
-    call."""
+    call.
+
+    With a cut c >= 1 and p0 = 0 in every state, Z never decreases, so the
+    atoms at or above c are absorbed: each law holds the atoms below c and,
+    once any mass reaches c, the total P(Z_k >= c) at index c. A generation
+    composes only the atoms below c and adds the atoms at or above c of the
+    result to the absorbed total with math.fsum, a sum of nonnegative terms
+    that keeps its relative accuracy in a far tail. The absorbed total is
+    carried unchanged, as the state masses, which sum to 1, would carry it.
+    """
     states = [state for state, _ in env.states]
-    _check_kernel_work(states, n, extra_work)
+    _check_kernel_work(states, n, extra_work, cut)
     if weights is None:
         weights = [mass for _, mass in env.states]
     powers = [[np.ones(1), _offspring_array(state)] for state in states]
     laws = [np.array([0.0, 1.0])]
     for _ in range(n):
-        parts = [weight * _compose(laws[-1], power)
+        prev = laws[-1]
+        parts = [weight * _compose(prev[:cut], power)
                  for weight, power in zip(weights, powers)]
         law = np.zeros(max(len(part) for part in parts))
         for part in parts:
             law[:len(part)] += part
+        if cut is not None and max(len(prev), len(law)) > cut:
+            law = np.append(law[:cut], math.fsum([*prev[cut:].tolist(),
+                                                  *law[cut:].tolist()]))
         laws.append(law)
     return laws
 
@@ -313,17 +338,31 @@ def _first_tail_atom(top: int, n: int, mu: float, M: float, x: float) -> int:
 
 def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
                      moments: ModelMoments, M: float) -> float:
-    """Exact P((log Z_n - n*mu)/(n*M) >= x) from the annealed law delta_1 K^n:
-    the correctly rounded sum of the atoms from the first one in the tail
-    (_first_tail_atom) up. Extinct mass (Z_n = 0) never lies in an upper
-    tail; ties follow tail_reached."""
+    """Exact P((log Z_n - n*mu)/(n*M) >= x) = P(Z_n >= c), c the first
+    population in the tail (_first_tail_atom, ties follow tail_reached).
+
+    The tail is 0.0 with no propagation when c passes the top atom k_max^n.
+    Otherwise one propagation cut at c (_annealed_laws) composes only the
+    atoms below c and absorbs the rest, so its work depends on the event
+    through c, not on k_max^n; that work is capped at MAX_KERNEL_WORK,
+    which refuses a far horizon at once.
+    Needs p0 = 0 in every state (ConfigError otherwise): only then does no
+    mass leave the tail once it is in it."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    law = _annealed_laws(env, n)[n]
-    first = _first_tail_atom(len(law) - 1, n, moments.mu, M, x)
-    return math.fsum(law[first:].tolist())
+    require_no_extinction(env)
+    top = env.k_max ** n
+    if not tail_reached(math.log(top), n, moments.mu, M, x):
+        return 0.0
+    # The last generation composes min(c, k_max^(n-1) + 1) atoms, at least
+    # one multiply-add each, so the cap refuses any c past
+    # k_max (MAX_KERNEL_WORK + 1): the search stops there instead of
+    # bisecting the n log2(k_max) bits of top.
+    reach = min(top, env.k_max * (MAX_KERNEL_WORK + 1))
+    cut = _first_tail_atom(reach, n, moments.mu, M, x)
+    return float(_annealed_laws(env, n, cut=cut)[n][cut])
 
 
 def exact_EWn(env: EnvDistribution, n: int) -> float:

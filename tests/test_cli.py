@@ -403,6 +403,8 @@ class TestVerify:
         result = json.loads((out / "result.json").read_text())
         assert result["n"] == 70
         assert result["hits"] == 0  # x=3 is far outside the support
+        # so is the exact tail, decided with no propagation of 2^70 atoms
+        assert result["exact_tail"] == 0.0
         assert "delta_hat" in result
         assert "bound_thm1" in result
         # the fit's populations pass 2^32 and take Gaussian draws
@@ -411,8 +413,8 @@ class TestVerify:
         assert 0 < result["increment_head_depth"] < 70
 
     def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
-        # 5^7 state sequences exceed 2^14 but the population support 2^7 is
-        # within 2^10: the kernel computes the exact tail
+        # 5^7 state sequences exceed 2^14, but the kernel works on the
+        # population support 2^7 and computes the exact tail
         text = json.dumps({"model": "binary", "support": [
             {"p": p, "mass": 0.2} for p in (0.1, 0.3, 0.5, 0.7, 0.9)]})
         path = tmp_path / "five.json"
@@ -428,6 +430,19 @@ class TestVerify:
         assert result["exact_tail"] is not None
         assert result["exact_tail"] == exact_logZn_tail(env, 7, 0.2, moments,
                                                         moments.M_tight)
+
+    def test_theorem1_reports_no_exact_tail_past_the_cap(self, tmp_path,
+                                                         binary_cfg):
+        # the x = 0.5 tail at n = 21 needs 1.3e10 multiply-adds, above
+        # oracle.MAX_KERNEL_WORK: the run goes on without an exact value
+        out = tmp_path / "t1cap"
+        code = cli.main(["verify", "theorem1", binary_cfg, "--n", "21",
+                         "--x", "0.5", "--M-kind", "tight", "--trials", "2000",
+                         "--seed", "0", "--out", str(out)])
+        assert code in (0, 1)
+        result = json.loads((out / "result.json").read_text())
+        assert result["exact_tail"] is None
+        assert result["hits"] > 0
 
     def test_increments_passes(self, tmp_path, capsys, binary_cfg):
         out = tmp_path / "inc"

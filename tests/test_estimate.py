@@ -921,6 +921,8 @@ class TestOnePropagation:
         calls = [
             (lambda: mc_logw_increments(env, 16, 10 ** 4, seed=3), [g]),
             (lambda: exact_logZn_tail(env, 10, 0.2, mom, mom.M_tight), [10]),
+            # an event past the top atom k_max^70 is decided with none
+            (lambda: exact_logZn_tail(env, 70, 3.0, mom, mom.M_paper), []),
             (lambda: exact_EWn(env, 10), [10]),
             (lambda: exact_logw_increments(env, 11), [10]),
         ]

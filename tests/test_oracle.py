@@ -344,7 +344,7 @@ class TestBlockedStep:
 
 class TestLogZnTail:
     @pytest.mark.parametrize("cfg, n", [(BINARY, 2), (BINARY, 3),
-                                        (THREE_POINT, 2), (EXTINCT, 2)])
+                                        (THREE_POINT, 2)])
     def test_matches_brute_force(self, cfg, n):
         env = parse_env_config(cfg)
         mom = compute_moments(env)
@@ -353,13 +353,18 @@ class TestLogZnTail:
             expect = brute_logzn_tail(env, n, x, mom.mu, mom.M_tight)
             assert got == pytest.approx(expect, abs=1e-12), (cfg, n, x)
 
-    @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (GENERIC, 5), (EXTINCT, 4)])
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (GENERIC, 5), (BINARY, 10),
+                                        (BINARY, 14), (GENERIC, 6), (GENERIC, 8),
+                                        (GAPPED, 9), (THREE_POINT, 7)])
     def test_first_atom_matches_per_atom_selection(self, cfg, n):
+        # the tail cut at the first atom agrees with the sum of the uncut
+        # law's atoms from it up: both are sums of nonnegative terms, each
+        # within its rounding bound of the exact one
         env = parse_env_config(cfg)
         mom = compute_moments(env)
         law = _annealed_laws(env, n)[n].tolist()
         top, atom = len(law) - 1, (len(law) - 1) // 3
-        for M in (mom.M_tight, mom.M_paper):
+        for M in (M for M in (mom.M_tight, mom.M_paper) if M > 0.0):
             def stat(v):
                 return (math.log(v) - n * mom.mu) / (n * M)
             # stat(1) reaches every v >= 1; x = 1 is the top atom's edge, a
@@ -374,8 +379,9 @@ class TestLogZnTail:
                           if tail_reached(math.log(v), n, mom.mu, M, x)]
                 first = oracle._first_tail_atom(top, n, mom.mu, M, x)
                 assert picked == list(range(first, top + 1)), x
-                assert exact_logZn_tail(env, n, x, mom, M) \
-                    == math.fsum(law[v] for v in picked), x
+                got = exact_logZn_tail(env, n, x, mom, M)
+                expect = math.fsum(law[first:])
+                assert abs(got - expect) <= 1e-13 * expect, (x, got, expect)
                 firsts.append(first)
             assert firsts[0] == 1
             assert firsts[4] == top + 1
@@ -390,12 +396,25 @@ class TestLogZnTail:
         assert exact_logZn_tail(env, 4, 0.1, mom, 1.0) == 0.0
 
     def test_zero_at_x_three_binary(self):
-        # the normalized statistic cannot reach 3 for this model
+        # the normalized statistic cannot reach 3 for this model, so the
+        # first tail atom lies past k_max^n and nothing is propagated, even
+        # at a horizon whose uncut law has 2^70 atoms
         env = binary_env()
         mom = compute_moments(env)
         for n in (1, 2, 3, 4):
             assert exact_logZn_tail(env, n, 3.0, mom, mom.M_paper) == 0.0
             assert exact_logZn_tail(env, n, 3.0, mom, mom.M_tight) == 0.0
+        t0 = time.perf_counter()
+        assert exact_logZn_tail(env, 70, 3.0, mom, mom.M_paper) == 0.0
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_refuses_extinction(self):
+        # with p0 > 0, mass leaves the upper tail, so it cannot be absorbed
+        env = parse_env_config(EXTINCT)
+        mom = compute_moments(env)
+        for n, x in ((2, 0.0), (2, 1.0), (4, 0.3)):
+            with pytest.raises(ConfigError, match="p0 > 0"):
+                exact_logZn_tail(env, n, x, mom, mom.M_tight)
 
     def test_monotone_in_x(self):
         env = binary_env()
@@ -519,7 +538,7 @@ class TestReach:
         env = binary_env()
         mom = compute_moments(env)
         with pytest.raises(ResourceCapError):
-            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 2^21 > 2^20
+            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 1.3e10 > 2^33
         with pytest.raises(ResourceCapError):
             exact_EWn(env, 21)
 
@@ -535,27 +554,42 @@ class TestReach:
             == 5_797_609_192
         env = binary_env()
         mom = compute_moments(env)
+        # the log Z_n tail's work is kernel_work cut at its first tail atom:
+        # binary n = 21 at x = 0.5 does 1.3e10 multiply-adds on 21,709 atoms
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="multiply-adds"):
-            exact_logZn_tail(env, 17, 0.5, mom, mom.M_tight)
+            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)
+        with pytest.raises(ResourceCapError, match="multiply-adds"):
+            exact_logZn_tail(env, 10 ** 6, 0.5, mom, mom.M_tight)
         assert time.perf_counter() - t0 < 0.1
+        # while n = 17 at x = 0.5, past the uncut law's reach, is in it
+        assert 0.0 < exact_logZn_tail(env, 17, 0.5, mom, mom.M_tight) < 1.0
         generic = parse_env_config(GENERIC)
         with pytest.raises(ResourceCapError):
             exact_EWn(generic, 11)
 
-    @pytest.mark.parametrize("cfg, n", [(BINARY, 16), (GENERIC, 10)])
-    def test_running_work_is_kernel_work_of_each_prefix(self, cfg, n):
+    # binary n = 21 cut at 21,709 is the refused x = 0.5 tail above
+    @pytest.mark.parametrize("cfg, n, cut", [(BINARY, 16, None), (GENERIC, 10, None),
+                                             (BINARY, 21, 21_709), (GENERIC, 12, 2),
+                                             (GENERIC, 12, 500)])
+    def test_running_work_is_kernel_work_of_each_prefix(self, cfg, n, cut):
         states = [state for state, _ in parse_env_config(cfg).states]
-        running = list(oracle._running_work(states, n))
-        assert running == [kernel_work(states, g) for g in range(1, n + 1)]
+        running = list(oracle._running_work(states, n, cut))
+        assert running == [kernel_work(states, g, cut) for g in range(1, n + 1)]
         assert all(a < b for a, b in zip(running, running[1:]))
-        assert kernel_work(states, 0) == 0
+        assert kernel_work(states, 0, cut) == 0
 
-    @pytest.mark.parametrize("cfg, n", [(BINARY, 6), (GENERIC, 4), (EXTINCT, 4),
-                                        (DOUBLING, 5)])
-    def test_kernel_work_counts_the_convolutions(self, cfg, n, monkeypatch):
+    # cut at 1 (the whole law absorbed), below, at and above k_max^n, and
+    # within a generation's support
+    @pytest.mark.parametrize("cfg, n, cut", [
+        (BINARY, 6, None), (GENERIC, 4, None), (EXTINCT, 4, None),
+        (DOUBLING, 5, None), (BINARY, 6, 1), (BINARY, 8, 40), (BINARY, 6, 64),
+        (GENERIC, 5, 100), (GAPPED, 7, 300), (DOUBLING, 5, 20),
+        (THREE_POINT, 6, 1000)])
+    def test_kernel_work_counts_the_convolutions(self, cfg, n, cut, monkeypatch):
         # kernel_work is the multiply-adds of _compose: the np.convolve of its
-        # powers and giant steps and the np.outer of its baby steps
+        # powers and giant steps and the np.outer of its baby steps, on the
+        # atoms below the cut when there is one
         done = []
 
         def counting(product):
@@ -567,31 +601,53 @@ class TestReach:
         monkeypatch.setattr(oracle.np, "outer", counting(np.outer))
         env = parse_env_config(cfg)
         states = [state for state, _ in env.states]
-        _annealed_laws(env, n)
-        assert sum(done) == kernel_work(states, n)
+        _annealed_laws(env, n, cut=cut)
+        assert sum(done) == kernel_work(states, n, cut)
 
 
 # --- E|log W_{k+1} - log W_k|: brute force over sequences and z-fold sums -----
 
+def power_coefficients(g, top):
+    """Row z - 1 holds the coefficients a_0..a_z of G(t)^z, G(t) = g[0] +
+    g[1] t + ... + g[d] t^d with g[0] > 0, for z = 1..top (entries past a_z
+    are not used). J. C. P. Miller's recurrence for the powers of a power
+    series (Knuth, TAOCP vol. 2, sec. 4.7) gives each row in closed form
+    from its first coefficient: a_0 = g_0^z and
+    j g_0 a_j = sum_{i = 1..min(d, j)} (i (z + 1) - j) g_i a_{j-i},
+    every term nonnegative for j <= z, so nothing cancels. Column j is held
+    as mantissas times 2^exps[:, j], which keeps g_0^z and the largest
+    coefficient within the float range; all rows step at once."""
+    z = np.arange(1, top + 1)
+    m0, e0 = math.frexp(g[0])
+    mant = np.zeros((top, top + 1))
+    exps = np.zeros((top, top + 1), dtype=np.int64)
+    mant[:, 0], exps[:, 0] = np.power(m0, z), e0 * z
+    for j in range(1, top + 1):
+        acc = np.zeros(top)
+        for i in range(1, min(len(g) - 1, j) + 1):
+            acc += (i * (z + 1) - j) * g[i] * np.ldexp(
+                mant[:, j - i], exps[:, j - i] - exps[:, j - 1])
+        mant[:, j], shift = np.frexp(np.maximum(acc, 0.0) / (j * g[0]))
+        exps[:, j] = exps[:, j - 1] + shift
+    return np.ldexp(mant, exps)
+
+
 def brute_sum_laws(state, top):
-    """P(S_z = j) for z = 1..top, S_z the sum of z family sizes of the
-    state: the binomial closed form for a {1, 2} state, else one
-    plain-Python convolution per z."""
-    entries = {k: p for k, p in state.pmf.entries.items() if p > 0.0}
-    if set(entries) <= {1, 2}:
-        q = entries.get(2, 0.0)
-        for z in range(1, top + 1):
-            yield {z + j: math.comb(z, j) * q ** j * (1.0 - q) ** (z - j)
-                   for j in range(z + 1)}
-        return
-    law = {0: 1.0}
-    for _ in range(top):
-        nxt = defaultdict(float)
-        for v, a in law.items():
-            for k, b in entries.items():
-                nxt[v + k] += a * b
-        law = nxt
-        yield law
+    """(values, P(S_z = value)) for z = 1..top, S_z the sum of z family
+    sizes of a state whose sizes lie in lo..lo + d, d <= 2: S_z - z lo has
+    the coefficients of G(t)^z, G(t) = sum_i P(size = lo + i) t^i, the sum
+    over family-size counts of their multinomial weights. power_coefficients
+    gives the coefficients up to a_z, and the same recurrence on the
+    reversed polynomial, whose coefficients run from the top atom down,
+    gives the rest."""
+    support = state.pmf.support
+    lo, d = support[0], support[-1] - support[0]
+    assert 1 <= d <= 2, "the closed form covers supports of width 1 or 2"
+    g = [state.pmf.entries.get(lo + i, 0.0) for i in range(d + 1)]
+    up, down = power_coefficients(g, top), power_coefficients(g[::-1], top)
+    for z in range(1, top + 1):
+        law = np.concatenate([up[z - 1, :z + 1], down[z - 1, :(d - 1) * z][::-1]])
+        yield z * lo + np.arange(d * z + 1), law
 
 
 def brute_increment_means(env, g):
@@ -606,9 +662,8 @@ def brute_increment_means(env, g):
     for state, _ in env.states:
         log_m = math.log(state_mean(state))
         tables.append([0.0] + [
-            math.fsum(p * abs(math.log(j) - (math.log(z) + log_m))
-                      for j, p in sum_law.items())
-            for z, sum_law in enumerate(brute_sum_laws(state, top), 1)])
+            float((law * np.abs(np.log(values) - (math.log(z) + log_m))).sum())
+            for z, (values, law) in enumerate(brute_sum_laws(state, top), 1)])
     return [math.fsum(prob * pz * mass * table[z]
                       for prob, law in step for z, pz in law.items()
                       for (_, mass), table in zip(env.states, tables))
@@ -660,9 +715,9 @@ class TestExactLogwIncrements:
         checked = {}
         check = oracle._check_kernel_work
 
-        def record(states, n, extra=lambda: 0):
-            checked[n + 1] = kernel_work(states, n) + extra()
-            check(states, n, extra)
+        def record(states, n, extra=lambda: 0, cut=None):
+            checked[n + 1] = kernel_work(states, n, cut) + extra()
+            check(states, n, extra, cut)
         monkeypatch.setattr(oracle, "_check_kernel_work", record)
         monkeypatch.setattr(oracle, "_compose", lambda dist, powers: dist)
         monkeypatch.setattr(oracle, "_increment_means", lambda env, laws: [])
@@ -687,9 +742,9 @@ class TestExactLogwIncrements:
         walks = []
         running = oracle._running_work
 
-        def count(states, n):
+        def count(states, n, cut=None):
             walks.append(g)
-            return running(states, n)
+            return running(states, n, cut)
         monkeypatch.setattr(oracle, "_running_work", count)
         if g == 17:
             with pytest.raises(ResourceCapError):

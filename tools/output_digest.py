@@ -71,10 +71,10 @@ RUNS = [
      "--n 16 --trials 1e5 --workers 2"),
     ("verify-theorem1-reachable", "verify theorem1", "binary",
      "--n 16 --x 0.2 --M-kind tight --trials 1e5 --workers 2"),
-    # 2^10 <= cli._INCIDENTAL_POPULATION: writes the kernel's exact_tail
+    # binary n = 10: writes the cut kernel's exact_tail
     ("verify-theorem1-kernel", "verify theorem1", "binary",
      "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
-    # 3^6 <= cli._INCIDENTAL_POPULATION: the exact tail of a {1, 2, 3} model
+    # the exact tail of a {1, 2, 3} model at n = 6
     ("verify-theorem1-kernel-generic", "verify theorem1", "generic",
      "--n 6 --x 0.2 --M-kind tight --trials 1e4"),
     # a {1, 2, 3} model at n = 10, the last horizon whose whole kernel work
@@ -82,7 +82,8 @@ RUNS = [
     ("verify-theorem1-cut-generic", "verify theorem1", "generic",
      "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
     # three states, one deterministic: state indices above 1 in the open
-    # trials' rows
+    # trials' rows; the exact tail's cut work is past oracle.MAX_KERNEL_WORK,
+    # so exact_tail is null
     ("verify-theorem1-mixed", "verify theorem1", "mixed",
      "--n 20 --x 0.2 --M-kind tight --trials 1e5 --workers 2"),
     ("verify-increments", "verify increments", "generic",
