@@ -364,7 +364,8 @@ class TestLogZnTail:
         mom = compute_moments(env)
         law = _annealed_laws(env, n)[n].tolist()
         top, atom = len(law) - 1, (len(law) - 1) // 3
-        for M in (M for M in (mom.M_tight, mom.M_paper) if M > 0.0):
+        # GAPPED has one state, so M_tight = 0 and only M_paper applies
+        for M in [M for M in (mom.M_tight, mom.M_paper) if M > 0.0]:
             def stat(v):
                 return (math.log(v) - n * mom.mu) / (n * M)
             # stat(1) reaches every v >= 1; x = 1 is the top atom's edge, a
@@ -611,8 +612,8 @@ def power_coefficients(g, top):
     """Row z - 1 holds the coefficients a_0..a_z of G(t)^z, G(t) = g[0] +
     g[1] t + ... + g[d] t^d with g[0] > 0, for z = 1..top (entries past a_z
     are not used). J. C. P. Miller's recurrence for the powers of a power
-    series (Knuth, TAOCP vol. 2, sec. 4.7) gives each row in closed form
-    from its first coefficient: a_0 = g_0^z and
+    series (Knuth, TAOCP vol. 2, sec. 4.7) gives each row from its first
+    coefficient alone: a_0 = g_0^z and
     j g_0 a_j = sum_{i = 1..min(d, j)} (i (z + 1) - j) g_i a_{j-i},
     every term nonnegative for j <= z, so nothing cancels. Column j is held
     as mantissas times 2^exps[:, j], which keeps g_0^z and the largest
