@@ -294,13 +294,11 @@ def _annealed_laws(env: EnvDistribution, n: int,
     Each state keeps one list of the powers of its offspring pgf for the
     call.
 
-    With a cut c >= 1 and p0 = 0 in every state, Z never decreases, so the
-    atoms at or above c are absorbed: each law holds the atoms below c and,
-    once any mass reaches c, the total P(Z_k >= c) at index c. A generation
-    composes only the atoms below c and adds the atoms at or above c of the
-    result to the absorbed total with math.fsum, a sum of nonnegative terms
-    that keeps its relative accuracy in a far tail. The absorbed total is
-    carried unchanged, as the state masses, which sum to 1, would carry it.
+    With a cut c >= 1 and p0 = 0, Z never decreases, so mass at or above c
+    stays there: each law holds the atoms below c and, once mass reaches c,
+    P(Z_k >= c) at index c. A generation composes only the atoms below c
+    and adds its atoms at or above c to that total with math.fsum, a sum of
+    nonnegative terms that keeps its relative accuracy in a far tail.
     """
     states = [state for state, _ in env.states]
     _check_kernel_work(states, n, extra_work, cut)
@@ -341,13 +339,10 @@ def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
     """Exact P((log Z_n - n*mu)/(n*M) >= x) = P(Z_n >= c), c the first
     population in the tail (_first_tail_atom, ties follow tail_reached).
 
-    The tail is 0.0 with no propagation when c passes the top atom k_max^n.
-    Otherwise one propagation cut at c (_annealed_laws) composes only the
-    atoms below c and absorbs the rest, so its work depends on the event
-    through c, not on k_max^n; that work is capped at MAX_KERNEL_WORK,
-    which refuses a far horizon at once.
-    Needs p0 = 0 in every state (ConfigError otherwise): only then does no
-    mass leave the tail once it is in it."""
+    It is 0.0 with no propagation when c passes the top atom k_max^n, else
+    one propagation cut at c (_annealed_laws), whose work, capped at
+    MAX_KERNEL_WORK, depends on the event through c, not on k_max^n. Needs
+    p0 = 0 (ConfigError otherwise): only then does no mass leave the tail."""
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     if n < 1:
@@ -356,10 +351,10 @@ def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
     top = env.k_max ** n
     if not tail_reached(math.log(top), n, moments.mu, M, x):
         return 0.0
-    # The last generation composes min(c, k_max^(n-1) + 1) atoms, at least
-    # one multiply-add each, so the cap refuses any c past
-    # k_max (MAX_KERNEL_WORK + 1): the search stops there instead of
-    # bisecting the n log2(k_max) bits of top.
+    # The last generation composes min(c, k_max^(n-1) + 1) atoms at a
+    # multiply-add or more each, so the cap refuses any c past
+    # k_max (MAX_KERNEL_WORK + 1); searching no further spares a far
+    # horizon a bisection over the n log2(k_max) bits of top.
     reach = min(top, env.k_max * (MAX_KERNEL_WORK + 1))
     cut = _first_tail_atom(reach, n, moments.mu, M, x)
     return float(_annealed_laws(env, n, cut=cut)[n][cut])
