@@ -32,8 +32,9 @@ SEED = "3"
 # The exact oracles draw nothing and take no --seed.
 EXACT = ("oracle", "verify oracle")
 
-# The README model (offspring {1, 2}), the bench's {1, 2, 3} model, and a
-# {1,2} / deterministic {2} / {1,2,3} chain mix.
+# The README model (offspring {1, 2}), the bench's {1, 2, 3} model, a
+# {1,2} / deterministic {2} / {1,2,3} chain mix, and a four-state {1, 2}
+# model.
 MODELS = {
     "binary": {"model": "binary",
                "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]},
@@ -45,6 +46,8 @@ MODELS = {
         {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
         {"label": "chain", "mass": 0.3,
          "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]},
+    "four": {"model": "binary",
+             "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]},
 }
 
 # (run name, command, model, flags)
@@ -67,6 +70,9 @@ RUNS = [
      "--n 10 --x 1 --M-kind tight --trials 1e5 --workers 2"),
     ("verify-sn-paper", "verify sn", "binary",
      "--n 10 --x 0.5 --M-kind paper --level 0.9 --trials 1e5 --workers 2"),
+    # four states at n = 50: 23,426 state-count compositions
+    ("verify-sn-four", "verify sn", "four",
+     "--n 50 --x 0.2 --trials 1e5 --workers 2"),
     ("verify-theorem1", "verify theorem1", "generic",
      "--n 16 --trials 1e5 --workers 2"),
     ("verify-theorem1-reachable", "verify theorem1", "binary",
