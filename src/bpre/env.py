@@ -23,7 +23,8 @@ class ConfigError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A hard resource cap (enumeration size, DP size, population) was hit."""
+    """A hard resource cap was hit: state-count compositions, kernel work or
+    population."""
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,6 @@ MAX_KERNEL_WORK = 1 << 33
 
 # --- S_n: state-count compositions ------------------------------------------
 
-def composition_count(env: EnvDistribution, n: int) -> int:
-    """Number of ways to split n generations among the states: C(n+k-1, k-1)."""
-    k = len(env.states)
-    return math.comb(n + k - 1, k - 1)
-
-
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Every (c_1..c_k) of nonnegative counts summing to n (stars and bars)."""
     for bars in itertools.combinations(range(n + k - 1), k - 1):
@@ -117,13 +111,15 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
     of log-means -- the value math.fsum gives for every ordering of it -- so
     each tie decision matches complete enumeration bit for bit. A
     composition's probability n!/prod(c_s!) * prod(w_s^c_s) is formed from
-    running products in mantissa-exponent form.
+    running products in mantissa-exponent form. Past MAX_COMPOSITIONS
+    compositions it raises ResourceCapError before enumerating any.
     """
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
-    count = composition_count(env, n)
+    k = len(env.states)
+    count = math.comb(n + k - 1, k - 1)
     if count > MAX_COMPOSITIONS:
         raise ResourceCapError(
             f"{count} state-count compositions of n={n} exceeds the cap "
@@ -132,7 +128,7 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
     factorials = _frexp_products(range(1, n + 1))
     powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
     hits = []
-    for counts in _compositions(n, len(env.states)):
+    for counts in _compositions(n, k):
         s_n = walk_sum(counts)
         if tail_reached(s_n, n, mu, M, x):
             m, e = factorials[n]

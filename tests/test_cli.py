@@ -25,6 +25,11 @@ STAY_OR_DOUBLE_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "stay", "mass": 0.5, "offspring": {"1": 1.0}},
                {"label": "double", "mass": 0.5, "offspring": {"2": 1.0}}]})
+# four {1, 2} states: C(n + 3, 3) state-count compositions, 23,426 at
+# n = 50 and 1,373,701 at n = 200, past oracle.MAX_COMPOSITIONS
+FOUR_TEXT = json.dumps({
+    "model": "binary",
+    "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]})
 RISKY_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "risky", "mass": 1.0,
@@ -342,14 +347,40 @@ class TestVerify:
                             "bound_H,bound_thm1")
         assert len(lines) == 2
 
-    def test_sn_reports_exact_tail_at_n24(self, tmp_path, binary_cfg):
-        out = tmp_path / "sn24"
-        code = cli.main(["verify", "sn", binary_cfg, "--n", "24", "--x", "0.5",
-                         "--trials", "2000", "--seed", "0", "--out", str(out)])
+    @pytest.mark.parametrize("text, n, x", [
+        (BINARY_TEXT, 24, 0.5),  # 2^24 sequences, 25 compositions
+        (FOUR_TEXT, 50, 0.2),
+    ], ids=["binary-n24", "four-n50"])
+    def test_sn_reports_exact_tail(self, tmp_path, text, n, x):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        out = tmp_path / "sn"
+        code = cli.main(["verify", "sn", str(path), "--n", str(n),
+                         "--x", str(x), "--trials", "2000", "--seed", "0",
+                         "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
-        assert result["exact_tail"] is not None  # 25 compositions
+        env = parse_env_config(text)
+        moments = compute_moments(env)
+        assert result["exact_tail"] == exact_sn_tail(env, n, x,
+                                                     moments.M_tight,
+                                                     moments.mu)
         assert 0.0 < result["exact_tail"] <= result["bound_H"]
+
+    def test_sn_reports_no_exact_tail_past_the_cap(self, tmp_path):
+        # 1,373,701 compositions at n = 200, above oracle.MAX_COMPOSITIONS:
+        # the run goes on without an exact value and the Monte Carlo
+        # verdict sets the exit code
+        path = tmp_path / "four.json"
+        path.write_text(FOUR_TEXT)
+        out = tmp_path / "sncap"
+        code = cli.main(["verify", "sn", str(path), "--n", "200", "--x", "0.1",
+                         "--trials", "2000", "--seed", "0", "--out", str(out)])
+        result = json.loads((out / "result.json").read_text())
+        assert result["exact_tail"] is None
+        assert result["hits"] > 0
+        assert result["pass"] is (result["ci_low"] <= result["bound_H"])
+        assert code == (0 if result["pass"] else 1)
 
     def test_sn_requires_x(self, binary_cfg):
         with pytest.raises(SystemExit) as exc:
@@ -413,8 +444,8 @@ class TestVerify:
         assert 0 < result["increment_head_depth"] < 70
 
     def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
-        # 5^7 state sequences exceed 2^14, but the kernel works on the
-        # population support 2^7 and computes the exact tail
+        # five states: the kernel works on the population support 2^7, not
+        # on the 5^7 state sequences, and computes the exact tail
         text = json.dumps({"model": "binary", "support": [
             {"p": p, "mass": 0.2} for p in (0.1, 0.3, 0.5, 0.7, 0.9)]})
         path = tmp_path / "five.json"

@@ -14,7 +14,7 @@ from bpre.env import compute_moments
 from bpre import oracle
 from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
                          _annealed_laws, _multiset_sum, _increment_table,
-                         _table_work, composition_count, exact_EWn,
+                         _table_work, exact_EWn,
                          exact_logw_increments, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
 from brute import brute_population_pmf, env_law, population_law
@@ -519,19 +519,21 @@ class TestReach:
         # 2^24 environment sequences; the walk tail needs 25 compositions
         env = binary_env()
         mom = compute_moments(env)
-        assert composition_count(env, 24) == 25
+        assert math.comb(24 + 1, 1) == 25
         j_min = math.ceil(24 * 1.5 / 2 - 1e-9)
         expect = sum(math.comb(24, j) for j in range(j_min, 25)) / 2 ** 24
         got = exact_sn_tail(env, 24, 0.5, mom.M_tight, mom.mu)
         assert got == pytest.approx(expect, rel=1e-14)
 
-    def test_sn_tail_composition_cap(self):
+    def test_sn_tail_composition_cap(self, monkeypatch):
         cfg = {"model": "binary",
                "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]}
         env = parse_env_config(cfg)
         mom = compute_moments(env)
         n = 200  # C(203, 3) = 1,373,701 compositions
-        assert composition_count(env, n) > MAX_COMPOSITIONS
+        assert math.comb(n + 3, 3) > MAX_COMPOSITIONS
+        # the cap refuses before any composition is enumerated
+        monkeypatch.setattr(oracle, "_compositions", None)
         with pytest.raises(ResourceCapError):
             exact_sn_tail(env, n, 0.5, mom.M_tight, mom.mu)
 
