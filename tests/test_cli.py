@@ -26,7 +26,7 @@ STAY_OR_DOUBLE_TEXT = json.dumps({
     "states": [{"label": "stay", "mass": 0.5, "offspring": {"1": 1.0}},
                {"label": "double", "mass": 0.5, "offspring": {"2": 1.0}}]})
 # four {1, 2} states: C(n + 3, 3) state-count compositions, 23,426 at
-# n = 50 and 1,373,701 at n = 200, past oracle.MAX_COMPOSITIONS
+# n = 50 and, past oracle.MAX_COMPOSITIONS, 1,373,701 at n = 200
 FOUR_TEXT = json.dumps({
     "model": "binary",
     "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]})
@@ -368,9 +368,8 @@ class TestVerify:
         assert 0.0 < result["exact_tail"] <= result["bound_H"]
 
     def test_sn_reports_no_exact_tail_past_the_cap(self, tmp_path):
-        # 1,373,701 compositions at n = 200, above oracle.MAX_COMPOSITIONS:
-        # the run goes on without an exact value and the Monte Carlo
-        # verdict sets the exit code
+        # past the composition cap the run goes on without an exact value,
+        # and the Monte Carlo verdict sets the exit code
         path = tmp_path / "four.json"
         path.write_text(FOUR_TEXT)
         out = tmp_path / "sncap"
