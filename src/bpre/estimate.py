@@ -159,16 +159,157 @@ class DecayFit:
             raise ValueError(f"c_hat={self.c_hat!r} must be > 0")
 
 
+# stirlerr(n) = log(n!) - (n + 1/2) log(n) + n - log(2 pi)/2 for n = 0..15,
+# correctly rounded (Loader 2000 tabulates them; these are from 50 digits)
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _stirlerr(n: int) -> float:
+    """The Stirling-series remainder of log(n!), tabulated for n <= 15; past
+    15 its first five series terms leave under 1.2e-16."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn)
+                      / nn) / nn) / n
+
+
+def _near(x: float, m: float) -> bool:
+    """Whether _bd0(x, m) takes its series, which converges as ((x-m)/(x+m))^2."""
+    return abs(x - m) < 0.5 * (x + m)
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x without cancellation near x = m (Loader 2000)."""
+    if not _near(x, m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    term = 2.0 * x * v
+    v *= v
+    j = 3
+    while True:
+        term *= v
+        s, last = s + term / j, s
+        if s == last:
+            return s
+        j += 2
+
+
+def _log_tail(n: int, k: int, p: float, q: float, log_tail: float,
+              root: float) -> tuple[float, float]:
+    """(log(P(Bin(n, p) >= k) / tail), S) for 0 < k < n, q = 1 - p and
+    (n + 1) p < k + 1, where log_tail = log(tail), root^k = tail, and the
+    tail is pmf(k) * S.
+
+    pmf(k) is Loader's saddle-point form. Where _bd0(k, np) would take its
+    direct form, -bd0(k, np) - log(tail) is taken as
+    k log(np / (k root)) + k - np: near the root np / (k root) is of order
+    1, so no logarithm of order log(tail) is rounded, which at small k would
+    cost about |log(tail)| ulp in p. S sums the terms pmf(j)/pmf(k), j >= k,
+    which fall from j = k on: each chunk is one cumprod of the ratios
+    pmf(i)/pmf(i - 1) = (n + 1 - i) p / (i q), and the sum stops once the
+    rest, at most term * r / (1 - r) for the last ratio r, is below 2^-56
+    (S >= 1).
+    """
+    m = n * p
+    h = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(n - k, n * q)
+         - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
+    if _near(k, m):
+        h -= _bd0(k, m) + log_tail
+    else:
+        h += k * math.log(m / (k * root)) + k - m
+    odds = p / q
+    sums = [1.0]
+    term, j, size = 1.0, k, 64 + int(9.0 * math.sqrt(m * q))
+    while j < n:
+        i = np.arange(j + 1, min(j + size, n) + 1, dtype=np.float64)
+        ratios = (n + 1.0 - i) / i * odds
+        last = float(ratios[-1])
+        terms = np.cumprod(ratios, out=ratios) * term
+        sums.append(float(terms.sum()))
+        term, j = float(terms[-1]), j + i.size
+        if term * last < 2.0 ** -56 * (1.0 - last):
+            break
+        size *= 2
+    s = math.fsum(sums)
+    return h + math.log(s), s
+
+
+def _cp_bound(n: int, k: int, tail: float, upper: bool) -> float:
+    """The p in (0, 1) with P(Bin(n, p) >= k) = tail (lower bound) or
+    P(Bin(n, p) <= k) = tail (upper bound), for 0 < k < n and tail < 1/2.
+
+    The upper bound's tail is P(Bin(n, q) >= n - k), so both bounds sum an
+    upper tail in the success probability pp (p or q) from kk (k or n - k)
+    on. Its log is concave in log pp (log of a Beta(kk, n - kk + 1) variable
+    has a log-concave density) with derivative kk / S there, so a Newton
+    step on log pp from below the root stays below it and one from above
+    lands below it. The steps start from the Wilson score bound with
+    continuity correction, are kept inside the bracket of p that the
+    evaluations have built, and stop at a step below 2^-46 p.
+    """
+    kk = n - k if upper else k
+    log_tail = math.log(tail)
+    # root^kk = tail to about an ulp: 1/kk is rounded, so one Newton step
+    root = tail ** (1.0 / kk)
+    root *= 1.0 - (root ** kk / tail - 1.0) / kk
+    # the normal quantile at 1 - tail, to 4.5e-4 (Abramowitz-Stegun 26.2.23)
+    t = math.sqrt(-2.0 * log_tail)
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    x = k + 0.5 if upper else k - 0.5
+    half = z * math.sqrt(x * (n - x) / n + z * z / 4)
+    p = (x + z * z / 2 + (half if upper else -half)) / (n + z * z)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+            if not lo < p < hi:
+                return p
+        q = 1.0 - p
+        pp, qq = (q, p) if upper else (p, q)
+        if (n + 1) * pp >= kk + 1:
+            # the terms rise from kk, so kk is at most the median and the
+            # tail is at least 1/2: a side of the root but no Newton step
+            h, step = math.inf, math.nan
+        else:
+            h, s = _log_tail(n, kk, pp, qq, log_tail, root)
+            step = pp * math.expm1(-h * s / kk)
+            if upper:
+                step = -step
+            if abs(step) <= 2.0 ** -46 * p:
+                return p + step
+        if (h > 0.0) != upper:
+            hi = p
+        else:
+            lo = p
+        p += step
+    raise ArithmeticError(f"no Clopper-Pearson root for n={n}, k={k}, "
+                          f"tail={tail!r}, upper={upper}")
+
+
 def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
     """Exact two-sided equal-tailed (Clopper-Pearson) binomial interval.
 
-    Beta-quantile characterization, with the quantile taken straight from the
-    inverse regularized incomplete beta function (what scipy.stats.beta.ppf
-    wraps); the boundary cases use the closed forms (alpha/2)^(1/trials) and
+    With alpha/2 = (1 - level)/2, the lower bound solves
+    P(Bin(trials, p) >= hits) = alpha/2 and the upper bound
+    P(Bin(trials, p) <= hits) = alpha/2 (Clopper & Pearson, Biometrika 1934),
+    each for its own tail, so alpha/2 is never rounded as 1 - alpha/2. The
+    tails are summed from their first term, which is Loader's saddle-point
+    binomial pmf ("Fast and accurate computation of binomial
+    probabilities", 2000), and each root is found by Newton steps on the
+    log tail (_cp_bound). Each bound is within a few ulp of the exact
+    root: the tests bracket it within 8 ulp by 45-digit tails for trials
+    from 10 to 10^9 at levels up to 0.999999, and 400 random cases with
+    trials <= 1500 and levels up to 1 - 1e-9 were all within 4 ulp. The
+    boundary cases use the closed forms (alpha/2)^(1/trials) and
     1 - (alpha/2)^(1/trials).
     """
-    # imported here so that `import bpre` does not load scipy.special
-    from scipy.special import betaincinv
     if trials < 1:
         raise ValueError(f"trials={trials!r} must be >= 1")
     if not 0 <= hits <= trials:
@@ -181,7 +322,7 @@ def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
     elif hits == trials:
         low = half_alpha ** (1.0 / trials)
     else:
-        low = float(betaincinv(hits, trials - hits + 1, half_alpha))
+        low = _cp_bound(trials, hits, half_alpha, upper=False)
     if hits == trials:
         high = 1.0
     elif hits == 0:
@@ -189,7 +330,7 @@ def binomial_ci(hits: int, trials: int, level: float) -> tuple[float, float]:
         # ~5 digits to cancellation once trials is large.
         high = -math.expm1(math.log(half_alpha) / trials)
     else:
-        high = float(betaincinv(hits + 1, trials - hits, 1.0 - half_alpha))
+        high = _cp_bound(trials, hits, half_alpha, upper=True)
     return low, high
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -5,9 +6,9 @@ import sys
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.stats
 
 import bpre
 from bpre import oracle
@@ -90,6 +91,43 @@ def ci_bisect(hits, trials, level):
     return low, high
 
 
+# --- independent route: the Clopper-Pearson tails at 45 digits --------------
+
+def mp_tail(n, k, p, upper):
+    """P(Bin(n, p) >= k), or P(Bin(n, p) <= k) if upper, at 45 digits: the
+    first term from log-gamma, then the term ratio until the terms fall below
+    1e-45 of the sum."""
+    with mpmath.workdps(45):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        if upper:  # P(Bin(n, p) <= k) = P(Bin(n, q) >= n - k)
+            p, q, k = q, p, n - k
+        term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                          - mpmath.loggamma(n - k + 1)
+                          + k * mpmath.log(p) + (n - k) * mpmath.log(q))
+        total, odds, eps = term, p / q, mpmath.mpf(10) ** -45
+        for j in range(k, n):
+            term *= (n - j) * odds / (j + 1)
+            total += term
+            if term < eps * total:
+                break
+        return total
+
+
+def assert_exact_bounds(hits, trials, level):
+    """For 0 < hits < trials, each bound p has the exact root of its tail
+    equation within 8 ulp: the 45-digit tail at p -/+ 8 ulp brackets
+    alpha/2."""
+    half_alpha = (1.0 - level) / 2.0
+    for p, upper in zip(binomial_ci(hits, trials, level), (False, True)):
+        step = 8 * math.ulp(p)
+        left, right = mp_tail(trials, hits, p - step, upper), mp_tail(
+            trials, hits, p + step, upper)
+        if upper:  # the tail falls as p rises
+            left, right = right, left
+        assert left <= half_alpha <= right, (hits, trials, level, upper, p)
+
+
 class TestBinomialCI:
     def test_zero_hit_closed_form(self):
         low, high = binomial_ci(0, 100, 0.95)
@@ -115,16 +153,40 @@ class TestBinomialCI:
         assert high == pytest.approx(bhigh, abs=1e-10)
 
     @pytest.mark.parametrize("level", [0.95, 0.99, 0.999999])
-    @pytest.mark.parametrize("trials", [10, 1000, 10 ** 5, 10 ** 7])
-    @pytest.mark.parametrize("share", [0.0, 1 / 3, 1.0])
-    def test_bit_identical_to_beta_ppf(self, share, trials, level):
-        # interior hits from 1 to trials - 1; the quantile is scipy's own
+    @pytest.mark.parametrize("trials", [10, 37, 100, 1000, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("share", [0.0, 1 / 3, 1 / 2, 1.0])
+    def test_bounds_are_exact_roots(self, share, trials, level):
+        # interior hits from 1 to trials - 1
         hits = min(max(int(share * trials), 1), trials - 1)
-        half_alpha = (1.0 - level) / 2.0
-        low, high = binomial_ci(hits, trials, level)
-        assert low == float(scipy.stats.beta.ppf(half_alpha, hits, trials - hits + 1))
-        assert high == float(scipy.stats.beta.ppf(1.0 - half_alpha, hits + 1,
-                                                  trials - hits))
+        assert_exact_bounds(hits, trials, level)
+
+    @pytest.mark.parametrize("hits,trials,level", [
+        (5, 662, 0.999999), (1, 10 ** 7, 0.95), (9_066_440, 51_715_996, 0.99)])
+    def test_exact_where_the_beta_quantile_misses(self, hits, trials, level):
+        # the inverse incomplete beta at 1 - alpha/2 misses the first two
+        # upper bounds and the last lower bound by far more than 8 ulp
+        assert_exact_bounds(hits, trials, level)
+
+    def test_single_trial(self):
+        assert binomial_ci(0, 1, 0.95) == (0.0, pytest.approx(0.975, rel=1e-15))
+        assert binomial_ci(1, 1, 0.95) == (pytest.approx(0.025, rel=1e-15), 1.0)
+
+    @pytest.mark.parametrize("hits", [1, 10 ** 9 - 1])
+    def test_one_hit_or_miss_in_a_billion(self, hits):
+        low, high = binomial_ci(hits, 10 ** 9, 0.95)
+        assert 0.0 < low < hits / 10 ** 9 < high < 1.0
+        assert_exact_bounds(hits, 10 ** 9, 0.95)
+
+    @pytest.mark.parametrize("trials", [1, 2, 10, 37, 1000, 10 ** 5, 10 ** 9])
+    def test_intervals_nest_and_hold_the_point(self, trials):
+        levels = [0.5, 0.9, 0.95, 0.99, 0.999999, 1 - 1e-12]
+        for hits in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+            low, high = 1.0, 0.0
+            for level in levels:
+                lo, hi = binomial_ci(hits, trials, level)
+                assert 0.0 <= lo <= hits / trials <= hi <= 1.0
+                assert lo <= low and hi >= high, (hits, trials, level)
+                low, high = lo, hi
 
     def test_interval_contains_point(self):
         for hits, trials in ((0, 10), (5, 10), (10, 10), (333, 1000)):
@@ -157,21 +219,34 @@ class TestBinomialCI:
         assert covered / reps >= 0.93
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(bpre.__file__)))
     # nor does the exact kernel, at populations past 1000, nor the increment
-    # estimator, all exact at n = 8 and with a kernel head at n = 12
-    code = ("import bpre, sys; "
+    # estimator, all exact at n = 8 and with a kernel head at n = 12; and
+    # after a verify sn and a converge, whose intervals are Clopper-Pearson,
+    # no scipy module at all is loaded
+    cfg = tmp_path / "binary.json"
+    cfg.write_text(json.dumps(BINARY), encoding="utf-8")
+    code = ("import bpre, sys; from bpre import cli; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules); "
             "env = bpre.parse_env_config(%r); bpre.exact_EWn(env, 11); "
             "print('scipy.stats' in sys.modules); "
             "bpre.mc_logw_increments(env, 8, 2000, 0); "
             "bpre.mc_logw_increments(env, 12, 2000, 0); "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
-            % BINARY)
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules); "
+            "codes = [cli.main(['verify', 'sn', %r, '--n', '6', '--x', '0.5', "
+            "'--trials', '2000', '--seed', '0', '--out', %r]), "
+            "cli.main(['converge', %r, '--n-values', '4,8', '--y-values', "
+            "'0.1,0.3', '--trials', '2000', '--seed', '0', '--out', %r])]; "
+            "print(codes == [0, 0], any(m.split('.')[0] == 'scipy' "
+            "for m in sys.modules))"
+            % (BINARY, str(cfg), str(tmp_path / "sn"), str(cfg),
+               str(tmp_path / "cv")))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False"] * 5
+    lines = out.stdout.splitlines()
+    assert " ".join(lines[:3]).split() == ["False"] * 5
+    assert lines[-1] == "True False"
 
 
 class TestMcTailSn:
@@ -859,9 +934,7 @@ class TestConvergenceReport:
 
     def test_block_holds_no_float_uniform_matrix(self):
         # a float64 (16384, 200) uniform matrix alone is 25 MB; the block
-        # holds its environment as 1-byte states. binomial_ci imports scipy,
-        # which is loaded before tracing.
-        import scipy.special  # noqa: F401
+        # holds its environment as 1-byte states.
         n, trials = 200, BLOCK_TRIALS
         matrix = trials * n * np.dtype(np.float64).itemsize
         tracemalloc.start()
