@@ -61,6 +61,10 @@ RUNS = [
     ("simulate-mixed-n60", "simulate", "mixed",
      "--n 60 --trials 8 --exact-threshold 100"),
     ("simulate-mixed-n150", "simulate", "mixed", "--n 150 --trials 16"),
+    # single trajectories: Z_60 passes 2^32, so Gaussian draws, but stays
+    # below 2^53; the chain states of the mixed run take Gaussian draws
+    ("simulate-binary-n60", "simulate", "binary", "--n 60"),
+    ("simulate-mixed-n40", "simulate", "mixed", "--n 40 --exact-threshold 100"),
     ("verify-sn", "verify sn", "binary",
      "--n 10 --x 0.5 --trials 1e5 --workers 2"),
     ("verify-sn-generic", "verify sn", "generic",
