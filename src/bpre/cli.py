@@ -16,11 +16,14 @@ import hashlib
 import math
 import json
 import os
+import platform
 import shlex
 import sys
 from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bounds import (BoundQuery, H, H_upper, Theorem1Params, log_H,
@@ -33,9 +36,11 @@ from .estimate import (convergence_report, fit_geometric_decay,
                        theorem1_candidates)
 from .oracle import exact_logZn_tail, exact_sn_tail
 from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
-                       SimConfig, simulate_trajectory, stream)
+                       SimConfig, block_records, simulate_block, stream)
 
 # simulate writes one CSV per trajectory; keep runs to a sane file count.
+# At most 1024 trajectories also keep a run inside one estimator-sized block
+# (estimate.BLOCK_TRIALS), so simulate draws from one stream.
 _MAX_TRAJECTORY_FILES = 1024
 
 TAIL_CSV_HEADER = "n,x,M_kind,hits,trials,point,ci_low,ci_high,bound_H,bound_thm1"
@@ -114,6 +119,9 @@ def emit(args, result: dict | Callable[[], dict],
         "seed": seed,
         "rng_id": RNG_ID,
         "version": __version__,
+        # numpy's binomial and normal streams may change across releases
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "outputs": ["result.json", *sorted(names)],
     }
@@ -195,14 +203,17 @@ def cmd_simulate(args) -> int:
     approx = []
 
     def trajectories():
+        # the whole block is stepped before the first file is written, so a
+        # run stopped at the population cap writes no trajectory
+        block, states, approx_used = simulate_block(
+            tables, cfg, args.trials, stream(seed, DOMAIN_SIMULATE, 0))
+        approx.append(approx_used)
         for t, name in enumerate(names):
-            traj = simulate_trajectory(tables, cfg,
-                                       rng=stream(seed, DOMAIN_SIMULATE, t))
-            approx.append(traj.approx_sampling_used)
             # One f-string per row writes what fmt() and _csv() would.
             rows = "".join(
-                [f"{gen},{z},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
-                 for gen, (z, s, w) in enumerate(traj.records)])
+                [f"{gen},{z:.0f},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
+                 for gen, (z, s, w) in enumerate(
+                     block_records(tables, block, states, t))])
             yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
 
     def result() -> dict:

@@ -10,21 +10,20 @@ no other draw. Within a block of the population estimators the draw order
 is pinned: the (size, n) environment uniform matrix first, then per
 generation one offspring pass per state in declaration order, over the
 trials still stepped (all of them, except in mc_tail_logzn; see below).
-The block holds that matrix only as its (n, size) state indices
-(_state_rows), one byte each up to 256 states: the uniforms are drawn in
-row chunks of about STATE_CHUNK values, which take the same values from
-the stream as one (size, n) call, and mapped by EnvTables.pick_states
-chunk by chunk. Generation k reads row k of the states. Each pass is one
-call of bpre.simulate.offspring on a float64 population vector, which fixes
-the draws inside it (exact binomial draws before Gaussian-approximate ones).
+The generation loop is bpre.simulate's, shared with simulate_block: the
+block holds that matrix only as its (n, size) state indices
+(simulate._state_rows, one byte each up to 256 states), and generation k
+reads row k of them in simulate._generation, whose passes are calls of
+simulate.offspring on a float64 population vector; that fixes the draws
+inside each pass (exact binomial draws before Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
 Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
 Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
 Neither constant is a parameter. Each generation reports whether it took a
-Gaussian draw by simulate's rule (some population starts above the
-threshold in a state that draws); the reports of a call's blocks are ORed
-in block order into approx_sampling_used.
+Gaussian draw (some population starts above the threshold in a state that
+draws); the reports of a call's blocks are ORed in block order into
+approx_sampling_used.
 
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
@@ -87,9 +86,9 @@ from .env import EnvDistribution, compute_moments
 from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws,
                      _increment_means, _running_work, _table_work, kernel_work,
                      tail_reached)
-from .simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS, DOMAIN_SN,
-                       DOMAIN_TRAJ, EnvTables, _check_population_cap,
-                       offspring, require_no_extinction, stream)
+from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
+                       _generation, _generations, _state_rows,
+                       require_no_extinction, stream)
 
 BLOCK_TRIALS = 16384
 
@@ -100,10 +99,6 @@ MIN_TRIALS = 1000
 # binomial draw it saves; on a 2-CPU Xeon a draw costs about 100-190 ns and a
 # multiply-add about 2 ns at g = 10 and 0.4-0.7 ns at g = 12-13.
 HEAD_WORK_PER_DRAW = 8
-
-# A block draws its environment uniforms in row chunks of about this many
-# values and keeps only their state indices (_state_rows).
-STATE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -394,61 +389,6 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
                           trials, level, x, n)
-
-
-def _state_rows(tables: EnvTables, n: int, size: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """The states of a block's (size, n) environment uniform matrix, as an
-    (n, size) array whose row k is generation k's state index per trial,
-    in the smallest unsigned dtype that holds the top index (uint8 up to
-    256 states).
-
-    The uniforms are drawn in row chunks of about STATE_CHUNK values and
-    mapped by tables.pick_states chunk by chunk. Row-major chunks take the
-    values of one rng.random((size, n)) call and leave the stream where it
-    would, so the draws are those of the whole matrix, while the block
-    holds one byte per trial-generation instead of eight.
-    """
-    dtype = np.min_scalar_type(len(tables.states) - 1)
-    states = np.empty((n, size), dtype=dtype)
-    step = max(1, STATE_CHUNK // max(n, 1))
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        states[:, lo:hi] = tables.pick_states(rng.random((hi - lo, n))).T
-    return states
-
-
-def _generation(tables: EnvTables, col: np.ndarray, z: np.ndarray,
-                rng: np.random.Generator) -> bool:
-    """One generation of a block of float64 populations z, updated in place:
-    one offspring pass per state in declaration order, the trials' state
-    indices in col. Returns whether the generation took a Gaussian draw, by
-    simulate's rule: some population starts above DEFAULT_EXACT_THRESHOLD
-    in a state whose pass draws. Raises ResourceCapError once a population
-    passes DEFAULT_POPULATION_CAP, well before float64 overflows."""
-    approx = bool(tables.draws[col[z > DEFAULT_EXACT_THRESHOLD]].any())
-    for s, sampler in enumerate(tables.samplers):
-        sel = np.nonzero(col == s)[0]
-        if sel.size:
-            z[sel] = offspring(z[sel], sampler, rng)
-    _check_population_cap(z.max())
-    return approx
-
-
-def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
-                 z: np.ndarray):
-    """Step a block of float64 populations z through n generations in the
-    pinned draw order: the (size, n) environment matrix, held as its state
-    rows (_state_rows), then _generation per row. At one byte per
-    trial-generation the state matrix is an eighth of the uniforms it
-    replaces, and each generation reads one contiguous row.
-
-    Yields (state index per trial, Z, whether a draw was Gaussian) after
-    each generation; z is updated in place. Z is exact below 2^53 and
-    rounds at 1e-16 relative above.
-    """
-    for col in _state_rows(tables, n, z.size, rng):
-        yield col, z, _generation(tables, col, z, rng)
 
 
 def _deepest(tables: EnvTables, n: int, trials: int,

@@ -1,22 +1,22 @@
-"""Exact trajectory simulation: environment sequence, population counts,
-random walk S_n, and the normalized martingale W_n = Z_n / Pi_n.
+"""Trajectory simulation: environment sequence, population counts, random
+walk S_n, and the normalized martingale W_n = Z_n / Pi_n.
 
-Populations are arbitrary-precision integers with a fixed cap of 2^512
-(DEFAULT_POPULATION_CAP); the model stays exact at desk scale. Offspring
-totals are sampled as a chain of conditional binomials over ascending family
-sizes, with the shifted binomial z + Bin(z, p_2) shortcut for
-{1,2}-supported states. A binomial draw on at most `limit` trials is exact;
-above it, a rounded Gaussian approximation. offspring() is the one
-implementation of this step, for a Python int or an int64 or float64 array
-of populations; the Monte Carlo estimators step float64 arrays with it.
-simulate_trajectory() calls it with limit = min(exactness threshold,
-INT64_SAFE), except on a run of consecutive {1,2} generations past the
-limit: Z never decreases, so every draw of such a run is Gaussian, and the
-run takes its normals in one standard_normal call, which gives the values of
-one call per generation. A generation's first draw is on all Z_k
-individuals and each later chain link draws on fewer, so the generation
-takes a Gaussian draw iff Z_k > limit and its state draws at all; a
-trajectory's approx_sampling_used is read off its records by that rule.
+Populations are float64 arrays: exact integers below 2^53, rounded at 1e-16
+relative above, with a fixed cap of 2^512 (DEFAULT_POPULATION_CAP) far below
+float64 overflow. Offspring totals are sampled as a chain of conditional
+binomials over ascending family sizes, with the shifted binomial
+z + Bin(z, p_2) shortcut for {1,2}-supported states. A binomial draw on at
+most `limit` trials is exact; above it, a rounded Gaussian approximation.
+offspring() is the one implementation of this step. _generation steps a
+block of populations one generation, one offspring pass per state in
+declaration order, and _state_rows holds the block's environment as state
+indices: this is the generation loop of the Monte Carlo estimators and of
+simulate_block, which steps all trajectories of a `simulate` run as one block
+on one stream with limit = min(exactness threshold, INT64_SAFE).
+simulate_trajectory() is a block of one. A generation's first draw is on all
+Z_k individuals and each later chain link draws on fewer, so a generation
+takes a Gaussian draw iff some population starts above limit in a state that
+draws; approx_sampling_used follows that rule.
 
 Environment states are picked from uniforms by EnvTables.pick_states, an
 inverse CDF by threshold comparisons. EnvTables.pick_probs is the state law
@@ -26,10 +26,10 @@ from it, since S_n depends on the environment only through those counts.
 Randomness contract: Philox4x64 counter-based streams with the 128-bit key
 (seed << 64) | (domain << 48) | index. Domains separate the S_n-only sampler
 (DOMAIN_SN), the log Z_n tail and deviation estimators (DOMAIN_TRAJ),
-single-trajectory simulation (DOMAIN_SIMULATE) and the martingale-increment
-estimator (DOMAIN_INCREMENTS), so a master seed can drive all of them
-without stream reuse. DOMAIN_QUENCHED is reserved: the tests' quenched
-one-step martingale check draws its replicas there.
+trajectory simulation (DOMAIN_SIMULATE, one stream per block) and the
+martingale-increment estimator (DOMAIN_INCREMENTS), so a master seed can
+drive all of them without stream reuse. DOMAIN_QUENCHED is reserved: the
+tests' quenched one-step martingale check draws its replicas there.
 The key derivation is the whole contract: any implementation of Philox4x64
 can replay a run from (seed, domain, index) and the documented draw order.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +57,10 @@ DEFAULT_POPULATION_CAP = 1 << 512
 # numpy's exact binomial sampler takes int64 trial counts; exact draws stay
 # at or below this whatever the exactness threshold.
 INT64_SAFE = 1 << 62
+
+# A block draws its environment uniforms in row chunks of about this many
+# values and keeps only their state indices (_state_rows).
+STATE_CHUNK = 1 << 16
 
 SEED_MAX = 1 << 64
 _INDEX_MAX = 1 << 48
@@ -92,9 +95,10 @@ class EnvSequence:
 
 class GenRecord(NamedTuple):
     """One generation of a trajectory: Z_k, S_k and logW_k = log Z_k - S_k.
-    A NamedTuple: immutable, and cheap to build once per generation."""
+    Z_k is a float64 value, an exact integer below 2^53. A NamedTuple:
+    immutable, and cheap to build once per generation."""
 
-    Z: int
+    Z: float
     S: float
     logW: float
 
@@ -145,6 +149,7 @@ class EnvTables:
         self.means = np.array([state_mean(s) for s, _ in env.states], dtype=np.float64)
         self.X = np.log(self.means)
         self.index_of = {label: i for i, label in enumerate(self.labels)}
+        self.index_dtype = np.min_scalar_type(len(self.states) - 1)
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)
         self.draws = np.array([binomial_draws(s) for s in self.samplers])
 
@@ -154,12 +159,14 @@ class EnvTables:
         The index is the number of thresholds cum[:-1] at or below u, which
         equals min(searchsorted(cum, u, "right"), k - 1) since cum is
         nondecreasing: a uniform at or above cum[-1] (masses may sum to
-        1 - MASS_TOL) maps to the last state. One comparison pass per
-        threshold, so the cost is linear in the number of states k: on a
-        2-CPU Xeon about 1.4 ns per uniform at k = 2 and 24 ns at k = 20,
-        against 17 and 49 ns for searchsorted, which it matches near k = 40.
+        1 - MASS_TOL) maps to the last state. The indices come in
+        index_dtype, the smallest unsigned dtype that holds the top index
+        (uint8 up to 256 states). One comparison pass per threshold, so the
+        cost is linear in the number of states k: on a 2-CPU Xeon about
+        0.25 ns per uniform at k = 2, 4 ns at k = 20 and 8 ns at k = 40,
+        against 15, 37 and 50 ns for searchsorted.
         """
-        idx = np.zeros(np.shape(u), dtype=np.intp)
+        idx = np.zeros(np.shape(u), dtype=self.index_dtype)
         for c in self.cum[:-1]:
             idx += u >= c
         return idx
@@ -179,36 +186,15 @@ def _sampler_descriptor(entries: dict[int, float]):
     return ("chain", tuple(chain), positive[-1][0])
 
 
-def _binomial_scalar(trials: int, prob: float, rng: np.random.Generator,
-                     limit: int) -> int:
-    """One binomial draw; exact up to limit, Gaussian-approximate above.
-
-    Degenerate probabilities short-circuit without consuming randomness, so
-    deterministic states never touch the stream.
-    """
-    if trials == 0 or prob <= 0.0:
-        return 0
-    if prob >= 1.0:
-        return trials
-    if trials <= limit:
-        return int(rng.binomial(trials, prob))
-    return _gaussian_binomial(trials, prob, rng.standard_normal())
-
-
-def _gaussian_binomial(trials: int, prob: float, normal: float) -> int:
-    """The Gaussian stand-in for Bin(trials, prob) at a standard normal draw:
-    mean + sd * normal, rounded and clamped to [0, trials]."""
-    mean = float(trials) * prob
-    draw = round(mean + math.sqrt(mean * (1.0 - prob)) * normal)
-    return min(max(draw, 0), trials)
-
-
 def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
                      limit: int) -> np.ndarray:
-    """_binomial_scalar over an int64 or float64 array: the exact draws
-    first, in array order, then the Gaussian ones. Exact draws pass the
-    trial counts to rng.binomial as int64; the result keeps the input dtype.
-    A length-1 array draws what the scalar form draws."""
+    """Binomial draws over an int64 or float64 array of trial counts: exact
+    up to limit, Gaussian-approximate above (mean + sd * normal, rounded and
+    clamped to [0, trials]). The exact draws come first, in array order,
+    then the Gaussian ones. Exact draws pass the trial counts to
+    rng.binomial as int64; the result keeps the input dtype. Degenerate
+    probabilities short-circuit without consuming randomness, so
+    deterministic states never touch the stream."""
     if prob <= 0.0:
         return np.zeros_like(trials)
     if prob >= 1.0:
@@ -228,13 +214,14 @@ def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
     return out
 
 
-def offspring(z, sampler, rng: np.random.Generator,
-              limit: int = DEFAULT_EXACT_THRESHOLD):
-    """One generation: total offspring of z individuals under one state.
+def offspring(z: np.ndarray, sampler, rng: np.random.Generator,
+              limit: int = DEFAULT_EXACT_THRESHOLD) -> np.ndarray:
+    """One generation: total offspring of each population in z under one
+    state.
 
-    This is the package's only offspring step. z is a Python int (the bigint
-    form) or an int64 or float64 array of independent populations (the vector
-    form; float64 totals are exact below 2^53); sampler is the state's
+    This is the package's only offspring step. z is an int64 or float64
+    array of independent populations (float64 totals are exact below 2^53;
+    the package steps float64); sampler is the state's
     EnvTables.samplers descriptor. {1,2}-supported states draw
     z + Bin(z, p_2); other states realize the multinomial family counts as
     conditional binomials over ascending family sizes, one binomial per
@@ -242,13 +229,12 @@ def offspring(z, sampler, rng: np.random.Generator,
     it is Gaussian; limit must not pass INT64_SAFE, the largest trial count
     the exact sampler takes.
     """
-    binomial = _binomial_vector if isinstance(z, np.ndarray) else _binomial_scalar
     if sampler[0] == "binary":
-        return z + binomial(z, sampler[1], rng, limit)
+        return z + _binomial_vector(z, sampler[1], rng, limit)
     _, chain, k_last = sampler
     remaining, total = z, 0
     for k, cond_p in chain:
-        c = binomial(remaining, cond_p, rng, limit)
+        c = _binomial_vector(remaining, cond_p, rng, limit)
         total = total + k * c
         remaining = remaining - c
     return total + k_last * remaining
@@ -277,76 +263,129 @@ def sample_env_sequence(env: EnvDistribution, n: int,
     if n < 1:
         raise ValueError(f"n={n!r} must be >= 1")
     tables = env if isinstance(env, EnvTables) else EnvTables(env)
-    idx = tables.pick_states(rng.random(n)).tolist()
-    labels, log_means = tables.labels, tables.X.tolist()
-    return EnvSequence(states=tuple(labels[i] for i in idx),
+    return _env_sequence(tables, tables.pick_states(rng.random(n)).tolist())
+
+
+def _env_sequence(tables: EnvTables, idx: list[int]) -> EnvSequence:
+    """The EnvSequence of a list of state indices."""
+    log_means = tables.X.tolist()
+    return EnvSequence(states=tuple(tables.labels[i] for i in idx),
                        log_means=tuple(log_means[i] for i in idx))
 
 
-def _check_population_cap(top) -> None:
-    """Raise ResourceCapError once a population passes DEFAULT_POPULATION_CAP.
-
-    top is a Python int, or the largest entry of a float64 population
-    vector; the cap sits far below float64 overflow.
-    """
+def _check_population_cap(top: float) -> None:
+    """Raise ResourceCapError once the largest population of a block, top,
+    passes DEFAULT_POPULATION_CAP; the cap sits far below float64 overflow."""
     if top > DEFAULT_POPULATION_CAP:
         raise ResourceCapError(
             f"population reached {int(top).bit_length()} bits, cap is "
             f"{DEFAULT_POPULATION_CAP.bit_length() - 1} bits")
 
 
+def _state_rows(tables: EnvTables, n: int, size: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The states of a block's (size, n) environment uniform matrix, as an
+    (n, size) array whose row k is generation k's state index per trial,
+    in tables.index_dtype (uint8 up to 256 states).
+
+    The uniforms are drawn in row chunks of about STATE_CHUNK values and
+    mapped by tables.pick_states chunk by chunk. Row-major chunks take the
+    values of one rng.random((size, n)) call and leave the stream where it
+    would, so the draws are those of the whole matrix, while the block
+    holds one byte per trial-generation instead of eight.
+    """
+    states = np.empty((n, size), dtype=tables.index_dtype)
+    step = max(1, STATE_CHUNK // max(n, 1))
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        states[:, lo:hi] = tables.pick_states(rng.random((hi - lo, n))).T
+    return states
+
+
+def _generation(tables: EnvTables, col: np.ndarray, z: np.ndarray,
+                rng: np.random.Generator,
+                limit: int = DEFAULT_EXACT_THRESHOLD) -> bool:
+    """One generation of a block of float64 populations z, updated in place:
+    one offspring pass per state in declaration order, the trials' state
+    indices in col, each binomial draw on more than limit trials Gaussian.
+    Returns whether the generation took a Gaussian draw: some population
+    starts above limit in a state whose pass draws. Raises ResourceCapError
+    once a population passes DEFAULT_POPULATION_CAP, well before float64
+    overflows."""
+    approx = bool(tables.draws[col[z > limit]].any())
+    for s, sampler in enumerate(tables.samplers):
+        sel = np.nonzero(col == s)[0]
+        if sel.size:
+            z[sel] = offspring(z[sel], sampler, rng, limit)
+    _check_population_cap(z.max())
+    return approx
+
+
+def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
+                 z: np.ndarray):
+    """Step a block of float64 populations z through n generations in the
+    pinned draw order: the (size, n) environment matrix, held as its state
+    rows (_state_rows), then _generation per row. At one byte per
+    trial-generation the state matrix is an eighth of the uniforms it
+    replaces, and each generation reads one contiguous row.
+
+    Yields (state index per trial, Z, whether a draw was Gaussian) after
+    each generation; z is updated in place. Z is exact below 2^53 and
+    rounds at 1e-16 relative above.
+    """
+    for col in _state_rows(tables, n, z.size, rng):
+        yield col, z, _generation(tables, col, z, rng)
+
+
+def simulate_block(tables: EnvTables, cfg: SimConfig, size: int,
+                   rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """size trajectories of cfg.n generations from Z_0 = 1, stepped as one
+    block on rng: (Z, states, whether a draw was Gaussian).
+
+    states are the (n, size) state rows (_state_rows), drawn first; then
+    each generation is one _generation with limit =
+    min(cfg.exact_sampling_threshold, INT64_SAFE), and row k of the
+    (n+1, size) float64 array Z holds every trajectory's Z_k: 9 bytes per
+    trajectory-generation in all. Every state must have p0 = 0
+    (require_no_extinction), so Z never reaches 0.
+    """
+    require_no_extinction(tables.env)
+    limit = min(cfg.exact_sampling_threshold, INT64_SAFE)
+    states = _state_rows(tables, cfg.n, size, rng)
+    z = np.empty((cfg.n + 1, size))
+    z[0] = 1.0
+    approx = False
+    for k, col in enumerate(states):
+        z[k + 1] = z[k]
+        approx |= _generation(tables, col, z[k + 1], rng, limit)
+    return z, states, approx
+
+
+def block_records(tables: EnvTables, z: np.ndarray, states: np.ndarray,
+                  t: int) -> list[tuple[float, float, float]]:
+    """(Z_k, S_k, logW_k) for k = 0..n of trajectory t of a simulate_block,
+    as plain tuples, cheaper than GenRecords. S is the running sum of X over
+    its states and logW = log Z - S, which makes the decomposition an
+    identity; the independent content is that S matches log Pi recomputed
+    from per-state means, which the tests check."""
+    s = np.zeros(len(states) + 1)
+    np.cumsum(tables.X[states[:, t]], out=s[1:])
+    return [(zk, sk, math.log(zk) - sk)
+            for zk, sk in zip(z[:, t].tolist(), s.tolist())]
+
+
 def simulate_trajectory(env: EnvDistribution | EnvTables, cfg: SimConfig,
                         rng: np.random.Generator | None = None) -> Trajectory:
-    """Full trajectory: Z_0 = 1, Z_{k+1} = offspring(Z_k, xi_k).
-
-    S is the running sum of realized X_i and logW := log Z - S, making the
-    decomposition an identity; the independent content is that S matches
-    log Pi recomputed from per-state means, which the tests check.
-    Deterministic given (env, cfg.seed) when rng is not supplied. env may be
-    prebuilt EnvTables, so that many trajectories share one. Every state must
-    have p0 = 0 (require_no_extinction), so Z never reaches 0.
-
-    Draw order: n environment uniforms, then each generation's offspring
-    draws. Once Z passes limit = min(threshold, INT64_SAFE), a run of
-    consecutive {1,2} generations draws all its normals (one per state with
-    0 < p2 < 1) in one call when its first draw is due; offspring() would
-    draw the same values one generation at a time. approx_sampling_used is
-    true iff some generation starts above limit in a state that draws.
-    """
+    """One trajectory: a simulate_block of one on rng, by default
+    stream(cfg.seed, DOMAIN_SIMULATE, 0). It draws n environment uniforms,
+    then each generation's offspring draws in generation order. env may be
+    prebuilt EnvTables, so that many trajectories share one."""
     tables = env if isinstance(env, EnvTables) else EnvTables(env)
-    require_no_extinction(tables.env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
-    seq = sample_env_sequence(tables, cfg.n, rng)
-    samplers = [tables.samplers[tables.index_of[label]] for label in seq.states]
-    limit = min(cfg.exact_sampling_threshold, INT64_SAFE)
-
-    z = 1
-    s = 0.0
-    records = [GenRecord(1, 0.0, 0.0)]
-    normals = iter(())
-    for k, sampler in enumerate(samplers):
-        if sampler[0] == "binary" and 0.0 < sampler[1] < 1.0 and z > limit:
-            normal = next(normals, None)
-            if normal is None:
-                normals = iter(rng.standard_normal(
-                    _gaussian_run_draws(samplers, k)).tolist())
-                normal = next(normals)
-            z = z + _gaussian_binomial(z, sampler[1], normal)
-        else:
-            z = offspring(z, sampler, rng, limit)
-        s = s + seq.log_means[k]
-        _check_population_cap(z)
-        records.append(GenRecord(z, s, math.log(z) - s))
-    approx = any(binomial_draws(sampler)
-                 for rec, sampler in zip(records, samplers) if rec.Z > limit)
-    return Trajectory(records=tuple(records), env=seq, seed=cfg.seed,
-                      approx_sampling_used=approx)
-
-
-def _gaussian_run_draws(samplers: list, start: int) -> int:
-    """Normals the run of {1,2} states from start takes past the threshold:
-    one per state with 0 < p2 < 1, up to the next chain state."""
-    run = takewhile(lambda sampler: sampler[0] == "binary", samplers[start:])
-    return sum(binomial_draws(sampler) for sampler in run)
-
+    z, states, approx = simulate_block(tables, cfg, 1, rng)
+    return Trajectory(records=tuple(GenRecord(*rec) for rec in
+                                    block_records(tables, z, states, 0)),
+                      env=_env_sequence(tables, states[:, 0].tolist()),
+                      seed=cfg.seed, approx_sampling_used=approx)

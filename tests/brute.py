@@ -78,22 +78,22 @@ def quenched_martingale_check(env, env_seq, k, replicas, rng):
     Simulates a single prefix to a common Z_k, then many independent one-step
     continuations; E[W_{k+1}/W_k | xi, Z_k] = 1, so the sample mean of
     Z_{k+1}/(Z_k m(xi_k)) should sit within a few stderr of 1. The prefix
-    steps a Python int under the population cap; the replicas step as one
-    float64 vector, exact while Z_k times the largest family size stays
-    below 2^53.
+    steps a length-1 float64 array under the population cap; the replicas
+    step as one float64 vector. Both are exact below 2^53 and round at
+    1e-16 relative above.
     """
     if replicas < 100:
         raise ValueError(f"insufficient replicas: {replicas} < 100")
     if not 0 <= k < len(env_seq):
         raise ValueError(f"k={k} outside the sequence of length {len(env_seq)}")
     tables = EnvTables(env)
-    z = 1
+    z = np.ones(1)
     for label in env_seq.states[:k]:
         z = offspring(z, tables.samplers[tables.index_of[label]], rng)
-        _check_population_cap(z)
+        _check_population_cap(z[0])
     state_idx = tables.index_of[env_seq.states[k]]
     m = float(tables.means[state_idx])
-    totals = offspring(np.full(replicas, float(z)), tables.samplers[state_idx], rng)
-    ratios = totals / (float(z) * m)
+    totals = offspring(np.full(replicas, z[0]), tables.samplers[state_idx], rng)
+    ratios = totals / (z[0] * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)
     return QuenchedReport(mean_ratio=float(np.mean(ratios)), stderr=stderr)

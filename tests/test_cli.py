@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import platform
 import tracemalloc
+
+import numpy as np
 
 import pytest
 
@@ -10,8 +13,9 @@ from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
+import bpre.simulate
 from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
-                           simulate_trajectory, stream)
+                           simulate_block, stream)
 
 BINARY_TEXT = json.dumps({
     "model": "binary",
@@ -19,8 +23,8 @@ BINARY_TEXT = json.dumps({
 DOUBLING_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]})
-# Z doubles in about half the generations: at --n 1024 --seed 3,
-# trajectories 0 and 1 stay within the 2^512 cap and trajectory 2 passes it.
+# Z doubles in about half the generations: at --n 1024 it passes the 2^512
+# cap, and at --n 64 it cannot reach it.
 STAY_OR_DOUBLE_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "stay", "mass": 0.5, "offspring": {"1": 1.0}},
@@ -280,17 +284,48 @@ class TestSimulate:
         assert cli.main(["simulate", binary_cfg, "--n", "80", "--trials", "3",
                          "--exact-threshold", "1000", "--seed", "11",
                          "--out", str(out)]) == 0
-        env = parse_env_config(BINARY_TEXT)
+        tables = EnvTables(parse_env_config(BINARY_TEXT))
         cfg = SimConfig(n=80, seed=11, exact_sampling_threshold=1000)
+        z, states, approx = simulate_block(tables, cfg, 3,
+                                           stream(11, DOMAIN_SIMULATE, 0))
+        assert approx
         for t in range(3):
-            traj = simulate_trajectory(env, cfg,
-                                       rng=stream(11, DOMAIN_SIMULATE, t))
-            assert traj.approx_sampling_used
-            rows = [[str(gen), str(rec.Z), cli.fmt(math.log2(rec.Z)),
-                     cli.fmt(rec.S), cli.fmt(rec.logW)]
-                    for gen, rec in enumerate(traj.records)]
+            s = np.cumsum(np.concatenate(([0.0], tables.X[states[:, t]])))
+            rows = [[str(gen), str(int(zk)), cli.fmt(math.log2(zk)),
+                     cli.fmt(sk), cli.fmt(math.log(zk) - sk)]
+                    for gen, (zk, sk) in enumerate(zip(z[:, t].tolist(),
+                                                       s.tolist()))]
             expected = cli._csv(cli.TRAJECTORY_CSV_HEADER, rows)
             assert (out / f"result_{t:04d}.csv").read_text() == expected
+
+    def test_block_of_one_keeps_its_bytes(self, tmp_path, binary_cfg):
+        # the sha256 of this CSV when each trajectory stepped Python ints on
+        # its own stream: a block of one draws the same values, Gaussian
+        # draws past 2^32 included, while Z stays below 2^53
+        out = tmp_path / "one"
+        assert cli.main(["simulate", binary_cfg, "--n", "60", "--seed", "3",
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())[
+            "approx_sampling_used"]
+        assert hashlib.sha256((out / "result.csv").read_bytes()).hexdigest() == (
+            "13071ef271f9523cf12ffab21380a6c56b91f81869de1a462ca64505e311f4fc")
+
+    def test_one_stream_per_run(self, tmp_path, monkeypatch, binary_cfg):
+        # at most 1024 trajectories are one block on stream (seed, 4, 0)
+        opened = []
+
+        def recorded(*key):
+            opened.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(cli, "stream", recorded)
+        monkeypatch.setattr(bpre.simulate, "stream", recorded)
+        for trials in ("1", "1024"):
+            opened.clear()
+            assert cli.main(["simulate", binary_cfg, "--n", "3",
+                             "--trials", trials, "--seed", "9",
+                             "--out", str(tmp_path / trials)]) == 0
+            assert opened == [(9, DOMAIN_SIMULATE, 0)]
 
     def test_holds_one_trajectory_at_a_time(self, tmp_path, binary_cfg):
         # holding all 64 CSV texts until the end peaked at 1.07 MB traced
@@ -314,21 +349,23 @@ class TestSimulate:
     def test_run_stopped_at_the_cap_leaves_no_manifest(
             self, tmp_path, capsys, stay_or_double_cfg, earlier_run):
         out = tmp_path / "cap"
+        earlier = {}
         if earlier_run:
             assert cli.main(["simulate", stay_or_double_cfg, "--n", "64",
                              "--trials", "4", "--seed", "3",
                              "--out", str(out)]) == 0
             assert (out / "manifest.json").exists()
+            earlier = {p.name: p.read_bytes() for p in out.glob("result_*")}
+            assert len(earlier) == 4
         assert cli.main(["simulate", stay_or_double_cfg, "--n", "1024",
                          "--trials", "4", "--seed", "3",
                          "--out", str(out)]) == 3
         assert "cap is 512 bits" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "result.json").exists()
-        # the trajectories drawn before the cap are on disk
-        for t in (0, 1):
-            assert len((out / f"result_{t:04d}.csv").read_text()
-                       .splitlines()) == 1026
+        # the block is stepped whole before any file is written: no result*
+        # file of this run, only the earlier run's CSVs as they were
+        assert {p.name: p.read_bytes() for p in out.glob("result*")} == earlier
 
 
 class TestVerify:
@@ -768,6 +805,16 @@ class TestManifest:
         assert manifest["outputs"] == ["result.json", "result.csv"]
         for name in manifest["outputs"]:
             assert (out / name).exists()
+
+    def test_records_the_python_and_numpy_versions(self, tmp_path, capsys,
+                                                   binary_cfg):
+        # numpy's binomial and normal streams may change across releases
+        out = tmp_path / "v"
+        assert cli.main(["simulate", binary_cfg, "--n", "4", "--seed", "1",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
 
 class TestParserBuiltOnce:

@@ -15,12 +15,10 @@ from bpre import oracle
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 import bpre.estimate
-from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, STATE_CHUNK,
-                           DecayFit, TailEstimate, _decide, _final_logz,
-                           _generation, _generations, _head_depth,
+from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
+                           TailEstimate, _decide, _final_logz, _head_depth,
                            _increment_depth, _KernelHead, _map_blocks,
-                           _state_rows, _tail_estimate, _tail_hits,
-                           binomial_ci,
+                           _tail_estimate, _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
@@ -28,7 +26,9 @@ from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws, _table_work,
                          exact_EWn, exact_logw_increments, exact_logZn_tail,
                          exact_sn_tail, kernel_work, tail_reached)
 from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS,
-                           DOMAIN_SN, DOMAIN_TRAJ, EnvTables, offspring, stream)
+                           DOMAIN_SN, DOMAIN_TRAJ, STATE_CHUNK, EnvTables,
+                           _generation, _generations, _state_rows, offspring,
+                           stream)
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}

@@ -7,8 +7,10 @@ import bpre.simulate
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SimConfig,
-                           _binomial_vector, _check_population_cap, offspring,
-                           sample_env_sequence, simulate_trajectory, stream)
+                           _binomial_vector, _check_population_cap,
+                           _generations, block_records, offspring,
+                           sample_env_sequence, simulate_block,
+                           simulate_trajectory, stream)
 from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
@@ -33,39 +35,40 @@ def binary_env():
     return parse_env_config(BINARY)
 
 
-def counting_gaussian(monkeypatch):
-    """Wrap simulate._gaussian_binomial, the scalar Gaussian draw, so that
-    each call is counted; returns the one-element list holding the count."""
-    calls = [0]
-    draw = bpre.simulate._gaussian_binomial
+class CountingRng:
+    """A Generator that counts the standard normals drawn from it, the
+    Gaussian-approximate binomial draws; every other call goes through."""
 
-    def counted(trials, prob, normal):
-        calls[0] += 1
-        return draw(trials, prob, normal)
+    def __init__(self, rng):
+        self.rng = rng
+        self.normals = 0
 
-    monkeypatch.setattr(bpre.simulate, "_gaussian_binomial", counted)
-    return calls
+    def standard_normal(self, size):
+        self.normals += size
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def reference_trajectory(env, cfg, rng):
-    """The per-generation loop simulate_trajectory must replay: one
-    offspring() call per generation on the same stream. Returns the
-    (Z, S, logW) records, the environment sequence and the approximation
-    flag, which is whether any Gaussian draw was made: the counted calls of
-    simulate._gaussian_binomial during the loop."""
+    """The per-generation loop simulate_trajectory must replay as a block of
+    one: one offspring() call per generation on a length-1 float64 array, on
+    the same stream. Returns the (Z, S, logW) records, the environment
+    sequence and the approximation flag, which is whether any Gaussian draw
+    was made: whether the loop drew a standard normal."""
     tables = EnvTables(env)
     seq = sample_env_sequence(env, cfg.n, rng)
-    z, s = 1, 0.0
-    records = [(1, 0.0, 0.0)]
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        gaussian = counting_gaussian(monkeypatch)
-        for k, label in enumerate(seq.states):
-            z = offspring(z, tables.samplers[tables.index_of[label]], rng,
-                          cfg.exact_sampling_threshold)
-            s = s + seq.log_means[k]
-            _check_population_cap(z)
-            records.append((z, s, math.log(z) - s))
-    return records, seq, gaussian[0] > 0
+    counted = CountingRng(rng)
+    z, s = np.ones(1), 0.0
+    records = [(1.0, 0.0, 0.0)]
+    for k, label in enumerate(seq.states):
+        z = offspring(z, tables.samplers[tables.index_of[label]], counted,
+                      cfg.exact_sampling_threshold)
+        s = s + seq.log_means[k]
+        _check_population_cap(z[0])
+        records.append((float(z[0]), s, math.log(z[0]) - s))
+    return records, seq, counted.normals > 0
 
 
 class TestStream:
@@ -155,77 +158,75 @@ def first_sampler(env):
     return EnvTables(env).samplers[0]
 
 
-class TestBigintOffspring:
-    """The bigint form of offspring(), the step simulate_trajectory takes."""
+class TestOffspring:
+    """The float64 array form of offspring(), the step every route takes."""
 
     def test_deterministic_doubling(self):
         sampler = first_sampler(parse_env_config(DOUBLING))
         rng = stream(0, DOMAIN_SIMULATE, 0)
-        z = 1
+        z = np.ones(3)
         for _ in range(10):
             z = offspring(z, sampler, rng)
-        assert z == 1024
+        assert z.tolist() == [1024.0] * 3
 
     def test_zero_stays_zero(self):
         sampler = first_sampler(binary_env())
-        assert offspring(0, sampler, stream(0, DOMAIN_SIMULATE, 0)) == 0
+        out = offspring(np.zeros(3), sampler, stream(0, DOMAIN_SIMULATE, 0))
+        assert out.tolist() == [0.0] * 3
 
     def test_binary_step_bounds(self):
         # z individuals each give 1 or 2 children: total in [z, 2z]
         sampler = first_sampler(binary_env())
-        rng = stream(5, DOMAIN_SIMULATE, 0)
-        for _ in range(200):
-            out = offspring(100, sampler, rng)
-            assert 100 <= out <= 200
+        out = offspring(np.full(200, 100.0), sampler,
+                        stream(5, DOMAIN_SIMULATE, 0))
+        assert np.all((100 <= out) & (out <= 200))
+        assert np.array_equal(out, np.round(out))
 
     def test_binary_step_matches_binomial_law(self):
         # totals are z + Bin(z, p2); check the empirical mean tightly
         sampler = first_sampler(binary_env())  # p2 = 0.75
-        rng = stream(7, DOMAIN_SIMULATE, 0)
         z, reps = 50, 20000
-        draws = [offspring(z, sampler, rng) - z for _ in range(reps)]
-        mean = sum(draws) / reps
+        draws = offspring(np.full(reps, float(z)), sampler,
+                          stream(7, DOMAIN_SIMULATE, 0)) - z
         sd = math.sqrt(z * 0.75 * 0.25)
-        assert abs(mean - z * 0.75) < 4 * sd / math.sqrt(reps)
+        assert abs(draws.mean() - z * 0.75) < 4 * sd / math.sqrt(reps)
 
     def test_chain_step_total_and_range(self):
         env = parse_env_config(THREE_POINT)
         state = env.states[0][0]
         sampler = first_sampler(env)
-        rng = stream(11, DOMAIN_SIMULATE, 0)
         z, reps = 40, 20000
-        totals = [offspring(z, sampler, rng) for _ in range(reps)]
-        assert all(z <= t <= 3 * z for t in totals)
-        mean = sum(totals) / reps
+        totals = offspring(np.full(reps, float(z)), sampler,
+                           stream(11, DOMAIN_SIMULATE, 0))
+        assert np.all((z <= totals) & (totals <= 3 * z))
         m = state_mean(state)  # 1.9
         sd_one = math.sqrt(0.3 * 1 + 0.5 * 4 + 0.2 * 9 - m * m)
-        assert abs(mean - z * m) < 4 * sd_one * math.sqrt(z) / math.sqrt(reps)
+        assert abs(totals.mean() - z * m) < 4 * sd_one * math.sqrt(z) / math.sqrt(reps)
 
-    def test_approx_path_draws_gaussian_and_stays_in_range(self, monkeypatch):
+    def test_approx_path_draws_gaussian_and_stays_in_range(self):
         sampler = first_sampler(binary_env())
-        gaussian = counting_gaussian(monkeypatch)
-        rng = stream(13, DOMAIN_SIMULATE, 0)
+        rng = CountingRng(stream(13, DOMAIN_SIMULATE, 0))
         z = 10 ** 7
-        out = offspring(z, sampler, rng, limit=10 ** 6)
-        assert gaussian[0] == 1
-        assert z <= out <= 2 * z
+        out = offspring(np.array([float(z)]), sampler, rng, limit=10 ** 6)
+        assert rng.normals == 1
+        assert z <= out[0] <= 2 * z
         # approximate mean still lands near z * (1 + p2)
-        assert abs(out - z * 1.75) < 5 * math.sqrt(z)
+        assert abs(out[0] - z * 1.75) < 5 * math.sqrt(z)
 
-    def test_exact_path_draws_no_gaussian(self, monkeypatch):
+    def test_exact_path_draws_no_gaussian(self):
         sampler = first_sampler(binary_env())
-        gaussian = counting_gaussian(monkeypatch)
-        offspring(1000, sampler, stream(13, DOMAIN_SIMULATE, 0))
-        offspring(10 ** 6, sampler, stream(13, DOMAIN_SIMULATE, 1),
-                  limit=10 ** 6)
-        assert gaussian[0] == 0
+        rng = CountingRng(stream(13, DOMAIN_SIMULATE, 0))
+        offspring(np.array([1000.0]), sampler, rng)
+        offspring(np.array([10.0 ** 6]), sampler, rng, limit=10 ** 6)
+        assert rng.normals == 0
 
     def test_deterministic_state_consumes_no_randomness(self):
         sampler = first_sampler(parse_env_config(DOUBLING))
         rng = stream(17, DOMAIN_SIMULATE, 0)
         before = rng.bit_generator.state["state"]["counter"].copy()
-        offspring(123, sampler, rng)
+        out = offspring(np.array([123.0]), sampler, rng)
         after = rng.bit_generator.state["state"]["counter"]
+        assert out.tolist() == [246.0]
         assert list(before) == list(after)
 
     def test_deterministic_vector_returns_its_input_without_draws(self):
@@ -244,8 +245,7 @@ class TestBigintOffspring:
 
 
 class TestOffspringForms:
-    """The int64 and float64 vector forms and the bigint form of offspring()
-    draw alike below 2^53."""
+    """The int64 and float64 array forms of offspring() draw alike."""
 
     PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
             {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
@@ -259,31 +259,6 @@ class TestOffspringForms:
         env = parse_env_config({"model": "generic", "states": [
             {"label": "s", "mass": 1.0, "offspring": pmf}]})
         return EnvTables(env).samplers[0]
-
-    @pytest.mark.parametrize("pmf", PMFS)
-    @pytest.mark.parametrize("z", ZS)
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_vector_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
-        sampler = self.sampler(pmf)
-        rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
-                        threshold)
-        big = offspring(z, sampler, rng_big, threshold)
-        assert vec.dtype == np.int64
-        assert int(vec[0]) == big
-        assert rng_vec.random() == rng_big.random()
-
-    @pytest.mark.parametrize("pmf", PMFS)
-    @pytest.mark.parametrize("z", ZS)
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_float64_and_bigint_forms_agree_draw_for_draw(self, pmf, z, threshold):
-        sampler = self.sampler(pmf)
-        rng_vec, rng_big = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold)
-        big = offspring(z, sampler, rng_big, threshold)
-        assert vec.dtype == np.float64
-        assert vec[0] == big
-        assert rng_vec.random() == rng_big.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
     @pytest.mark.parametrize("threshold", [1 << 32, 50])
@@ -410,7 +385,8 @@ class TestTrajectory:
                 break
         else:
             pytest.fail(f"no trajectory ends in a {label} generation")
-        for limit, expect in ((zs[-2] - 1, approx), (zs[-2], False)):
+        top = int(zs[-2])
+        for limit, expect in ((top - 1, approx), (top, False)):
             cfg = SimConfig(n=n, seed=13, exact_sampling_threshold=limit)
             records, _, ref_approx = reference_trajectory(
                 env, cfg, stream(13, DOMAIN_SIMULATE, t))
@@ -451,6 +427,52 @@ class TestTrajectory:
         var = sum((w - mean) ** 2 for w in ws) / (len(ws) - 1)
         stderr = math.sqrt(var / len(ws))
         assert abs(mean - 1.0) < 4 * stderr
+
+
+class TestBlock:
+    @pytest.mark.parametrize("config, n, approx", [
+        (BINARY, 70, True), (MIXED, 60, True), (DOUBLING, 40, False)])
+    def test_steps_the_estimators_generation_loop(self, config, n, approx):
+        # at the default threshold a block is the estimators' loop on the
+        # same stream: the state rows first, then one _generation per row
+        tables = EnvTables(parse_env_config(config))
+        rng, ref_rng = stream(3, DOMAIN_SIMULATE, 0), stream(3, DOMAIN_SIMULATE, 0)
+        z, states, got = simulate_block(tables, SimConfig(n=n, seed=3), 64, rng)
+        assert z.shape == (n + 1, 64) and z.dtype == np.float64
+        assert states.shape == (n, 64) and states.dtype == np.uint8
+        assert z[0].tolist() == [1.0] * 64
+        flags = []
+        for k, (col, zk, gaussian) in enumerate(
+                _generations(tables, n, ref_rng, np.ones(64))):
+            assert np.array_equal(col, states[k])
+            assert np.array_equal(zk, z[k + 1])
+            flags.append(gaussian)
+        assert got == any(flags) == approx
+        assert rng.random() == ref_rng.random()
+
+    def test_records_of_each_trajectory(self):
+        # S_k sums the log means of trajectory t's states in generation
+        # order, and logW = log Z - S
+        env = parse_env_config(MIXED)
+        tables = EnvTables(env)
+        z, states, _ = simulate_block(tables, SimConfig(n=30, seed=4), 5,
+                                      stream(4, DOMAIN_SIMULATE, 0))
+        for t in range(5):
+            records = block_records(tables, z, states, t)
+            assert records[0] == (1.0, 0.0, 0.0)
+            s = 0.0
+            for k, (zk, sk, wk) in enumerate(records[1:]):
+                s += math.log(state_mean(env.states[states[k, t]][0]))
+                assert zk == z[k + 1, t]
+                assert sk == pytest.approx(s, abs=1e-12)
+                assert wk == math.log(zk) - sk
+
+    def test_block_stops_at_the_cap(self):
+        # the largest population of the block sets the cap
+        tables = EnvTables(parse_env_config(DOUBLING))
+        with pytest.raises(ResourceCapError, match="reached 514 bits"):
+            simulate_block(tables, SimConfig(n=513, seed=0), 3,
+                           stream(0, DOMAIN_SIMULATE, 0))
 
 
 class TestQuenched:
