@@ -208,13 +208,14 @@ def cmd_simulate(args) -> int:
         block, states, approx_used = simulate_block(
             tables, cfg, args.trials, stream(seed, DOMAIN_SIMULATE, 0))
         approx.append(approx_used)
+        # One %-format per file, with the generation numbers in the
+        # template, writes what fmt() and _csv() would.
+        rows = "".join([f"{gen},%.0f,%.17g,%.17g,%.17g\n"
+                        for gen in range(args.n + 1)])
         for t, name in enumerate(names):
-            # One f-string per row writes what fmt() and _csv() would.
-            rows = "".join(
-                [f"{gen},{z:.0f},{math.log2(z):.17g},{s:.17g},{w:.17g}\n"
-                 for gen, (z, s, w) in enumerate(
-                     block_records(tables, block, states, t))])
-            yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
+            values = [v for z, s, w in block_records(tables, block, states, t)
+                      for v in (z, math.log2(z), s, w)]
+            yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows % tuple(values)}"
 
     def result() -> dict:
         return {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,

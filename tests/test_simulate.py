@@ -467,13 +467,6 @@ class TestBlock:
                 assert sk == pytest.approx(s, abs=1e-12)
                 assert wk == math.log(zk) - sk
 
-    def test_block_stops_at_the_cap(self):
-        # the largest population of the block sets the cap
-        tables = EnvTables(parse_env_config(DOUBLING))
-        with pytest.raises(ResourceCapError, match="reached 514 bits"):
-            simulate_block(tables, SimConfig(n=513, seed=0), 3,
-                           stream(0, DOMAIN_SIMULATE, 0))
-
 
 class TestQuenched:
     def test_one_step_ratio_near_one(self):
