@@ -39,8 +39,8 @@ from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
                        SimConfig, block_records, simulate_block, stream)
 
 # simulate writes one CSV per trajectory; keep runs to a sane file count.
-# At most 1024 trajectories also keep a run inside one estimator-sized block
-# (estimate.BLOCK_TRIALS), so simulate draws from one stream.
+# A run is then no larger than one estimator block (estimate.BLOCK_TRIALS),
+# and simulate steps it as one block on one stream.
 _MAX_TRAJECTORY_FILES = 1024
 
 TAIL_CSV_HEADER = "n,x,M_kind,hits,trials,point,ci_low,ci_high,bound_H,bound_thm1"
@@ -208,14 +208,15 @@ def cmd_simulate(args) -> int:
         block, states, approx_used = simulate_block(
             tables, cfg, args.trials, stream(seed, DOMAIN_SIMULATE, 0))
         approx.append(approx_used)
-        # One %-format per file, with the generation numbers in the
-        # template, writes what fmt() and _csv() would.
-        rows = "".join([f"{gen},%.0f,%.17g,%.17g,%.17g\n"
-                        for gen in range(args.n + 1)])
+        # One %-format per row, its generation number in the template,
+        # writes what fmt() and _csv() would.
+        templates = [f"{gen},%.0f,%.17g,%.17g,%.17g\n"
+                     for gen in range(args.n + 1)]
         for t, name in enumerate(names):
-            values = [v for z, s, w in block_records(tables, block, states, t)
-                      for v in (z, math.log2(z), s, w)]
-            yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows % tuple(values)}"
+            rows = "".join(
+                [row % (z, math.log2(z), s, w) for row, (z, s, w) in
+                 zip(templates, block_records(tables, block, states, t))])
+            yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
 
     def result() -> dict:
         return {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,
