@@ -330,7 +330,9 @@ class TestSimulate:
     def test_holds_one_trajectory_at_a_time(self, tmp_path, binary_cfg):
         # holding all 64 CSV texts until the end peaked at 1.07 MB traced
         # (0.13 MB when each is written as it is drawn); 512 trials peaked
-        # at 8.0 MB, so the held texts, not a fixed cost, set the figure
+        # at 8.0 MB, so the held texts, not a fixed cost, set the figure.
+        # The stepped block adds 9 bytes per trajectory-generation (116 KB
+        # here); the run peaks at about 0.23 MB.
         whole_run_peak = 1.07 * 2 ** 20
         assert cli.main(["simulate", binary_cfg, "--n", "5",
                          "--out", str(tmp_path / "warm")]) == 0
