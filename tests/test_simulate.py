@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import bpre.simulate
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, EnvSequence, EnvTables, SimConfig,
