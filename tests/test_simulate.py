@@ -243,8 +243,40 @@ class TestOffspring:
         assert list(before) == list(after)
 
 
+def scalar_binomial(trials, prob, rng, limit):
+    """One Bin(trials, prob) draw written out for a single Python int: no
+    draw for trials == 0 or a degenerate prob, rng.binomial up to limit,
+    else mean + sd * one standard normal, rounded and clamped to
+    [0, trials]."""
+    if trials == 0 or prob <= 0.0:
+        return 0
+    if prob >= 1.0:
+        return trials
+    if trials <= limit:
+        return int(rng.binomial(trials, prob))
+    mean = float(trials) * prob
+    draw = round(mean + math.sqrt(mean * (1.0 - prob)) * rng.standard_normal())
+    return min(max(draw, 0), trials)
+
+
+def scalar_offspring(z, sampler, rng, limit):
+    """The offspring law of one population z, stated independently of the
+    array code: z + Bin(z, p2) for a {1,2} state, else one conditional
+    binomial per chain link over ascending family sizes."""
+    if sampler[0] == "binary":
+        return z + scalar_binomial(z, sampler[1], rng, limit)
+    _, chain, k_last = sampler
+    remaining, total = z, 0
+    for k, cond_p in chain:
+        c = scalar_binomial(remaining, cond_p, rng, limit)
+        total += k * c
+        remaining -= c
+    return total + k_last * remaining
+
+
 class TestOffspringForms:
-    """The int64 and float64 array forms of offspring() draw alike."""
+    """The int64 and float64 array forms of offspring() draw alike, and a
+    population of one replays the scalar statement of the law."""
 
     PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
             {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
@@ -258,6 +290,33 @@ class TestOffspringForms:
         env = parse_env_config({"model": "generic", "states": [
             {"label": "s", "mass": 1.0, "offspring": pmf}]})
         return EnvTables(env).samplers[0]
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("z", ZS)
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_int64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z,
+                                                             threshold):
+        sampler = self.sampler(pmf)
+        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
+        vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
+                        threshold)
+        ref = scalar_offspring(z, sampler, rng_ref, threshold)
+        assert vec.dtype == np.int64
+        assert int(vec[0]) == ref
+        assert rng_vec.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    @pytest.mark.parametrize("z", ZS)
+    @pytest.mark.parametrize("threshold", [1 << 32, 50])
+    def test_float64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z,
+                                                               threshold):
+        sampler = self.sampler(pmf)
+        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
+        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold)
+        ref = scalar_offspring(z, sampler, rng_ref, threshold)
+        assert vec.dtype == np.float64
+        assert vec[0] == ref
+        assert rng_vec.random() == rng_ref.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
     @pytest.mark.parametrize("threshold", [1 << 32, 50])
