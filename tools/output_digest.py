@@ -107,6 +107,9 @@ RUNS = [
     ("verify-oracle", "verify oracle", "binary", "--n 8 --grid-points 11"),
     ("verify-oracle-paper", "verify oracle", "generic",
      "--n 6 --grid-points 5 --M-kind paper"),
+    # four states at n = 50: the grid's 21 tails over 23,426 compositions
+    ("verify-oracle-four", "verify oracle", "four",
+     "--n 50 --grid-points 21"),
     ("converge", "converge", "binary",
      "--n-values 8,16,32,70 --y-values 0.05,0.1,0.2 --trials 1e4 --workers 2"),
     ("converge-mixed", "converge", "mixed",
