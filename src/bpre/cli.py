@@ -34,7 +34,7 @@ from .env import (DEFAULT_P, DEFAULT_Q, ConfigError, EnvDistribution,
 from .estimate import (convergence_report, fit_geometric_decay,
                        mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                        theorem1_candidates)
-from .oracle import exact_logZn_tail, exact_sn_tail
+from .oracle import exact_logZn_tail, exact_sn_tail, exact_sn_tails
 from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
                        SimConfig, block_records, simulate_block, stream)
 
@@ -227,13 +227,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    env, sha = load_env(args.config)
+def _oracle_rows(env: EnvDistribution, args, xs: list[float]) -> list[tuple]:
+    """(x, exact walk tail, H bound, exact <= bound) at each x, at args.n and
+    args.m_kind, the exact tails from one composition pass."""
     moments = compute_moments(env)
     M = _pick_M(moments, args.m_kind)
-    exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
-    bound = sn_tail_bound(args.n, args.x, math.sqrt(moments.sigma2), M)
-    dominated = exact <= bound
+    exacts = exact_sn_tails(env, args.n, xs, M, moments.mu)
+    bounds = [sn_tail_bound(args.n, x, math.sqrt(moments.sigma2), M) for x in xs]
+    return [(x, e, b, e <= b) for x, e, b in zip(xs, exacts, bounds)]
+
+
+def cmd_oracle(args) -> int:
+    env, sha = load_env(args.config)
+    [(_, exact, bound, dominated)] = _oracle_rows(env, args, [args.x])
     result = {"n": args.n, "x": args.x, "M": args.m_kind,
               "exact_tail": exact, "bound": bound, "dominated": dominated}
     emit(args, result, config_sha=sha)
@@ -363,24 +369,17 @@ def cmd_verify_increments(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     env, sha = load_env(args.config)
-    moments = compute_moments(env)
-    M = _pick_M(moments, args.m_kind)
-    sigma = math.sqrt(moments.sigma2)
-    rows = []
-    violations = 0
-    for i in range(args.grid_points):
-        x = args.n * i / (args.grid_points - 1)
-        exact = exact_sn_tail(env, args.n, x, M, moments.mu)
-        bound = sn_tail_bound(args.n, x, sigma, M)
-        dominated = exact <= bound
-        violations += 0 if dominated else 1
-        rows.append([str(args.n), fmt(x), args.m_kind, fmt(exact), fmt(bound),
-                     "true" if dominated else "false"])
+    xs = [args.n * i / (args.grid_points - 1) for i in range(args.grid_points)]
+    rows = _oracle_rows(env, args, xs)
+    violations = sum(not dominated for *_, dominated in rows)
     passed = violations == 0
     result = {"mode": "oracle", "n": args.n, "M_kind": args.m_kind,
               "grid_points": args.grid_points, "violations": violations,
               "pass": passed}
-    emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, rows))],
+    csv_rows = [[str(args.n), fmt(x), args.m_kind, fmt(exact), fmt(bound),
+                 "true" if dominated else "false"]
+                for x, exact, bound, dominated in rows]
+    emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, csv_rows))],
          config_sha=sha)
     _verdict_line(args, "oracle", passed)
     return 0 if passed else 1

@@ -102,17 +102,20 @@ def _multiset_sum(values: Sequence[float]) -> Callable[[Sequence[int]], float]:
     return lambda counts: sum(c * a for c, a in zip(counts, nums)) / denom
 
 
-def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -> float:
-    """Exact P((S_n - n*mu)/(n*M) >= x), summed over state-count compositions.
+def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
+                   mu: float) -> list[float]:
+    """Exact P((S_n - n*mu)/(n*M) >= x) at each x in xs, in one pass.
 
     The event is the normalized form of the walk tail, the same quantity the
     Monte Carlo estimator counts; ties at the threshold are included. Each
-    composition's S_n is the correctly rounded sum of its expanded multiset
-    of log-means -- the value math.fsum gives for every ordering of it -- so
-    each tie decision matches complete enumeration bit for bit. A
-    composition's probability n!/prod(c_s!) * prod(w_s^c_s) is formed from
-    running products in mantissa-exponent form. Past MAX_COMPOSITIONS
-    compositions it raises ResourceCapError before enumerating any.
+    state-count composition's S_n is the correctly rounded sum of its
+    expanded multiset of log-means -- the value math.fsum gives for every
+    ordering of it -- so each tie decision matches complete enumeration bit
+    for bit. Only the compositions in the widest tail, at min(xs), get their
+    probability n!/prod(c_s!) * prod(w_s^c_s), formed from running products
+    in mantissa-exponent form; each tail is the math.fsum of those its event
+    takes, correctly rounded in any order, so it does not depend on xs. Past
+    MAX_COMPOSITIONS compositions it raises ResourceCapError before the pass.
     """
     if not M > 0.0:
         raise ValueError(f"M={M!r} must be > 0")
@@ -127,17 +130,25 @@ def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -
     walk_sum = _multiset_sum([math.log(state_mean(state)) for state, _ in env.states])
     factorials = _frexp_products(range(1, n + 1))
     powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
-    hits = []
+    widest = min(xs)
+    stats, probs = [], []
     for counts in _compositions(n, k):
         s_n = walk_sum(counts)
-        if tail_reached(s_n, n, mu, M, x):
+        if tail_reached(s_n, n, mu, M, widest):
             m, e = factorials[n]
             for c, power in zip(counts, powers):
                 (pm, pe), (fm, fe) = power[c], factorials[c]
                 m = m * pm / fm
                 e += pe - fe
-            hits.append(math.ldexp(m, e))
-    return math.fsum(hits)
+            stats.append(s_n)
+            probs.append(math.ldexp(m, e))
+    stats, probs = np.array(stats), np.array(probs)
+    return [math.fsum(probs[tail_reached(stats, n, mu, M, x)].tolist()) for x in xs]
+
+
+def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -> float:
+    """exact_sn_tails at the one threshold x."""
+    return exact_sn_tails(env, n, [x], M, mu)[0]
 
 
 # --- Z_n: the annealed kernel, one generation step at a time ------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from bpre import cli
+from bpre import cli, oracle
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
@@ -547,6 +547,43 @@ class TestVerify:
         assert len(lines) == 22
         assert all(line.endswith(",true") for line in lines[1:])
 
+    @pytest.mark.parametrize("grid_points", [2, 11, 101])
+    def test_oracle_enumerates_once(self, monkeypatch, tmp_path, binary_cfg,
+                                    grid_points):
+        # the grid's tails are reads of one pass over the compositions
+        calls = []
+        compositions = oracle._compositions
+
+        def counted(*args):
+            calls.append(args)
+            return compositions(*args)
+        monkeypatch.setattr(oracle, "_compositions", counted)
+        assert cli.main(["verify", "oracle", binary_cfg, "--n", "8",
+                         "--grid-points", str(grid_points),
+                         "--out", str(tmp_path / "og")]) == 0
+        assert calls == [(8, 2)]
+
+    def test_oracle_grid_rows_match_single_points(self, tmp_path, capsys,
+                                                  binary_cfg):
+        # each grid row carries the bytes `bpre oracle` writes at its x,
+        # including the x = n tie of the all-high sequence under M_tight
+        out = tmp_path / "og"
+        assert cli.main(["verify", "oracle", binary_cfg, "--n", "8",
+                         "--grid-points", "9", "--out", str(out)]) == 0
+        lines = (out / "result.csv").read_text().splitlines()[1:]
+        capsys.readouterr()
+        tails = []
+        for i, line in enumerate(lines):
+            code, single = run_json(capsys, ["oracle", binary_cfg, "--n", "8",
+                                             "--x", str(i)])
+            assert code == 0
+            assert line == ",".join(["8", cli.fmt(float(i)), "tight",
+                                     cli.fmt(single["exact_tail"]),
+                                     cli.fmt(single["bound"]), "true"])
+            tails.append(single["exact_tail"])
+        assert tails[1] == 2.0 ** -8
+        assert tails[2:] == [0.0] * 7
+
 
 class TestConverge:
     def test_grid_csv(self, tmp_path, binary_cfg):
@@ -589,7 +626,8 @@ class TestInputCheckedBeforeSampling:
     exact oracle runs."""
 
     ESTIMATORS = ("mc_tail_sn", "mc_tail_logzn", "mc_logw_increments",
-                  "convergence_report", "exact_sn_tail", "exact_logZn_tail")
+                  "convergence_report", "exact_sn_tail", "exact_sn_tails",
+                  "exact_logZn_tail")
 
     @pytest.fixture(autouse=True)
     def no_estimator(self, monkeypatch):

@@ -16,7 +16,8 @@ from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
                          _annealed_laws, _multiset_sum, _increment_table,
                          _table_work, exact_EWn,
                          exact_logw_increments, exact_logZn_tail,
-                         exact_sn_tail, kernel_work, tail_reached)
+                         exact_sn_tail, exact_sn_tails, kernel_work,
+                         tail_reached)
 from brute import brute_population_pmf, env_law, population_law
 
 BINARY = {"model": "binary",
@@ -187,6 +188,48 @@ class TestExactSnTail:
             tight = exact_sn_tail(env, 6, x, mom.M_tight, mom.mu)
             paper = exact_sn_tail(env, 6, x, mom.M_paper, mom.mu)
             assert paper <= tight
+
+
+class TestExactSnTails:
+    FOUR = {"model": "binary",
+            "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]}
+
+    @pytest.mark.parametrize("cfg, n", [(BINARY, 8), (FOUR, 20)],
+                             ids=["binary", "four"])
+    @pytest.mark.parametrize("kind", ["M_tight", "M_paper"])
+    def test_grid_equals_single_thresholds(self, cfg, n, kind):
+        # unsorted, repeated and out-of-range thresholds; x = 1 under M_tight
+        # is the tie of the all-high sequence, whose probability is the
+        # highest-mean state's mass to the n
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
+        M = getattr(mom, kind)
+        xs = [1.0, *(i / 10 for i in range(11)), 0.5, 1.0 + 1e-6, 1.0, 2.0]
+        got = exact_sn_tails(env, n, xs, M, mom.mu)
+        assert got == [exact_sn_tail(env, n, x, M, mom.mu) for x in xs]
+        assert got[1:12] == sorted(got[1:12], reverse=True)
+        if kind == "M_tight":
+            _, high = max(env.states, key=lambda sm: state_mean(sm[0]))
+            assert got[0] == high ** n
+
+    def test_probabilities_only_in_the_widest_tail(self, monkeypatch):
+        # binary n = 8: j high states reach x when (2j - 8)/8 >= x, so
+        # x = 0.5 takes j = 6, 7, 8 and x = 1 takes j = 8 alone
+        formed = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def ldexp(self, m, e):
+                formed.append(e)
+                return math.ldexp(m, e)
+        monkeypatch.setattr(oracle, "math", CountingMath())
+        env = binary_env()
+        mom = compute_moments(env)
+        got = exact_sn_tails(env, 8, [1.0, 0.5], mom.M_tight, mom.mu)
+        assert got == [1 / 256, 37 / 256]
+        assert len(formed) == 3
 
 
 class TestPopulationDistribution:
