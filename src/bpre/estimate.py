@@ -93,6 +93,9 @@ from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
 BLOCK_TRIALS = 16384
 
 MIN_TRIALS = 1000
+# Every estimator lists its blocks (_blocks) before the first draw; at 2^30
+# trials that list takes about 1.5 s and 0.15 GB, at 2^34 about 2 GB.
+MAX_TRIALS = 1 << 30
 
 # A log Z_n estimate draws Z_g from the kernel law instead of stepping
 # generations 1..g while the kernel costs at most this many multiply-adds per
@@ -355,6 +358,8 @@ def _map_blocks(fn, trials: int, workers: int) -> list:
 def _require_trials(trials: int) -> None:
     if trials < MIN_TRIALS:
         raise ValueError(f"insufficient trials: {trials} < {MIN_TRIALS}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"too many trials: {trials} > {MAX_TRIALS}")
 
 
 def _tail_estimate(hits: int, trials: int, level: float, x: float,

@@ -8,7 +8,7 @@ import numpy as np
 
 import pytest
 
-from bpre import cli, oracle
+from bpre import cli, estimate, oracle
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
 from bpre.env import compute_moments, parse_env_config
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
@@ -750,6 +750,24 @@ class TestInputCheckedBeforeSampling:
         argv = [binary_cfg if a == "{cfg}" else a for a in argv]
         with pytest.raises(AssertionError, match="estimator called"):
             cli.main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5"],
+    ["verify", "theorem1", "{cfg}", "--n", "16"],
+    ["verify", "increments", "{cfg}", "--n", "8"],
+    ["converge", "{cfg}", "--n-values", "8", "--y-values", "0.1"],
+])
+def test_trials_cap_exits_2_before_any_block(monkeypatch, capsys, binary_cfg,
+                                             argv):
+    def refuse(trials):
+        raise AssertionError("blocks listed")
+    monkeypatch.setattr(estimate, "_blocks", refuse)
+    argv = [binary_cfg if a == "{cfg}" else a for a in argv]
+    assert cli.main([*argv, "--trials", "1e30", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: too many trials")
+    assert "Traceback" not in err
 
 
 class TestDefaults:

@@ -15,7 +15,8 @@ from bpre import oracle
 from bpre.env import ConfigError, ResourceCapError, parse_env_config
 from bpre.env import compute_moments
 import bpre.estimate
-from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, DecayFit,
+from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
+                           DecayFit,
                            TailEstimate, _decide, _final_logz, _head_depth,
                            _increment_depth, _KernelHead, _map_blocks,
                            _tail_estimate, _tail_hits, binomial_ci,
@@ -408,6 +409,33 @@ class TestMcTailLogZn:
         # at x = 0.5 that bound misses the threshold at the head, so every
         # trial is a miss before any generation is stepped
         assert mc_tail_logzn(env, 330, 0.5, 1.0, 1000, seed=0).hits == 0
+
+
+class TestTrialsCap:
+    """Every estimator refuses more than MAX_TRIALS trials before it lists a
+    block: the list alone would grow with the trial count."""
+
+    @pytest.fixture(autouse=True)
+    def no_blocks(self, monkeypatch):
+        def refuse(trials):
+            raise AssertionError("blocks listed")
+        monkeypatch.setattr(bpre.estimate, "_blocks", refuse)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda trials: mc_tail_sn(binary_env(), 4, 0.5, 0.2, trials, seed=0),
+        lambda trials: mc_tail_logzn(binary_env(), 4, 0.5, 0.2, trials, seed=0),
+        lambda trials: mc_logw_increments(binary_env(), 5, trials, seed=0),
+        lambda trials: convergence_report(binary_env(), [4], [0.1], trials,
+                                          seed=0),
+    ], ids=["sn", "logzn", "increments", "converge"])
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10 ** 30])
+    def test_refused_before_any_block(self, estimate, trials):
+        with pytest.raises(ValueError, match="too many trials"):
+            estimate(trials)
+
+    def test_cap_itself_accepted(self):
+        with pytest.raises(AssertionError, match="blocks listed"):
+            mc_tail_sn(binary_env(), 4, 0.5, 0.2, MAX_TRIALS, seed=0)
 
 
 class TestDecidedAtZ0:
