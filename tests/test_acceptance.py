@@ -23,8 +23,9 @@ from bpre.env import check_assumptions, compute_moments, parse_env_config
 from bpre.estimate import (fit_geometric_decay, mc_logw_increments,
                            mc_tail_logzn, mc_tail_sn, theorem1_candidates)
 from bpre.oracle import exact_EWn, exact_logZn_tail, exact_sn_tail
-from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, SimConfig,
-                           sample_env_sequence, simulate_trajectory, stream)
+from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, EnvTables,
+                           SimConfig, sample_env_sequence, simulate_block,
+                           stream)
 from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
@@ -138,12 +139,12 @@ def test_criterion_5_martingale_mean_one(env):
     with criterion(5, "normalized population is a mean-one martingale", 60.0):
         for n in range(1, 7):
             assert abs(exact_EWn(env, n) - 1.0) <= 1e-9
-        cfg = SimConfig(n=20, seed=0)
-        ws = []
-        for t in range(10 ** 4):
-            traj = simulate_trajectory(env, cfg,
-                                       rng=stream(0, DOMAIN_SIMULATE, t))
-            ws.append(math.exp(traj.records[-1].logW))
+        # 10^4 trajectories as one block, on the stream `simulate --seed 0`
+        # opens; W_20 = Z_20 / Pi_20 = exp(log Z_20 - S_20)
+        tables = EnvTables(env)
+        z, states, _ = simulate_block(tables, SimConfig(n=20, seed=0), 10 ** 4,
+                                      stream(0, DOMAIN_SIMULATE, 0))
+        ws = np.exp(np.log(z[-1]) - tables.X[states].sum(axis=0)).tolist()
         mean = statistics.fmean(ws)
         stderr = statistics.stdev(ws) / math.sqrt(len(ws))
         assert abs(mean - 1.0) <= 4.0 * stderr
