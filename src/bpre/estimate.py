@@ -93,8 +93,9 @@ from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
 BLOCK_TRIALS = 16384
 
 MIN_TRIALS = 1000
-# Every estimator lists its blocks (_blocks) before the first draw; at 2^30
-# trials that list takes about 1.5 s and 0.15 GB, at 2^34 about 2 GB.
+# Every estimator lists its blocks (_blocks) before the first draw, so the
+# list grows with the trial count: 65,536 blocks at 2^30 trials, and a
+# MemoryError long before --trials 1e30.
 MAX_TRIALS = 1 << 30
 
 # A log Z_n estimate draws Z_g from the kernel law instead of stepping

@@ -111,10 +111,10 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
     state-count composition's S_n is the correctly rounded sum of its
     expanded multiset of log-means -- the value math.fsum gives for every
     ordering of it -- so each tie decision matches complete enumeration bit
-    for bit. Only the compositions in the widest tail, at min(xs), get their
-    probability n!/prod(c_s!) * prod(w_s^c_s), formed from running products
-    in mantissa-exponent form; each tail is the math.fsum of those its event
-    takes, correctly rounded in any order, so it does not depend on xs. Past
+    for bit. Only the compositions in the widest tail, at the least x (a NaN
+    x's tail is empty), get their probability n!/prod(c_s!) * prod(w_s^c_s),
+    formed from running products in mantissa-exponent form; each tail is the
+    math.fsum of those its event takes, correctly rounded in any order. Past
     MAX_COMPOSITIONS compositions it raises ResourceCapError before the pass.
     """
     if not M > 0.0:
@@ -130,7 +130,7 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
     walk_sum = _multiset_sum([math.log(state_mean(state)) for state, _ in env.states])
     factorials = _frexp_products(range(1, n + 1))
     powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
-    widest = min(xs)
+    widest = min(xs, key=lambda x: math.inf if math.isnan(x) else x)
     stats, probs = [], []
     for counts in _compositions(n, k):
         s_n = walk_sum(counts)

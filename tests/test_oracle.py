@@ -198,19 +198,23 @@ class TestExactSnTails:
                              ids=["binary", "four"])
     @pytest.mark.parametrize("kind", ["M_tight", "M_paper"])
     def test_grid_equals_single_thresholds(self, cfg, n, kind):
-        # unsorted, repeated and out-of-range thresholds; x = 1 under M_tight
-        # is the tie of the all-high sequence, whose probability is the
-        # highest-mean state's mass to the n
+        # unsorted, repeated, out-of-range and NaN thresholds (a NaN's tail
+        # is empty, wherever it stands); x = 1 under M_tight is the tie of
+        # the all-high sequence, whose probability is the highest-mean
+        # state's mass to the n
         env = parse_env_config(cfg)
         mom = compute_moments(env)
         M = getattr(mom, kind)
-        xs = [1.0, *(i / 10 for i in range(11)), 0.5, 1.0 + 1e-6, 1.0, 2.0]
+        xs = [math.nan, 1.0, *(i / 10 for i in range(11)), 0.5, 1.0 + 1e-6,
+              1.0, 2.0, math.nan]
         got = exact_sn_tails(env, n, xs, M, mom.mu)
         assert got == [exact_sn_tail(env, n, x, M, mom.mu) for x in xs]
-        assert got[1:12] == sorted(got[1:12], reverse=True)
+        assert got[0] == got[-1] == 0.0
+        assert got[2:13] == sorted(got[2:13], reverse=True)
+        assert got[2] > 0.0
         if kind == "M_tight":
             _, high = max(env.states, key=lambda sm: state_mean(sm[0]))
-            assert got[0] == high ** n
+            assert got[1] == high ** n
 
     def test_probabilities_only_in_the_widest_tail(self, monkeypatch):
         # binary n = 8: j high states reach x when (2j - 8)/8 >= x, so
