@@ -566,7 +566,7 @@ class TestVerify:
     def test_oracle_grid_rows_match_single_points(self, tmp_path, capsys,
                                                   binary_cfg):
         # each grid row carries the bytes `bpre oracle` writes at its x,
-        # including the x = n tie of the all-high sequence under M_tight
+        # including the x = 1 tie of the all-high sequence under M_tight
         out = tmp_path / "og"
         assert cli.main(["verify", "oracle", binary_cfg, "--n", "8",
                          "--grid-points", "9", "--out", str(out)]) == 0
