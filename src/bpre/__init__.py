@@ -21,20 +21,19 @@ from .estimate import (BLOCK_TRIALS, DecayFit, IncrementStat, IncrementStats,
                        mc_tail_sn, theorem1_candidates)
 from .oracle import (exact_EWn, exact_logw_increments, exact_logZn_tail,
                      exact_sn_tail)
-from .simulate import (RNG_ID, EnvSequence, EnvTables, GenRecord, SimConfig,
-                       Trajectory, sample_env_sequence, simulate_trajectory,
-                       stream)
+from .simulate import (RNG_ID, EnvTables, GenRecord, SimConfig, Trajectory,
+                       simulate_trajectory, stream)
 
 __all__ = [
     "AssumptionReport", "BLOCK_TRIALS", "BoundQuery", "CheckResult",
-    "ConfigError", "DecayFit", "EnvDistribution", "EnvSequence", "EnvState",
-    "EnvTables", "GenRecord", "H", "H_upper", "IncrementStat",
-    "IncrementStats", "ModelMoments", "OffspringPmf", "ResourceCapError",
-    "RNG_ID", "SimConfig", "TailEstimate", "Theorem1Params", "Trajectory",
+    "ConfigError", "DecayFit", "EnvDistribution", "EnvState", "EnvTables",
+    "GenRecord", "H", "H_upper", "IncrementStat", "IncrementStats",
+    "ModelMoments", "OffspringPmf", "ResourceCapError", "RNG_ID",
+    "SimConfig", "TailEstimate", "Theorem1Params", "Trajectory",
     "binomial_ci", "check_assumptions", "compute_moments",
     "convergence_report", "dH_dx", "exact_EWn", "exact_logw_increments",
     "exact_logZn_tail", "exact_sn_tail", "fit_geometric_decay", "log_H",
     "mc_logw_increments", "mc_tail_logzn", "mc_tail_sn", "parse_env_config",
-    "sample_env_sequence", "simulate_trajectory", "sn_tail_bound",
-    "state_mean", "stream", "theorem1_bound", "theorem1_candidates",
+    "simulate_trajectory", "sn_tail_bound", "state_mean", "stream",
+    "theorem1_bound", "theorem1_candidates",
 ]

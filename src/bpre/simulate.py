@@ -78,21 +78,6 @@ def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class EnvSequence:
-    """A realized environment: state labels and their X_i = log m values."""
-
-    states: tuple[str, ...]
-    log_means: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.log_means):
-            raise ValueError("states and log_means have different lengths")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 class GenRecord(NamedTuple):
     """One generation of a trajectory: Z_k, S_k and logW_k = log Z_k - S_k.
     Z_k is a float64 value, an exact integer below 2^53. A NamedTuple:
@@ -105,8 +90,11 @@ class GenRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A simulated trajectory: records for k = 0..n, and states, the label
+    of each generation's state in order (S_k sums X over the first k)."""
+
     records: tuple[GenRecord, ...]
-    env: EnvSequence
+    states: tuple[str, ...]
     seed: int
     approx_sampling_used: bool = False
 
@@ -148,7 +136,6 @@ class EnvTables:
             ([0.0], np.minimum(self.cum[:-1], 1.0), [1.0])))
         self.means = np.array([state_mean(s) for s, _ in env.states], dtype=np.float64)
         self.X = np.log(self.means)
-        self.index_of = {label: i for i, label in enumerate(self.labels)}
         self.index_dtype = np.min_scalar_type(len(self.states) - 1)
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)
         self.draws = np.array([binomial_draws(s) for s in self.samplers])
@@ -255,22 +242,6 @@ def require_no_extinction(env: EnvDistribution) -> None:
         raise ConfigError(
             f"extinction possible (p0 > 0) in states: {', '.join(bad)}; "
             "all tail/martingale claims assume p0 = 0")
-
-
-def sample_env_sequence(env: EnvDistribution, n: int,
-                        rng: np.random.Generator) -> EnvSequence:
-    """n i.i.d. state draws; one uniform per generation, in generation order."""
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
-    tables = env if isinstance(env, EnvTables) else EnvTables(env)
-    return _env_sequence(tables, tables.pick_states(rng.random(n)).tolist())
-
-
-def _env_sequence(tables: EnvTables, idx: list[int]) -> EnvSequence:
-    """The EnvSequence of a list of state indices."""
-    log_means = tables.X.tolist()
-    return EnvSequence(states=tuple(tables.labels[i] for i in idx),
-                       log_means=tuple(log_means[i] for i in idx))
 
 
 def _check_population_cap(top: float) -> None:
@@ -387,5 +358,6 @@ def simulate_trajectory(env: EnvDistribution | EnvTables, cfg: SimConfig,
     z, states, approx = simulate_block(tables, cfg, 1, rng)
     return Trajectory(records=tuple(GenRecord(*rec) for rec in
                                     block_records(tables, z, states, 0)),
-                      env=_env_sequence(tables, states[:, 0].tolist()),
+                      states=tuple(tables.labels[i]
+                                   for i in states[:, 0].tolist()),
                       seed=cfg.seed, approx_sampling_used=approx)

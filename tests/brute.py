@@ -72,8 +72,9 @@ class QuenchedReport:
     stderr: float
 
 
-def quenched_martingale_check(env, env_seq, k, replicas, rng):
-    """Quenched one-step martingale test at generation k of a fixed sequence.
+def quenched_martingale_check(env, states, k, replicas, rng):
+    """Quenched one-step martingale test at generation k of a fixed sequence
+    of state indices (EnvTables(env).pick_states draws one).
 
     Simulates a single prefix to a common Z_k, then many independent one-step
     continuations; E[W_{k+1}/W_k | xi, Z_k] = 1, so the sample mean of
@@ -84,16 +85,15 @@ def quenched_martingale_check(env, env_seq, k, replicas, rng):
     """
     if replicas < 100:
         raise ValueError(f"insufficient replicas: {replicas} < 100")
-    if not 0 <= k < len(env_seq):
-        raise ValueError(f"k={k} outside the sequence of length {len(env_seq)}")
+    if not 0 <= k < len(states):
+        raise ValueError(f"k={k} outside the sequence of length {len(states)}")
     tables = EnvTables(env)
     z = np.ones(1)
-    for label in env_seq.states[:k]:
-        z = offspring(z, tables.samplers[tables.index_of[label]], rng)
+    for s in states[:k]:
+        z = offspring(z, tables.samplers[s], rng)
         _check_population_cap(z[0])
-    state_idx = tables.index_of[env_seq.states[k]]
-    m = float(tables.means[state_idx])
-    totals = offspring(np.full(replicas, z[0]), tables.samplers[state_idx], rng)
+    m = float(tables.means[states[k]])
+    totals = offspring(np.full(replicas, z[0]), tables.samplers[states[k]], rng)
     ratios = totals / (z[0] * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)
     return QuenchedReport(mean_ratio=float(np.mean(ratios)), stderr=stderr)

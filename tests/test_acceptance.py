@@ -24,8 +24,7 @@ from bpre.estimate import (fit_geometric_decay, mc_logw_increments,
                            mc_tail_logzn, mc_tail_sn, theorem1_candidates)
 from bpre.oracle import exact_EWn, exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, EnvTables,
-                           SimConfig, sample_env_sequence, simulate_block,
-                           stream)
+                           SimConfig, simulate_block, stream)
 from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
@@ -148,8 +147,8 @@ def test_criterion_5_martingale_mean_one(env):
         mean = statistics.fmean(ws)
         stderr = statistics.stdev(ws) / math.sqrt(len(ws))
         assert abs(mean - 1.0) <= 4.0 * stderr
-        seq = sample_env_sequence(env, 10, stream(0, DOMAIN_QUENCHED, 0))
-        rep = quenched_martingale_check(env, seq, k=5, replicas=10 ** 4,
+        states = tables.pick_states(stream(0, DOMAIN_QUENCHED, 0).random(10))
+        rep = quenched_martingale_check(env, states, k=5, replicas=10 ** 4,
                                         rng=stream(0, DOMAIN_QUENCHED, 1))
         assert abs(rep.mean_ratio - 1.0) <= 4.0 * rep.stderr
 

@@ -5,11 +5,10 @@ import pytest
 
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
-                           DOMAIN_TRAJ, EnvSequence, EnvTables, SimConfig,
+                           DOMAIN_TRAJ, EnvTables, SimConfig,
                            _binomial_vector, _check_population_cap,
                            _generations, block_records, offspring,
-                           sample_env_sequence, simulate_block,
-                           simulate_trajectory, stream)
+                           simulate_block, simulate_trajectory, stream)
 from brute import quenched_martingale_check
 
 BINARY = {"model": "binary",
@@ -53,21 +52,23 @@ class CountingRng:
 def reference_trajectory(env, cfg, rng):
     """The per-generation loop simulate_trajectory must replay as a block of
     one: one offspring() call per generation on a length-1 float64 array, on
-    the same stream. Returns the (Z, S, logW) records, the environment
-    sequence and the approximation flag, which is whether any Gaussian draw
-    was made: whether the loop drew a standard normal."""
+    the same stream. Returns the (Z, S, logW) records, the state labels in
+    generation order and the approximation flag, which is whether any
+    Gaussian draw was made: whether the loop drew a standard normal."""
     tables = EnvTables(env)
-    seq = sample_env_sequence(env, cfg.n, rng)
+    states = tables.pick_states(rng.random(cfg.n)).tolist()
+    log_means = tables.X.tolist()
     counted = CountingRng(rng)
     z, s = np.ones(1), 0.0
     records = [(1.0, 0.0, 0.0)]
-    for k, label in enumerate(seq.states):
-        z = offspring(z, tables.samplers[tables.index_of[label]], counted,
+    for i in states:
+        z = offspring(z, tables.samplers[i], counted,
                       cfg.exact_sampling_threshold)
-        s = s + seq.log_means[k]
+        s = s + log_means[i]
         _check_population_cap(z[0])
         records.append((float(z[0]), s, math.log(z[0]) - s))
-    return records, seq, counted.normals > 0
+    labels = tuple(tables.labels[i] for i in states)
+    return records, labels, counted.normals > 0
 
 
 class TestStream:
@@ -93,24 +94,19 @@ class TestStream:
 
 class TestEnvSampling:
     def test_sequence_length_and_labels(self):
-        seq = sample_env_sequence(binary_env(), 50, stream(1, DOMAIN_SN, 0))
-        assert len(seq) == 50
-        assert set(seq.states) <= {"p=0.25", "p=0.75"}
-
-    def test_log_means_match_states(self):
-        env = binary_env()
-        seq = sample_env_sequence(env, 200, stream(2, DOMAIN_SN, 0))
-        by_label = {s.label: math.log(state_mean(s)) for s, _ in env.states}
-        for label, x in zip(seq.states, seq.log_means):
-            assert x == by_label[label]
+        tables = EnvTables(binary_env())
+        states = tables.pick_states(stream(1, DOMAIN_SN, 0).random(50))
+        assert len(states) == 50
+        assert tables.labels == ("p=0.25", "p=0.75")
+        assert set(states.tolist()) <= {0, 1}
 
     def test_masses_respected(self):
         # unbalanced masses: the frequent state should dominate
         env = parse_env_config({"model": "binary",
                                 "support": [{"p": 0.25, "mass": 0.9},
                                             {"p": 0.75, "mass": 0.1}]})
-        seq = sample_env_sequence(env, 20000, stream(3, DOMAIN_SN, 0))
-        freq = seq.states.count("p=0.25") / 20000
+        states = EnvTables(env).pick_states(stream(3, DOMAIN_SN, 0).random(20000))
+        freq = np.count_nonzero(states == 0) / 20000
         assert abs(freq - 0.9) < 0.01
 
     def test_env_tables_inverse_cdf_boundaries(self):
@@ -352,7 +348,7 @@ class TestTrajectory:
         s = 0.0
         for k, rec in enumerate(traj.records):
             if k > 0:
-                s += by_label[traj.env.states[k - 1]]
+                s += by_label[traj.states[k - 1]]
             # S matches log Pi recomputed from state means
             assert rec.S == pytest.approx(s, abs=1e-12)
             # logW = log Z - S
@@ -413,11 +409,12 @@ class TestTrajectory:
         approx = []
         for t in range(8):
             ref_rng = stream(13, DOMAIN_SIMULATE, t)
-            records, seq, approx_used = reference_trajectory(env, cfg, ref_rng)
+            records, labels, approx_used = reference_trajectory(env, cfg,
+                                                                ref_rng)
             rng = stream(13, DOMAIN_SIMULATE, t)
             traj = simulate_trajectory(env, cfg, rng=rng)
             assert list(traj.records) == records
-            assert traj.env == seq
+            assert traj.states == labels
             assert traj.approx_sampling_used == approx_used
             # the same number of draws was taken from the stream
             assert rng.random() == ref_rng.random()
@@ -439,7 +436,7 @@ class TestTrajectory:
             exact = simulate_trajectory(env, SimConfig(n=n, seed=13),
                                         rng=stream(13, DOMAIN_SIMULATE, t))
             zs = [rec.Z for rec in exact.records]
-            if exact.env.states[-1] == label and zs[-3] < zs[-2]:
+            if exact.states[-1] == label and zs[-3] < zs[-2]:
                 break
         else:
             pytest.fail(f"no trajectory ends in a {label} generation")
@@ -529,23 +526,23 @@ class TestBlock:
 class TestQuenched:
     def test_one_step_ratio_near_one(self):
         env = binary_env()
-        seq = sample_env_sequence(env, 10, stream(21, DOMAIN_SN, 0))
-        report = quenched_martingale_check(env, seq, k=5, replicas=20000,
+        states = EnvTables(env).pick_states(stream(21, DOMAIN_SN, 0).random(10))
+        report = quenched_martingale_check(env, states, k=5, replicas=20000,
                                            rng=stream(21, DOMAIN_QUENCHED, 0))
         assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
 
     def test_insufficient_replicas(self):
         env = binary_env()
-        seq = sample_env_sequence(env, 4, stream(1, DOMAIN_SN, 0))
+        states = EnvTables(env).pick_states(stream(1, DOMAIN_SN, 0).random(4))
         with pytest.raises(ValueError, match="insufficient replicas"):
-            quenched_martingale_check(env, seq, k=1, replicas=10,
+            quenched_martingale_check(env, states, k=1, replicas=10,
                                       rng=stream(1, DOMAIN_QUENCHED, 0))
 
     def test_k_out_of_range(self):
         env = binary_env()
-        seq = sample_env_sequence(env, 4, stream(1, DOMAIN_SN, 0))
+        states = EnvTables(env).pick_states(stream(1, DOMAIN_SN, 0).random(4))
         with pytest.raises(ValueError):
-            quenched_martingale_check(env, seq, k=4, replicas=200,
+            quenched_martingale_check(env, states, k=4, replicas=200,
                                       rng=stream(1, DOMAIN_QUENCHED, 0))
 
     def test_float64_replicas_of_a_population_past_int64(self):
@@ -553,10 +550,7 @@ class TestQuenched:
         # past 2^53, so the float64 replicas round at 1e-16 relative.
         env = parse_env_config({"model": "binary",
                                 "support": [{"p": 0.01, "mass": 1.0}]})
-        state = env.states[0][0]
-        x = math.log(state_mean(state))
-        seq = EnvSequence(states=(state.label,) * 66, log_means=(x,) * 66)
-        report = quenched_martingale_check(env, seq, k=65, replicas=1000,
+        report = quenched_martingale_check(env, (0,) * 66, k=65, replicas=1000,
                                            rng=stream(29, DOMAIN_QUENCHED, 0))
         assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
 
@@ -565,25 +559,23 @@ class TestQuenched:
         # the float64 replicas hold 3 * Z_39 to 1e-16 relative.
         env = parse_env_config({"model": "generic", "states": [
             {"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]})
-        seq = EnvSequence(states=("triple",) * 40, log_means=(math.log(3),) * 40)
-        report = quenched_martingale_check(env, seq, k=39, replicas=100,
+        report = quenched_martingale_check(env, (0,) * 40, k=39, replicas=100,
                                            rng=stream(0, DOMAIN_QUENCHED, 0))
         assert report.mean_ratio == pytest.approx(1.0, rel=1e-15)
 
     def test_prefix_stops_at_population_cap(self):
         env = parse_env_config(DOUBLING)
-        seq = EnvSequence(states=("double",) * 601,
-                          log_means=(math.log(2.0),) * 601)
-        report = quenched_martingale_check(env, seq, k=512, replicas=100,
+        states = (0,) * 601
+        report = quenched_martingale_check(env, states, k=512, replicas=100,
                                            rng=stream(0, DOMAIN_QUENCHED, 0))
         assert report.mean_ratio == 1.0
         with pytest.raises(ResourceCapError, match="cap is 512 bits"):
-            quenched_martingale_check(env, seq, k=600, replicas=100,
+            quenched_martingale_check(env, states, k=600, replicas=100,
                                       rng=stream(0, DOMAIN_QUENCHED, 0))
 
     def test_chain_state_replicas(self):
         env = parse_env_config(THREE_POINT)
-        seq = sample_env_sequence(env, 6, stream(23, DOMAIN_SN, 0))
-        report = quenched_martingale_check(env, seq, k=3, replicas=5000,
+        states = EnvTables(env).pick_states(stream(23, DOMAIN_SN, 0).random(6))
+        report = quenched_martingale_check(env, states, k=3, replicas=5000,
                                            rng=stream(23, DOMAIN_QUENCHED, 0))
         assert abs(report.mean_ratio - 1.0) < 4 * report.stderr
