@@ -152,16 +152,29 @@ class AssumptionReport:
         return [c.to_json() for c in self.checks]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook: the object of pairs, refusing a repeated key,
+    which json.loads would otherwise resolve to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
     """Parse and validate an environment config (JSON text or parsed dict).
 
     Two forms are accepted. The binary shorthand expands each support point
-    {"p": a, "mass": w} into a state with offspring pmf {1: a, 2: 1-a}; the
-    generic form lists explicit states with string-keyed offspring maps.
+    {"p": a, "mass": w} into a state labelled f"p={a!r}" with offspring pmf
+    {1: a, 2: 1-a}; the generic form lists explicit states with string-keyed
+    offspring maps, each family size once. JSON text may not repeat a key
+    within an object.
     """
     if isinstance(document, (str, bytes)):
         try:
-            doc = json.loads(document)
+            doc = json.loads(document, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
@@ -181,7 +194,7 @@ def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"binary p={p:g} outside (0,1)")
             pmf = OffspringPmf({1: p, 2: 1.0 - p})
-            states.append((EnvState(f"p={p:g}", pmf), float(point["mass"])))
+            states.append((EnvState(f"p={p!r}", pmf), float(point["mass"])))
         return EnvDistribution(tuple(states))
     if model == "generic":
         raw_states = doc.get("states")
@@ -205,6 +218,8 @@ def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
                     k = int(key)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"offspring key {key!r} is not an integer") from exc
+                if k in entries:
+                    raise ConfigError(f"state {label!r} gives family size {k} twice")
                 entries[k] = float(mass_k)
             states.append((EnvState(label, OffspringPmf(entries)), mass))
         return EnvDistribution(tuple(states))

@@ -141,6 +141,21 @@ class TestEnvCheck:
         bad.write_text("{not json")
         assert cli.main(["env-check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("offspring, message", [
+        ('{"1": 0.5, "01": 0.5, "2": 0.5}', "family size 1 twice"),
+        ('{"1": 0.5, "1": 0.5, "2": 0.5}', "repeats the key '1'")])
+    def test_repeated_family_size_exits_2(self, capsys, tmp_path, offspring,
+                                          message):
+        # the last mass of a repeated size would win and hide 0.5 of mass
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text('{"model": "generic", "states": [{"label": "s", '
+                       f'"mass": 1.0, "offspring": {offspring}}}]}}')
+        assert cli.main(["env-check", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e400"])
     def test_nonfinite_order_exits_2(self, capsys, binary_cfg, flag, value):

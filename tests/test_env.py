@@ -44,6 +44,13 @@ class TestParsing:
         assert state.pmf.entries == {1: 0.25, 2: 0.75}
         assert state.label == "p=0.25"
 
+    def test_binary_labels_keep_every_digit_of_p(self):
+        # p = 0.1234567 and 0.1234568 agree to 6 significant digits
+        env = parse_env_config({"model": "binary", "support": [
+            {"p": 0.1234567, "mass": 0.5}, {"p": 0.1234568, "mass": 0.5}]})
+        assert [s.label for s, _ in env.states] == ["p=0.1234567",
+                                                    "p=0.1234568"]
+
     def test_accepts_json_text_bytes_and_dict(self):
         text = json.dumps(BINARY)
         for doc in (text, text.encode(), BINARY):
