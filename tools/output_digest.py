@@ -91,6 +91,10 @@ RUNS = [
     # is within oracle.MAX_KERNEL_WORK
     ("verify-theorem1-cut-generic", "verify theorem1", "generic",
      "--n 10 --x 0.2 --M-kind tight --trials 1e4"),
+    # the mixed model's exact tail at n = 8, through the kernel step of its
+    # deterministic {2} state as well as its {1, 2} and {1, 2, 3} states
+    ("verify-theorem1-kernel-mixed", "verify theorem1", "mixed",
+     "--n 8 --x 0.2 --M-kind tight --trials 1e4"),
     # three states, one deterministic: state indices above 1 in the open
     # trials' rows; the exact tail's cut work is past oracle.MAX_KERNEL_WORK,
     # so exact_tail is null
