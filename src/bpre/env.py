@@ -163,6 +163,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _number(value: object, what: str) -> float:
+    """value as a float if it is a JSON number (an int or a float, not a
+    bool) that a double holds; ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} is {value!r}, not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{what} is {value!r}, past a double") from exc
+
+
 def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
     """Parse and validate an environment config (JSON text or parsed dict).
 
@@ -190,11 +201,12 @@ def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
         for point in points:
             if not isinstance(point, dict) or "p" not in point or "mass" not in point:
                 raise ConfigError("each binary support point needs 'p' and 'mass'")
-            p = float(point["p"])
+            p = _number(point["p"], "binary p")
             if not (0.0 < p < 1.0):
                 raise ConfigError(f"binary p={p:g} outside (0,1)")
             pmf = OffspringPmf({1: p, 2: 1.0 - p})
-            states.append((EnvState(f"p={p!r}", pmf), float(point["mass"])))
+            mass = _number(point["mass"], f"mass of p={p!r}")
+            states.append((EnvState(f"p={p!r}", pmf), mass))
         return EnvDistribution(tuple(states))
     if model == "generic":
         raw_states = doc.get("states")
@@ -206,7 +218,7 @@ def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
                 raise ConfigError("each state must be an object")
             try:
                 label = str(raw["label"])
-                mass = float(raw["mass"])
+                mass = _number(raw["mass"], f"mass of state {label!r}")
                 offspring = raw["offspring"]
             except KeyError as exc:
                 raise ConfigError(f"state is missing field {exc}") from exc
@@ -220,7 +232,7 @@ def parse_env_config(document: str | bytes | dict) -> EnvDistribution:
                     raise ConfigError(f"offspring key {key!r} is not an integer") from exc
                 if k in entries:
                     raise ConfigError(f"state {label!r} gives family size {k} twice")
-                entries[k] = float(mass_k)
+                entries[k] = _number(mass_k, f"mass for k={k} of state {label!r}")
             states.append((EnvState(label, OffspringPmf(entries)), mass))
         return EnvDistribution(tuple(states))
     raise ConfigError(f"unknown model {model!r}, expected 'binary' or 'generic'")

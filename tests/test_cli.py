@@ -156,6 +156,31 @@ class TestEnvCheck:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("config, message", [
+        ('{"model": "binary", "support": [{"p": null, "mass": 1.0}]}',
+         "binary p is None"),
+        ('{"model": "binary", "support": [{"p": 0.5, "mass": true}]}',
+         "mass of p=0.5 is True"),
+        ('{"model": "generic", "states": [{"label": "s", "mass": "0.5", '
+         '"offspring": {"1": 1.0}}, {"label": "t", "mass": 0.5, '
+         '"offspring": {"2": 1.0}}]}', "mass of state 's' is '0.5'"),
+        ('{"model": "generic", "states": [{"label": "s", "mass": 1.0, '
+         '"offspring": {"1": null}}]}', "mass for k=1 of state 's' is None"),
+        ('{"model": "generic", "states": [{"label": "s", "mass": 1.0, '
+         '"offspring": {"1": "1"}}]}', "mass for k=1 of state 's' is '1'"),
+        ('{"model": "generic", "states": [{"label": "s", "mass": 1.0, '
+         '"offspring": {"1": 1%s}}]}' % ("0" * 400), "past a double")])
+    def test_non_numeric_value_exits_2(self, capsys, tmp_path, config, message):
+        # only JSON numbers are masses and probabilities: null, a bool or a
+        # string is bad input, not a traceback or a number
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(config)
+        assert cli.main(["env-check", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e400"])
     def test_nonfinite_order_exits_2(self, capsys, binary_cfg, flag, value):
