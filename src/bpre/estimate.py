@@ -101,7 +101,8 @@ MAX_TRIALS = 1 << 30
 # A log Z_n estimate draws Z_g from the kernel law instead of stepping
 # generations 1..g while the kernel costs at most this many multiply-adds per
 # binomial draw it saves; on a 2-CPU Xeon a draw costs about 100-190 ns and a
-# multiply-add about 2 ns at g = 10 and 0.4-0.7 ns at g = 12-13.
+# kernel multiply-add about 1 ns at g = 10 and 0.3-0.4 ns at g = 12-13 (the
+# binary {1, 2} model's _annealed_laws over its kernel_work).
 HEAD_WORK_PER_DRAW = 8
 
 

@@ -18,13 +18,14 @@ the k^n sequences:
   over the states (exact_logw_increments), and bpre.estimate's kernel heads
   draw Z_g from it. The population DP is capped by its kernel_work, the
   multiply-adds of its generation steps on the atoms it composes
-  (MAX_KERNEL_WORK, the binary {1, 2} model's uncut work at n = 16),
-  checked once per call before any work.
+  (MAX_KERNEL_WORK = 2^32, within which the binary {1, 2} model's uncut
+  law reaches n = 16), checked once per call before any work.
 
 A population law is a float64 array indexed by value; one generation step
 evaluates the offspring pgf's powers weighted by the law in blocks of about
-sqrt(len) atoms (Paterson and Stockmeyer's baby and giant steps), and
-_compose states its error bound (every atom within 9.0e-14 of the exact law
+len^(2/3) atoms (Paterson and Stockmeyer's baby and giant steps: one
+np.einsum for the blocks, one np.convolve per block after the first), and
+_compose states its error bound (every atom within 9.1e-14 of the exact law
 for the binary model at n = 8, while the atoms stay normal numbers). Tails
 and E W_n are summed with math.fsum. There is no exact-rational mode and no
 per-sequence route; the tests check the kernel against exact rationals and
@@ -63,9 +64,11 @@ def tail_reached(stat, n: int, mu: float, M: float, x: float):
 
 
 MAX_COMPOSITIONS = 10 ** 6
-# kernel_work of the two-state binary {1, 2} model at n = 16 is 5.8e9
-# multiply-adds, about 1.4 s on a 2-CPU Xeon; its n = 17 is four times that.
-MAX_KERNEL_WORK = 1 << 33
+# kernel_work of the two-state binary {1, 2} model at n = 16 is 3.0e9
+# multiply-adds (E W_16 in about 0.8 s on a 2-CPU Xeon) and its n = 17 four
+# times that; the bench's {1, 2, 3} model does 2.6e9 at n = 10 (0.7 s). The
+# slowest calls within the cap, cut log Z_n tails near 4e9, take about 0.9-1.0 s.
+MAX_KERNEL_WORK = 1 << 32
 
 
 # --- S_n: state-count compositions ------------------------------------------
@@ -159,27 +162,85 @@ def _offspring_array(state: EnvState) -> np.ndarray:
     return np.array([entries.get(k, 0.0) for k in range(state.pmf.support[-1] + 1)])
 
 
+# Entries of an offspring power, and atoms of a z-fold offspring law at either
+# end of its support, below this are dropped, which keeps the numbers the
+# kernel step and the increment table multiply normal: a product with a
+# subnormal factor runs about a hundred times slower.
+_ATOM_FLOOR = 2.0 ** -960
+
+
 def _block_size(length: int) -> int:
-    """B = ceil(sqrt(length)), _compose's block length on a law of `length`
-    atoms."""
-    return math.isqrt(length - 1) + 1
+    """B = ceil(length^(2/3)), the least B with B^3 >= length^2: _compose's
+    block length on a law of `length` atoms."""
+    square = length * length
+    block = round(square ** (1 / 3))
+    while block ** 3 < square:
+        block += 1
+    while (block - 1) ** 3 >= square:
+        block -= 1
+    return block
 
 
-def _compose(dist: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
-    """The law of the next generation when the current one has law dist and
-    each individual has offspring law f (both indexed by value): the
-    coefficients of sum_z dist[z] f(t)^z, f being the offspring pgf.
+def _step_lengths(k_max: int, n: int, cut: int | None) -> Iterator[int]:
+    """The atoms each of the n generations composes, delta_1 K^g reaching
+    k_max^g, or at most the `cut` atoms below a cut; never falling."""
+    top = 1
+    for _ in range(n):
+        yield top + 1 if cut is None else min(top + 1, cut)
+        top *= k_max
+        if cut is not None:
+            top = min(top, cut)
 
-    powers holds f^0 = 1, f^1 = the offspring array, ... as arrays; _compose
-    appends the powers it lacks, so one list serves every generation of a
-    state. The sum is evaluated in blocks (Paterson & Stockmeyer, SIAM J.
-    Comput. 1973): with B = ceil(sqrt(L)) for L = len(dist), the baby steps
-    form every block P_b = sum_{i<B} dist[bB + i] f^i at once, one outer
-    product per i, and the giant steps run Horner's rule over the
-    ceil(L / B) blocks with the multiplier f^B,
-    P_0 + f^B (P_1 + f^B (P_2 + ...)), one np.convolve each: about
-    2 sqrt(L) numpy calls with long dot products, not one short convolution
-    per atom. No step is a BLAS matrix product, whose summation order can
+
+class _Powers:
+    """The powers of one offspring pgf f that _compose multiplies by:
+    f^0..f^(B-1) as the first B rows of one zero-padded matrix, allocated
+    for the largest block length of a call and filled as B grows, and f^B
+    (power). lo is the least family size, so f^B has B lo leading zeros
+    when p0 = 0. Each nonzero entry of f^i is at least p^i, p the least
+    nonzero pmf entry, so from the first i with p^i below _ATOM_FLOOR on
+    (i = 481 for the binary {1, 2} states) entries below it are set to
+    zero as each power is made."""
+
+    def __init__(self, pmf: np.ndarray, largest: int):
+        self.pmf, self.lo = pmf, int(np.flatnonzero(pmf)[0])
+        least = pmf[pmf > 0.0].min()  # least^i >= _ATOM_FLOOR up to i = floor_past
+        self.floor_past = (math.inf if least == 1.0 else
+                           math.log(_ATOM_FLOOR) / math.log(least))
+        self.rows = np.zeros((largest, (largest - 1) * (len(pmf) - 1) + 1))
+        self.rows[0, 0] = 1.0
+        self.block, self.power = 1, pmf
+
+    def grow(self, block: int) -> None:
+        """Fill the rows up to f^(block-1) and make power f^block."""
+        while self.block < block:
+            self.rows[self.block, :len(self.power)] = self.power
+            self.power = np.convolve(self.power, self.pmf)
+            self.block += 1
+            if self.block > self.floor_past:
+                self.power[self.power < _ATOM_FLOOR] = 0.0
+
+
+def _compose(dist: np.ndarray, powers: _Powers, weight: float) -> np.ndarray:
+    """weight times the law of the next generation when the current one has
+    law dist and each individual has offspring law f (both indexed by value):
+    the coefficients of sum_z weight dist[z] f(t)^z, f being the offspring
+    pgf.
+
+    powers holds the powers of f (_Powers) and grows them as needed, so one
+    holder serves every generation of a state. The sum is evaluated in
+    blocks (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
+    B = ceil(L^(2/3)) for L = len(dist), the baby steps form every block
+    P_b = sum_{i<B} weight dist[bB + i] f^i in one np.einsum of the
+    ceil(L / B) x B weighted coefficients with the B x W matrix of powers
+    (W = (B - 1) s + 1, s the largest family size), and the giant steps
+    run Horner's rule over the blocks with the multiplier f^B,
+    P_0 + f^B (P_1 + f^B (P_2 + ...)), one np.convolve each. With p0 = 0,
+    f^B = t^(B lo) g(t) for lo the least family size, so each giant step
+    convolves with g alone and shifts the product by B lo, past the block
+    or into it: about L^(1/3) numpy calls with long dot products, not one
+    short convolution per atom. np.einsum without optimize runs numpy's own
+    loops; no step is a BLAS matrix product, whose summation order can
     follow the thread count.
 
     Every product is of nonnegative numbers and every sum adds them up, so
@@ -187,55 +248,63 @@ def _compose(dist: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     adding an exact zero rounds nothing, and each atom's relative error is
     at most gamma_N = N u / (1 - N u), u = 2^-53, for N the most roundings
     on any one term. Let the offspring array have c nonzero entries spread
-    over w = (largest - smallest family size), so f^i has at most i w + 1
+    over w = (largest - least family size), so f^i has at most i w + 1
     nonzero entries. Then f^i carries (i - 1) c roundings (each power's
-    convolution adds a product and at most c - 1 sums), a baby-step term at
-    most (B - 1) c + 1 (its power, one product and at most B - i sums), and
-    each giant step adds at most (B - 1) c + B w + 2 (f^B, one product, at
-    most B w sums in the dot product and the block's sum). So
-    N = (B - 1) c + 1 + (ceil(L / B) - 1) ((B - 1) c + B w + 2).
+    convolution adds a product and at most c - 1 sums), a baby-step term
+    at most (B - 1) c + B (its power, one product and at most B - 1 sums in
+    any order), and each giant step adds at most (B - 1) c + B w + 2 (f^B,
+    one product, at most B w sums in the dot product with g and the
+    block's sum). So
+    N = (B - 1) c + B + (ceil(L / B) - 1) ((B - 1) c + B w + 2).
     Over n kernel generations with k states the terms take the sum of the
-    steps' N plus k per generation for the weighted mixture: 809 for the
-    two-state {1, 2} model at n = 8, a bound of 9.0e-14. The bound holds
-    while products and sums stay normal numbers; a term that underflows to
-    the subnormal range loses its relative accuracy.
+    steps' N plus k per generation for the weighted mixture (the weight's
+    product and k - 1 sums): 819 for the two-state {1, 2} model at n = 8,
+    a bound of 9.1e-14. The bound holds while products and sums stay normal
+    numbers; a term that underflows to the subnormal range loses its
+    relative accuracy. The power entries _Powers drops, each below
+    2^-960, take terms out of the sum: they lower the output's total mass
+    by at most A ceil(L / B) B (B s + 1) 2^-960, A = weight sum(dist),
+    which is at most twice the np.einsum's work times A 2^-960, so below
+    A 2^-927 under MAX_KERNEL_WORK.
     """
-    length, pmf = len(dist), powers[1]
+    length, size = len(dist), len(powers.pmf)
     block = _block_size(length)
-    while len(powers) <= block:
-        powers.append(np.convolve(powers[-1], pmf))
+    powers.grow(block)
+    width = (block - 1) * (size - 1) + 1
     coeffs = np.zeros(-(-length // block) * block)
-    coeffs[:length] = dist
-    coeffs = coeffs.reshape(-1, block)
-    blocks = np.zeros((len(coeffs), len(powers[block - 1])))
-    blocks[:, 0] = coeffs[:, 0]
-    for i in range(1, block):
-        f = powers[i]
-        blocks[:, :len(f)] += np.outer(coeffs[:, i], f)
-    acc = blocks[-1]
-    for part in blocks[-2::-1]:
-        acc = np.convolve(acc, powers[block])
-        acc[:len(part)] += part
-    return acc[:(length - 1) * (len(pmf) - 1) + 1]
+    np.multiply(dist, weight, out=coeffs[:length])
+    parts = np.einsum("bi,ik->bk", coeffs.reshape(-1, block),
+                      powers.rows[:block, :width])
+    shift = block * powers.lo
+    multiplier = powers.power[shift:]
+    acc = parts[-1]
+    for part in parts[-2::-1]:
+        product = np.convolve(acc, multiplier)
+        acc = np.zeros(shift + len(product))
+        acc[:width] = part
+        acc[shift:] += product
+    return acc[:(length - 1) * (size - 1) + 1]
 
 
-def _compose_work(length: int, size: int, built: int) -> int:
+def _compose_work(length: int, size: int, lo: int, built: int) -> int:
     """Multiply-adds of _compose on a law of `length` atoms and an offspring
-    array of `size` entries, s = size - 1, when the powers up to f^built
-    exist: the np.convolve that makes each missing power f^i (i = built+1..B)
-    takes 1 + (i - 1) s entries times size; the baby steps' np.outer for
-    i = 1..B-1 takes the ceil(length / B) blocks times the 1 + i s entries of
-    f^i; the giant steps' j-th np.convolve (j = 0..blocks-2) takes an
-    accumulator of 1 + (B - 1 + j B) s entries times the 1 + B s of f^B."""
+    array of `size` entries, s = size - 1, least family size lo, when the
+    powers up to f^built exist: the np.convolve that makes each missing
+    power f^i (i = built+1..B) takes 1 + (i - 1) s entries times size; the
+    np.einsum takes the ceil(length / B) blocks times B times the
+    W = (B - 1) s + 1 entries of a row; the giant steps' j-th np.convolve
+    (j = 0..blocks-2) takes an accumulator of 1 + (B - 1 + j B) s entries
+    times the 1 + B (s - lo) of f^B past its B lo leading zeros."""
     s, block = size - 1, _block_size(length)
     blocks = -(-length // block)
     powers = 0
     if block > built:
         powers = size * (block - built
                          + s * (block * (block - 1) - built * (built - 1)) // 2)
-    baby = blocks * (block - 1 + s * block * (block - 1) // 2)
-    giant = (1 + block * s) * ((blocks - 1) * (1 + (block - 1) * s)
-                               + block * s * (blocks - 1) * (blocks - 2) // 2)
+    baby = blocks * block * ((block - 1) * s + 1)
+    giant = (1 + block * (s - lo)) * (
+        (blocks - 1) * (1 + (block - 1) * s)
+        + block * s * (blocks - 1) * (blocks - 2) // 2)
     return powers + baby + giant
 
 
@@ -243,15 +312,12 @@ def _running_work(states: Sequence[EnvState], n: int,
                   cut: int | None = None) -> Iterator[int]:
     """kernel_work of the first 1, 2, ..., n generations, each composing at
     most the `cut` atoms below a cut when one is given."""
-    sizes = [state.pmf.support[-1] + 1 for state in states]
-    total, top, built = 0, 1, 1  # built: the highest power f^i made so far
-    for _ in range(n):
-        length = top + 1 if cut is None else min(top + 1, cut)
-        total += sum(_compose_work(length, size, built) for size in sizes)
-        built = _block_size(length)  # length never falls: every k_max >= 1
-        top *= max(sizes) - 1
-        if cut is not None:
-            top = min(top, cut)
+    shapes = [(state.pmf.support[-1] + 1, state.pmf.support[0]) for state in states]
+    k_max = max(size for size, _ in shapes) - 1
+    total, built = 0, 1  # built: the highest power f^i made so far
+    for length in _step_lengths(k_max, n, cut):
+        total += sum(_compose_work(length, size, lo, built) for size, lo in shapes)
+        built = _block_size(length)
         yield total
 
 
@@ -263,7 +329,7 @@ def kernel_work(states: Sequence[EnvState], n: int,
     its zeros, the law after g generations reaches k_max^g, or holds `cut`
     atoms below a cut, and each state's powers are built once, in the first
     generation that needs them. The two-state binary {1, 2} model does
-    5,797,609,192 at n = 16 without a cut."""
+    3,016,441,616 at n = 16 without a cut."""
     total = 0
     for total in _running_work(states, n, cut):
         pass
@@ -298,8 +364,12 @@ def _annealed_laws(env: EnvDistribution, n: int,
     state masses w_s: the annealed kernel), each indexed by value, from one
     propagation. Its kernel_work plus extra_work() (a caller's own work on
     the laws) is checked against MAX_KERNEL_WORK once, before any work.
-    Each state keeps one list of the powers of its offspring pgf for the
-    call.
+    Each state keeps one _Powers of its offspring pgf for the call, sized
+    for the last generation's block length, and each generation composes
+    every state's weighted step into one mixture array. The powers set the
+    call's memory: exact_EWn of the binary {1, 2} model at n = 16 peaks at
+    35.8 MiB under tracemalloc, 32.0 MiB of it the two states' 1025 x 2049
+    matrices.
 
     With a cut c >= 1 and p0 = 0, Z never decreases, so mass at or above c
     stays there: each law holds the atoms below c and, once mass reaches c,
@@ -311,14 +381,16 @@ def _annealed_laws(env: EnvDistribution, n: int,
     _check_kernel_work(states, n, extra_work, cut)
     if weights is None:
         weights = [mass for _, mass in env.states]
-    powers = [[np.ones(1), _offspring_array(state)] for state in states]
+    k_max = env.k_max
+    largest = _block_size(max(_step_lengths(k_max, n, cut), default=1))
+    powers = [_Powers(_offspring_array(state), largest) for state in states]
     laws = [np.array([0.0, 1.0])]
     for _ in range(n):
         prev = laws[-1]
-        parts = [weight * _compose(prev[:cut], power)
-                 for weight, power in zip(weights, powers)]
-        law = np.zeros(max(len(part) for part in parts))
-        for part in parts:
+        dist = prev[:cut]
+        law = np.zeros((len(dist) - 1) * k_max + 1)
+        for weight, power in zip(weights, powers):
+            part = _compose(dist, power, weight)
             law[:len(part)] += part
         if cut is not None and max(len(prev), len(law)) > cut:
             law = np.append(law[:cut], math.fsum([*prev[cut:].tolist(),
@@ -378,15 +450,10 @@ def exact_EWn(env: EnvDistribution, n: int) -> float:
         raise ValueError(f"n={n!r} must be >= 1")
     weights = [mass / state_mean(state) for state, mass in env.states]
     law = _annealed_laws(env, n, weights)[n]
-    return math.fsum(v * p for v, p in enumerate(law.tolist()))
+    return math.fsum((np.arange(len(law)) * law).tolist())
 
 
 # --- E|log W_{k+1} - log W_k|: the annealed laws and one table per state ------
-
-# Atoms of a z-fold offspring law below this are dropped at either end of its
-# support, which keeps the atoms the increment table sums normal numbers.
-_ATOM_FLOOR = 2.0 ** -960
-
 
 def _increment_table(state: EnvState, top: int) -> np.ndarray:
     """h(z) = E|log(S_z / (z m))| for z = 0..top (h(0) = 0), where S_z is
@@ -451,7 +518,7 @@ def exact_logw_increments(env: EnvDistribution, g: int) -> list[float]:
     delta_1 K^(g-1), and the laws delta_1 K^k, k < g, come from one
     propagation (_annealed_laws). Needs p0 = 0, else log Z_k is -inf with
     positive probability. The kernel_work of the g - 1 generations plus the
-    tables' _table_work (4,659,624 multiply-adds for the binary {1, 2}
+    tables' _table_work (4,037,932 multiply-adds for the binary {1, 2}
     model at g = 11) is capped at MAX_KERNEL_WORK, checked before any work.
 
     Error. E|Delta_k| is a sum of nonnegative terms
@@ -468,8 +535,8 @@ def exact_logw_increments(env: EnvDistribution, g: int) -> list[float]:
     exact mean, N the largest such count, while the atoms stay normal
     numbers; the atoms dropped below _ATOM_FLOOR move it by less than
     top^2 hi 2^-960 log(hi top), far below a double's resolution of any
-    positive mean. For the binary {1, 2} model at g = 11 (N = 6249) that is
-    at most 6.9e-13 relative plus 5.1e-15 absolute, on means of 0.040-0.26:
+    positive mean. For the binary {1, 2} model at g = 11 (N = 6315) that is
+    at most 7.0e-13 relative plus 5.1e-15 absolute, on means of 0.040-0.26:
     below 1e-12 relative.
     """
     if g < 1:

@@ -542,7 +542,7 @@ class TestVerify:
 
     def test_theorem1_reports_no_exact_tail_past_the_cap(self, tmp_path,
                                                          binary_cfg):
-        # the x = 0.5 tail at n = 21 needs 1.3e10 multiply-adds, above
+        # the x = 0.5 tail at n = 21 needs 6.7e9 multiply-adds, above
         # oracle.MAX_KERNEL_WORK: the run goes on without an exact value
         out = tmp_path / "t1cap"
         code = cli.main(["verify", "theorem1", binary_cfg, "--n", "21",

@@ -828,7 +828,7 @@ class TestIncrements:
                 # at n = g the head's own generation is not needed
                 assert _increment_depth(tables, g, trials) == g
         binary = EnvTables(binary_env())
-        assert _increment_depth(binary, 20, 10 ** 5) == 10
+        assert _increment_depth(binary, 20, 10 ** 5) == 11
         assert _increment_depth(EnvTables(parse_env_config(GENERIC)), 20,
                                 10 ** 5) == 7
         deterministic = EnvTables(parse_env_config(DOUBLING))
@@ -842,7 +842,7 @@ class TestIncrements:
         t0 = time.perf_counter()
         for n in (20, 10 ** 6):
             assert _head_depth(binary, n, 10 ** 5) == 11
-            assert _increment_depth(binary, n, 10 ** 5) == 10
+            assert _increment_depth(binary, n, 10 ** 5) == 11
         assert time.perf_counter() - t0 < 0.5
 
     def test_doubling_past_int64_has_zero_increments(self):

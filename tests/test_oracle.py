@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -340,9 +345,9 @@ def blocked_roundings(length, pmf):
     """N of the _compose docstring: the most roundings on a term of one step."""
     support = np.flatnonzero(pmf)
     c, w = len(support), int(support[-1] - support[0])
-    block = math.isqrt(length - 1) + 1
+    block = oracle._block_size(length)
     blocks = -(-length // block)
-    return (block - 1) * c + 1 + (blocks - 1) * ((block - 1) * c + block * w + 2)
+    return (block - 1) * c + block + (blocks - 1) * ((block - 1) * c + block * w + 2)
 
 
 STEP_PMFS = {"binary": {1: 0.25, 2: 0.75}, "one-two-three": {1: 0.5, 2: 0.3, 3: 0.2},
@@ -359,14 +364,26 @@ def step_pmf(name):
     return pmf
 
 
+def step_powers(pmf, length):
+    return oracle._Powers(pmf, oracle._block_size(length))
+
+
 class TestBlockedStep:
-    # block length 8 at 64 atoms, 9 at 65
-    @pytest.mark.parametrize("length", [1, 2, 3, 64, 65, 4097])
+    def test_block_size_is_the_least_cube_root_of_the_square(self):
+        for length in range(1, 5000):
+            block = oracle._block_size(length)
+            assert (block - 1) ** 3 < length ** 2 <= block ** 3, length
+        assert [oracle._block_size(n) for n in (8, 9, 4096, 4097)] == [4, 5, 256, 257]
+
+    # block length 4 at 8 atoms, 5 at 9; 16 at 64, 17 at 65; 256 at 4096,
+    # 257 at 4097. The deterministic {2} pmf (lo = 2) shifts each giant
+    # step's product past the block, the gapped {1, 3} one into it.
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 9, 64, 65, 4096, 4097])
     @pytest.mark.parametrize("name", sorted(STEP_PMFS))
     def test_matches_horner_within_the_bound(self, name, length):
         pmf = step_pmf(name)
         dist = np.random.default_rng(length).random(length)
-        got = oracle._compose(dist, [np.ones(1), pmf])
+        got = oracle._compose(dist, step_powers(pmf, length), 1.0)
         ref = horner_compose(dist, pmf)
         assert len(got) == len(ref)
         # both within their gamma of the exact atom, so of each other
@@ -377,16 +394,62 @@ class TestBlockedStep:
         assert np.all(np.abs(got[normal] - ref[normal]) <= tol * ref[normal])
         assert np.all(got[~normal] <= NORMAL_ATOM * (1 + tol))
 
+    def test_dropped_power_entries_stay_within_their_bound(self):
+        # from f^481 on the binary powers' tails fall below 2^-960 and are
+        # dropped; the step still matches Horner within its rounding bound
+        # plus the dropped mass the _compose docstring allows. A point mass
+        # at the top gives f^(length - 1), whose low atoms are products of
+        # the powers' low tails.
+        pmf = step_pmf("binary")
+        length = 10_600
+        dist = np.zeros(length)
+        dist[-1] = 1.0
+        powers = step_powers(pmf, length)
+        got = oracle._compose(dist, powers, 1.0)
+        block = oracle._block_size(length)
+        assert block > powers.floor_past
+        multiplier = powers.power[block:]
+        assert np.count_nonzero(multiplier) < len(multiplier)
+        ref = horner_compose(dist, pmf)
+        g_ref = gamma(3 * (length - 1))
+        tol = (gamma(blocked_roundings(length, pmf)) + g_ref) / (1 - g_ref)
+        dropped = (dist.sum() * -(-length // block) * block * (2 * block + 1)
+                   * 2.0 ** -960)
+        normal = ref > 2.0 ** -1000  # where Horner keeps its own bound
+        assert np.all(got[normal] <= ref[normal] * (1 + tol))
+        short = ref[normal] * (1 - tol) - got[normal]
+        assert short[short > 0.0].sum() <= dropped
+
     def test_repeated_calls_are_bit_identical(self):
         pmf = step_pmf("one-two-three")
         dist = np.random.default_rng(7).random(4097)
-        powers = [np.ones(1), pmf]
-        first = oracle._compose(dist, powers)
-        assert oracle._compose(dist, powers).tobytes() == first.tobytes()
-        grown = [np.ones(1), pmf]  # powers built up over shorter laws first
+        powers = step_powers(pmf, 4097)
+        first = oracle._compose(dist, powers, 1.0)
+        assert oracle._compose(dist, powers, 1.0).tobytes() == first.tobytes()
+        grown = step_powers(pmf, 4097)  # powers built up over shorter laws first
         for length in (3, 65, 1025):
-            oracle._compose(dist[:length], grown)
-        assert oracle._compose(dist, grown).tobytes() == first.tobytes()
+            oracle._compose(dist[:length], grown, 1.0)
+        assert oracle._compose(dist, grown, 1.0).tobytes() == first.tobytes()
+
+
+def test_kernel_bytes_do_not_follow_the_blas_thread_count():
+    # no step is a BLAS product (np.einsum without optimize runs numpy's
+    # own loops), so the laws' bytes are the same at any BLAS thread count
+    code = ("import hashlib, json; from bpre.env import parse_env_config; "
+            "from bpre.oracle import _annealed_laws; "
+            "print(*(hashlib.sha256(b''.join(law.tobytes() for law in "
+            "_annealed_laws(parse_env_config(json.loads(cfg)), n))).hexdigest() "
+            "for cfg, n in ((%r, 15), (%r, 9))))"
+            % (json.dumps(BINARY), json.dumps(GENERIC)))
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        digests.append(out.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestLogZnTail:
@@ -588,7 +651,7 @@ class TestReach:
         env = binary_env()
         mom = compute_moments(env)
         with pytest.raises(ResourceCapError):
-            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 1.3e10 > 2^33
+            exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)  # 6.7e9 > 2^32
         with pytest.raises(ResourceCapError):
             exact_EWn(env, 21)
 
@@ -601,11 +664,11 @@ class TestReach:
             assert kernel_work(states, last + 1) > MAX_KERNEL_WORK
         # the blocked step's exact count (test_kernel_work_counts_the_convolutions)
         assert kernel_work([state for state, _ in binary_env().states], 16) \
-            == 5_797_609_192
+            == 3_016_441_616
         env = binary_env()
         mom = compute_moments(env)
         # the log Z_n tail's work is kernel_work cut at its first tail atom:
-        # binary n = 21 at x = 0.5 does 1.3e10 multiply-adds on 21,709 atoms
+        # binary n = 21 at x = 0.5 does 6.7e9 multiply-adds on 21,709 atoms
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="multiply-adds"):
             exact_logZn_tail(env, 21, 0.5, mom, mom.M_tight)
@@ -638,17 +701,20 @@ class TestReach:
         (THREE_POINT, 6, 1000)])
     def test_kernel_work_counts_the_convolutions(self, cfg, n, cut, monkeypatch):
         # kernel_work is the multiply-adds of _compose: the np.convolve of its
-        # powers and giant steps and the np.outer of its baby steps, on the
+        # powers and giant steps and the np.einsum of its baby steps, on the
         # atoms below the cut when there is one
         done = []
+        convolve, einsum = np.convolve, np.einsum
 
-        def counting(product):
-            def count(a, v):
-                done.append(len(a) * len(v))
-                return product(a, v)
-            return count
-        monkeypatch.setattr(oracle.np, "convolve", counting(np.convolve))
-        monkeypatch.setattr(oracle.np, "outer", counting(np.outer))
+        def count_convolve(a, v):
+            done.append(len(a) * len(v))
+            return convolve(a, v)
+
+        def count_einsum(subscripts, coeffs, rows):
+            done.append(coeffs.size * rows.shape[1])
+            return einsum(subscripts, coeffs, rows)
+        monkeypatch.setattr(oracle.np, "convolve", count_convolve)
+        monkeypatch.setattr(oracle.np, "einsum", count_einsum)
         env = parse_env_config(cfg)
         states = [state for state, _ in env.states]
         _annealed_laws(env, n, cut=cut)
@@ -759,7 +825,7 @@ class TestExactLogwIncrements:
 
     def test_work_cap_refuses_at_once(self, monkeypatch):
         # binary reaches g = 16; g = 17 needs the kernel's 16 generations
-        # (5.8e9) and tables to z = 2^16, past the cap. The cap is read
+        # (3.0e9) and tables to z = 2^16, past the cap. The cap is read
         # from the check the call makes, with its propagation and table
         # work stubbed out so that an accepted g costs nothing
         checked = {}
@@ -769,13 +835,13 @@ class TestExactLogwIncrements:
             checked[n + 1] = kernel_work(states, n, cut) + extra()
             check(states, n, extra, cut)
         monkeypatch.setattr(oracle, "_check_kernel_work", record)
-        monkeypatch.setattr(oracle, "_compose", lambda dist, powers: dist)
+        monkeypatch.setattr(oracle, "_compose", lambda dist, powers, weight: dist)
         monkeypatch.setattr(oracle, "_increment_means", lambda env, laws: [])
         exact_logw_increments(binary_env(), 11)
         exact_logw_increments(binary_env(), 16)
         with pytest.raises(ResourceCapError, match="multiply-adds"):
             exact_logw_increments(binary_env(), 17)
-        assert checked[11] == 4_659_624
+        assert checked[11] == 4_037_932
         assert checked[16] <= MAX_KERNEL_WORK < checked[17]
         monkeypatch.undo()
         t0 = time.perf_counter()
