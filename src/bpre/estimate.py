@@ -17,13 +17,13 @@ reads row k of them in simulate._generation, whose passes are calls of
 simulate.offspring on a float64 population vector; that fixes the draws
 inside each pass (exact binomial draws before Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
-below 2^53 and round at 1e-16 relative above, far inside TIE_EPS and the
-Gaussian draws' own error (every draw above DEFAULT_EXACT_THRESHOLD = 2^32 is
-Gaussian). Populations past DEFAULT_POPULATION_CAP raise ResourceCapError.
-Neither constant is a parameter. Each generation reports whether it took a
-Gaussian draw (some population starts above the threshold in a state that
-draws); the reports of a call's blocks are ORed in block order into
-approx_sampling_used.
+below 2^53 and round at 1e-16 relative above, far inside the tie slack of
+oracle.TailEvent and the Gaussian draws' own error (every draw above
+DEFAULT_EXACT_THRESHOLD = 2^32 is Gaussian). Populations past
+DEFAULT_POPULATION_CAP raise ResourceCapError. Neither constant is a
+parameter. Each generation reports whether it took a Gaussian draw (some
+population starts above the threshold in a state that draws); the reports
+of a call's blocks are ORed in block order into approx_sampling_used.
 
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
@@ -50,27 +50,20 @@ g (_increment_depth) follows the same rule with the table's work added.
 At g = n it opens no stream.
 
 mc_tail_logzn steps a trial only while its outcome is open. With p0 = 0
-(require_no_extinction), Z_k <= Z_n <= k_max^(n-k) Z_k on every path: Z
-never decreases, and one generation multiplies it by at most k_max, Gaussian
-draws included, since each is clamped to [0, trials]. tail_reached is
-monotone in its statistic. So before each generation k a trial with
-tail_reached(log Z_k) is a hit and one without
-tail_reached(log Z_k + (n - k) log k_max) is a miss, whatever its remaining
-draws; both are dropped. The rule is exact in integer arithmetic; float64
-rounding moves a statistic by a few ulp, which can change a decision only
-for a bound within that of the closed threshold x - TIE_EPS. Only the open
-trials, compacted in block order with their states of generation k,
-take generation k's offspring pass, so the draws a block takes depend on
-the event, and a reachable x gives other bytes than stepping every trial
-to n would (the same law). The rule is applied first at Z_0 = 1 with all n
-generations to go: an event it fixes there, such as x = 3 under M_paper,
-holds for every trial or for none, and mc_tail_logzn returns it without
-building a head or drawing anything. A block whose trials are all decided
-at the head draws no environment matrix.
+(require_no_extinction), TailEvent.decide fixes before each generation k
+which trials are hits and which misses, whatever their remaining draws
+(Gaussian draws included, since each is clamped to [0, trials]); both are
+dropped. Only the open trials, compacted in block order with their states
+of generation k, take generation k's offspring pass, so the draws a block
+takes depend on the event, and a reachable x gives other bytes than
+stepping every trial to n would (the same law). The rule is applied first
+at Z_0 = 1 with all n generations to go: an event it fixes there, such as
+x = 3 under M_paper, holds for every trial or for none, and mc_tail_logzn
+returns it without building a head or drawing anything. A block whose
+trials are all decided at the head draws no environment matrix.
 
-Tail events are decided by oracle.tail_reached, the normalized statistic and
-TIE_EPS closed-tail rule of the exact oracle, so the two agree on every
-sample path.
+Every tail event is an oracle.TailEvent, so the estimators and the exact
+oracle agree on every sample path.
 """
 from __future__ import annotations
 
@@ -83,9 +76,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .env import EnvDistribution, compute_moments
-from .oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws,
-                     _increment_means, _running_work, _table_work, kernel_work,
-                     tail_reached)
+from .oracle import (MAX_KERNEL_WORK, TailEvent, _annealed_laws,
+                     _increment_means, _running_work, _table_work, kernel_work)
 from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
                        _generation, _generations, _state_rows,
                        require_no_extinction, stream)
@@ -382,17 +374,12 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     S_n = counts @ X: O(k) work per trial instead of n state picks.
     """
     _require_trials(trials)
-    if not M > 0.0:
-        raise ValueError(f"M={M!r} must be > 0")
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
+    event = TailEvent(n, compute_moments(env).mu, M, x)
     tables = EnvTables(env)
-    mu = compute_moments(env).mu
 
     def run_block(b: int, size: int) -> int:
         counts = stream(seed, DOMAIN_SN, b).multinomial(n, tables.pick_probs, size)
-        s_n = counts @ tables.X
-        return int(np.count_nonzero(tail_reached(s_n, n, mu, M, x)))
+        return int(np.count_nonzero(event.reached(counts @ tables.X)))
 
     return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
                           trials, level, x, n)
@@ -470,24 +457,13 @@ def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     return np.log(z), approx
 
 
-def _decide(reached, logz: np.ndarray, rest: int,
-            log_kmax: float) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, open) masks for trials at log Z_k with rest = n - k generations
-    to go. With p0 = 0, Z_k <= Z_n <= k_max^rest * Z_k, and reached (the tail
-    event at n, monotone in its statistic) holds at log Z_n if it holds at
-    log Z_k, and fails there if it fails at log Z_k + rest * log k_max. A
-    trial that is neither a hit nor a miss is open."""
-    hit = reached(logz)
-    return hit, ~hit & reached(logz + rest * log_kmax)
-
-
-def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-               head: _KernelHead, reached) -> tuple[int, bool]:
-    """Trials of a block whose log Z_n satisfies reached, and whether a draw
+def _tail_hits(tables: EnvTables, size: int, rng: np.random.Generator,
+               head: _KernelHead, event: TailEvent) -> tuple[int, bool]:
+    """Trials of a block whose log Z_n is in the event, and whether a draw
     was Gaussian.
 
     Draws Z_g (head.draw), then before each generation k decides every open
-    trial by _decide: hits are counted and dropped, misses dropped. The
+    trial by event.decide: hits are counted and dropped, misses dropped. The
     (size, n - g) environment matrix is drawn, as its state rows
     (_state_rows), once some trial is still open after the head. Only the
     open trials, in block order, take generation k's _generation, each
@@ -497,45 +473,37 @@ def _tail_hits(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
     rows = np.arange(size)
     log_kmax = math.log(tables.env.k_max)
     hits, approx = 0, False
-    for j, rest in enumerate(range(n - head.g, 0, -1)):
-        hit, live = _decide(reached, np.log(z), rest, log_kmax)
+    for j, rest in enumerate(range(event.n - head.g, 0, -1)):
+        hit, live = event.decide(np.log(z), rest, log_kmax)
         hits += int(np.count_nonzero(hit))
         z, rows = z[live], rows[live]
         if not z.size:
             return hits, approx
         if not j:
-            states = _state_rows(tables, n - head.g, size, rng)
+            states = _state_rows(tables, event.n - head.g, size, rng)
         approx |= _generation(tables, states[j][rows], z, rng)
-    return hits + int(np.count_nonzero(reached(np.log(z)))), approx
+    return hits + int(np.count_nonzero(event.reached(np.log(z)))), approx
 
 
 def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
                   seed: int, level: float = 0.99, workers: int = 1) -> TailEstimate:
     """Estimate P((log Z_n - n*mu)/(n*M) >= x) from trajectories stepped
-    until their outcome is fixed (_tail_hits). An event that _decide fixes
-    at Z_0 = 1 with all n generations to go holds for every trial or for
-    none, and is returned without building a head or opening a stream."""
+    until their outcome is fixed (_tail_hits). An event that TailEvent.decide
+    fixes at Z_0 = 1 with all n generations to go holds for every trial or
+    for none, and is returned without building a head or opening a stream."""
     _require_trials(trials)
     require_no_extinction(env)
-    if not M > 0.0:
-        raise ValueError(f"M={M!r} must be > 0")
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
+    event = TailEvent(n, compute_moments(env).mu, M, x)
     tables = EnvTables(env)
-    mu = compute_moments(env).mu
-
-    def reached(logz: np.ndarray) -> np.ndarray:
-        return tail_reached(logz, n, mu, M, x)
-
-    hit, live = _decide(reached, np.zeros(1), n, math.log(env.k_max))
+    hit, live = event.decide(np.zeros(1), n, math.log(env.k_max))
     if not live[0]:  # fixed at Z_0 = 1: every trial a hit, or none
         return _tail_estimate(trials if hit[0] else 0, trials, level, x, n)
     g = _head_depth(tables, n, trials)
     head = _KernelHead(g, _annealed_laws(env, g)[g])
 
     def run_block(b: int, size: int) -> tuple[int, bool]:
-        return _tail_hits(tables, n, size, stream(seed, DOMAIN_TRAJ, b), head,
-                          reached)
+        return _tail_hits(tables, size, stream(seed, DOMAIN_TRAJ, b), head,
+                          event)
 
     parts = _map_blocks(run_block, trials, workers)
     return _tail_estimate(sum(hits for hits, _ in parts), trials, level, x, n,
@@ -645,7 +613,8 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
                        y_values: Sequence[float], trials: int, seed: int,
                        level: float = 0.95, workers: int = 1
                        ) -> list[TailEstimate]:
-    """TailEstimates of P(|log Z_n / n - mu| >= y) over an (n, y) grid.
+    """TailEstimates of P(|log Z_n / n - mu| >= y) over an (n, y) grid, the
+    two-sided TailEvent with M = 1.
 
     Rows come out n-major, y-minor; threshold_x holds y. One trajectory set
     is shared by all y at a given n, and so is approx_sampling_used. The
@@ -667,14 +636,15 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     laws = _annealed_laws(env, max(depths))
     tasks = []
     for n, g in zip(n_values, depths):
-        def run_block(b: int, size: int, n: int = n,
+        events = [TailEvent(n, mu, 1.0, y, two_sided=True) for y in y_values]
+
+        def run_block(b: int, size: int, n: int = n, events=events,
                       head: _KernelHead = _KernelHead(g, laws[g])
                       ) -> tuple[list[int], bool]:
             logz, approx = _final_logz(tables, n, size,
                                        stream(seed, DOMAIN_TRAJ, b), head)
-            deviations = np.abs(logz / n - mu)
-            return [int(np.count_nonzero(deviations >= y - TIE_EPS))
-                    for y in y_values], approx
+            return [int(np.count_nonzero(event.reached(logz)))
+                    for event in events], approx
 
         tasks += _block_tasks(run_block, trials)
     results = _run(tasks, workers)

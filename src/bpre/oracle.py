@@ -32,21 +32,15 @@ per-sequence route; the tests check the kernel against exact rationals and
 against per-sequence laws mixed over the enumerated environment law
 (tests/brute.py).
 
-Tail events compare a normalized statistic (stat - n*mu)/(n*M) against the
-threshold x with a closed tail (>=). Exact-boundary atoms, such as the
-all-max-state sequence at x = 1 under M_tight, sit precisely at the
-threshold, where float summation order would otherwise decide inclusion by
-one ulp; every comparison therefore allows the slack TIE_EPS on the
-normalized scale. Gaps between distinct achievable atoms at feasible sizes
-are many orders of magnitude wider, and the slack direction only enlarges
-the reported tail, which is the conservative side for domination checks.
-tail_reached decides the event; the Monte Carlo estimators call it too, so
-oracle and estimate agree on every sample path.
+Every tail event, with its closed threshold and tie slack, is one TailEvent;
+the Monte Carlo estimators decide with it too, so oracle and estimate agree
+on every sample path.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,10 +51,65 @@ from .simulate import require_no_extinction
 TIE_EPS = 1e-9
 
 
-def tail_reached(stat, n: int, mu: float, M: float, x: float):
-    """The tail event (stat - n*mu)/(n*M) >= x - TIE_EPS, for a float stat or
-    elementwise for an array of them."""
-    return (stat - n * mu) / (n * M) >= x - TIE_EPS
+@dataclass(frozen=True, slots=True)
+class TailEvent:
+    """The event (stat - n*mu)/(n*M) >= x of a horizon-n statistic (S_n or
+    log Z_n), or |(stat - n*mu)/(n*M)| >= x when two_sided.
+
+    The tail is closed (>=). Exact-boundary atoms, such as the all-max-state
+    sequence at x = 1 under M_tight, sit precisely at the threshold, where
+    float summation order would otherwise decide inclusion by one ulp; the
+    comparison therefore allows the slack TIE_EPS on the normalized scale.
+    Gaps between distinct achievable atoms at feasible sizes are many orders
+    of magnitude wider, and the slack direction only enlarges the reported
+    tail, which is the conservative side for domination checks. Raises
+    ValueError unless M > 0 and n >= 1.
+    """
+    n: int
+    mu: float
+    M: float
+    x: float
+    two_sided: bool = False
+
+    def __post_init__(self):
+        if not self.M > 0.0:
+            raise ValueError(f"M={self.M!r} must be > 0")
+        if self.n < 1:
+            raise ValueError(f"n={self.n!r} must be >= 1")
+
+    def reached(self, stat):
+        """Whether stat is in the event, for a float stat or elementwise for
+        an array of them."""
+        dev = (stat - self.n * self.mu) / (self.n * self.M)
+        if self.two_sided:
+            dev = np.abs(dev)
+        return dev >= self.x - TIE_EPS
+
+    def first_atom(self, top: int) -> int:
+        """The least population v in 1..top whose log v is in the upper tail,
+        or top + 1 if none is, by integer bisection: log v and the
+        normalized statistic are monotone in v."""
+        lo, hi = 1, top + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.reached(math.log(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def decide(self, logz: np.ndarray, rest: int,
+               log_kmax: float) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, open) masks of the upper tail for trials at log Z_k with
+        rest = n - k generations to go. With p0 = 0, Z never decreases and
+        grows at most k_max-fold a generation, so Z_k <= Z_n <= k_max^rest Z_k
+        and the tail holds at log Z_n if it holds at log Z_k, and fails there
+        if it fails at log Z_k + rest * log k_max. A trial that is neither a
+        hit nor a miss is open. The rule is exact in integer arithmetic;
+        float64 rounding moves a statistic by a few ulp, which can change a
+        decision only for a bound within that of the threshold x - TIE_EPS."""
+        hit = self.reached(logz)
+        return hit, ~hit & self.reached(logz + rest * log_kmax)
 
 
 MAX_COMPOSITIONS = 10 ** 6
@@ -109,8 +158,8 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
                    mu: float) -> list[float]:
     """Exact P((S_n - n*mu)/(n*M) >= x) at each x in xs, in one pass.
 
-    The event is the normalized form of the walk tail, the same quantity the
-    Monte Carlo estimator counts; ties at the threshold are included. Each
+    The event is TailEvent's normalized walk tail, the same one the Monte
+    Carlo estimator counts; ties at the threshold are included. Each
     state-count composition's S_n is the correctly rounded sum of its
     expanded multiset of log-means -- the value math.fsum gives for every
     ordering of it -- so each tie decision matches complete enumeration bit
@@ -120,10 +169,7 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
     math.fsum of those its event takes, correctly rounded in any order. Past
     MAX_COMPOSITIONS compositions it raises ResourceCapError before the pass.
     """
-    if not M > 0.0:
-        raise ValueError(f"M={M!r} must be > 0")
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
+    events = [TailEvent(n, mu, M, x) for x in xs]
     k = len(env.states)
     count = math.comb(n + k - 1, k - 1)
     if count > MAX_COMPOSITIONS:
@@ -133,11 +179,11 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
     walk_sum = _multiset_sum([math.log(state_mean(state)) for state, _ in env.states])
     factorials = _frexp_products(range(1, n + 1))
     powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
-    widest = min(xs, key=lambda x: math.inf if math.isnan(x) else x)
+    widest = min(events, key=lambda e: math.inf if math.isnan(e.x) else e.x)
     stats, probs = [], []
     for counts in _compositions(n, k):
         s_n = walk_sum(counts)
-        if tail_reached(s_n, n, mu, M, widest):
+        if widest.reached(s_n):
             m, e = factorials[n]
             for c, power in zip(counts, powers):
                 (pm, pe), (fm, fe) = power[c], factorials[c]
@@ -146,7 +192,7 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
             stats.append(s_n)
             probs.append(math.ldexp(m, e))
     stats, probs = np.array(stats), np.array(probs)
-    return [math.fsum(probs[tail_reached(stats, n, mu, M, x)].tolist()) for x in xs]
+    return [math.fsum(probs[event.reached(stats)].tolist()) for event in events]
 
 
 def exact_sn_tail(env: EnvDistribution, n: int, x: float, M: float, mu: float) -> float:
@@ -399,43 +445,26 @@ def _annealed_laws(env: EnvDistribution, n: int,
     return laws
 
 
-def _first_tail_atom(top: int, n: int, mu: float, M: float, x: float) -> int:
-    """The least population v in 1..top whose log v reaches the tail, or
-    top + 1 if none does. log v and the normalized statistic are monotone in
-    v, so integer bisection finds it with O(log top) tail_reached calls."""
-    lo, hi = 1, top + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_reached(math.log(mid), n, mu, M, x):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def exact_logZn_tail(env: EnvDistribution, n: int, x: float,
                      moments: ModelMoments, M: float) -> float:
     """Exact P((log Z_n - n*mu)/(n*M) >= x) = P(Z_n >= c), c the first
-    population in the tail (_first_tail_atom, ties follow tail_reached).
+    population in the tail (TailEvent.first_atom).
 
     It is 0.0 with no propagation when c passes the top atom k_max^n, else
     one propagation cut at c (_annealed_laws), whose work, capped at
     MAX_KERNEL_WORK, depends on the event through c, not on k_max^n. Needs
     p0 = 0 (ConfigError otherwise): only then does no mass leave the tail."""
-    if not M > 0.0:
-        raise ValueError(f"M={M!r} must be > 0")
-    if n < 1:
-        raise ValueError(f"n={n!r} must be >= 1")
+    event = TailEvent(n, moments.mu, M, x)
     require_no_extinction(env)
     top = env.k_max ** n
-    if not tail_reached(math.log(top), n, moments.mu, M, x):
+    if not event.reached(math.log(top)):
         return 0.0
     # The last generation composes min(c, k_max^(n-1) + 1) atoms at a
     # multiply-add or more each, so the cap refuses any c past
     # k_max (MAX_KERNEL_WORK + 1); searching no further spares a far
     # horizon a bisection over the n log2(k_max) bits of top.
     reach = min(top, env.k_max * (MAX_KERNEL_WORK + 1))
-    cut = _first_tail_atom(reach, n, moments.mu, M, x)
+    cut = event.first_atom(reach)
     return float(_annealed_laws(env, n, cut=cut)[n][cut])
 
 

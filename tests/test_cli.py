@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import platform
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -972,3 +974,16 @@ class TestArgsAndFormat:
         with pytest.raises(SystemExit):
             cli.main(["simulate", binary_cfg, "--n", "3", "--seed", "-1",
                       "--out", "x"])
+
+
+def test_output_digest_runs_every_command(tmp_path):
+    # tools/output_digest.py proves a refactor byte-neutral. An exit 2 or 3
+    # means its run list no longer matches the CLI; the tool itself checks
+    # the manifest of every run that exits 0.
+    tool = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"),
+        run_name="output_digest")
+    exits = [line.split() for line in tool["digest"](tmp_path)
+             if line.startswith("exit ")]
+    assert [run for *_, run in exits] == [run for run, *_ in tool["RUNS"]]
+    assert {code for _, code, _ in exits} <= {"0", "1"}

@@ -17,15 +17,15 @@ from bpre.env import compute_moments
 import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
                            DecayFit,
-                           TailEstimate, _decide, _final_logz, _head_depth,
+                           TailEstimate, _final_logz, _head_depth,
                            _increment_depth, _KernelHead, _map_blocks,
                            _tail_estimate, _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
-from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, _annealed_laws, _table_work,
-                         exact_EWn, exact_logw_increments, exact_logZn_tail,
-                         exact_sn_tail, kernel_work, tail_reached)
+from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, TailEvent, _annealed_laws,
+                         _table_work, exact_EWn, exact_logw_increments,
+                         exact_logZn_tail, exact_sn_tail, kernel_work)
 from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS,
                            DOMAIN_SN, DOMAIN_TRAJ, STATE_CHUNK, EnvTables,
                            _generation, _generations, _state_rows, offspring,
@@ -300,8 +300,8 @@ class TestMcTailSn:
             assert counts.shape == (trials, len(env.states))
             assert (counts.sum(axis=1) == n).all()
             s_n = counts @ tables.X
-            hits = int(np.count_nonzero(tail_reached(s_n, n, mom.mu,
-                                                     mom.M_tight, x)))
+            hits = int(np.count_nonzero(
+                TailEvent(n, mom.mu, mom.M_tight, x).reached(s_n)))
             assert 0 < hits < trials
             assert mc_tail_sn(env, n, x, mom.M_tight, trials, seed=9).hits == hits
 
@@ -455,13 +455,11 @@ class TestDecidedAtZ0:
         n, trials = 16, 2 * BLOCK_TRIALS + 7
         g = _head_depth(tables, n, trials)
         head = _KernelHead(g, _annealed_laws(env, g)[g])
-
-        def reached(logz):
-            return tail_reached(logz, n, mom.mu, M, x)
+        event = TailEvent(n, mom.mu, M, x)
         # the route that draws a head per block
         hits = sum(hits for hits, _ in _map_blocks(
-            lambda b, size: _tail_hits(tables, n, size,
-                                       stream(4, DOMAIN_TRAJ, b), head, reached),
+            lambda b, size: _tail_hits(tables, size,
+                                       stream(4, DOMAIN_TRAJ, b), head, event),
             trials, 1))
         drawn = _tail_estimate(hits, trials, 0.99, x, n)
         assert hits == expect * trials
@@ -548,8 +546,7 @@ class TestKernelHead:
                                  _KernelHead(g, law))
             assert replay.tobytes() == got.tobytes()
 
-            def reached(logz):
-                return tail_reached(logz, n, mom.mu, mom.M_tight, 0.3)
+            reached = TailEvent(n, mom.mu, mom.M_tight, 0.3).reached
             rng = stream(seed, DOMAIN_TRAJ, 0)
             idx = np.searchsorted(np.cumsum(law), rng.random(trials), side="right")
             z = np.minimum(idx, np.flatnonzero(law)[-1]).astype(np.float64)
@@ -591,7 +588,7 @@ class TestKernelHead:
                                                 stream(seed, DOMAIN_TRAJ, b), depth0),
                     trials, 2)])
                 hits = int(np.count_nonzero(
-                    tail_reached(logz, n, mom.mu, mom.M_tight, x)))
+                    TailEvent(n, mom.mu, mom.M_tight, x).reached(logz)))
                 low, high = binomial_ci(hits, trials, 0.99)
                 wins += low <= exact <= high
             assert wins >= 19, f"depth-0 x={x}: {wins}/20"
@@ -603,9 +600,9 @@ class TestKernelHead:
         trials = 100_000
         assert 0 < _head_depth(EnvTables(env), n, trials) < n
         law = _annealed_laws(env, n)[n]
+        event = TailEvent(n, mom.mu, mom.M_tight, x)
         exact = math.fsum(p for v, p in enumerate(law.tolist())
-                          if v > 0 and tail_reached(math.log(v), n, mom.mu,
-                                                    mom.M_tight, x))
+                          if v > 0 and event.reached(math.log(v)))
         assert 0.01 < exact < 0.99
         est = mc_tail_logzn(env, n, x, mom.M_tight, trials, seed=31, workers=2)
         assert _within(est.hits, trials, exact, 5.0)
@@ -643,11 +640,10 @@ class TestEarlyDecision:
             assert logz[-1].max() > 32 * math.log(2)
         early_hits = early_misses = 0
         for x in xs:
-            def reached(stat):
-                return tail_reached(stat, n, mom.mu, M, x)
-            final = reached(logz[n])
+            event = TailEvent(n, mom.mu, M, x)
+            final = event.reached(logz[n])
             for k in range(n):
-                hit, live = _decide(reached, logz[k], n - k, math.log(env.k_max))
+                hit, live = event.decide(logz[k], n - k, math.log(env.k_max))
                 miss = ~hit & ~live
                 assert final[hit].all(), f"x={x} k={k}: a decided hit misses"
                 assert not final[miss].any(), f"x={x} k={k}: a decided miss hits"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,11 +19,10 @@ from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.env import compute_moments
 from bpre import oracle
 from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
-                         _annealed_laws, _multiset_sum, _increment_table,
-                         _table_work, exact_EWn,
+                         TailEvent, _annealed_laws, _multiset_sum,
+                         _increment_table, _table_work, exact_EWn,
                          exact_logw_increments, exact_logZn_tail,
-                         exact_sn_tail, exact_sn_tails, kernel_work,
-                         tail_reached)
+                         exact_sn_tail, exact_sn_tails, kernel_work)
 from brute import brute_population_pmf, env_law, population_law
 
 BINARY = {"model": "binary",
@@ -152,11 +152,25 @@ class TestExactSnTail:
         stats = [0.5 + 1e-3, 0.5, 0.5 - TIE_EPS / 2, 0.5 - TIE_EPS,
                  0.5 - 2 * TIE_EPS]
         expect = [True, True, True, True, False]
-        assert [tail_reached(v, 1, 0.0, 1.0, 0.5) for v in stats] == expect
-        assert tail_reached(np.array(stats), 1, 0.0, 1.0, 0.5).tolist() == expect
+        event = TailEvent(1, 0.0, 1.0, 0.5)
+        assert [event.reached(v) for v in stats] == expect
+        assert event.reached(np.array(stats)).tolist() == expect
         # n = 4, mu = 0.25, M = 0.5: (stat - 1) / 2 against x = 0.5
-        assert tail_reached(2.0, 4, 0.25, 0.5, 0.5)
-        assert not tail_reached(1.9, 4, 0.25, 0.5, 0.5)
+        assert TailEvent(4, 0.25, 0.5, 0.5).reached(2.0)
+        assert not TailEvent(4, 0.25, 0.5, 0.5).reached(1.9)
+        # two-sided: the stats mirrored below n*mu close with the same slack
+        both = TailEvent(1, 0.0, 1.0, 0.5, two_sided=True)
+        mirrored = [-v for v in stats]
+        assert [both.reached(v) for v in stats + mirrored] == expect * 2
+        assert both.reached(np.array(mirrored)).tolist() == expect
+        both = TailEvent(4, 0.25, 0.5, 0.5, two_sided=True)
+        assert both.reached(2.0) and both.reached(0.0)
+        assert not both.reached(1.9) and not both.reached(0.1)
+        for n, M, message in ((1, 0.0, "M=0.0 must be > 0"),
+                              (1, math.nan, "M=nan must be > 0"),
+                              (0, 1.0, "n=0 must be >= 1")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TailEvent(n, 0.0, M, 0.5)
 
     def test_boundary_atom_included(self):
         # x = 1 sits exactly on the all-high-state atom; the tie rule keeps it
@@ -486,9 +500,10 @@ class TestLogZnTail:
                     stat(atom) + TIE_EPS / 2, stat(atom) + 2 * TIE_EPS)
             firsts = []
             for x in grid:
+                event = TailEvent(n, mom.mu, M, x)
                 picked = [v for v in range(1, top + 1)
-                          if tail_reached(math.log(v), n, mom.mu, M, x)]
-                first = oracle._first_tail_atom(top, n, mom.mu, M, x)
+                          if event.reached(math.log(v))]
+                first = event.first_atom(top)
                 assert picked == list(range(first, top + 1)), x
                 got = exact_logZn_tail(env, n, x, mom, M)
                 expect = math.fsum(law[first:])
