@@ -9,10 +9,14 @@ sits in:
 Each command runs in-process through bpre.cli.main, at seed 3 where it
 takes one, with --out in a temporary directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
-result* file. manifest.json is skipped: it carries a timestamp. A refactor
-that must keep every output byte gives the same digest on the old and the
-new tree, so `diff` the two. For every run that exits 0 the script asserts
-that manifest.json lists exactly the result* files of its directory.
+result* file. Where the run wrote manifest.json, a `SHA256  RUN/manifest.json`
+line follows: the digest of the manifest without its `created_utc` line
+(a timestamp) and with the temporary directory written as ROOT. Last come
+`stdout  RUN  TEXT` and `stderr  RUN  TEXT` lines for what the run printed,
+TEXT as a JSON string, one line each where the stream is not empty. A
+refactor that must keep every output byte gives the same digest on the old
+and the new tree, so `diff` the two. Every manifest.json must list exactly
+the result* files of its directory; the script asserts it.
 """
 from __future__ import annotations
 
@@ -29,12 +33,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bpre.cli import main  # noqa: E402
 
 SEED = "3"
-# The exact oracles draw nothing and take no --seed.
-EXACT = ("oracle", "verify oracle")
+# The exact oracles and the assumption and bound checks draw nothing and
+# take no --seed.
+EXACT = ("oracle", "verify oracle", "env-check", "bound")
 
 # The README model (offspring {1, 2}), the bench's {1, 2, 3} model, a
 # {1,2} / deterministic {2} / {1,2,3} chain mix, and a four-state {1, 2}
-# model.
+# model, and a model with p0 > 0, which env-check fails and simulate refuses.
 MODELS = {
     "binary": {"model": "binary",
                "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]},
@@ -48,9 +53,12 @@ MODELS = {
          "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]},
     "four": {"model": "binary",
              "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]},
+    "extinct": {"model": "generic", "states": [
+        {"label": "risky", "mass": 0.5, "offspring": {"0": 0.2, "2": 0.8}},
+        {"label": "safe", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.5}}]},
 }
 
-# (run name, command, model, flags)
+# (run name, command, model or None for no config, flags)
 RUNS = [
     ("simulate-binary-n200", "simulate", "binary", "--n 200 --trials 512"),
     ("simulate-binary-n30", "simulate", "binary",
@@ -119,7 +127,20 @@ RUNS = [
     ("converge-mixed", "converge", "mixed",
      "--n-values 8,20,60 --y-values 0.05,0.1,0.2 --trials 2e4 --workers 2"),
     ("oracle", "oracle", "binary", "--n 16 --x 0.5"),
+    ("env-check", "env-check", "binary", ""),
+    ("env-check-extinct", "env-check", "extinct", "--p 3"),
+    ("bound-v", "bound", None, "--n 10 --x 0.5 --v 1.5"),
+    ("bound-sigma", "bound", None, "--n 10 --x 0.5 --sigma 0.3 --M 0.6"),
+    # refused before any file: exit 1
+    ("simulate-extinct", "simulate", "extinct", "--n 8"),
 ]
+
+
+def manifest_digest(path: Path, root: Path) -> str:
+    text = path.read_text(encoding="utf-8").replace(str(root), "ROOT")
+    kept = "".join(line for line in text.splitlines(keepends=True)
+                   if '"created_utc":' not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
 
 
 def digest(root: Path) -> list[str]:
@@ -127,21 +148,28 @@ def digest(root: Path) -> list[str]:
         (root / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     lines = []
     for run, command, model, flags in RUNS:
-        argv = [*command.split(), str(root / f"{model}.json"), *flags.split(),
+        config = [] if model is None else [str(root / f"{model}.json")]
+        argv = [*command.split(), *config, *flags.split(),
                 "--out", str(root / run)]
         if command not in EXACT:
             argv += ["--seed", SEED]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         lines.append(f"exit {code}  {run}")
         results = sorted((root / run).glob("result*"))
-        if code == 0:
-            manifest = json.loads((root / run / "manifest.json").read_text())
-            assert sorted(manifest["outputs"]) == [p.name for p in results], run
         for path in results:
             sha = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{sha}  {run}/{path.name}")
+        manifest = root / run / "manifest.json"
+        assert code != 0 or manifest.exists(), run
+        if manifest.exists():
+            outputs = json.loads(manifest.read_text())["outputs"]
+            assert sorted(outputs) == [p.name for p in results], run
+            lines.append(f"{manifest_digest(manifest, root)}  {run}/manifest.json")
+        for stream, text in (("stdout", out), ("stderr", err)):
+            if text.getvalue():
+                lines.append(f"{stream}  {run}  {json.dumps(text.getvalue())}")
     return lines
 
 
