@@ -1,12 +1,13 @@
 """Command-line front end tying configuration, simulation, bounds, oracles,
 and estimation into reproducible experiments with machine-readable reports.
 
-Every command is deterministic given (config bytes, flags, seed). With --out
-DIR the convention is manifest.json + result.json + result.csv (plus numbered
-CSVs for multi-trajectory simulate runs), with manifest.json written last as
-the mark of a complete run; without --out the JSON result goes to stdout.
-Exit codes: 0 pass, 1 verdict or assumption failure, 2 usage or parse error,
-3 resource cap.
+Every command is deterministic given (config bytes, flags, seed); main
+reads the config once and hands the command its environment. Each record
+ends in emit: with --out DIR the CSVs (result.csv, or one per simulated
+trajectory), then result.json, then manifest.json, the mark of a complete
+run, then a verify mode's verdict line; without --out the JSON result goes
+to stdout. Then the exit code: 0 pass, 1 verdict or assumption failure,
+2 usage or parse error, 3 resource cap.
 """
 from __future__ import annotations
 
@@ -86,20 +87,22 @@ def _csv(header: str, rows: list[list[str]]) -> str:
 
 
 def emit(args, result: dict | Callable[[], dict],
-         files: Iterable[tuple[str, str]] = (),
-         config_sha: str | None = None, seed: int | None = None) -> None:
-    """Write the --out directory convention, or print the JSON to stdout.
+         files: Iterable[tuple[str, str]] = (), passed: bool = True,
+         mode: str | None = None) -> int:
+    """Write the --out directory convention, or print the JSON to stdout;
+    return the exit code, 0 if passed else 1.
 
-    files yields each CSV's (name, text), and each is written as it
-    arrives, so a run holds one file's text at a time. result is the JSON
-    result, or a callable that builds it once every file is written.
-    result.json follows the files and manifest.json comes last: a stale
-    manifest and result.json are removed before the first file, so a
-    directory has them exactly when its run completed.
+    files yields each CSV's (name, text), each written as it arrives, so a
+    run holds one file's text at a time. result is the JSON result, or a
+    callable that builds it once every file is written. result.json, then
+    manifest.json (with main's config hash and the result's seed) follow
+    the files, and a stale pair is removed before the first, so a directory
+    has them exactly when its run completed. Last, with --out only, comes
+    the `verify MODE: PASS|FAIL` line of a verify mode.
     """
     if args.out is None:
         print(render_json(result() if callable(result) else result))
-        return
+        return 0 if passed else 1
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for stale in ("manifest.json", "result.json"):
@@ -115,8 +118,8 @@ def emit(args, result: dict | Callable[[], dict],
         encoding="utf-8")
     manifest = {
         "command": "bpre " + shlex.join(args.argv),
-        "env_config_sha256": config_sha,
-        "seed": seed,
+        "env_config_sha256": args.config_sha,
+        "seed": result.get("seed"),
         "rng_id": RNG_ID,
         "version": __version__,
         # numpy's binomial and normal streams may change across releases
@@ -127,6 +130,9 @@ def emit(args, result: dict | Callable[[], dict],
     }
     (outdir / "manifest.json").write_text(render_json(manifest) + "\n",
                                           encoding="utf-8")
+    if mode is not None:
+        print(f"verify {mode}: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def resolve_seed(args) -> int:
@@ -152,15 +158,13 @@ def _workers(args) -> int:
     return args.workers if args.workers is not None else (os.cpu_count() or 1)
 
 
-def cmd_env_check(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_env_check(args, env: EnvDistribution) -> int:
     report = check_assumptions(env, p=args.p, q=args.q)
     result = {"checks": report.to_json(), "all_pass": report.all_pass}
-    emit(args, result, config_sha=sha)
-    return 0 if report.all_pass else 1
+    return emit(args, result, passed=report.all_pass)
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args, env: None) -> int:
     if args.v is not None:
         if args.sigma is not None or args.M is not None:
             raise ValueError("give either --v or the pair --sigma/--M, not both")
@@ -174,12 +178,10 @@ def cmd_bound(args) -> int:
     query = BoundQuery(n=args.n, x=args.x, v=v)
     result = {"n": args.n, "x": args.x, "v": v, "log_H": log_H(query),
               "H": H(query), "H_upper": H_upper(args.x, v)}
-    emit(args, result)
-    return 0
+    return emit(args, result)
 
 
-def cmd_simulate(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_simulate(args, env: EnvDistribution) -> int:
     # Simulation itself relies on supercriticality and no-extinction; the
     # variance checks A2/H1 matter for bounds, not for stepping populations,
     # and would wrongly reject deterministic models.
@@ -219,12 +221,11 @@ def cmd_simulate(args) -> int:
             yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
 
     def result() -> dict:
-        return {"env_config_sha256": sha, "seed": seed, "rng_id": RNG_ID,
-                "n": args.n, "trials": args.trials,
+        return {"env_config_sha256": args.config_sha, "seed": seed,
+                "rng_id": RNG_ID, "n": args.n, "trials": args.trials,
                 "approx_sampling_used": any(approx), "files": names}
 
-    emit(args, result, trajectories(), config_sha=sha, seed=seed)
-    return 0
+    return emit(args, result, trajectories())
 
 
 def _oracle_rows(env: EnvDistribution, args, xs: list[float]) -> list[tuple]:
@@ -237,22 +238,14 @@ def _oracle_rows(env: EnvDistribution, args, xs: list[float]) -> list[tuple]:
     return [(x, e, b, e <= b) for x, e, b in zip(xs, exacts, bounds)]
 
 
-def cmd_oracle(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_oracle(args, env: EnvDistribution) -> int:
     [(_, exact, bound, dominated)] = _oracle_rows(env, args, [args.x])
     result = {"n": args.n, "x": args.x, "M": args.m_kind,
               "exact_tail": exact, "bound": bound, "dominated": dominated}
-    emit(args, result, config_sha=sha)
-    return 0 if dominated else 1
+    return emit(args, result, passed=dominated)
 
 
-def _verdict_line(args, mode: str, passed: bool) -> None:
-    if args.out is not None:
-        print(f"verify {mode}: {'PASS' if passed else 'FAIL'}")
-
-
-def cmd_verify_sn(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_verify_sn(args, env: EnvDistribution) -> int:
     moments = compute_moments(env)
     M = _pick_M(moments, args.m_kind)
     seed = resolve_seed(args)
@@ -273,14 +266,11 @@ def cmd_verify_sn(args) -> int:
               "level": est.level, "bound_H": bound, "exact_tail": exact,
               "dominated": passed, "pass": passed, "seed": seed,
               "rng_id": RNG_ID}
-    emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
-         config_sha=sha, seed=seed)
-    _verdict_line(args, "sn", passed)
-    return 0 if passed else 1
+    return emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
+                passed, "sn")
 
 
-def cmd_verify_theorem1(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     moments = compute_moments(env)
     m = args.n if args.m is None else args.m
     if m > args.n:
@@ -331,14 +321,11 @@ def cmd_verify_theorem1(args) -> int:
               "approx_sampling_used": (est.approx_sampling_used
                                        or incs.approx_sampling_used),
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
-         config_sha=sha, seed=seed)
-    _verdict_line(args, "theorem1", passed)
-    return 0 if passed else 1
+    return emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
+                passed, "theorem1")
 
 
-def cmd_verify_increments(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_verify_increments(args, env: EnvDistribution) -> int:
     lo = args.fit_lo
     hi = args.n - 1 if args.fit_hi is None else args.fit_hi
     if not 0 <= lo < hi <= args.n - 1:
@@ -361,14 +348,11 @@ def cmd_verify_increments(args) -> int:
               "increment_head_depth": incs.head_depth, "pass": passed,
               "approx_sampling_used": incs.approx_sampling_used,
               "seed": seed, "rng_id": RNG_ID}
-    emit(args, result, [("result.csv", _csv(INCREMENT_CSV_HEADER, rows))],
-         config_sha=sha, seed=seed)
-    _verdict_line(args, "increments", passed)
-    return 0 if passed else 1
+    return emit(args, result, [("result.csv", _csv(INCREMENT_CSV_HEADER, rows))],
+                passed, "increments")
 
 
-def cmd_verify_oracle(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_verify_oracle(args, env: EnvDistribution) -> int:
     xs = [args.n * i / (args.grid_points - 1) for i in range(args.grid_points)]
     rows = _oracle_rows(env, args, xs)
     violations = sum(not dominated for *_, dominated in rows)
@@ -379,14 +363,11 @@ def cmd_verify_oracle(args) -> int:
     csv_rows = [[str(args.n), fmt(x), args.m_kind, fmt(exact), fmt(bound),
                  "true" if dominated else "false"]
                 for x, exact, bound, dominated in rows]
-    emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, csv_rows))],
-         config_sha=sha)
-    _verdict_line(args, "oracle", passed)
-    return 0 if passed else 1
+    return emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, csv_rows))],
+                passed, "oracle")
 
 
-def cmd_converge(args) -> int:
-    env, sha = load_env(args.config)
+def cmd_converge(args, env: EnvDistribution) -> int:
     seed = resolve_seed(args)
     rows = convergence_report(env, args.n_values, args.y_values, args.trials,
                               seed, level=args.level, workers=_workers(args))
@@ -400,9 +381,7 @@ def cmd_converge(args) -> int:
               "rows": [{"n": r.n, "y": r.threshold_x, "hits": r.hits,
                         "point": r.point, "ci_low": r.ci_low,
                         "ci_high": r.ci_high} for r in rows]}
-    emit(args, result, [("result.csv", _csv(CONVERGE_CSV_HEADER, csv_rows))],
-         config_sha=sha, seed=seed)
-    return 0
+    return emit(args, result, [("result.csv", _csv(CONVERGE_CSV_HEADER, csv_rows))])
 
 
 def _int_at_least(low: int):
@@ -605,7 +584,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv
     try:
-        return args.func(args)
+        env, args.config_sha = (load_env(args.config) if "config" in args
+                                else (None, None))
+        return args.func(args, env)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -243,14 +243,16 @@ def state_mean(state: EnvState) -> float:
     return state.pmf.mean
 
 
+def state_log_mean(state: EnvState) -> float:
+    """X = log m for one state, correctly rounded, wherever X is read."""
+    return math.log(state_mean(state))
+
+
 def compute_moments(env: EnvDistribution) -> ModelMoments:
     """Exact moments of X = log m over the finite support."""
-    per_state = []
-    for state, _ in env.states:
-        m = state_mean(state)
-        if m <= 0.0:
-            raise ConfigError(f"state {state.label!r} has mean {m:g} <= 0")
-        per_state.append((state.label, m, math.log(m)))
+    # every mean is > 0: OffspringPmf puts positive mass on some k >= 1
+    per_state = [(state.label, state_mean(state), state_log_mean(state))
+                 for state, _ in env.states]
     log_means = {x for _, _, x in per_state}
     if len(log_means) == 1:
         # A weighted sum can round one ulp off the common value, which would

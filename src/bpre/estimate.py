@@ -2,9 +2,9 @@
 decay, with exact binomial confidence intervals and geometric-decay fitting.
 
 Trials are partitioned into fixed blocks of BLOCK_TRIALS; block b draws from
-the Philox stream keyed by (seed, domain, b) regardless of how many workers
-process the blocks, and partial results are reduced in block order. Estimates
-are therefore bit-identical for any worker count. mc_tail_sn draws each
+the Philox stream keyed by (seed, domain, b), formed in _block_tasks alone,
+whatever the number of workers, and partial results are reduced in block
+order: estimates are bit-identical for any worker count. mc_tail_sn draws each
 block's (size, k) matrix of state counts in one multinomial call and needs
 no other draw. Within a block of the population estimators the draw order
 is pinned: the (size, n) environment uniform matrix first, then per
@@ -339,14 +339,13 @@ def _run(tasks: Sequence[Callable[[], object]], workers: int) -> list:
         return list(pool.map(lambda task: task(), tasks))
 
 
-def _block_tasks(fn, trials: int) -> list[Callable[[], object]]:
-    """fn(block_index, block_size) for every block, in block order."""
-    return [functools.partial(fn, b, size) for b, size in _blocks(trials)]
-
-
-def _map_blocks(fn, trials: int, workers: int) -> list:
-    """Run fn(block_index, block_size) over all blocks, results in block order."""
-    return _run(_block_tasks(fn, trials), workers)
+def _block_tasks(fn, trials: int, seed: int,
+                 domain: int) -> list[Callable[[], object]]:
+    """fn(rng, block_size) for every block b, in block order, rng the stream
+    keyed by (seed, domain, b), opened when its task runs."""
+    def task(b: int, size: int):
+        return fn(stream(seed, domain, b), size)
+    return [functools.partial(task, b, size) for b, size in _blocks(trials)]
 
 
 def _require_trials(trials: int) -> None:
@@ -377,12 +376,12 @@ def mc_tail_sn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     event = TailEvent(n, compute_moments(env).mu, M, x)
     tables = EnvTables(env)
 
-    def run_block(b: int, size: int) -> int:
-        counts = stream(seed, DOMAIN_SN, b).multinomial(n, tables.pick_probs, size)
+    def run_block(rng: np.random.Generator, size: int) -> int:
+        counts = rng.multinomial(n, tables.pick_probs, size)
         return int(np.count_nonzero(event.reached(counts @ tables.X)))
 
-    return _tail_estimate(sum(_map_blocks(run_block, trials, workers)),
-                          trials, level, x, n)
+    hits = _run(_block_tasks(run_block, trials, seed, DOMAIN_SN), workers)
+    return _tail_estimate(sum(hits), trials, level, x, n)
 
 
 def _deepest(tables: EnvTables, n: int, trials: int,
@@ -501,11 +500,9 @@ def mc_tail_logzn(env: EnvDistribution, n: int, x: float, M: float, trials: int,
     g = _head_depth(tables, n, trials)
     head = _KernelHead(g, _annealed_laws(env, g)[g])
 
-    def run_block(b: int, size: int) -> tuple[int, bool]:
-        return _tail_hits(tables, size, stream(seed, DOMAIN_TRAJ, b), head,
-                          event)
-
-    parts = _map_blocks(run_block, trials, workers)
+    parts = _run(_block_tasks(
+        lambda rng, size: _tail_hits(tables, size, rng, head, event),
+        trials, seed, DOMAIN_TRAJ), workers)
     return _tail_estimate(sum(hits for hits, _ in parts), trials, level, x, n,
                           any(approx for _, approx in parts))
 
@@ -543,8 +540,8 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
     if g < n:
         head = _KernelHead(g, laws[g])
 
-        def run_block(b: int, size: int) -> tuple[np.ndarray, np.ndarray, bool]:
-            rng = stream(seed, DOMAIN_INCREMENTS, b)
+        def run_block(rng: np.random.Generator, size: int
+                      ) -> tuple[np.ndarray, np.ndarray, bool]:
             z = head.draw(rng, size)
             prev_logz = np.log(z)
             sums = np.empty(n - g)
@@ -560,7 +557,7 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
                 approx |= gaussian
             return sums, sums_sq, approx
 
-        tasks += _block_tasks(run_block, trials)
+        tasks += _block_tasks(run_block, trials, seed, DOMAIN_INCREMENTS)
     exact, *partials = _run(tasks, workers)
     stats = [IncrementStat(k=k, mean=mean, stderr=0.0)
              for k, mean in enumerate(exact)]
@@ -638,15 +635,14 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
     for n, g in zip(n_values, depths):
         events = [TailEvent(n, mu, 1.0, y, two_sided=True) for y in y_values]
 
-        def run_block(b: int, size: int, n: int = n, events=events,
-                      head: _KernelHead = _KernelHead(g, laws[g])
+        def run_block(rng: np.random.Generator, size: int, n: int = n,
+                      events=events, head: _KernelHead = _KernelHead(g, laws[g])
                       ) -> tuple[list[int], bool]:
-            logz, approx = _final_logz(tables, n, size,
-                                       stream(seed, DOMAIN_TRAJ, b), head)
+            logz, approx = _final_logz(tables, n, size, rng, head)
             return [int(np.count_nonzero(event.reached(logz)))
                     for event in events], approx
 
-        tasks += _block_tasks(run_block, trials)
+        tasks += _block_tasks(run_block, trials, seed, DOMAIN_TRAJ)
     results = _run(tasks, workers)
     per_n = len(results) // len(n_values)
     rows = []

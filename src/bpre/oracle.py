@@ -45,7 +45,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .env import EnvDistribution, EnvState, ModelMoments, ResourceCapError, state_mean
+from .env import (EnvDistribution, EnvState, ModelMoments, ResourceCapError,
+                  state_log_mean, state_mean)
 from .simulate import require_no_extinction
 
 TIE_EPS = 1e-9
@@ -167,19 +168,23 @@ def exact_sn_tails(env: EnvDistribution, n: int, xs: Sequence[float], M: float,
     x's tail is empty), get their probability n!/prod(c_s!) * prod(w_s^c_s),
     formed from running products in mantissa-exponent form; each tail is the
     math.fsum of those its event takes, correctly rounded in any order. Past
-    MAX_COMPOSITIONS compositions it raises ResourceCapError before the pass.
+    MAX_COMPOSITIONS compositions it raises ResourceCapError before the pass;
+    an empty xs gives [] without one, once M and n pass TailEvent's checks.
     """
     events = [TailEvent(n, mu, M, x) for x in xs]
+    widest = min(events, key=lambda e: math.inf if math.isnan(e.x) else e.x,
+                 default=TailEvent(n, mu, M, math.nan))
+    if not events:
+        return []
     k = len(env.states)
     count = math.comb(n + k - 1, k - 1)
     if count > MAX_COMPOSITIONS:
         raise ResourceCapError(
             f"{count} state-count compositions of n={n} exceeds the cap "
             f"{MAX_COMPOSITIONS}")
-    walk_sum = _multiset_sum([math.log(state_mean(state)) for state, _ in env.states])
+    walk_sum = _multiset_sum([state_log_mean(state) for state, _ in env.states])
     factorials = _frexp_products(range(1, n + 1))
     powers = [_frexp_products(itertools.repeat(mass, n)) for _, mass in env.states]
-    widest = min(events, key=lambda e: math.inf if math.isnan(e.x) else e.x)
     stats, probs = [], []
     for counts in _compositions(n, k):
         s_n = walk_sum(counts)
@@ -498,7 +503,7 @@ def _increment_table(state: EnvState, top: int) -> np.ndarray:
     lo, hi = support[0], support[-1]
     f = _offspring_array(state)[lo:]
     log_j = np.log(np.arange(1, top * hi + 1))  # log_j[j - 1] = log j
-    log_m = math.log(state_mean(state))
+    log_m = state_log_mean(state)
     table = np.zeros(top + 1)
     law, first = np.ones(1), 0  # S_0 = 0
     for z in range(1, top + 1):

@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ConfigError, EnvDistribution, ResourceCapError, state_mean
+from .env import (ConfigError, EnvDistribution, ResourceCapError,
+                  state_log_mean, state_mean)
 
 RNG_ID = "philox4x64:key=seed<<64|domain<<48|index"
 
@@ -135,7 +136,7 @@ class EnvTables:
         self.pick_probs = np.diff(np.concatenate(
             ([0.0], np.minimum(self.cum[:-1], 1.0), [1.0])))
         self.means = np.array([state_mean(s) for s, _ in env.states], dtype=np.float64)
-        self.X = np.log(self.means)
+        self.X = np.array([state_log_mean(s) for s in self.states])
         self.index_dtype = np.min_scalar_type(len(self.states) - 1)
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)
         self.draws = np.array([binomial_draws(s) for s in self.samplers])

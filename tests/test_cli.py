@@ -3,6 +3,7 @@ import json
 import math
 import platform
 import runpy
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -890,21 +891,54 @@ class TestWorkerInvariance:
 
 
 class TestManifest:
-    def test_contents(self, tmp_path, capsys, binary_cfg):
+    # (argv with CFG for the config, exit code, stdout, seed in the manifest)
+    RUNS = [
+        (["env-check", "CFG"], 0, "", None),
+        (["bound", "--n", "4", "--x", "0.5", "--v", "1"], 0, "", None),
+        (["simulate", "CFG", "--n", "4", "--seed", "1"], 0, "", 1),
+        (["oracle", "CFG", "--n", "4", "--x", "0.5"], 0, "", None),
+        (["verify", "sn", "CFG", "--n", "4", "--x", "0.5", "--trials", "2000",
+          "--seed", "2"], 0, "verify sn: PASS\n", 2),
+        (["verify", "theorem1", "CFG", "--n", "6", "--trials", "2000",
+          "--seed", "3"], 0, "verify theorem1: PASS\n", 3),
+        (["verify", "increments", "CFG", "--n", "8", "--trials", "2000",
+          "--seed", "4"], 0, "verify increments: PASS\n", 4),
+        (["verify", "oracle", "CFG", "--n", "4", "--grid-points", "5"], 0,
+         "verify oracle: PASS\n", None),
+        (["converge", "CFG", "--n-values", "4,8", "--y-values", "0.1",
+          "--trials", "2000", "--seed", "5"], 0, "", 5),
+    ]
+
+    @pytest.mark.parametrize("argv, code, stdout, seed", RUNS, ids=[
+        "-".join(argv[:2]) if argv[0] == "verify" else argv[0]
+        for argv, *_ in RUNS])
+    def test_contents(self, tmp_path, capsys, monkeypatch, binary_cfg, argv,
+                      code, stdout, seed):
+        loads, load = [], cli.load_env
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+        monkeypatch.setattr(cli, "load_env", counted)
         out = tmp_path / "m"
-        argv = ["verify", "oracle", binary_cfg, "--n", "4",
-                "--grid-points", "5", "--out", str(out)]
-        cli.main(argv)
-        capsys.readouterr()
+        argv = [binary_cfg if arg == "CFG" else arg for arg in argv]
+        assert cli.main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == stdout
+        configs = [binary_cfg] if binary_cfg in argv else []
+        assert loads == configs
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"].startswith("bpre verify oracle")
+        assert manifest["command"] == "bpre " + shlex.join([*argv, "--out",
+                                                            str(out)])
         expected_sha = hashlib.sha256(
             (tmp_path / "binary.json").read_bytes()).hexdigest()
-        assert manifest["env_config_sha256"] == expected_sha
+        assert manifest["env_config_sha256"] == (expected_sha if configs
+                                                 else None)
+        assert manifest["seed"] == seed
         assert manifest["rng_id"].startswith("philox4x64:")
-        assert manifest["outputs"] == ["result.json", "result.csv"]
-        for name in manifest["outputs"]:
-            assert (out / name).exists()
+        assert manifest["outputs"] == ["result.json", *sorted(
+            path.name for path in out.glob("result*.csv"))]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["manifest.json", *manifest["outputs"]])
 
     def test_records_the_python_and_numpy_versions(self, tmp_path, capsys,
                                                    binary_cfg):

@@ -6,6 +6,7 @@ import pytest
 from bpre.env import (ConfigError, EnvDistribution, EnvState, OffspringPmf,
                       check_assumptions, compute_moments, parse_env_config,
                       state_mean)
+from bpre.simulate import EnvTables
 
 BINARY = {"model": "binary",
           "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
@@ -133,12 +134,21 @@ class TestMoments:
         assert mom.sigma2 == 0.0
         assert mom.M_tight == 0.0
 
-    def test_per_state_log_means(self):
-        mom = compute_moments(binary_env())
+    @pytest.mark.parametrize("cfg, means", [
+        (BINARY, {"p=0.25": 1.75, "p=0.75": 1.25}),
+        # m = 1.05: np.log rounds log m one ulp below math.log
+        ({"model": "binary", "support": [{"p": 0.95, "mass": 1.0}]},
+         {"p=0.95": 1.05}),
+    ])
+    def test_per_state_log_means(self, cfg, means):
+        env = parse_env_config(cfg)
+        mom = compute_moments(env)
         by_label = {label: (m, x) for label, m, x in mom.per_state}
-        assert by_label["p=0.25"][0] == pytest.approx(1.75)
-        assert by_label["p=0.25"][1] == pytest.approx(math.log(1.75))
-        assert by_label["p=0.75"][0] == pytest.approx(1.25)
+        for label, mean in means.items():
+            assert by_label[label][0] == pytest.approx(mean)
+            assert by_label[label][1] == pytest.approx(math.log(mean))
+        # the samplers' X is the moments' X, bit for bit
+        assert EnvTables(env).X.tolist() == [x for _, _, x in mom.per_state]
 
 
 class TestAssumptions:

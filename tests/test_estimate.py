@@ -18,8 +18,8 @@ import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
                            DecayFit,
                            TailEstimate, _final_logz, _head_depth,
-                           _increment_depth, _KernelHead, _map_blocks,
-                           _tail_estimate, _tail_hits, binomial_ci,
+                           _increment_depth, _KernelHead, _block_tasks,
+                           _run, _tail_estimate, _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
                            mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                            theorem1_candidates)
@@ -381,7 +381,7 @@ class TestMcTailLogZn:
                           seed=7, workers=8)
         assert a == b
 
-    def test_bigint_path_used_beyond_int64_range(self):
+    def test_float64_populations_beyond_int64_range(self):
         # n = 63 with k_max = 2 is past int64; the float64 populations must
         # deliver the same contract
         env = binary_env()
@@ -438,6 +438,41 @@ class TestTrialsCap:
             mc_tail_sn(binary_env(), 4, 0.5, 0.2, MAX_TRIALS, seed=0)
 
 
+class TestBlockStreams:
+    """Block b of every estimator draws from the stream keyed by
+    (seed, domain, b), opened once per block and, at workers=1, in block
+    order (_block_tasks); a call that samples nothing opens none."""
+
+    @pytest.mark.parametrize("estimate, domain, horizons", [
+        (lambda env, mom, trials: mc_tail_sn(env, 16, 0.2, mom.M_tight, trials,
+                                             seed=5), DOMAIN_SN, 1),
+        (lambda env, mom, trials: mc_tail_logzn(env, 16, 0.3, mom.M_tight,
+                                                trials, seed=5), DOMAIN_TRAJ, 1),
+        # decided at Z_0 = 1: no head, no block
+        (lambda env, mom, trials: mc_tail_logzn(env, 16, 3.0, mom.M_paper,
+                                                trials, seed=5), DOMAIN_TRAJ, 0),
+        (lambda env, mom, trials: mc_logw_increments(env, 20, trials, seed=5),
+         DOMAIN_INCREMENTS, 1),
+        # head depth g = n: every row exact, nothing sampled
+        (lambda env, mom, trials: mc_logw_increments(env, 8, 2000, seed=5),
+         DOMAIN_INCREMENTS, 0),
+        (lambda env, mom, trials: convergence_report(env, [8, 20], [0.1],
+                                                     trials, seed=5),
+         DOMAIN_TRAJ, 2),
+    ], ids=["sn", "logzn", "logzn-decided-at-z0", "increments",
+            "increments-full-depth", "converge"])
+    def test_keys_opened(self, monkeypatch, estimate, domain, horizons):
+        opened = []
+
+        def recorded(*key):
+            opened.append(key)
+            return stream(*key)
+        monkeypatch.setattr(bpre.estimate, "stream", recorded)
+        env = binary_env()
+        estimate(env, compute_moments(env), 2 * BLOCK_TRIALS + 7)  # 3 blocks
+        assert opened == [(5, domain, b) for b in range(3)] * horizons
+
+
 class TestDecidedAtZ0:
     @pytest.mark.parametrize("cfg, x, M, expect", [
         # (log Z_n - n mu)/(n M_paper) <= 1 on every path: x = 3 is empty
@@ -457,10 +492,9 @@ class TestDecidedAtZ0:
         head = _KernelHead(g, _annealed_laws(env, g)[g])
         event = TailEvent(n, mom.mu, M, x)
         # the route that draws a head per block
-        hits = sum(hits for hits, _ in _map_blocks(
-            lambda b, size: _tail_hits(tables, size,
-                                       stream(4, DOMAIN_TRAJ, b), head, event),
-            trials, 1))
+        hits = sum(hits for hits, _ in _run(_block_tasks(
+            lambda rng, size: _tail_hits(tables, size, rng, head, event),
+            trials, 4, DOMAIN_TRAJ), 1))
         drawn = _tail_estimate(hits, trials, 0.99, x, n)
         assert hits == expect * trials
 
@@ -583,10 +617,9 @@ class TestKernelHead:
             exact = exact_logZn_tail(env, n, x, mom, mom.M_tight)
             wins = 0
             for seed in range(20):
-                logz = np.concatenate([logz for logz, _ in _map_blocks(
-                    lambda b, size: _final_logz(tables, n, size,
-                                                stream(seed, DOMAIN_TRAJ, b), depth0),
-                    trials, 2)])
+                logz = np.concatenate([logz for logz, _ in _run(_block_tasks(
+                    lambda rng, size: _final_logz(tables, n, size, rng, depth0),
+                    trials, seed, DOMAIN_TRAJ), 2)])
                 hits = int(np.count_nonzero(
                     TailEvent(n, mom.mu, mom.M_tight, x).reached(logz)))
                 low, high = binomial_ci(hits, trials, 0.99)
@@ -947,10 +980,9 @@ class TestConvergenceReport:
         n, ys, trials = 20, [0.05, 0.1, 0.2], BLOCK_TRIALS + 100
         g = _head_depth(tables, n, trials)
         head = _KernelHead(g, _annealed_laws(env, g)[g])
-        logz = np.concatenate([logz for logz, _ in _map_blocks(
-            lambda b, size: _final_logz(tables, n, size,
-                                        stream(3, DOMAIN_TRAJ, b), head),
-            trials, 1)])
+        logz = np.concatenate([logz for logz, _ in _run(_block_tasks(
+            lambda rng, size: _final_logz(tables, n, size, rng, head),
+            trials, 3, DOMAIN_TRAJ), 1)])
         deviations = np.abs(logz / n - mu)
         rows = convergence_report(env, [n], ys, trials, seed=3)
         assert [r.hits for r in rows] == [

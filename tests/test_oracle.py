@@ -235,9 +235,15 @@ class TestExactSnTails:
             _, high = max(env.states, key=lambda sm: state_mean(sm[0]))
             assert got[1] == high ** n
 
-    def test_probabilities_only_in_the_widest_tail(self, monkeypatch):
+    @pytest.mark.parametrize("xs, tails, count", [
         # binary n = 8: j high states reach x when (2j - 8)/8 >= x, so
         # x = 0.5 takes j = 6, 7, 8 and x = 1 takes j = 8 alone
+        ([1.0, 0.5], [1 / 256, 37 / 256], 3),
+        # an empty grid forms no probability
+        ([], [], 0),
+    ])
+    def test_probabilities_only_in_the_widest_tail(self, monkeypatch, xs,
+                                                   tails, count):
         formed = []
 
         class CountingMath:
@@ -250,9 +256,12 @@ class TestExactSnTails:
         monkeypatch.setattr(oracle, "math", CountingMath())
         env = binary_env()
         mom = compute_moments(env)
-        got = exact_sn_tails(env, 8, [1.0, 0.5], mom.M_tight, mom.mu)
-        assert got == [1 / 256, 37 / 256]
-        assert len(formed) == 3
+        got = exact_sn_tails(env, 8, xs, mom.M_tight, mom.mu)
+        assert got == tails
+        assert len(formed) == count
+        with pytest.raises(ValueError, match=r"M=0.0 must be > 0"):
+            exact_sn_tails(env, 8, xs, 0.0, mom.mu)
+        assert len(formed) == count
 
 
 class TestPopulationDistribution:
