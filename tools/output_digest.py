@@ -14,9 +14,14 @@ line follows: the digest of the manifest without its `created_utc` line
 (a timestamp) and with the temporary directory written as ROOT. Last come
 `stdout  RUN  TEXT` and `stderr  RUN  TEXT` lines for what the run printed,
 TEXT as a JSON string, one line each where the stream is not empty. A
-refactor that must keep every output byte gives the same digest on the old
-and the new tree, so `diff` the two. Every manifest.json must list exactly
-the result* files of its directory; the script asserts it.
+kernel section follows, which calls the exact log Z_n kernel directly: one
+`SHA256  kernel/MODEL-nN[-cutC]` line per propagation, the digest of the
+bytes of every law oracle._annealed_laws returns, then
+`exact_EWn  MODEL  n=6  VALUE` and `exact_logw_increments  MODEL  g=7
+VALUES` lines, each VALUE a repr. A refactor that must keep every output
+byte gives the same digest on the old and the new tree, so `diff` the two.
+Every manifest.json must list exactly the result* files of its directory;
+the script asserts it.
 """
 from __future__ import annotations
 
@@ -31,6 +36,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bpre.cli import main  # noqa: E402
+from bpre.env import parse_env_config  # noqa: E402
+from bpre.oracle import (_annealed_laws, exact_EWn,  # noqa: E402
+                         exact_logw_increments)
 
 SEED = "3"
 # The exact oracles and the assumption and bound checks draw nothing and
@@ -136,6 +144,30 @@ RUNS = [
 ]
 
 
+# (model, n, cut) of each propagation the kernel section digests. Binary
+# n = 15 uncut ends in blocks of 646 atoms, past f^481, from which the binary
+# offspring powers drop entries below 2^-960; binary n = 18 is cut at 5,214,
+# the first atom of the x = 0.5 tail under M_tight.
+KERNEL_LAWS = [("binary", 15, None), ("binary", 18, 5214), ("generic", 9, None),
+               ("mixed", 8, None)]
+KERNEL_MODELS = ("binary", "generic", "mixed")
+
+
+def kernel_digest() -> list[str]:
+    lines = []
+    for model, n, cut in KERNEL_LAWS:
+        laws = _annealed_laws(parse_env_config(MODELS[model]), n, cut=cut)
+        sha = hashlib.sha256(b"".join(law.tobytes() for law in laws)).hexdigest()
+        tag = "" if cut is None else f"-cut{cut}"
+        lines.append(f"{sha}  kernel/{model}-n{n}{tag}")
+    for model in KERNEL_MODELS:
+        env = parse_env_config(MODELS[model])
+        lines.append(f"exact_EWn  {model}  n=6  {exact_EWn(env, 6)!r}")
+        lines.append(f"exact_logw_increments  {model}  g=7  "
+                     f"{exact_logw_increments(env, 7)!r}")
+    return lines
+
+
 def manifest_digest(path: Path, root: Path) -> str:
     text = path.read_text(encoding="utf-8").replace(str(root), "ROOT")
     kept = "".join(line for line in text.splitlines(keepends=True)
@@ -175,4 +207,4 @@ def digest(root: Path) -> list[str]:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digest(Path(tmp))))
+        print("\n".join(digest(Path(tmp)) + kernel_digest()))
