@@ -24,7 +24,9 @@ the k^n sequences:
 A population law is a float64 array indexed by value; one generation step
 evaluates the offspring pgf's powers weighted by the law in blocks of about
 len^(2/3) atoms (Paterson and Stockmeyer's baby and giant steps: one
-np.einsum for the blocks, one np.convolve per block after the first), and
+np.einsum for the blocks, one np.convolve per block after the first). Each
+state's powers f^0..f^B, B the call's largest block, are the rows of one
+matrix built once per call (_powers), which every step only reads.
 _compose states its error bound (every atom within 9.1e-14 of the exact law
 for the binary model at n = 8, while the atoms stay normal numbers). Tails
 and E W_n are summed with math.fsum. There is no exact-rational mode and no
@@ -243,56 +245,53 @@ def _step_lengths(k_max: int, n: int, cut: int | None) -> Iterator[int]:
             top = min(top, cut)
 
 
-class _Powers:
-    """The powers of one offspring pgf f that _compose multiplies by:
-    f^0..f^(B-1) as the first B rows of one zero-padded matrix, allocated
-    for the largest block length of a call and filled as B grows, and f^B
-    (power). lo is the least family size, so f^B has B lo leading zeros
-    when p0 = 0. Each nonzero entry of f^i is at least p^i, p the least
-    nonzero pmf entry, so from the first i with p^i below _ATOM_FLOOR on
-    (i = 481 for the binary {1, 2} states) entries below it are set to
-    zero as each power is made."""
-
-    def __init__(self, pmf: np.ndarray, largest: int):
-        self.pmf, self.lo = pmf, int(np.flatnonzero(pmf)[0])
-        least = pmf[pmf > 0.0].min()  # least^i >= _ATOM_FLOOR up to i = floor_past
-        self.floor_past = (math.inf if least == 1.0 else
-                           math.log(_ATOM_FLOOR) / math.log(least))
-        self.rows = np.zeros((largest, (largest - 1) * (len(pmf) - 1) + 1))
-        self.rows[0, 0] = 1.0
-        self.block, self.power = 1, pmf
-
-    def grow(self, block: int) -> None:
-        """Fill the rows up to f^(block-1) and make power f^block."""
-        while self.block < block:
-            self.rows[self.block, :len(self.power)] = self.power
-            self.power = np.convolve(self.power, self.pmf)
-            self.block += 1
-            if self.block > self.floor_past:
-                self.power[self.power < _ATOM_FLOOR] = 0.0
+def _powers(pmf: np.ndarray, block: int) -> np.ndarray:
+    """f^0..f^block of the offspring pgf f with coefficients pmf, as the
+    rows of one zero-padded (block + 1) x (block s + 1) matrix, s the
+    largest family size: one np.convolve with pmf per power from f^2 on.
+    Each nonzero entry of f^i is at least p^i, p the least nonzero pmf
+    entry, so from the first i with p^i below _ATOM_FLOOR on (i = 481 for
+    the binary {1, 2} states) entries below it are set to zero as each
+    power is made, before the next power is made from it."""
+    least = pmf[pmf > 0.0].min()  # least^i >= _ATOM_FLOOR up to i = floor_past
+    floor_past = (math.inf if least == 1.0 else
+                  math.log(_ATOM_FLOOR) / math.log(least))
+    s = len(pmf) - 1
+    rows = np.zeros((block + 1, block * s + 1))
+    rows[0, 0] = 1.0
+    power = rows[1, :s + 1] = pmf
+    for i in range(2, block + 1):
+        power = np.convolve(power, pmf)
+        if i > floor_past:
+            power[power < _ATOM_FLOOR] = 0.0
+        rows[i, :len(power)] = power
+    return rows
 
 
-def _compose(dist: np.ndarray, powers: _Powers, weight: float) -> np.ndarray:
+def _compose(dist: np.ndarray, rows: np.ndarray, lo: int,
+             weight: float) -> np.ndarray:
     """weight times the law of the next generation when the current one has
     law dist and each individual has offspring law f (both indexed by value):
     the coefficients of sum_z weight dist[z] f(t)^z, f being the offspring
     pgf.
 
-    powers holds the powers of f (_Powers) and grows them as needed, so one
-    holder serves every generation of a state. The sum is evaluated in
-    blocks (Paterson & Stockmeyer, SIAM J. Comput. 1973): with
-    B = ceil(L^(2/3)) for L = len(dist), the baby steps form every block
-    P_b = sum_{i<B} weight dist[bB + i] f^i in one np.einsum of the
-    ceil(L / B) x B weighted coefficients with the B x W matrix of powers
-    (W = (B - 1) s + 1, s the largest family size), and the giant steps
-    run Horner's rule over the blocks with the multiplier f^B,
-    P_0 + f^B (P_1 + f^B (P_2 + ...)), one np.convolve each. With p0 = 0,
-    f^B = t^(B lo) g(t) for lo the least family size, so each giant step
-    convolves with g alone and shifts the product by B lo, past the block
-    or into it: about L^(1/3) numpy calls with long dot products, not one
-    short convolution per atom. np.einsum without optimize runs numpy's own
-    loops; no step is a BLAS matrix product, whose summation order can
-    follow the thread count.
+    rows is the matrix of the powers f^0..f^B' of f that _powers builds,
+    for any B' at least this step's block length B, and lo is the least
+    family size. _compose only reads rows and assigns to none of its
+    arguments, so one matrix serves every generation of a state. The sum
+    is evaluated in blocks (Paterson & Stockmeyer, SIAM J. Comput. 1973):
+    with B = ceil(L^(2/3)) for L = len(dist), the baby steps form every
+    block P_b = sum_{i<B} weight dist[bB + i] f^i in one np.einsum of the
+    ceil(L / B) x B weighted coefficients with rows[:B] cut to their first
+    W = (B - 1) s + 1 entries (s the largest family size), and the giant
+    steps run Horner's rule over the blocks with the multiplier f^B =
+    rows[B], P_0 + f^B (P_1 + f^B (P_2 + ...)), one np.convolve each. With
+    p0 = 0, f^B = t^(B lo) g(t), so each giant step convolves with g alone
+    and shifts the product by B lo, past the block or into it: about
+    L^(1/3) numpy calls with long dot products, not one short convolution
+    per atom. np.einsum without optimize runs numpy's own loops; no step is
+    a BLAS matrix product, whose summation order can follow the thread
+    count.
 
     Every product is of nonnegative numbers and every sum adds them up, so
     nothing cancels (an FFT would leave negative round-off in the far tail),
@@ -312,64 +311,60 @@ def _compose(dist: np.ndarray, powers: _Powers, weight: float) -> np.ndarray:
     product and k - 1 sums): 819 for the two-state {1, 2} model at n = 8,
     a bound of 9.1e-14. The bound holds while products and sums stay normal
     numbers; a term that underflows to the subnormal range loses its
-    relative accuracy. The power entries _Powers drops, each below
+    relative accuracy. The power entries _powers drops, each below
     2^-960, take terms out of the sum: they lower the output's total mass
     by at most A ceil(L / B) B (B s + 1) 2^-960, A = weight sum(dist),
     which is at most twice the np.einsum's work times A 2^-960, so below
     A 2^-927 under MAX_KERNEL_WORK.
     """
-    length, size = len(dist), len(powers.pmf)
+    length, s = len(dist), (rows.shape[1] - 1) // (len(rows) - 1)
     block = _block_size(length)
-    powers.grow(block)
-    width = (block - 1) * (size - 1) + 1
+    width = (block - 1) * s + 1
     coeffs = np.zeros(-(-length // block) * block)
     np.multiply(dist, weight, out=coeffs[:length])
-    parts = np.einsum("bi,ik->bk", coeffs.reshape(-1, block),
-                      powers.rows[:block, :width])
-    shift = block * powers.lo
-    multiplier = powers.power[shift:]
+    parts = np.einsum("bi,ik->bk", coeffs.reshape(-1, block), rows[:block, :width])
+    shift = block * lo
+    multiplier = rows[block, shift:block * s + 1]
     acc = parts[-1]
     for part in parts[-2::-1]:
         product = np.convolve(acc, multiplier)
         acc = np.zeros(shift + len(product))
         acc[:width] = part
         acc[shift:] += product
-    return acc[:(length - 1) * (size - 1) + 1]
+    return acc[:(length - 1) * s + 1]
 
 
-def _compose_work(length: int, size: int, lo: int, built: int) -> int:
+def _compose_work(length: int, size: int, lo: int) -> int:
     """Multiply-adds of _compose on a law of `length` atoms and an offspring
-    array of `size` entries, s = size - 1, least family size lo, when the
-    powers up to f^built exist: the np.convolve that makes each missing
-    power f^i (i = built+1..B) takes 1 + (i - 1) s entries times size; the
+    array of `size` entries, s = size - 1, least family size lo: the
     np.einsum takes the ceil(length / B) blocks times B times the
     W = (B - 1) s + 1 entries of a row; the giant steps' j-th np.convolve
     (j = 0..blocks-2) takes an accumulator of 1 + (B - 1 + j B) s entries
     times the 1 + B (s - lo) of f^B past its B lo leading zeros."""
     s, block = size - 1, _block_size(length)
     blocks = -(-length // block)
-    powers = 0
-    if block > built:
-        powers = size * (block - built
-                         + s * (block * (block - 1) - built * (built - 1)) // 2)
     baby = blocks * block * ((block - 1) * s + 1)
     giant = (1 + block * (s - lo)) * (
         (blocks - 1) * (1 + (block - 1) * s)
         + block * s * (blocks - 1) * (blocks - 2) // 2)
-    return powers + baby + giant
+    return baby + giant
 
 
 def _running_work(states: Sequence[EnvState], n: int,
                   cut: int | None = None) -> Iterator[int]:
     """kernel_work of the first 1, 2, ..., n generations, each composing at
-    most the `cut` atoms below a cut when one is given."""
+    most the `cut` atoms below a cut when one is given. The powers are
+    charged for the block length B of the generation reached: _powers makes
+    each f^i, i = 2..B, by an np.convolve of 1 + (i - 1) s entries times
+    size."""
     shapes = [(state.pmf.support[-1] + 1, state.pmf.support[0]) for state in states]
     k_max = max(size for size, _ in shapes) - 1
-    total, built = 0, 1  # built: the highest power f^i made so far
+    total = 0
     for length in _step_lengths(k_max, n, cut):
-        total += sum(_compose_work(length, size, lo, built) for size, lo in shapes)
-        built = _block_size(length)
-        yield total
+        total += sum(_compose_work(length, size, lo) for size, lo in shapes)
+        block = _block_size(length)
+        yield total + sum(size * (block - 1 + (size - 1) * block * (block - 1) // 2)
+                          for size, _ in shapes)
 
 
 def kernel_work(states: Sequence[EnvState], n: int,
@@ -378,8 +373,8 @@ def kernel_work(states: Sequence[EnvState], n: int,
     the kernel over the given states, summed over generations and states. A
     step's offspring array has (largest family size) + 1 entries whatever
     its zeros, the law after g generations reaches k_max^g, or holds `cut`
-    atoms below a cut, and each state's powers are built once, in the first
-    generation that needs them. The two-state binary {1, 2} model does
+    atoms below a cut, and each state's powers are built once, up to the
+    last generation's block length. The two-state binary {1, 2} model does
     3,016,441,616 at n = 16 without a cut."""
     total = 0
     for total in _running_work(states, n, cut):
@@ -415,12 +410,12 @@ def _annealed_laws(env: EnvDistribution, n: int,
     state masses w_s: the annealed kernel), each indexed by value, from one
     propagation. Its kernel_work plus extra_work() (a caller's own work on
     the laws) is checked against MAX_KERNEL_WORK once, before any work.
-    Each state keeps one _Powers of its offspring pgf for the call, sized
-    for the last generation's block length, and each generation composes
-    every state's weighted step into one mixture array. The powers set the
-    call's memory: exact_EWn of the binary {1, 2} model at n = 16 peaks at
-    35.8 MiB under tracemalloc, 32.0 MiB of it the two states' 1025 x 2049
-    matrices.
+    Each state's powers of its offspring pgf are built once for the call,
+    up to the last generation's block length (_powers), and each generation
+    composes every state's weighted step from them into one mixture array.
+    The powers set the call's memory: exact_EWn of the binary {1, 2} model
+    at n = 16 peaks at 35.8 MiB under tracemalloc, 32.1 MiB of it the two
+    states' 1026 x 2051 matrices.
 
     With a cut c >= 1 and p0 = 0, Z never decreases, so mass at or above c
     stays there: each law holds the atoms below c and, once mass reaches c,
@@ -434,14 +429,15 @@ def _annealed_laws(env: EnvDistribution, n: int,
         weights = [mass for _, mass in env.states]
     k_max = env.k_max
     largest = _block_size(max(_step_lengths(k_max, n, cut), default=1))
-    powers = [_Powers(_offspring_array(state), largest) for state in states]
+    powers = [(_powers(_offspring_array(state), largest), state.pmf.support[0])
+              for state in states]
     laws = [np.array([0.0, 1.0])]
     for _ in range(n):
         prev = laws[-1]
         dist = prev[:cut]
         law = np.zeros((len(dist) - 1) * k_max + 1)
-        for weight, power in zip(weights, powers):
-            part = _compose(dist, power, weight)
+        for weight, (rows, lo) in zip(weights, powers):
+            part = _compose(dist, rows, lo, weight)
             law[:len(part)] += part
         if cut is not None and max(len(prev), len(law)) > cut:
             law = np.append(law[:cut], math.fsum([*prev[cut:].tolist(),

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import (ConfigError, EnvDistribution, ResourceCapError,
-                  state_log_mean, state_mean)
+                  state_log_mean)
 
 RNG_ID = "philox4x64:key=seed<<64|domain<<48|index"
 
@@ -135,7 +135,6 @@ class EnvTables:
         # differences, and the remainder to the last state
         self.pick_probs = np.diff(np.concatenate(
             ([0.0], np.minimum(self.cum[:-1], 1.0), [1.0])))
-        self.means = np.array([state_mean(s) for s, _ in env.states], dtype=np.float64)
         self.X = np.array([state_log_mean(s) for s in self.states])
         self.index_dtype = np.min_scalar_type(len(self.states) - 1)
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)

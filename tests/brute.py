@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bpre.env import state_mean
 from bpre.simulate import EnvTables, _check_population_cap, offspring
 
 
@@ -92,7 +93,7 @@ def quenched_martingale_check(env, states, k, replicas, rng):
     for s in states[:k]:
         z = offspring(z, tables.samplers[s], rng)
         _check_population_cap(z[0])
-    m = float(tables.means[states[k]])
+    m = state_mean(tables.states[states[k]])
     totals = offspring(np.full(replicas, z[0]), tables.samplers[states[k]], rng)
     ratios = totals / (z[0] * m)
     stderr = float(np.std(ratios, ddof=1)) / math.sqrt(replicas)

@@ -388,7 +388,9 @@ def step_pmf(name):
 
 
 def step_powers(pmf, length):
-    return oracle._Powers(pmf, oracle._block_size(length))
+    """The power matrix _annealed_laws builds for a law of `length` atoms,
+    and the least family size."""
+    return oracle._powers(pmf, oracle._block_size(length)), int(np.flatnonzero(pmf)[0])
 
 
 class TestBlockedStep:
@@ -406,7 +408,7 @@ class TestBlockedStep:
     def test_matches_horner_within_the_bound(self, name, length):
         pmf = step_pmf(name)
         dist = np.random.default_rng(length).random(length)
-        got = oracle._compose(dist, step_powers(pmf, length), 1.0)
+        got = oracle._compose(dist, *step_powers(pmf, length), 1.0)
         ref = horner_compose(dist, pmf)
         assert len(got) == len(ref)
         # both within their gamma of the exact atom, so of each other
@@ -416,6 +418,22 @@ class TestBlockedStep:
         assert normal.any()
         assert np.all(np.abs(got[normal] - ref[normal]) <= tol * ref[normal])
         assert np.all(got[~normal] <= NORMAL_ATOM * (1 + tol))
+
+    def test_power_rows_are_the_padded_powers(self):
+        # row i is f^i zero-padded to the width of f^B. The binary powers'
+        # low coefficient 4^-i is exact: f^480 keeps it at 2^-960, and from
+        # f^481 on entries below 2^-960 are dropped
+        pmf = step_pmf("binary")
+        rows, lo = step_powers(pmf, 10_600)
+        assert (rows.shape, lo) == ((484, 967), 1)
+        power = np.ones(1)
+        for i in range(6):
+            assert rows[i, :len(power)].tobytes() == power.tobytes(), i
+            assert not rows[i, len(power):].any(), i
+            power = np.convolve(power, pmf)
+        assert rows[480, 480] == 2.0 ** -960
+        assert rows[481, 481] == 0.0 and rows[481, 482] > 0.0
+        assert rows[rows > 0.0].min() == 2.0 ** -960
 
     def test_dropped_power_entries_stay_within_their_bound(self):
         # from f^481 on the binary powers' tails fall below 2^-960 and are
@@ -427,11 +445,12 @@ class TestBlockedStep:
         length = 10_600
         dist = np.zeros(length)
         dist[-1] = 1.0
-        powers = step_powers(pmf, length)
-        got = oracle._compose(dist, powers, 1.0)
+        rows, lo = step_powers(pmf, length)
+        got = oracle._compose(dist, rows, lo, 1.0)
         block = oracle._block_size(length)
-        assert block > powers.floor_past
-        multiplier = powers.power[block:]
+        # past the floor's index: least^block < 2^-960, least the least pmf entry
+        assert block * math.log(pmf[pmf > 0.0].min()) < -960 * math.log(2.0)
+        multiplier = rows[block, block:2 * block + 1]
         assert np.count_nonzero(multiplier) < len(multiplier)
         ref = horner_compose(dist, pmf)
         g_ref = gamma(3 * (length - 1))
@@ -446,13 +465,17 @@ class TestBlockedStep:
     def test_repeated_calls_are_bit_identical(self):
         pmf = step_pmf("one-two-three")
         dist = np.random.default_rng(7).random(4097)
-        powers = step_powers(pmf, 4097)
-        first = oracle._compose(dist, powers, 1.0)
-        assert oracle._compose(dist, powers, 1.0).tobytes() == first.tobytes()
-        grown = step_powers(pmf, 4097)  # powers built up over shorter laws first
+        rows, lo = step_powers(pmf, 4097)
+        first = oracle._compose(dist, rows, lo, 1.0)
+        assert oracle._compose(dist, rows, lo, 1.0).tobytes() == first.tobytes()
+        # a shorter law stepped with the longest law's matrix gives the bytes
+        # of a matrix built for its own block, and leaves the matrix as it was
+        before = rows.tobytes()
         for length in (3, 65, 1025):
-            oracle._compose(dist[:length], grown, 1.0)
-        assert oracle._compose(dist, grown, 1.0).tobytes() == first.tobytes()
+            own = oracle._compose(dist[:length], *step_powers(pmf, length), 1.0)
+            got = oracle._compose(dist[:length], rows, lo, 1.0)
+            assert got.tobytes() == own.tobytes(), length
+            assert rows.tobytes() == before, length
 
 
 def test_kernel_bytes_do_not_follow_the_blas_thread_count():
@@ -859,7 +882,7 @@ class TestExactLogwIncrements:
             checked[n + 1] = kernel_work(states, n, cut) + extra()
             check(states, n, extra, cut)
         monkeypatch.setattr(oracle, "_check_kernel_work", record)
-        monkeypatch.setattr(oracle, "_compose", lambda dist, powers, weight: dist)
+        monkeypatch.setattr(oracle, "_compose", lambda dist, rows, lo, weight: dist)
         monkeypatch.setattr(oracle, "_increment_means", lambda env, laws: [])
         exact_logw_increments(binary_env(), 11)
         exact_logw_increments(binary_env(), 16)
