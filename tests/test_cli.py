@@ -1010,14 +1010,45 @@ class TestArgsAndFormat:
                       "--out", "x"])
 
 
-def test_output_digest_runs_every_command(tmp_path):
-    # tools/output_digest.py proves a refactor byte-neutral. An exit 2 or 3
-    # means its run list no longer matches the CLI; the tool itself checks
-    # the manifest of every run that exits 0.
-    tool = runpy.run_path(
-        str(Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"),
-        run_name="output_digest")
-    exits = [line.split() for line in tool["digest"](tmp_path)
-             if line.startswith("exit ")]
+def _digest_key(line: str) -> str:
+    """The run (or kernel entry) a tools/output_digest.py line belongs to."""
+    parts = line.split("  ")
+    if parts[0].startswith("exit ") or parts[0] in ("stdout", "stderr"):
+        return parts[1]
+    if parts[0].startswith("exact_"):
+        return f"{parts[0]} {parts[1]}"
+    return parts[1] if parts[1].startswith("kernel/") else parts[1].split("/")[0]
+
+
+def _by_run(lines: list[str]) -> dict[str, list[str]]:
+    runs: dict[str, list[str]] = {}
+    for line in lines:
+        runs.setdefault(_digest_key(line), []).append(line)
+    return runs
+
+
+def test_output_digest_matches_digest_txt(tmp_path):
+    # tools/digest.txt is the committed output of tools/output_digest.py. A
+    # change that moves output bytes regenerates it in the same commit, so
+    # its diff names the runs that moved. The tool itself checks the
+    # manifest of every run that exits 0; an exit 2 or 3 means its run list
+    # no longer matches the CLI.
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    tool = runpy.run_path(str(tools / "output_digest.py"),
+                          run_name="output_digest")
+    want = (tools / "digest.txt").read_text(encoding="utf-8").splitlines()
+    head = tool["header"]()
+    if want[0] != head:
+        pytest.fail(f"tools/digest.txt was made under {want[0][2:]!r}, this is "
+                    f"{head[2:]!r}: the manifests and numpy's streams follow "
+                    "the versions, so regenerate the file under these")
+    got = tool["all_lines"](tmp_path)
+    exits = [line.split() for line in got if line.startswith("exit ")]
     assert [run for *_, run in exits] == [run for run, *_ in tool["RUNS"]]
     assert {code for _, code, _ in exits} <= {"0", "1"}
+    want_runs, got_runs = _by_run(want[1:]), _by_run(got[1:])
+    moved = [run for run in {**want_runs, **got_runs}
+             if want_runs.get(run) != got_runs.get(run)]
+    assert not moved, (f"runs whose output differs from tools/digest.txt: "
+                       f"{', '.join(moved)}")
+    assert got == want

@@ -2,11 +2,16 @@
 """sha256 digest of the output files of a fixed list of bpre commands.
 
 Run from anywhere; bpre is imported from src/ of the checkout this script
-sits in:
+sits in. Its output is committed as tools/digest.txt, which the tier-1 test
+tests/test_cli.py::test_output_digest_matches_digest_txt compares line by
+line; a change that moves output bytes regenerates the file in the same
+commit, so the file's diff shows which runs moved:
 
-    python3 tools/output_digest.py > digest.txt
+    python3 tools/output_digest.py > tools/digest.txt
 
-Each command runs in-process through bpre.cli.main, at seed 3 where it
+The first line, `# python VERSION  numpy VERSION`, names the versions the
+digest was made under: the manifests record both, and numpy's streams may
+change across releases. Each command runs in-process through bpre.cli.main, at seed 3 where it
 takes one, with --out in a temporary directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
 result* file. Where the run wrote manifest.json, a `SHA256  RUN/manifest.json`
@@ -29,9 +34,12 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -205,6 +213,15 @@ def digest(root: Path) -> list[str]:
     return lines
 
 
+def header() -> str:
+    return f"# python {platform.python_version()}  numpy {np.__version__}"
+
+
+def all_lines(root: Path) -> list[str]:
+    """The whole digest: the header, the runs in root, the kernel section."""
+    return [header(), *digest(root), *kernel_digest()]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digest(Path(tmp)) + kernel_digest()))
+        print("\n".join(all_lines(Path(tmp))))
