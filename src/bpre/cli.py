@@ -196,8 +196,7 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
             f"simulate writes one CSV per trajectory; --trials {args.trials} "
             f"exceeds {_MAX_TRAJECTORY_FILES}")
     seed = resolve_seed(args)
-    cfg = SimConfig(n=args.n, seed=seed,
-                    exact_sampling_threshold=args.exact_threshold)
+    cfg = SimConfig(n=args.n, seed=seed)
 
     tables = EnvTables(env)
     names = (["result.csv"] if args.trials == 1
@@ -512,10 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of trajectories (default 1)")
     p.add_argument("--seed", type=_seed, default=None,
                    help="master seed (default: $BPRE_SEED, else 0)")
-    p.add_argument("--exact-threshold", dest="exact_threshold",
-                   type=_positive_int, default=SimConfig.exact_sampling_threshold,
-                   help="population size above which offspring draws switch "
-                        "to the Gaussian approximation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -18,12 +18,13 @@ simulate.offspring on a float64 population vector; that fixes the draws
 inside each pass (exact binomial draws before Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside the tie slack of
-oracle.TailEvent and the Gaussian draws' own error (every draw above
-DEFAULT_EXACT_THRESHOLD = 2^32 is Gaussian). Populations past
+oracle.TailEvent. Each binomial draw is exact up to the package's one
+exactness limit, simulate.INT64_SAFE = 2^62, the largest trial count
+numpy's exact sampler takes, and Gaussian above it. Populations past
 DEFAULT_POPULATION_CAP raise ResourceCapError. Neither constant is a
 parameter. Each generation reports whether it took a Gaussian draw (some
-population starts above the threshold in a state that draws); the reports
-of a call's blocks are ORed in block order into approx_sampling_used.
+population starts above 2^62 in a state that draws); the reports of a
+call's blocks are ORed in block order into approx_sampling_used.
 
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so

@@ -6,17 +6,19 @@ relative above, with a fixed cap of 2^512 (DEFAULT_POPULATION_CAP) far below
 float64 overflow. Offspring totals are sampled as a chain of conditional
 binomials over ascending family sizes, with the shifted binomial
 z + Bin(z, p_2) shortcut for {1,2}-supported states. A binomial draw on at
-most `limit` trials is exact; above it, a rounded Gaussian approximation.
-offspring() is the one implementation of this step. _generation steps a
-block of populations one generation, one offspring pass per state in
-declaration order, and _state_rows holds the block's environment as state
-indices: this is the generation loop of the Monte Carlo estimators and of
-simulate_block, which steps all trajectories of a `simulate` run as one block
-on one stream with limit = min(exactness threshold, INT64_SAFE).
-simulate_trajectory() is a block of one. A generation's first draw is on all
-Z_k individuals and each later chain link draws on fewer, so a generation
-takes a Gaussian draw iff some population starts above limit in a state that
-draws; approx_sampling_used follows that rule.
+most INT64_SAFE = 2^62 trials, the largest count numpy's exact sampler
+takes, is exact; above it, a rounded Gaussian approximation. That is the
+package's one exactness limit, and it lies past 2^53, where the float64
+populations already round. offspring() is the one implementation of this
+step. _generation steps a block of populations one generation, one
+offspring pass per state in declaration order, and _state_rows holds the
+block's environment as state indices: this is the generation loop of the
+Monte Carlo estimators and of simulate_block, which steps all trajectories
+of a `simulate` run as one block on one stream. simulate_trajectory() is a
+block of one. A generation's first
+draw is on all Z_k individuals and each later chain link draws on fewer, so
+a generation takes a Gaussian draw iff some population starts above
+INT64_SAFE in a state that draws; approx_sampling_used follows that rule.
 
 Environment states are picked from uniforms by EnvTables.pick_states, an
 inverse CDF by threshold comparisons. EnvTables.pick_probs is the state law
@@ -52,11 +54,10 @@ DOMAIN_QUENCHED = 3
 DOMAIN_SIMULATE = 4
 DOMAIN_INCREMENTS = 5
 
-DEFAULT_EXACT_THRESHOLD = 1 << 32
 DEFAULT_POPULATION_CAP = 1 << 512
 
-# numpy's exact binomial sampler takes int64 trial counts; exact draws stay
-# at or below this whatever the exactness threshold.
+# numpy's exact binomial sampler takes int64 trial counts; a draw on more
+# trials than this is Gaussian.
 INT64_SAFE = 1 << 62
 
 # A block draws its environment uniforms in row chunks of about this many
@@ -104,15 +105,12 @@ class Trajectory:
 class SimConfig:
     n: int
     seed: int
-    exact_sampling_threshold: int = DEFAULT_EXACT_THRESHOLD
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n={self.n!r} must be a positive integer")
         if not 0 <= self.seed < SEED_MAX:
             raise ValueError(f"seed={self.seed!r} must be an unsigned 64-bit integer")
-        if not isinstance(self.exact_sampling_threshold, int) or self.exact_sampling_threshold < 1:
-            raise ValueError("exact_sampling_threshold must be a positive integer")
 
 
 class EnvTables:
@@ -173,11 +171,11 @@ def _sampler_descriptor(entries: dict[int, float]):
     return ("chain", tuple(chain), positive[-1][0])
 
 
-def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
-                     limit: int) -> np.ndarray:
+def _binomial_vector(trials: np.ndarray, prob: float,
+                     rng: np.random.Generator) -> np.ndarray:
     """Binomial draws over an int64 or float64 array of trial counts: exact
-    up to limit, Gaussian-approximate above (mean + sd * normal, rounded and
-    clamped to [0, trials]). The exact draws come first, in array order,
+    up to INT64_SAFE, Gaussian-approximate above (mean + sd * normal,
+    rounded and clamped to [0, trials]). The exact draws come first, in array order,
     then the Gaussian ones. Exact draws pass the trial counts to
     rng.binomial as int64; the result keeps the input dtype. Degenerate
     probabilities short-circuit without consuming randomness, so
@@ -186,7 +184,7 @@ def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
         return np.zeros_like(trials)
     if prob >= 1.0:
         return trials
-    small = trials <= limit
+    small = trials <= INT64_SAFE
     if small.all():
         return rng.binomial(trials.astype(np.int64), prob).astype(trials.dtype,
                                                                   copy=False)
@@ -201,8 +199,7 @@ def _binomial_vector(trials: np.ndarray, prob: float, rng: np.random.Generator,
     return out
 
 
-def offspring(z: np.ndarray, sampler, rng: np.random.Generator,
-              limit: int = DEFAULT_EXACT_THRESHOLD) -> np.ndarray:
+def offspring(z: np.ndarray, sampler, rng: np.random.Generator) -> np.ndarray:
     """One generation: total offspring of each population in z under one
     state.
 
@@ -212,16 +209,16 @@ def offspring(z: np.ndarray, sampler, rng: np.random.Generator,
     EnvTables.samplers descriptor. {1,2}-supported states draw
     z + Bin(z, p_2); other states realize the multinomial family counts as
     conditional binomials over ascending family sizes, one binomial per
-    chain link. Each binomial draw on trials <= limit is exact and one above
-    it is Gaussian; limit must not pass INT64_SAFE, the largest trial count
-    the exact sampler takes.
+    chain link. Each binomial draw on trials <= INT64_SAFE, the largest
+    trial count the exact sampler takes, is exact and one above it is
+    Gaussian.
     """
     if sampler[0] == "binary":
-        return z + _binomial_vector(z, sampler[1], rng, limit)
+        return z + _binomial_vector(z, sampler[1], rng)
     _, chain, k_last = sampler
     remaining, total = z, 0
     for k, cond_p in chain:
-        c = _binomial_vector(remaining, cond_p, rng, limit)
+        c = _binomial_vector(remaining, cond_p, rng)
         total = total + k * c
         remaining = remaining - c
     return total + k_last * remaining
@@ -274,20 +271,19 @@ def _state_rows(tables: EnvTables, n: int, size: int,
 
 
 def _generation(tables: EnvTables, col: np.ndarray, z: np.ndarray,
-                rng: np.random.Generator,
-                limit: int = DEFAULT_EXACT_THRESHOLD) -> bool:
+                rng: np.random.Generator) -> bool:
     """One generation of a block of float64 populations z, updated in place:
     one offspring pass per state in declaration order, the trials' state
-    indices in col, each binomial draw on more than limit trials Gaussian.
-    Returns whether the generation took a Gaussian draw: some population
-    starts above limit in a state whose pass draws. Raises ResourceCapError
+    indices in col, each binomial draw on more than INT64_SAFE trials
+    Gaussian. Returns whether the generation took a Gaussian draw: some
+    population starts above INT64_SAFE in a state whose pass draws. Raises ResourceCapError
     once a population passes DEFAULT_POPULATION_CAP, well before float64
     overflows."""
-    approx = bool(tables.draws[col[z > limit]].any())
+    approx = bool(tables.draws[col[z > INT64_SAFE]].any())
     for s, sampler in enumerate(tables.samplers):
         sel = np.nonzero(col == s)[0]
         if sel.size:
-            z[sel] = offspring(z[sel], sampler, rng, limit)
+            z[sel] = offspring(z[sel], sampler, rng)
     _check_population_cap(z.max())
     return approx
 
@@ -315,21 +311,19 @@ def simulate_block(tables: EnvTables, cfg: SimConfig, size: int,
     block on rng: (Z, states, whether a draw was Gaussian).
 
     states are the (n, size) state rows (_state_rows), drawn first; then
-    each generation is one _generation with limit =
-    min(cfg.exact_sampling_threshold, INT64_SAFE), and row k of the
-    (n+1, size) float64 array Z holds every trajectory's Z_k: 9 bytes per
+    each generation is one _generation, and row k of the (n+1, size)
+    float64 array Z holds every trajectory's Z_k: 9 bytes per
     trajectory-generation in all. Every state must have p0 = 0
     (require_no_extinction), so Z never reaches 0.
     """
     require_no_extinction(tables.env)
-    limit = min(cfg.exact_sampling_threshold, INT64_SAFE)
     states = _state_rows(tables, cfg.n, size, rng)
     z = np.empty((cfg.n + 1, size))
     z[0] = 1.0
     approx = False
     for k, col in enumerate(states):
         z[k + 1] = z[k]
-        approx |= _generation(tables, col, z[k + 1], rng, limit)
+        approx |= _generation(tables, col, z[k + 1], rng)
     return z, states, approx
 
 

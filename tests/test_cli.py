@@ -324,11 +324,11 @@ class TestSimulate:
 
     def test_rows_match_the_shared_formatter(self, tmp_path, binary_cfg):
         out = tmp_path / "rows"
-        assert cli.main(["simulate", binary_cfg, "--n", "80", "--trials", "3",
-                         "--exact-threshold", "1000", "--seed", "11",
-                         "--out", str(out)]) == 0
+        # at n = 200 Z passes 2^62 and takes Gaussian draws
+        assert cli.main(["simulate", binary_cfg, "--n", "200", "--trials", "3",
+                         "--seed", "11", "--out", str(out)]) == 0
         tables = EnvTables(parse_env_config(BINARY_TEXT))
-        cfg = SimConfig(n=80, seed=11, exact_sampling_threshold=1000)
+        cfg = SimConfig(n=200, seed=11)
         z, states, approx = simulate_block(tables, cfg, 3,
                                            stream(11, DOMAIN_SIMULATE, 0))
         assert approx
@@ -342,16 +342,27 @@ class TestSimulate:
             assert (out / f"result_{t:04d}.csv").read_text() == expected
 
     def test_block_of_one_keeps_its_bytes(self, tmp_path, binary_cfg):
-        # the sha256 of this CSV when each trajectory stepped Python ints on
-        # its own stream: a block of one draws the same values, Gaussian
-        # draws past 2^32 included, while Z stays below 2^53
+        # Z stays below 2^53 and every draw is exact, so a block of one
+        # writes what stepping a Python int on the run's stream writes: the
+        # n environment uniforms, then z + Bin(z, p_2) per generation
         out = tmp_path / "one"
         assert cli.main(["simulate", binary_cfg, "--n", "60", "--seed", "3",
                          "--out", str(out)]) == 0
-        assert json.loads((out / "result.json").read_text())[
+        assert not json.loads((out / "result.json").read_text())[
             "approx_sampling_used"]
-        assert hashlib.sha256((out / "result.csv").read_bytes()).hexdigest() == (
-            "13071ef271f9523cf12ffab21380a6c56b91f81869de1a462ca64505e311f4fc")
+        tables = EnvTables(parse_env_config(BINARY_TEXT))
+        rng = stream(3, DOMAIN_SIMULATE, 0)
+        z, s, rows = 1, 0.0, [["0", "1", "0", "0", "0"]]
+        for gen, i in enumerate(tables.pick_states(rng.random(60)).tolist(), 1):
+            z += int(rng.binomial(z, tables.samplers[i][1]))
+            s += tables.X[i]
+            rows.append([str(gen), str(z), cli.fmt(math.log2(z)), cli.fmt(s),
+                         cli.fmt(math.log(z) - s)])
+        assert z < 2 ** 53
+        text = (out / "result.csv").read_text()
+        assert text == cli._csv(cli.TRAJECTORY_CSV_HEADER, rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4acf7ae71579bf23f63722b421ac429ae3e0cb60128b25a486fec7f88d1338af")
 
     def test_one_stream_per_run(self, tmp_path, monkeypatch, binary_cfg):
         # at most 1024 trajectories are one block on stream (seed, 4, 0)
@@ -506,23 +517,23 @@ class TestVerify:
         assert "delta_hat" in result["failure"]
 
     def test_theorem1_runs_past_int64(self, tmp_path, binary_cfg):
-        # 2^70 > 2^62: the tail estimate and the increment fit both step
+        # 2^200 > 2^62: the tail estimate and the increment fit both step
         # float64 populations, so the horizon runs instead of exiting 3
         out = tmp_path / "t1big"
-        code = cli.main(["verify", "theorem1", binary_cfg, "--n", "70",
+        code = cli.main(["verify", "theorem1", binary_cfg, "--n", "200",
                          "--trials", "2000", "--seed", "0", "--out", str(out)])
         assert code in (0, 1)
         result = json.loads((out / "result.json").read_text())
-        assert result["n"] == 70
+        assert result["n"] == 200
         assert result["hits"] == 0  # x=3 is far outside the support
-        # so is the exact tail, decided with no propagation of 2^70 atoms
+        # so is the exact tail, decided with no propagation of 2^200 atoms
         assert result["exact_tail"] == 0.0
         assert "delta_hat" in result
         assert "bound_thm1" in result
-        # the fit's populations pass 2^32 and take Gaussian draws
+        # the fit's populations pass 2^62 and take Gaussian draws
         assert result["approx_sampling_used"] is True
         # the fit's means below the head depth are exact, the rest sampled
-        assert 0 < result["increment_head_depth"] < 70
+        assert 0 < result["increment_head_depth"] < 200
 
     def test_theorem1_exact_tail_with_more_states_than_k_max(self, tmp_path):
         # five states: the kernel works on the population support 2^7, not
@@ -645,8 +656,9 @@ class TestConverge:
                           ("8", "0.29999999999999999")]
 
     def test_approx_sampling_recorded(self, capsys, binary_cfg):
-        # Z_70 is about 2^39 on the README model; Z_16 stays below 2^32
-        for n, approx in (("70", True), ("8,16", False)):
+        # on the README model Z_200 is about 2^113, past the exact
+        # sampler's 2^62, and Z_70 about 2^39
+        for n, approx in (("200", True), ("70", False), ("8,16", False)):
             code, out = run_json(capsys, ["converge", binary_cfg,
                                           "--n-values", n, "--y-values", "0.1",
                                           "--trials", "1000", "--seed", "1"])

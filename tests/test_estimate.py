@@ -26,8 +26,8 @@ from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
 from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, TailEvent, _annealed_laws,
                          _table_work, exact_EWn, exact_logw_increments,
                          exact_logZn_tail, exact_sn_tail, kernel_work)
-from bpre.simulate import (DEFAULT_EXACT_THRESHOLD, DOMAIN_INCREMENTS,
-                           DOMAIN_SN, DOMAIN_TRAJ, STATE_CHUNK, EnvTables,
+from bpre.simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ,
+                           INT64_SAFE, STATE_CHUNK, EnvTables,
                            _generation, _generations, _state_rows, offspring,
                            stream)
 
@@ -654,8 +654,8 @@ class TestEarlyDecision:
         # a single random state: S_n is constant, so M_tight is 0
         (GAPPED, 12, "M_paper", (0.05, 0.2, 0.5)),
         (MIXED, 12, "M_tight", (0.05, 0.2, 0.5)),
-        # populations pass 2^32 and take clamped Gaussian draws
-        (BINARY, 70, "M_tight", (0.05,)),
+        # populations pass 2^62 and take clamped Gaussian draws
+        (BINARY, 200, "M_tight", (0.05,)),
         # the bound lands on the threshold: only generation n decides
         (TRIPLE, 20, 1.0, (0.0,)),
     ])
@@ -669,8 +669,8 @@ class TestEarlyDecision:
         for _, z, _ in _generations(tables, n, stream(5, DOMAIN_TRAJ, 0),
                                  np.ones(trials)):
             logz.append(np.log(z))
-        if n == 70:
-            assert logz[-1].max() > 32 * math.log(2)
+        if n == 200:
+            assert logz[-1].max() > 62 * math.log(2)
         early_hits = early_misses = 0
         for x in xs:
             event = TailEvent(n, mom.mu, M, x)
@@ -689,16 +689,19 @@ class TestEarlyDecision:
 
 
 class TestApproxSampling:
-    # MIXED picks "bin" below 0.4, "double" in [0.4, 0.7), "chain" above
+    # MIXED picks "bin" below 0.4, "double" in [0.4, 0.7), "chain" above;
+    # 2^62 + 1024 is the next double above INT64_SAFE
     @pytest.mark.parametrize("u, z, approx", [
-        (0.1, DEFAULT_EXACT_THRESHOLD + 1, True),
-        (0.5, DEFAULT_EXACT_THRESHOLD + 1, False),  # {2} draws nothing
-        (0.9, DEFAULT_EXACT_THRESHOLD + 1, True),
-        (0.1, DEFAULT_EXACT_THRESHOLD, False),  # at the threshold: exact
+        (0.1, INT64_SAFE + 1024, True),
+        (0.5, INT64_SAFE + 1024, False),  # {2} draws nothing
+        (0.9, INT64_SAFE + 1024, True),
+        (0.1, INT64_SAFE, False),  # at the limit: exact
+        (0.5, INT64_SAFE, False),
+        (0.9, INT64_SAFE, False),
     ])
     def test_generation_flag_follows_simulates_rule(self, u, z, approx):
         # a generation draws a Gaussian iff some population starts above
-        # the threshold in a state that draws
+        # 2^62 in a state that draws
         tables = EnvTables(parse_env_config(MIXED))
         pops = np.array([3.0, float(z)])
         row = tables.pick_states(np.array([0.1, u])).astype(np.uint8)
@@ -708,18 +711,18 @@ class TestApproxSampling:
     def test_estimators_record_gaussian_draws(self):
         env = binary_env()
         mom = compute_moments(env)
-        # Z_70 is about 2^39, Z_16 at most 2^16
-        assert mc_logw_increments(env, 70, 2000, seed=0).approx_sampling_used
-        assert not mc_logw_increments(env, 16, 2000,
+        # Z_200 is about 2^113, Z_70 about 2^39
+        assert mc_logw_increments(env, 200, 2000, seed=0).approx_sampling_used
+        assert not mc_logw_increments(env, 70, 2000,
                                       seed=0).approx_sampling_used
-        assert mc_tail_logzn(env, 70, 0.05, mom.M_tight, 2000,
+        assert mc_tail_logzn(env, 200, 0.05, mom.M_tight, 2000,
                              seed=0).approx_sampling_used
-        assert not mc_tail_logzn(env, 16, 0.05, mom.M_tight, 2000,
+        assert not mc_tail_logzn(env, 70, 0.05, mom.M_tight, 2000,
                                  seed=0).approx_sampling_used
-        rows = convergence_report(env, [16, 70], [0.05, 0.1], 2000, seed=0)
+        rows = convergence_report(env, [70, 200], [0.05, 0.1], 2000, seed=0)
         assert [r.approx_sampling_used for r in rows] == [False, False,
                                                           True, True]
-        # a deterministic doubling state draws nothing, even past 2^32
+        # a deterministic doubling state draws nothing, even past 2^62
         doubling = parse_env_config(DOUBLING)
         assert not mc_logw_increments(doubling, 70, 2000,
                                       seed=0).approx_sampling_used

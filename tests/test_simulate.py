@@ -5,7 +5,7 @@ import pytest
 
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
-                           DOMAIN_TRAJ, EnvTables, SimConfig,
+                           DOMAIN_TRAJ, INT64_SAFE, EnvTables, SimConfig,
                            _binomial_vector, _check_population_cap,
                            _generations, block_records, offspring,
                            simulate_block, simulate_trajectory, stream)
@@ -62,8 +62,7 @@ def reference_trajectory(env, cfg, rng):
     z, s = np.ones(1), 0.0
     records = [(1.0, 0.0, 0.0)]
     for i in states:
-        z = offspring(z, tables.samplers[i], counted,
-                      cfg.exact_sampling_threshold)
+        z = offspring(z, tables.samplers[i], counted)
         s = s + log_means[i]
         _check_population_cap(z[0])
         records.append((float(z[0]), s, math.log(z[0]) - s))
@@ -201,8 +200,8 @@ class TestOffspring:
     def test_approx_path_draws_gaussian_and_stays_in_range(self):
         sampler = first_sampler(binary_env())
         rng = CountingRng(stream(13, DOMAIN_SIMULATE, 0))
-        z = 10 ** 7
-        out = offspring(np.array([float(z)]), sampler, rng, limit=10 ** 6)
+        z = 2.0 ** 70
+        out = offspring(np.array([z]), sampler, rng)
         assert rng.normals == 1
         assert z <= out[0] <= 2 * z
         # approximate mean still lands near z * (1 + p2)
@@ -212,7 +211,7 @@ class TestOffspring:
         sampler = first_sampler(binary_env())
         rng = CountingRng(stream(13, DOMAIN_SIMULATE, 0))
         offspring(np.array([1000.0]), sampler, rng)
-        offspring(np.array([10.0 ** 6]), sampler, rng, limit=10 ** 6)
+        offspring(np.array([float(INT64_SAFE)]), sampler, rng)
         assert rng.normals == 0
 
     def test_deterministic_state_consumes_no_randomness(self):
@@ -239,47 +238,58 @@ class TestOffspring:
         assert list(before) == list(after)
 
 
-def scalar_binomial(trials, prob, rng, limit):
-    """One Bin(trials, prob) draw written out for a single Python int: no
-    draw for trials == 0 or a degenerate prob, rng.binomial up to limit,
-    else mean + sd * one standard normal, rounded and clamped to
-    [0, trials]."""
-    if trials == 0 or prob <= 0.0:
-        return 0
+def scalar_binomial(trials, prob, rng):
+    """Bin(t, prob) draws for a list of trial counts, written out one at a
+    time: no draw for a degenerate prob; else rng.binomial on each count up
+    to INT64_SAFE, in list order, then for each count above it mean + sd *
+    one standard normal, rounded and clamped to [0, t]. The counts are
+    Python ints, or floats for the float64 form, whose arithmetic then
+    rounds as float64 does."""
+    if prob <= 0.0:
+        return [0 * t for t in trials]
     if prob >= 1.0:
-        return trials
-    if trials <= limit:
-        return int(rng.binomial(trials, prob))
-    mean = float(trials) * prob
-    draw = round(mean + math.sqrt(mean * (1.0 - prob)) * rng.standard_normal())
-    return min(max(draw, 0), trials)
+        return list(trials)
+    out = [type(t)(rng.binomial(int(t), prob)) if t <= INT64_SAFE else None
+           for t in trials]
+    for i, t in enumerate(trials):
+        if t > INT64_SAFE:
+            mean = float(t) * prob
+            draw = round(mean + math.sqrt(mean * (1.0 - prob))
+                         * rng.standard_normal())
+            out[i] = type(t)(min(max(draw, 0), t))
+    return out
 
 
-def scalar_offspring(z, sampler, rng, limit):
-    """The offspring law of one population z, stated independently of the
-    array code: z + Bin(z, p2) for a {1,2} state, else one conditional
+def scalar_offspring(zs, sampler, rng):
+    """The offspring law of a list of populations, stated independently of
+    the array code: z + Bin(z, p2) for a {1,2} state, else one conditional
     binomial per chain link over ascending family sizes."""
     if sampler[0] == "binary":
-        return z + scalar_binomial(z, sampler[1], rng, limit)
+        return [z + c for z, c in zip(zs, scalar_binomial(zs, sampler[1], rng))]
     _, chain, k_last = sampler
-    remaining, total = z, 0
+    remaining, total = list(zs), [0] * len(zs)
     for k, cond_p in chain:
-        c = scalar_binomial(remaining, cond_p, rng, limit)
-        total += k * c
-        remaining -= c
-    return total + k_last * remaining
+        c = scalar_binomial(remaining, cond_p, rng)
+        total = [t + k * ci for t, ci in zip(total, c)]
+        remaining = [r - ci for r, ci in zip(remaining, c)]
+    return [t + k_last * r for t, r in zip(total, remaining)]
 
 
 class TestOffspringForms:
-    """The int64 and float64 array forms of offspring() draw alike, and a
-    population of one replays the scalar statement of the law."""
+    """The int64 and float64 array forms of offspring() draw alike, and each
+    replays the scalar statement of the law. Only the float64 form reaches
+    the Gaussian draws past INT64_SAFE: an int64 population there would
+    overflow at its first doubling."""
 
     PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
             {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
             {"2": 1.0},                         # deterministic
             {"1": 0.1, "2": 0.0, "4": 0.9},     # zero-mass chain entry
             {"1": 0.5, "3": 0.5}]               # one chain link, gap in sizes
-    ZS = [1, 7, 50, 51, 10 ** 6, 3 * 10 ** 9]
+    # exact draws; an int64 population holds four times the last
+    ZS = [1, 7, 50, 51, 10 ** 6, 3 * 10 ** 9, 2 ** 50, 2 ** 60]
+    # the exact sampler's largest count, the next double above it, and 2^70
+    GAUSSIAN_ZS = [INT64_SAFE, INT64_SAFE + 1024, 2 ** 70]
 
     @staticmethod
     def sampler(pmf):
@@ -289,55 +299,70 @@ class TestOffspringForms:
 
     @pytest.mark.parametrize("pmf", PMFS)
     @pytest.mark.parametrize("z", ZS)
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_int64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z,
-                                                             threshold):
+    def test_int64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z):
         sampler = self.sampler(pmf)
-        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec,
-                        threshold)
-        ref = scalar_offspring(z, sampler, rng_ref, threshold)
+        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, 0), stream(31, DOMAIN_SIMULATE, 0)
+        vec = offspring(np.array([z], dtype=np.int64), sampler, rng_vec)
+        [ref] = scalar_offspring([z], sampler, rng_ref)
         assert vec.dtype == np.int64
         assert int(vec[0]) == ref
         assert rng_vec.random() == rng_ref.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
-    @pytest.mark.parametrize("z", ZS)
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_float64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z,
-                                                               threshold):
+    @pytest.mark.parametrize("z", ZS + GAUSSIAN_ZS)
+    def test_float64_form_replays_the_scalar_law_draw_for_draw(self, pmf, z):
         sampler = self.sampler(pmf)
-        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, z), stream(31, DOMAIN_SIMULATE, z)
-        vec = offspring(np.array([float(z)]), sampler, rng_vec, threshold)
-        ref = scalar_offspring(z, sampler, rng_ref, threshold)
+        rng_vec, rng_ref = stream(31, DOMAIN_SIMULATE, 0), stream(31, DOMAIN_SIMULATE, 0)
+        vec = offspring(np.array([float(z)]), sampler, rng_vec)
+        [ref] = scalar_offspring([float(z)], sampler, rng_ref)
         assert vec.dtype == np.float64
         assert vec[0] == ref
         assert rng_vec.random() == rng_ref.random()
 
     @pytest.mark.parametrize("pmf", PMFS)
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_float64_and_int64_forms_agree_on_mixed_arrays(self, pmf, threshold):
-        # each array mixes exact and Gaussian draws: 2^50 is above both
-        # thresholds, and 51 and up are above 50
+    def test_float64_form_draws_exact_counts_before_gaussian_ones(self, pmf):
+        # one array mixes exact and Gaussian draws: in each binomial call the
+        # exact draws come first, in array order, then the Gaussian ones
         sampler = self.sampler(pmf)
-        zs = self.ZS + [2 ** 50]
+        zs = [2.0 ** 70, 7.0, INT64_SAFE + 1024.0, 1e6, float(INT64_SAFE), 51.0]
+        rng_vec, rng_ref = stream(37, DOMAIN_SIMULATE, 0), stream(37, DOMAIN_SIMULATE, 0)
+        vec = offspring(np.array(zs), sampler, rng_vec)
+        assert vec.tolist() == scalar_offspring(zs, sampler, rng_ref)
+        assert rng_vec.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    def test_float64_and_int64_forms_agree_on_one_array(self, pmf):
+        # populations and offspring below 2^53, where float64 is exact
+        sampler = self.sampler(pmf)
+        zs = [z for z in self.ZS if z <= 2 ** 50]
         rng_int, rng_float = stream(37, DOMAIN_SIMULATE, 0), stream(37, DOMAIN_SIMULATE, 0)
-        ints = offspring(np.array(zs, dtype=np.int64), sampler, rng_int,
-                         threshold)
-        floats = offspring(np.array(zs, dtype=np.float64), sampler, rng_float,
-                           threshold)
+        ints = offspring(np.array(zs, dtype=np.int64), sampler, rng_int)
+        floats = offspring(np.array(zs, dtype=np.float64), sampler, rng_float)
         assert ints.dtype == np.int64 and floats.dtype == np.float64
         assert floats.tolist() == [float(v) for v in ints.tolist()]
         assert rng_int.random() == rng_float.random()
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    @pytest.mark.parametrize("threshold", [1 << 32, 50])
-    def test_binomial_draws_keep_the_input_dtype(self, dtype, threshold):
-        trials = np.array([1, 50, 10 ** 6], dtype=dtype)
-        out = _binomial_vector(trials, 0.3, stream(41, DOMAIN_SIMULATE, 0),
-                               threshold)
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("dtype, trials", [
+        (np.int64, [1, 50, 10 ** 6]),
+        (np.float64, [1, 50, 10 ** 6, INT64_SAFE + 1024, 2 ** 70])])
+    def test_binomial_draws_keep_the_input_dtype(self, dtype, trials, prob):
+        trials = np.array(trials, dtype=dtype)
+        out = _binomial_vector(trials, prob, stream(41, DOMAIN_SIMULATE, 0))
         assert out.dtype == dtype
         assert np.all((0 <= out) & (out <= trials))
+
+    @pytest.mark.parametrize("prob", [1e-300, 1e-12, 0.5, 1.0 - 2.0 ** -53])
+    def test_gaussian_draws_stay_within_their_trials(self, prob):
+        # the rounded Gaussian is clamped to [0, trials] at either end
+        trials = np.full(1000, INT64_SAFE + 1024.0)
+        rng = CountingRng(stream(43, DOMAIN_SIMULATE, 0))
+        out = _binomial_vector(trials, prob, rng)
+        assert rng.normals == 1000
+        assert np.all((0.0 <= out) & (out <= trials))
+        # within 4 standard errors and one float64 spacing at 2^62
+        assert abs(out.mean() - trials[0] * prob) < 4 * math.sqrt(
+            trials[0] * prob * (1.0 - prob)) / math.sqrt(1000) + 1024.0
 
 
 class TestTrajectory:
@@ -397,15 +422,11 @@ class TestTrajectory:
         assert all(rec.logW == pytest.approx(0.0, abs=1e-12)
                    for rec in traj.records)
 
-    @pytest.mark.parametrize("config, n, threshold", [
-        (BINARY, 200, 1 << 32),
-        (BINARY, 200, 50),
-        (MIXED, 120, 100),
-        (DOUBLING, 512, 1 << 32),
-    ])
-    def test_replays_the_per_generation_loop(self, config, n, threshold):
+    @pytest.mark.parametrize("config, n", [
+        (BINARY, 200), (MIXED, 120), (DOUBLING, 512)])
+    def test_replays_the_per_generation_loop(self, config, n):
         env = parse_env_config(config)
-        cfg = SimConfig(n=n, seed=13, exact_sampling_threshold=threshold)
+        cfg = SimConfig(n=n, seed=13)
         approx = []
         for t in range(8):
             ref_rng = stream(13, DOMAIN_SIMULATE, t)
@@ -419,41 +440,37 @@ class TestTrajectory:
             # the same number of draws was taken from the stream
             assert rng.random() == ref_rng.random()
             approx.append(approx_used)
-        # every random-model trajectory reaches the Gaussian runs; DOUBLING
-        # never draws
+        # every random-model trajectory passes 2^62 and takes Gaussian
+        # draws; DOUBLING never draws
         assert approx == [config is not DOUBLING] * 8
 
     @pytest.mark.parametrize("label, approx", [
         ("chain", True), ("bin", True), ("double", False)])
     def test_flag_read_off_the_one_generation_past_the_limit(self, label,
                                                              approx):
-        # With the limit just below Z_{n-1}, only the last generation starts
-        # above it, so the flag says whether that generation's state draws:
-        # a chain state's first link and a {1,2} state do, "double" does not.
+        # In a trajectory whose last generation alone starts above
+        # INT64_SAFE, the flag says whether that generation's state draws: a
+        # chain state's first link and a {1,2} state do, "double" does not.
         env = parse_env_config(MIXED)
-        n = 12
-        for t in range(100):
-            exact = simulate_trajectory(env, SimConfig(n=n, seed=13),
-                                        rng=stream(13, DOMAIN_SIMULATE, t))
-            zs = [rec.Z for rec in exact.records]
-            if exact.states[-1] == label and zs[-3] < zs[-2]:
-                break
-        else:
-            pytest.fail(f"no trajectory ends in a {label} generation")
-        top = int(zs[-2])
-        for limit, expect in ((top - 1, approx), (top, False)):
-            cfg = SimConfig(n=n, seed=13, exact_sampling_threshold=limit)
-            records, _, ref_approx = reference_trajectory(
-                env, cfg, stream(13, DOMAIN_SIMULATE, t))
+        n = 82
+        cfg = SimConfig(n=n, seed=13)
+        for t in range(400):
             traj = simulate_trajectory(env, cfg,
                                        rng=stream(13, DOMAIN_SIMULATE, t))
-            assert list(traj.records) == records
-            assert traj.records[:-1] == exact.records[:-1]
-            assert traj.approx_sampling_used == ref_approx == expect
+            zs = [rec.Z for rec in traj.records]
+            if traj.states[-1] == label and zs[-3] <= INT64_SAFE < zs[-2]:
+                break
+        else:
+            pytest.fail(f"no trajectory ends in a {label} generation that "
+                        "alone starts above 2^62")
+        records, _, ref_approx = reference_trajectory(
+            env, cfg, stream(13, DOMAIN_SIMULATE, t))
+        assert list(traj.records) == records
+        assert traj.approx_sampling_used == ref_approx == approx
 
     def test_env_tables_in_place_of_the_env(self):
         env = parse_env_config(MIXED)
-        cfg = SimConfig(n=60, seed=5, exact_sampling_threshold=100)
+        cfg = SimConfig(n=120, seed=5)
         assert (simulate_trajectory(EnvTables(env), cfg)
                 == simulate_trajectory(env, cfg))
         risky = parse_env_config({"model": "generic", "states": [
@@ -486,10 +503,12 @@ class TestTrajectory:
 
 class TestBlock:
     @pytest.mark.parametrize("config, n, approx", [
-        (BINARY, 70, True), (MIXED, 60, True), (DOUBLING, 40, False)])
+        (BINARY, 200, True), (MIXED, 120, True), (BINARY, 70, False),
+        (DOUBLING, 70, False)])
     def test_steps_the_estimators_generation_loop(self, config, n, approx):
-        # at the default threshold a block is the estimators' loop on the
-        # same stream: the state rows first, then one _generation per row
+        # a block is the estimators' loop on the same stream: the state rows
+        # first, then one _generation per row; its flag is true once some
+        # population passes 2^62 in a state that draws
         tables = EnvTables(parse_env_config(config))
         rng, ref_rng = stream(3, DOMAIN_SIMULATE, 0), stream(3, DOMAIN_SIMULATE, 0)
         z, states, got = simulate_block(tables, SimConfig(n=n, seed=3), 64, rng)

@@ -76,19 +76,16 @@ MODELS = {
 
 # (run name, command, model or None for no config, flags)
 RUNS = [
+    # populations pass 2^62, so Gaussian draws: approx_sampling_used is true
     ("simulate-binary-n200", "simulate", "binary", "--n 200 --trials 512"),
-    ("simulate-binary-n30", "simulate", "binary",
-     "--n 30 --trials 8 --exact-threshold 1000"),
-    ("simulate-generic-n30", "simulate", "generic",
-     "--n 30 --trials 8 --exact-threshold 1000"),
+    ("simulate-binary-n30", "simulate", "binary", "--n 30 --trials 8"),
+    ("simulate-generic-n30", "simulate", "generic", "--n 30 --trials 8"),
     ("simulate-generic-n120", "simulate", "generic", "--n 120 --trials 8"),
-    ("simulate-mixed-n60", "simulate", "mixed",
-     "--n 60 --trials 8 --exact-threshold 100"),
+    ("simulate-mixed-n60", "simulate", "mixed", "--n 60 --trials 8"),
     ("simulate-mixed-n150", "simulate", "mixed", "--n 150 --trials 16"),
-    # single trajectories: Z_60 passes 2^32, so Gaussian draws, but stays
-    # below 2^53; the chain states of the mixed run take Gaussian draws
+    # single trajectories, each Z below 2^53 and every draw exact
     ("simulate-binary-n60", "simulate", "binary", "--n 60"),
-    ("simulate-mixed-n40", "simulate", "mixed", "--n 40 --exact-threshold 100"),
+    ("simulate-mixed-n40", "simulate", "mixed", "--n 40"),
     ("verify-sn", "verify sn", "binary",
      "--n 10 --x 0.5 --trials 1e5 --workers 2"),
     ("verify-sn-generic", "verify sn", "generic",
