@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from bpre.bounds import (BoundQuery, H, H_upper, Theorem1Params, dH_dx, log_H,
-                         sn_tail_bound, theorem1_bound)
+                         sn_tail_bound, sn_tail_bound_eps, theorem1_bound)
 from bpre.env import compute_moments, parse_env_config
 from bpre.oracle import exact_sn_tail
 
@@ -262,3 +263,94 @@ class TestChernoffChain:
         bound = sn_tail_bound(16, 8.0, math.sqrt(mom.sigma2), mom.M_paper)
         assert chernoff == pytest.approx(3.9e-4, rel=0.02)
         assert bound == pytest.approx(5.2e-3, rel=0.02)
+
+
+# CHERNOFF_MODELS plus a lopsided two-state law and four {1, 2} states
+ROUNDING_MODELS = {
+    **CHERNOFF_MODELS,
+    "lopsided": {"model": "generic", "states": [
+        {"label": "a", "mass": 0.1, "offspring": {"1": 0.7, "3": 0.3}},
+        {"label": "b", "mass": 0.9, "offspring": {"1": 0.05, "2": 0.95}}]},
+    "four": {"model": "binary",
+             "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]},
+}
+
+
+def exact_moments(env):
+    """mu, sigma2, M_tight and M_paper at 50 digits, from the stored pmfs
+    and masses: the values compute_moments rounds."""
+    with mpmath.workdps(50):
+        xs = [mpmath.log(mpmath.fsum(k * mpmath.mpf(p)
+                                     for k, p in s.pmf.entries.items()))
+              for s, _ in env.states]
+        w = [mpmath.mpf(mass) for _, mass in env.states]
+        mu = mpmath.fsum(wi * xi for wi, xi in zip(w, xs))
+        s2 = mpmath.fsum(wi * (xi - mu) ** 2 for wi, xi in zip(w, xs))
+        return mu, s2, max(xs) - mu, mpmath.log(env.k_max) - mu
+
+
+def exact_H(n, x, s2, M):
+    """H_n(x, v_n) at 50 digits, v_n^2 = n sigma2 / M^2."""
+    with mpmath.workdps(50):
+        n, x = mpmath.mpf(n), mpmath.mpf(x)
+        w = n * s2 / M ** 2
+        if x == n:
+            return (w / (n + w)) ** n
+        return mpmath.exp(n / (n + w) * (
+            (x + w) * (mpmath.log(w) - mpmath.log(x + w))
+            + (n - x) * (mpmath.log(n) - mpmath.log(n - x))))
+
+
+class TestRoundingBound:
+    """eps_H (sn_tail_bound_eps) bounds how far the computed H falls below
+    H at the exact moments, the rounding of the moments included."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equality_case_is_dominated_within_eps_h(self, n):
+        # at x = n under M_tight the README model is the extremal two-point
+        # law: the walk's exact tail is the all-high sequence's 2^-n, equal
+        # to H in exact arithmetic, and the computed H may round below it
+        env = parse_env_config(CHERNOFF_MODELS["binary"])
+        mom = compute_moments(env)
+        bound = sn_tail_bound(n, float(n), math.sqrt(mom.sigma2), mom.M_tight)
+        eps = sn_tail_bound_eps(n, float(n), mom.sigma2, mom.M_tight,
+                                mom.sigma2_err, mom.M_tight_err)
+        assert abs(bound - 2.0 ** -n) <= 1e-14 * 2.0 ** -n
+        assert 2.0 ** -n <= bound * (1.0 + eps)
+        assert 0.0 < eps < 1e-12
+
+    @pytest.mark.parametrize("model", sorted(ROUNDING_MODELS))
+    def test_moment_errors_cover_the_rounding(self, model):
+        env = parse_env_config(ROUNDING_MODELS[model])
+        mom = compute_moments(env)
+        mu, s2, m_tight, m_paper = exact_moments(env)
+        assert abs(mom.sigma2 - s2) <= mom.sigma2_err
+        assert abs(mom.M_tight - m_tight) <= mom.M_tight_err
+        assert abs(mom.M_paper - m_paper) <= mom.M_paper_err
+        # rounding bounds, not tolerances: a few hundred ulp at most
+        assert mom.sigma2_err < 1e-12 * mom.sigma2
+        assert mom.M_tight_err < 1e-12 * mom.M_tight
+
+    @pytest.mark.parametrize("model", sorted(ROUNDING_MODELS))
+    @pytest.mark.parametrize("m_kind", ["tight", "paper"])
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_eps_h_covers_h_at_the_exact_moments(self, model, m_kind, n):
+        env = parse_env_config(ROUNDING_MODELS[model])
+        mom = compute_moments(env)
+        _, s2, m_tight, m_paper = exact_moments(env)
+        M, M_err, M_exact = ((mom.M_tight, mom.M_tight_err, m_tight)
+                             if m_kind == "tight"
+                             else (mom.M_paper, mom.M_paper_err, m_paper))
+        for i in range(17):
+            x = n * i / 16
+            bound = sn_tail_bound(n, x, math.sqrt(mom.sigma2), M)
+            eps = sn_tail_bound_eps(n, x, mom.sigma2, M, mom.sigma2_err, M_err)
+            assert exact_H(n, x, s2, M_exact) <= bound * (1.0 + eps), x
+            assert eps < 1e-11, x
+
+    def test_eps_h_past_the_indicator_and_below_the_normal_range(self):
+        # past x = n H is exactly 0; H below 2^-1022 has no relative bound
+        assert sn_tail_bound_eps(4, 4.5, 0.5, 1.0, 1e-17, 1e-17) == 0.0
+        assert sn_tail_bound(2000, 2000.0, 0.1, 1.0) < 2.0 ** -1022
+        assert sn_tail_bound_eps(2000, 2000.0, 0.01, 1.0, 1e-18,
+                                 1e-17) == math.inf

@@ -242,6 +242,82 @@ class TestOracle:
         assert 0.0 < out["exact_tail"] <= out["bound"]
 
 
+class TestWithinEpsH:
+    """At x = n under M_tight the README model's walk tail equals H in
+    exact arithmetic, and the computed H may round below it. A tail within
+    H's rounding bound eps_H counts as dominated, and result.json names
+    each such point. Today's tail events are empty at x = n, so these tests
+    put stand-in tails there: one ulp above H, and far above its rounding."""
+
+    N = 8
+
+    @pytest.fixture
+    def rounding(self):
+        mom = compute_moments(parse_env_config(BINARY_TEXT))
+        bound, eps = cli._sn_bound(self.N, float(self.N), mom, "tight")
+        # the tail H bounds there, 2^-n, is within eps_H of the computed H
+        assert 2.0 ** -self.N <= bound * (1.0 + eps)
+        return bound, eps
+
+    def stand_in(self, monkeypatch, tail):
+        def tails(env, n, xs, M, mu):
+            return [tail if x == n else 0.0 for x in xs]
+        monkeypatch.setattr(cli, "exact_sn_tails", tails)
+        monkeypatch.setattr(cli, "exact_sn_tail",
+                            lambda env, n, x, M, mu: tails(env, n, [x], M, mu)[0])
+
+    def test_oracle_labels_the_point(self, monkeypatch, capsys, binary_cfg,
+                                     rounding):
+        bound, eps = rounding
+        tail = math.nextafter(bound, 1.0)
+        self.stand_in(monkeypatch, tail)
+        code, out = run_json(capsys, ["oracle", binary_cfg, "--n", "8",
+                                      "--x", "8"])
+        assert code == 0 and out["dominated"] is True
+        assert out["dominated_within_eps_H"] == [
+            {"x": 8.0, "exact_tail": tail, "bound_H": bound, "eps_H": eps}]
+
+    def test_verify_oracle_labels_only_that_point(self, monkeypatch, tmp_path,
+                                                  binary_cfg, rounding):
+        bound, eps = rounding
+        self.stand_in(monkeypatch, math.nextafter(bound, 1.0))
+        out = tmp_path / "og"
+        assert cli.main(["verify", "oracle", binary_cfg, "--n", "8",
+                         "--grid-points", "9", "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["violations"] == 0
+        assert [p["x"] for p in result["dominated_within_eps_H"]] == [8.0]
+        assert (out / "result.csv").read_text().count(",true") == 9
+
+    def test_verify_sn_labels_the_point(self, monkeypatch, tmp_path,
+                                        binary_cfg, rounding):
+        bound, eps = rounding
+        self.stand_in(monkeypatch, math.nextafter(bound, 1.0))
+        out = tmp_path / "sn"
+        assert cli.main(["verify", "sn", binary_cfg, "--n", "8", "--x", "8",
+                         "--trials", "1000", "--seed", "1",
+                         "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["pass"] is True
+        assert [p["eps_H"] for p in result["dominated_within_eps_H"]] == [eps]
+
+    def test_a_tail_past_the_rounding_is_a_violation(self, monkeypatch,
+                                                     tmp_path, capsys,
+                                                     binary_cfg, rounding):
+        bound, eps = rounding
+        self.stand_in(monkeypatch, bound * (1.0 + 4.0 * eps))
+        out = tmp_path / "og"
+        assert cli.main(["verify", "oracle", binary_cfg, "--n", "8",
+                         "--grid-points", "9", "--out", str(out)]) == 1
+        result = json.loads((out / "result.json").read_text())
+        assert result["violations"] == 1
+        assert "dominated_within_eps_H" not in result
+        capsys.readouterr()
+        code, single = run_json(capsys, ["oracle", binary_cfg, "--n", "8",
+                                         "--x", "8"])
+        assert code == 1 and single["dominated"] is False
+
+
 class TestSimulate:
     def test_doubling_trajectory(self, tmp_path, capsys, doubling_cfg):
         out = tmp_path / "run"

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
-from bpre.env import compute_moments
+from bpre.env import compute_moments, gamma
 from bpre import oracle
 from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
                          TailEvent, _annealed_laws, _multiset_sum,
@@ -357,11 +357,6 @@ def horner_compose(dist, pmf):
         acc = np.convolve(acc, pmf)
         acc[0] += pz
     return acc
-
-
-def gamma(n):
-    u = 2.0 ** -53
-    return n * u / (1 - n * u)
 
 
 def blocked_roundings(length, pmf):
