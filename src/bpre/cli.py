@@ -288,7 +288,7 @@ def cmd_verify_sn(args, env: EnvDistribution) -> int:
         exact = None
     rows = [] if exact is None else [
         (args.x, exact, bound, eps, _dominated(exact, bound, eps))]
-    passed = est.ci_low <= bound and all(row[-1] for row in rows)
+    passed = est.ci_low <= bound and all(dominated for *_, dominated in rows)
 
     row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits), str(est.trials),
            fmt(est.point), fmt(est.ci_low), fmt(est.ci_high), fmt(bound), ""]

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 MASS_TOL = 1e-12
 
+DEFAULT_P = 2.0
+DEFAULT_Q = 3.0
+
 # unit roundoff of float64: one rounding moves a value by at most this,
 # relative
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -24,9 +27,6 @@ def gamma(k: int) -> float:
     compounded roundings (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, Lemma 3.1)."""
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
-
-DEFAULT_P = 2.0
-DEFAULT_Q = 3.0
 
 
 class ConfigError(ValueError):

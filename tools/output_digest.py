@@ -11,8 +11,9 @@ commit, so the file's diff shows which runs moved:
 
 The first line, `# python VERSION  numpy VERSION`, names the versions the
 digest was made under: the manifests record both, and numpy's streams may
-change across releases. Each command runs in-process through bpre.cli.main, at seed 3 where it
-takes one, with --out in a temporary directory. The script prints one
+change across releases. Each command runs in-process through
+bpre.cli.main, at seed 3 where it takes one, with --out in a temporary
+directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
 result* file. Where the run wrote manifest.json, a `SHA256  RUN/manifest.json`
 line follows: the digest of the manifest without its `created_utc` line
@@ -24,7 +25,7 @@ kernel section follows, which calls the exact log Z_n kernel directly: one
 bytes of every law oracle._annealed_laws returns, then
 `exact_EWn  MODEL  n=6  VALUE` and `exact_logw_increments  MODEL  g=7
 VALUES` lines, each VALUE a repr. A refactor that must keep every output
-byte gives the same digest on the old and the new tree, so `diff` the two.
+byte leaves tools/digest.txt as it is.
 Every manifest.json must list exactly the result* files of its directory;
 the script asserts it.
 """
