@@ -144,9 +144,10 @@ def sn_tail_bound_eps(n: int, x: float, sigma2: float, M: float,
                       sigma2_err: float, M_err: float) -> float:
     """eps_H: the relative rounding bound of bound = sn_tail_bound(n, x,
     sqrt(sigma2), M). sigma2 and M are moments as env.compute_moments gives
-    them, within sigma2_err and M_err of the exact moments, and H_n(x, v_n)
-    at the exact moments is at most bound * (1.0 + eps_H) as float64
-    computes it: a tail at or below that is certified dominated.
+    them, within sigma2_err and M_err of the exact moments
+    (env.moment_rounding), and H_n(x, v_n) at the exact moments is at most
+    bound * (1.0 + eps_H) as float64 computes it: a tail at or below that
+    is certified dominated.
 
     Derivation. H is nondecreasing in w = v^2, and
     d log H / d log w = (w L + n (x - w log(1 + x/w))) / (n + w) with

@@ -31,7 +31,7 @@ from .bounds import (BoundQuery, H, H_upper, Theorem1Params, log_H,
                      sn_tail_bound, sn_tail_bound_eps, theorem1_bound)
 from .env import (DEFAULT_P, DEFAULT_Q, ConfigError, EnvDistribution,
                   ModelMoments, ResourceCapError, check_assumptions,
-                  compute_moments, parse_env_config)
+                  compute_moments, moment_rounding, parse_env_config)
 from .estimate import (convergence_report, fit_geometric_decay,
                        mc_logw_increments, mc_tail_logzn, mc_tail_sn,
                        theorem1_candidates)
@@ -227,15 +227,16 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
     return emit(args, result, trajectories())
 
 
-def _sn_bound(n: int, x: float, moments: ModelMoments,
-              kind: str) -> tuple[float, float]:
-    """H_n(x, v_n) at the model's moments under M kind, and its rounding
-    bound eps_H (bounds.sn_tail_bound_eps)."""
-    M, M_err = ((moments.M_tight, moments.M_tight_err) if kind == "tight"
-                else (moments.M_paper, moments.M_paper_err))
-    return (sn_tail_bound(n, x, math.sqrt(moments.sigma2), M),
-            sn_tail_bound_eps(n, x, moments.sigma2, M, moments.sigma2_err,
-                              M_err))
+def _sn_bounds(env: EnvDistribution, moments: ModelMoments, kind: str,
+               n: int, xs: list[float]) -> list[tuple[float, float]]:
+    """(H_n(x, v_n), its rounding bound eps_H) at each x, at the model's
+    moments under M kind (bounds.sn_tail_bound_eps)."""
+    sigma2_err, M_tight_err, M_paper_err = moment_rounding(env, moments)
+    M, M_err = ((moments.M_tight, M_tight_err) if kind == "tight"
+                else (moments.M_paper, M_paper_err))
+    return [(sn_tail_bound(n, x, math.sqrt(moments.sigma2), M),
+             sn_tail_bound_eps(n, x, moments.sigma2, M, sigma2_err, M_err))
+            for x in xs]
 
 
 def _dominated(exact: float, bound: float, eps: float) -> bool:
@@ -259,11 +260,9 @@ def _oracle_rows(env: EnvDistribution, args, xs: list[float]) -> list[tuple]:
     moments = compute_moments(env)
     M = _pick_M(moments, args.m_kind)
     exacts = exact_sn_tails(env, args.n, xs, M, moments.mu)
-    rows = []
-    for x, e in zip(xs, exacts):
-        b, eps = _sn_bound(args.n, x, moments, args.m_kind)
-        rows.append((x, e, b, eps, _dominated(e, b, eps)))
-    return rows
+    bounds = _sn_bounds(env, moments, args.m_kind, args.n, xs)
+    return [(x, e, b, eps, _dominated(e, b, eps))
+            for x, e, (b, eps) in zip(xs, exacts, bounds)]
 
 
 def cmd_oracle(args, env: EnvDistribution) -> int:
@@ -281,7 +280,7 @@ def cmd_verify_sn(args, env: EnvDistribution) -> int:
     seed = resolve_seed(args)
     est = mc_tail_sn(env, args.n, args.x, M, args.trials, seed,
                      level=args.level, workers=_workers(args))
-    bound, eps = _sn_bound(args.n, args.x, moments, args.m_kind)
+    [(bound, eps)] = _sn_bounds(env, moments, args.m_kind, args.n, [args.x])
     try:
         exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
     except ResourceCapError:

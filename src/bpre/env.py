@@ -118,9 +118,7 @@ class ModelMoments:
     """Moments of X = log m(state) under the environment law, plus H1 constants.
 
     M_tight is ess-sup(X) - mu, the tightest constant satisfying H1; M_paper
-    is log(k_max) - mu, always valid since m <= k_max. sigma2_err,
-    M_tight_err and M_paper_err bound the absolute rounding error of
-    sigma2, M_tight and M_paper (see compute_moments).
+    is log(k_max) - mu, always valid since m <= k_max.
     """
 
     mu: float
@@ -128,9 +126,6 @@ class ModelMoments:
     M_tight: float
     M_paper: float
     per_state: tuple[tuple[str, float, float], ...]  # (label, m, X)
-    sigma2_err: float
-    M_tight_err: float
-    M_paper_err: float
 
     def __post_init__(self) -> None:
         if self.sigma2 > 0.0 and not self.M_tight > 0.0:
@@ -265,11 +260,31 @@ def state_log_mean(state: EnvState) -> float:
 
 
 def compute_moments(env: EnvDistribution) -> ModelMoments:
-    """Moments of X = log m over the finite support, each rounded once per
-    operation, with bounds on their rounding error.
+    """Exact moments of X = log m over the finite support."""
+    # every mean is > 0: OffspringPmf puts positive mass on some k >= 1
+    per_state = [(state.label, state_mean(state), state_log_mean(state))
+                 for state, _ in env.states]
+    log_means = {x for _, _, x in per_state}
+    if len(log_means) == 1:
+        # A weighted sum can round one ulp off the common value, which would
+        # leave sigma2 > 0 with M_tight <= 0.
+        mu = log_means.pop()
+    else:
+        mu = math.fsum(mass * x for (_, _, x), (_, mass) in zip(per_state, env.states))
+    sigma2 = math.fsum(mass * (x - mu) ** 2 for (_, _, x), (_, mass) in zip(per_state, env.states))
+    m_tight = max(x for _, _, x in per_state) - mu
+    return ModelMoments(mu=mu, sigma2=sigma2, M_tight=m_tight,
+                        M_paper=math.log(env.k_max) - mu,
+                        per_state=tuple(per_state))
 
-    The error bounds compare with the exact values of the same formulas on
-    the stored masses and the exact X_s = log m_s of the stored pmfs, with
+
+def moment_rounding(env: EnvDistribution,
+                    moments: ModelMoments) -> tuple[float, float, float]:
+    """Bounds on the absolute rounding error of moments.sigma2, M_tight and
+    M_paper, for moments = compute_moments(env) with sigma2 > 0.
+
+    They compare with the exact values of compute_moments's formulas on the
+    stored masses and the exact X_s = log m_s of the stored pmfs, with
     u = UNIT_ROUNDOFF and libm's log and pow taken within one ulp:
     - m_s is an fsum of rounded k * p_k >= 0, so it is off by at most
       gamma_2 relative and log m_s by gamma_3; log is then off by one ulp,
@@ -283,39 +298,21 @@ def compute_moments(env: EnvDistribution) -> ModelMoments:
       and the fsum add gamma_4 relative, so sigma2 is off by at most
       gamma_5 sigma2 + sum(mass b_s (2 |d_s| + b_s)).
     This matters where a bound is compared with an exact tail that equals
-    it in exact arithmetic (bounds.sn_tail_bound_eps). With one common X
-    (mu is that X and sigma2 is 0) no bound is formed, and the errors are
-    those of the general case.
+    it in exact arithmetic (bounds.sn_tail_bound_eps).
     """
-    # every mean is > 0: OffspringPmf puts positive mass on some k >= 1
-    per_state = [(state.label, state_mean(state), state_log_mean(state))
-                 for state, _ in env.states]
     masses = [mass for _, mass in env.states]
-    xs = [x for _, _, x in per_state]
-    if len(set(xs)) == 1:
-        # A weighted sum can round one ulp off the common value, which would
-        # leave sigma2 > 0 with M_tight <= 0.
-        mu = xs[0]
-    else:
-        mu = math.fsum(mass * x for x, mass in zip(xs, masses))
-    sigma2 = math.fsum(mass * (x - mu) ** 2 for x, mass in zip(xs, masses))
-    m_tight = max(xs) - mu
-    m_paper = math.log(env.k_max) - mu
-
+    xs = [x for _, _, x in moments.per_state]
     a = [gamma(2) * abs(x) + gamma(3) for x in xs]
     a_mu = (gamma(2) * math.fsum(mass * abs(x) for x, mass in zip(xs, masses))
             + math.fsum(mass * a_s for a_s, mass in zip(a, masses)))
-    d = [x - mu for x in xs]
+    d = [x - moments.mu for x in xs]
     b = [gamma(1) * abs(d_s) + a_s + a_mu for d_s, a_s in zip(d, a)]
-    return ModelMoments(
-        mu=mu, sigma2=sigma2, M_tight=m_tight, M_paper=m_paper,
-        per_state=tuple(per_state),
-        sigma2_err=gamma(5) * sigma2 + math.fsum(
-            mass * b_s * (2.0 * abs(d_s) + b_s)
-            for b_s, d_s, mass in zip(b, d, masses)),
-        M_tight_err=gamma(1) * abs(m_tight) + max(a) + a_mu,
-        M_paper_err=(gamma(1) * abs(m_paper) + gamma(2) * math.log(env.k_max)
-                     + a_mu))
+    sigma2_err = gamma(5) * moments.sigma2 + math.fsum(
+        mass * b_s * (2.0 * abs(d_s) + b_s) for b_s, d_s, mass in zip(b, d, masses))
+    return (sigma2_err,
+            gamma(1) * abs(moments.M_tight) + max(a) + a_mu,
+            gamma(1) * abs(moments.M_paper) + gamma(2) * math.log(env.k_max)
+            + a_mu)
 
 
 def check_assumptions(env: EnvDistribution, p: float = DEFAULT_P,

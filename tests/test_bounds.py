@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from bpre.bounds import (BoundQuery, H, H_upper, Theorem1Params, dH_dx, log_H,
                          sn_tail_bound, sn_tail_bound_eps, theorem1_bound)
-from bpre.env import compute_moments, parse_env_config
+from bpre.env import compute_moments, moment_rounding, parse_env_config
 from bpre.oracle import exact_sn_tail
 
 # frozen high-precision evaluations of the closed forms
@@ -312,9 +312,10 @@ class TestRoundingBound:
         # to H in exact arithmetic, and the computed H may round below it
         env = parse_env_config(CHERNOFF_MODELS["binary"])
         mom = compute_moments(env)
+        sigma2_err, M_err, _ = moment_rounding(env, mom)
         bound = sn_tail_bound(n, float(n), math.sqrt(mom.sigma2), mom.M_tight)
         eps = sn_tail_bound_eps(n, float(n), mom.sigma2, mom.M_tight,
-                                mom.sigma2_err, mom.M_tight_err)
+                                sigma2_err, M_err)
         assert abs(bound - 2.0 ** -n) <= 1e-14 * 2.0 ** -n
         assert 2.0 ** -n <= bound * (1.0 + eps)
         assert 0.0 < eps < 1e-12
@@ -323,13 +324,14 @@ class TestRoundingBound:
     def test_moment_errors_cover_the_rounding(self, model):
         env = parse_env_config(ROUNDING_MODELS[model])
         mom = compute_moments(env)
+        sigma2_err, M_tight_err, M_paper_err = moment_rounding(env, mom)
         mu, s2, m_tight, m_paper = exact_moments(env)
-        assert abs(mom.sigma2 - s2) <= mom.sigma2_err
-        assert abs(mom.M_tight - m_tight) <= mom.M_tight_err
-        assert abs(mom.M_paper - m_paper) <= mom.M_paper_err
+        assert abs(mom.sigma2 - s2) <= sigma2_err
+        assert abs(mom.M_tight - m_tight) <= M_tight_err
+        assert abs(mom.M_paper - m_paper) <= M_paper_err
         # rounding bounds, not tolerances: a few hundred ulp at most
-        assert mom.sigma2_err < 1e-12 * mom.sigma2
-        assert mom.M_tight_err < 1e-12 * mom.M_tight
+        assert sigma2_err < 1e-12 * mom.sigma2
+        assert M_tight_err < 1e-12 * mom.M_tight
 
     @pytest.mark.parametrize("model", sorted(ROUNDING_MODELS))
     @pytest.mark.parametrize("m_kind", ["tight", "paper"])
@@ -337,14 +339,15 @@ class TestRoundingBound:
     def test_eps_h_covers_h_at_the_exact_moments(self, model, m_kind, n):
         env = parse_env_config(ROUNDING_MODELS[model])
         mom = compute_moments(env)
+        sigma2_err, M_tight_err, M_paper_err = moment_rounding(env, mom)
         _, s2, m_tight, m_paper = exact_moments(env)
-        M, M_err, M_exact = ((mom.M_tight, mom.M_tight_err, m_tight)
+        M, M_err, M_exact = ((mom.M_tight, M_tight_err, m_tight)
                              if m_kind == "tight"
-                             else (mom.M_paper, mom.M_paper_err, m_paper))
+                             else (mom.M_paper, M_paper_err, m_paper))
         for i in range(17):
             x = n * i / 16
             bound = sn_tail_bound(n, x, math.sqrt(mom.sigma2), M)
-            eps = sn_tail_bound_eps(n, x, mom.sigma2, M, mom.sigma2_err, M_err)
+            eps = sn_tail_bound_eps(n, x, mom.sigma2, M, sigma2_err, M_err)
             assert exact_H(n, x, s2, M_exact) <= bound * (1.0 + eps), x
             assert eps < 1e-11, x
 

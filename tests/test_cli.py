@@ -253,8 +253,9 @@ class TestWithinEpsH:
 
     @pytest.fixture
     def rounding(self):
-        mom = compute_moments(parse_env_config(BINARY_TEXT))
-        bound, eps = cli._sn_bound(self.N, float(self.N), mom, "tight")
+        env = parse_env_config(BINARY_TEXT)
+        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
+                                        self.N, [float(self.N)])
         # the tail H bounds there, 2^-n, is within eps_H of the computed H
         assert 2.0 ** -self.N <= bound * (1.0 + eps)
         return bound, eps
