@@ -4,8 +4,8 @@ walk S_n, and the normalized martingale W_n = Z_n / Pi_n.
 Populations are float64 arrays: exact integers below 2^53, rounded at 1e-16
 relative above, with a fixed cap of 2^512 (DEFAULT_POPULATION_CAP) far below
 float64 overflow. Offspring totals are sampled as a chain of conditional
-binomials over ascending family sizes, with the shifted binomial
-z + Bin(z, p_2) shortcut for {1,2}-supported states. A binomial draw on at
+binomials over ascending family sizes, one link per family size of positive
+mass but the largest, for every state. A binomial draw on at
 most INT64_SAFE = 2^62 trials, the largest count numpy's exact sampler
 takes, is exact; above it, a rounded Gaussian approximation. That is the
 package's one exactness limit, and it lies past 2^53, where the float64
@@ -18,7 +18,8 @@ of a `simulate` run as one block on one stream. simulate_trajectory() is a
 block of one. A generation's first
 draw is on all Z_k individuals and each later chain link draws on fewer, so
 a generation takes a Gaussian draw iff some population starts above
-INT64_SAFE in a state that draws; approx_sampling_used follows that rule.
+INT64_SAFE in a state that draws, one with two or more family sizes of
+positive mass; approx_sampling_used follows that rule.
 
 Environment states are picked from uniforms by EnvTables.pick_states, an
 inverse CDF by threshold comparisons. EnvTables.pick_probs is the state law
@@ -117,10 +118,10 @@ class EnvTables:
     """Array form of an EnvDistribution for samplers.
 
     cum holds cumulative state masses for inverse-CDF lookup, and
-    pick_probs the state probabilities that lookup implies; per-state
-    sampler descriptors are either ("binary", p2) for {1,2}-supported pmfs
-    or ("chain", ((k, conditional_p), ...), k_last) for the ascending
-    conditional-binomial chain, and draws holds binomial_draws of each.
+    pick_probs the state probabilities that lookup implies; each state's
+    sampler descriptor is (((k, conditional_p), ...), k_last), the
+    ascending conditional-binomial chain, and draws holds binomial_draws
+    of each.
     """
 
     def __init__(self, env: EnvDistribution):
@@ -159,16 +160,13 @@ class EnvTables:
 
 def _sampler_descriptor(entries: dict[int, float]):
     positive = [(k, p) for k, p in sorted(entries.items()) if p > 0.0]
-    sizes = [k for k, _ in positive]
-    if all(k in (1, 2) for k in sizes):
-        return ("binary", entries.get(2, 0.0))
     # Conditional probability of k_i given none of the smaller sizes, ascending.
     chain = []
     mass_left = 1.0
     for k, p in positive[:-1]:
         chain.append((k, min(max(p / mass_left, 0.0), 1.0)))
         mass_left -= p
-    return ("chain", tuple(chain), positive[-1][0])
+    return tuple(chain), positive[-1][0]
 
 
 def _binomial_vector(trials: np.ndarray, prob: float,
@@ -206,16 +204,14 @@ def offspring(z: np.ndarray, sampler, rng: np.random.Generator) -> np.ndarray:
     This is the package's only offspring step. z is an int64 or float64
     array of independent populations (float64 totals are exact below 2^53;
     the package steps float64); sampler is the state's
-    EnvTables.samplers descriptor. {1,2}-supported states draw
-    z + Bin(z, p_2); other states realize the multinomial family counts as
-    conditional binomials over ascending family sizes, one binomial per
-    chain link. Each binomial draw on trials <= INT64_SAFE, the largest
-    trial count the exact sampler takes, is exact and one above it is
-    Gaussian.
+    EnvTables.samplers descriptor. Every state realizes the multinomial
+    family counts as conditional binomials over ascending family sizes,
+    one binomial per chain link; a {1,2} state takes 2z - Bin(z, p_1),
+    which is z + Bin(z, p_2) in law. Each binomial draw on trials <=
+    INT64_SAFE, the largest trial count the exact sampler takes, is exact
+    and one above it is Gaussian.
     """
-    if sampler[0] == "binary":
-        return z + _binomial_vector(z, sampler[1], rng)
-    _, chain, k_last = sampler
+    chain, k_last = sampler
     remaining, total = z, 0
     for k, cond_p in chain:
         c = _binomial_vector(remaining, cond_p, rng)
@@ -226,10 +222,10 @@ def offspring(z: np.ndarray, sampler, rng: np.random.Generator) -> np.ndarray:
 
 def binomial_draws(sampler) -> int:
     """Binomial draws one offspring pass takes per population under a
-    sampler descriptor; a deterministic {1,2} state takes none."""
-    if sampler[0] == "binary":
-        return int(0.0 < sampler[1] < 1.0)
-    return len(sampler[1])
+    sampler descriptor: its chain's length, one less than the number of
+    family sizes of positive mass, so a state draws iff two or more have
+    positive mass."""
+    return len(sampler[0])
 
 
 def require_no_extinction(env: EnvDistribution) -> None:

@@ -421,7 +421,8 @@ class TestSimulate:
     def test_block_of_one_keeps_its_bytes(self, tmp_path, binary_cfg):
         # Z stays below 2^53 and every draw is exact, so a block of one
         # writes what stepping a Python int on the run's stream writes: the
-        # n environment uniforms, then z + Bin(z, p_2) per generation
+        # n environment uniforms, then z + Bin(z, p_2) per generation, which
+        # reads the uniforms of the chain's 2z - Bin(z, p_1)
         out = tmp_path / "one"
         assert cli.main(["simulate", binary_cfg, "--n", "60", "--seed", "3",
                          "--out", str(out)]) == 0
@@ -431,7 +432,7 @@ class TestSimulate:
         rng = stream(3, DOMAIN_SIMULATE, 0)
         z, s, rows = 1, 0.0, [["0", "1", "0", "0", "0"]]
         for gen, i in enumerate(tables.pick_states(rng.random(60)).tolist(), 1):
-            z += int(rng.binomial(z, tables.samplers[i][1]))
+            z += int(rng.binomial(z, tables.states[i].pmf.entries[2]))
             s += tables.X[i]
             rows.append([str(gen), str(z), cli.fmt(math.log2(z)), cli.fmt(s),
                          cli.fmt(math.log(z) - s)])

@@ -18,9 +18,8 @@ DOUBLING = {"model": "generic",
 THREE_POINT = {"model": "generic",
                "states": [{"label": "mix", "mass": 1.0,
                            "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
-# A {1,2} state, a deterministic doubling state and a {1,2,3} chain state:
-# chain generations break the runs of {1,2} generations, and p2 = 1 sits
-# inside them.
+# A {1,2} state, a deterministic doubling state and a {1,2,3} state: chains
+# of one, zero and two links.
 MIXED = {"model": "generic",
          "states": [{"label": "bin", "mass": 0.4,
                      "offspring": {"1": 0.6, "2": 0.4}},
@@ -224,10 +223,10 @@ class TestOffspring:
         assert list(before) == list(after)
 
     def test_deterministic_vector_returns_its_input_without_draws(self):
-        # {1: 1.0} is a {1,2} state with p2 = 0: Bin(z, 0) takes no draw
+        # {1: 1.0} has one family size of positive mass: an empty chain
         sampler = first_sampler(parse_env_config({"model": "generic", "states": [
             {"label": "one", "mass": 1.0, "offspring": {"1": 1.0}}]}))
-        assert sampler == ("binary", 0.0)
+        assert sampler == ((), 1)
         rng = stream(19, DOMAIN_SIMULATE, 0)
         before = rng.bit_generator.state["state"]["counter"].copy()
         z = np.array([1.0, 7.0, 2.0 ** 40])
@@ -262,11 +261,9 @@ def scalar_binomial(trials, prob, rng):
 
 def scalar_offspring(zs, sampler, rng):
     """The offspring law of a list of populations, stated independently of
-    the array code: z + Bin(z, p2) for a {1,2} state, else one conditional
-    binomial per chain link over ascending family sizes."""
-    if sampler[0] == "binary":
-        return [z + c for z, c in zip(zs, scalar_binomial(zs, sampler[1], rng))]
-    _, chain, k_last = sampler
+    the array code: one conditional binomial per chain link over ascending
+    family sizes."""
+    chain, k_last = sampler
     remaining, total = list(zs), [0] * len(zs)
     for k, cond_p in chain:
         c = scalar_binomial(remaining, cond_p, rng)
@@ -281,7 +278,7 @@ class TestOffspringForms:
     the Gaussian draws past INT64_SAFE: an int64 population there would
     overflow at its first doubling."""
 
-    PMFS = [{"1": 0.25, "2": 0.75},             # binary shortcut
+    PMFS = [{"1": 0.25, "2": 0.75},             # {1, 2}: one chain link
             {"1": 0.3, "2": 0.5, "3": 0.2},     # conditional-binomial chain
             {"2": 1.0},                         # deterministic
             {"1": 0.1, "2": 0.0, "4": 0.9},     # zero-mass chain entry
@@ -449,8 +446,9 @@ class TestTrajectory:
     def test_flag_read_off_the_one_generation_past_the_limit(self, label,
                                                              approx):
         # In a trajectory whose last generation alone starts above
-        # INT64_SAFE, the flag says whether that generation's state draws: a
-        # chain state's first link and a {1,2} state do, "double" does not.
+        # INT64_SAFE, the flag says whether that generation's state draws:
+        # the first link of "chain" and the one link of "bin" do, "double"
+        # has none.
         env = parse_env_config(MIXED)
         n = 82
         cfg = SimConfig(n=n, seed=13)
