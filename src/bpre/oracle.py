@@ -289,9 +289,12 @@ def _compose(dist: np.ndarray, rows: np.ndarray, lo: int,
     p0 = 0, f^B = t^(B lo) g(t), so each giant step convolves with g alone
     and shifts the product by B lo, past the block or into it: about
     L^(1/3) numpy calls with long dot products, not one short convolution
-    per atom. np.einsum without optimize runs numpy's own loops; no step is
-    a BLAS matrix product, whose summation order can follow the thread
-    count.
+    per atom. np.einsum without optimize runs numpy's own loops, but
+    np.convolve's float64 dot products run in OpenBLAS's ddot, whose
+    summation order is that of the kernel OpenBLAS picks for the CPU (its
+    core): the bytes hold for one OpenBLAS core. ddot also splits long dot
+    products across BLAS threads, which the giant steps of a model with
+    wide family-size gaps reach.
 
     Every product is of nonnegative numbers and every sum adds them up, so
     nothing cancels (an FFT would leave negative round-off in the far tail),

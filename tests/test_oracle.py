@@ -474,8 +474,10 @@ class TestBlockedStep:
 
 
 def test_kernel_bytes_do_not_follow_the_blas_thread_count():
-    # no step is a BLAS product (np.einsum without optimize runs numpy's
-    # own loops), so the laws' bytes are the same at any BLAS thread count
+    # np.einsum without optimize runs numpy's own loops, and np.convolve's
+    # dot products run in OpenBLAS's ddot, whose summation order follows
+    # the OpenBLAS core, not the thread count at these laws' lengths: the
+    # bytes are the same at any BLAS thread count on one core
     code = ("import hashlib, json; from bpre.env import parse_env_config; "
             "from bpre.oracle import _annealed_laws; "
             "print(*(hashlib.sha256(b''.join(law.tobytes() for law in "
