@@ -1131,7 +1131,8 @@ def test_output_digest_matches_digest_txt(tmp_path):
     if want[0] != head:
         pytest.fail(f"tools/digest.txt was made under {want[0][2:]!r}, this is "
                     f"{head[2:]!r}: the manifests and numpy's streams follow "
-                    "the versions, so regenerate the file under these")
+                    "the versions, and the dot products' rounding the "
+                    "OpenBLAS core, so regenerate the file under these")
     got = tool["all_lines"](tmp_path)
     exits = [line.split() for line in got if line.startswith("exit ")]
     assert [run for *_, run in exits] == [run for run, *_ in tool["RUNS"]]

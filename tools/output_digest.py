@@ -9,9 +9,11 @@ commit, so the file's diff shows which runs moved:
 
     python3 tools/output_digest.py > tools/digest.txt
 
-The first line, `# python VERSION  numpy VERSION`, names the versions the
-digest was made under: the manifests record both, and numpy's streams may
-change across releases. Each command runs in-process through
+The first line, `# python VERSION  numpy VERSION  openblas CORE`, names
+what the digest was made under: the manifests record both versions, numpy's
+streams may change across releases, and the float64 dot products of
+np.convolve, np.polyfit and matmul sum in the order of the OpenBLAS core
+(the kernel OpenBLAS picks for the CPU, or OPENBLAS_CORETYPE). Each command runs in-process through
 bpre.cli.main, at seed 3 where it takes one, with --out in a temporary
 directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
@@ -32,6 +34,7 @@ the script asserts it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -211,8 +214,22 @@ def digest(root: Path) -> list[str]:
     return lines
 
 
+def openblas_core() -> str:
+    """The core of the OpenBLAS library numpy loaded, read through ctypes,
+    or "unknown" where that library exports no core name."""
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def header() -> str:
-    return f"# python {platform.python_version()}  numpy {np.__version__}"
+    return (f"# python {platform.python_version()}  numpy {np.__version__}  "
+            f"openblas {openblas_core()}")
 
 
 def all_lines(root: Path) -> list[str]:
