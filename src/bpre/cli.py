@@ -241,8 +241,11 @@ def _sn_bounds(env: EnvDistribution, moments: ModelMoments, kind: str,
 
 def _dominated(exact: float, bound: float, eps: float) -> bool:
     """An exact tail is dominated at or below bound * (1 + eps_H): where
-    the two are equal in exact arithmetic, H may round below the tail."""
-    return exact <= bound or exact <= bound * (1.0 + eps)
+    the two are equal in exact arithmetic, H may round below the tail. An
+    infinite eps_H (H below the normal range) bounds nothing, so there a
+    tail is dominated only at or below bound."""
+    return exact <= bound or (math.isfinite(eps)
+                              and exact <= bound * (1.0 + eps))
 
 
 def _within_eps(rows: list[tuple]) -> dict:

@@ -318,6 +318,20 @@ class TestWithinEpsH:
                                          "--x", "8"])
         assert code == 1 and single["dominated"] is False
 
+    def test_an_infinite_eps_h_certifies_nothing(self, monkeypatch, capsys,
+                                                 binary_cfg):
+        # at n = 1030 H is 8.7e-311, below the normal range, so eps_H is
+        # inf: a tail is dominated only at or below H itself
+        env = parse_env_config(BINARY_TEXT)
+        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
+                                        1030, [1030.0])
+        assert 0.0 < bound < 2.0 ** -1022 and eps == math.inf
+        self.stand_in(monkeypatch, 0.5)
+        code, out = run_json(capsys, ["oracle", binary_cfg, "--n", "1030",
+                                      "--x", "1030"])
+        assert code == 1 and out["dominated"] is False
+        assert "dominated_within_eps_H" not in out
+
 
 class TestSimulate:
     def test_doubling_trajectory(self, tmp_path, capsys, doubling_cfg):
