@@ -40,7 +40,9 @@ class ResourceCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class OffspringPmf:
-    """Finite-support offspring distribution: family size k -> probability."""
+    """Finite-support offspring distribution: family size k -> probability.
+    Masses that sum to 1 within MASS_TOL are stored divided by their fsum,
+    so every route reads one probability vector."""
 
     entries: dict[int, float]
 
@@ -59,7 +61,8 @@ class OffspringPmf:
             raise ConfigError(f"offspring masses sum to {total:g}")
         if not any(k >= 1 and p > 0.0 for k, p in clean.items()):
             raise ConfigError("offspring pmf has no positive mass on k >= 1")
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries",
+                           {k: mass / total for k, mass in clean.items()})
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -89,7 +92,9 @@ class EnvState:
 
 @dataclass(frozen=True)
 class EnvDistribution:
-    """Finite-support law over environment states (the i.i.d. driver)."""
+    """Finite-support law over environment states (the i.i.d. driver).
+    Masses that sum to 1 within MASS_TOL are stored divided by their fsum,
+    like OffspringPmf's."""
 
     states: tuple[tuple[EnvState, float], ...]
 
@@ -106,6 +111,8 @@ class EnvDistribution:
         total = math.fsum(mass for _, mass in self.states)
         if abs(total - 1.0) > MASS_TOL:
             raise ConfigError(f"masses sum to {total:g}")
+        object.__setattr__(self, "states", tuple(
+            (state, mass / total) for state, mass in self.states))
 
     @property
     def k_max(self) -> int:

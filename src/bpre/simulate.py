@@ -144,8 +144,8 @@ class EnvTables:
 
         The index is the number of thresholds cum[:-1] at or below u, which
         equals min(searchsorted(cum, u, "right"), k - 1) since cum is
-        nondecreasing: a uniform at or above cum[-1] (masses may sum to
-        1 - MASS_TOL) maps to the last state. The indices come in
+        nondecreasing: a uniform at or above cum[-1] (the cumulative masses
+        may round below 1) maps to the last state. The indices come in
         index_dtype, the smallest unsigned dtype that holds the top index
         (uint8 up to 256 states). One comparison pass per threshold, so the
         cost is linear in the number of states k: on a 2-CPU Xeon about

@@ -13,7 +13,7 @@ import pytest
 
 from bpre import cli, estimate, oracle
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
-from bpre.env import compute_moments, parse_env_config
+from bpre.env import compute_moments, parse_env_config, state_log_mean
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
 import bpre.simulate
@@ -317,6 +317,28 @@ class TestWithinEpsH:
         code, single = run_json(capsys, ["oracle", binary_cfg, "--n", "8",
                                          "--x", "8"])
         assert code == 1 and single["dominated"] is False
+
+    # the README model with its second mass 0.5 - 9e-13, inside MASS_TOL
+    OFF_BY_9E_13 = {"model": "binary", "support": [
+        {"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5 - 9e-13}]}
+
+    def test_masses_are_stored_normalised(self):
+        env = parse_env_config(self.OFF_BY_9E_13)
+        laws = [[mass for _, mass in env.states]] + [
+            list(state.pmf.entries.values()) for state, _ in env.states]
+        for masses in laws:
+            assert abs(math.fsum(masses) - 1.0) <= 2.0 ** -53
+
+    def test_equality_case_of_masses_off_by_rounding(self):
+        # the walk tail of the event H bounds at x = n is (top mass)^n, H
+        # itself in exact arithmetic; the missing 9e-13 would put it 1.6e-11
+        # relative above H, far past eps_H
+        n = 10
+        env = parse_env_config(self.OFF_BY_9E_13)
+        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
+                                        n, [float(n)])
+        _, top = max(env.states, key=lambda sm: state_log_mean(sm[0]))
+        assert top ** n <= bound * (1.0 + eps)
 
     def test_an_infinite_eps_h_certifies_nothing(self, monkeypatch, capsys,
                                                  binary_cfg):
