@@ -861,6 +861,7 @@ class TestIncrements:
                 assert _increment_depth(tables, g, trials) == g
         binary = EnvTables(binary_env())
         assert _increment_depth(binary, 20, 10 ** 5) == 11
+        assert _increment_depth(binary, 11, 10 ** 5) == 11  # every row exact
         assert _increment_depth(EnvTables(parse_env_config(GENERIC)), 20,
                                 10 ** 5) == 7
         deterministic = EnvTables(parse_env_config(DOUBLING))
