@@ -3,11 +3,11 @@ walk S_n, and the normalized martingale W_n = Z_n / Pi_n.
 
 Populations are float64 arrays: exact integers below 2^53, rounded at 1e-16
 relative above, with a fixed cap of 2^512 (DEFAULT_POPULATION_CAP) far below
-float64 overflow. Offspring totals are sampled as a chain of conditional
-binomials over ascending family sizes, one link per family size of positive
-mass but the largest, for every state. A binomial draw on at
-most INT64_SAFE = 2^62 trials, the largest count numpy's exact sampler
-takes, is exact; above it, a rounded Gaussian approximation. That is the
+float64 overflow. Every state's offspring totals are sampled as a chain of
+conditional binomials over ascending family sizes, one link per family size
+of positive mass but the largest. A binomial draw on at most INT64_SAFE =
+2^62 trials, the largest count numpy's exact sampler takes, is exact; above
+it, a rounded Gaussian approximation. That is the
 package's one exactness limit, and it lies past 2^53, where the float64
 populations already round. offspring() is the one implementation of this
 step. _generation steps a block of populations one generation, one
