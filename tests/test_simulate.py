@@ -114,12 +114,12 @@ class TestEnvSampling:
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_pick_states_is_the_clamped_searchsorted(self, k):
-        # the masses are normalised, but their cumulative sums may still
+        # the stored masses are normalised, but their cumulative sums may
         # round below 1 (seven masses of 1/7 end at 1 - 2^-52); thresholds
         # scaled by 1 - 1e-13 stand in for that at every k: uniforms at or
         # above cum[-1] must still map to the last state
         masses = [(j + 1) / (k * (k + 1) / 2) for j in range(k - 1)]
-        masses.append(1.0 - 1e-13 - math.fsum(masses))
+        masses.append(1.0 - math.fsum(masses))
         env = parse_env_config({"model": "generic", "states": [
             {"label": f"s{j}", "mass": mass, "offspring": {"1": 0.5, "2": 0.5}}
             for j, mass in enumerate(masses)]})
