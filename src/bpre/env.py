@@ -92,7 +92,7 @@ class EnvState:
 
 @dataclass(frozen=True)
 class EnvDistribution:
-    """Finite-support law over environment states (the i.i.d. driver).
+    """Finite-support law over environment states, drawn i.i.d. per generation.
     Masses that sum to 1 within MASS_TOL are stored divided by their fsum,
     like OffspringPmf's."""
 
