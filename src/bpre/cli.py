@@ -2,7 +2,9 @@
 and estimation into reproducible experiments with machine-readable reports.
 
 Every command is deterministic given (config bytes, flags, seed); main
-reads the config once and hands the command its environment. Each record
+reads the config once, resolves the seed and worker count once, and hands
+the command its environment. _check decides every bound check: each exact
+tail against its bound and each verify mode's verdict. Each record
 ends in emit: with --out DIR the CSVs (result.csv, or one per simulated
 trajectory), then result.json, then manifest.json, the mark of a complete
 run, then a verify mode's verdict line; without --out the JSON result goes
@@ -135,27 +137,14 @@ def emit(args, result: dict | Callable[[], dict],
     return 0 if passed else 1
 
 
-def resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("BPRE_SEED", "")
-    try:
-        return _seed(raw) if raw else 0
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"$BPRE_SEED {exc}") from None
-
-
 def load_env(path: str) -> tuple[EnvDistribution, str]:
     data = Path(path).read_bytes()
     return parse_env_config(data), hashlib.sha256(data).hexdigest()
 
 
-def _pick_M(moments: ModelMoments, kind: str) -> float:
-    return moments.M_tight if kind == "tight" else moments.M_paper
-
-
-def _workers(args) -> int:
-    return args.workers if args.workers is not None else (os.cpu_count() or 1)
+def _by_M_kind(kind: str, tight, paper):
+    """The --M-kind choice of a (tight, paper) pair."""
+    return tight if kind == "tight" else paper
 
 
 def cmd_env_check(args, env: EnvDistribution) -> int:
@@ -195,8 +184,7 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
         raise ValueError(
             f"simulate writes one CSV per trajectory; --trials {args.trials} "
             f"exceeds {_MAX_TRAJECTORY_FILES}")
-    seed = resolve_seed(args)
-    cfg = SimConfig(n=args.n, seed=seed)
+    cfg = SimConfig(n=args.n, seed=args.seed)
 
     tables = EnvTables(env)
     names = (["result.csv"] if args.trials == 1
@@ -207,7 +195,7 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
         # the whole block is stepped before the first file is written, so a
         # run stopped at the population cap writes no trajectory
         block, states, approx_used = simulate_block(
-            tables, cfg, args.trials, stream(seed, DOMAIN_SIMULATE, 0))
+            tables, cfg, args.trials, stream(args.seed, DOMAIN_SIMULATE, 0))
         approx.append(approx_used)
         # One %-format per row, its generation number in the template,
         # writes what fmt() and _csv() would.
@@ -220,77 +208,85 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
             yield name, f"{TRAJECTORY_CSV_HEADER}\n{rows}"
 
     def result() -> dict:
-        return {"env_config_sha256": args.config_sha, "seed": seed,
+        return {"env_config_sha256": args.config_sha, "seed": args.seed,
                 "rng_id": RNG_ID, "n": args.n, "trials": args.trials,
                 "approx_sampling_used": any(approx), "files": names}
 
     return emit(args, result, trajectories())
 
 
-def _sn_bounds(env: EnvDistribution, moments: ModelMoments, kind: str,
-               n: int, xs: list[float]) -> list[tuple[float, float]]:
-    """(H_n(x, v_n), its rounding bound eps_H) at each x, at the model's
-    moments under M kind (bounds.sn_tail_bound_eps)."""
+def _check(bound: float | None, eps: float, exact: float | None,
+           mc: float | None = None) -> tuple[bool | None, bool]:
+    """(dominated, passed): every exact-vs-bound comparison and verify
+    verdict.
+
+    An exact tail is dominated at or below bound * (1 + eps), eps the
+    bound's rounding bound (eps_H for H, 0 for the fitted Theorem 1 bound):
+    where the two are equal in exact arithmetic, H may round below the tail.
+    An infinite eps (H below the normal range) bounds nothing, so there a
+    tail is dominated only at or below bound. dominated is None without an
+    exact tail. The check passes when the exact tail, if any, is dominated
+    and the Monte Carlo quantity mc, if any, is at or below bound; with no
+    bound (None: a failed fit) it fails.
+    """
+    if bound is None:
+        return None, False
+    dominated = None if exact is None else (
+        exact <= bound or (math.isfinite(eps) and exact <= bound * (1.0 + eps)))
+    return dominated, dominated is not False and (mc is None or mc <= bound)
+
+
+def _sn_rows(env: EnvDistribution, moments: ModelMoments, n: int, kind: str,
+             xs: list[float], exacts: list[float | None] | None = None,
+             mc: float | None = None) -> list[tuple]:
+    """(x, exact walk tail, H, eps_H, dominated, passed) at each x, at n
+    and M kind: H_n(x, v_n) at the model's moments, its rounding bound
+    eps_H (bounds.sn_tail_bound_eps), and _check's verdict on the exact
+    tail and mc. The exact tails, where not given, come from one
+    composition pass."""
     sigma2_err, M_tight_err, M_paper_err = moment_rounding(env, moments)
-    M, M_err = ((moments.M_tight, M_tight_err) if kind == "tight"
-                else (moments.M_paper, M_paper_err))
-    return [(sn_tail_bound(n, x, math.sqrt(moments.sigma2), M),
-             sn_tail_bound_eps(n, x, moments.sigma2, M, sigma2_err, M_err))
-            for x in xs]
-
-
-def _dominated(exact: float, bound: float, eps: float) -> bool:
-    """An exact tail is dominated at or below bound * (1 + eps_H): where
-    the two are equal in exact arithmetic, H may round below the tail. An
-    infinite eps_H (H below the normal range) bounds nothing, so there a
-    tail is dominated only at or below bound."""
-    return exact <= bound or (math.isfinite(eps)
-                              and exact <= bound * (1.0 + eps))
+    M, M_err = _by_M_kind(kind, (moments.M_tight, M_tight_err),
+                          (moments.M_paper, M_paper_err))
+    if exacts is None:
+        exacts = exact_sn_tails(env, n, xs, M, moments.mu)
+    rows = []
+    for x, exact in zip(xs, exacts):
+        bound = sn_tail_bound(n, x, math.sqrt(moments.sigma2), M)
+        eps = sn_tail_bound_eps(n, x, moments.sigma2, M, sigma2_err, M_err)
+        rows.append((x, exact, bound, eps, *_check(bound, eps, exact, mc)))
+    return rows
 
 
 def _within_eps(rows: list[tuple]) -> dict:
-    """result.json's label of the (x, exact, bound, eps_H, dominated) rows
-    dominated only through eps_H, under "dominated_within_eps_H"; no key
-    where every dominated tail is at or below its bound."""
+    """result.json's label of the _sn_rows rows dominated only through
+    eps_H, under "dominated_within_eps_H"; no key where every dominated tail
+    is at or below its bound."""
     points = [{"x": x, "exact_tail": e, "bound_H": b, "eps_H": eps}
-              for x, e, b, eps, dominated in rows if dominated and e > b]
+              for x, e, b, eps, dominated, _ in rows if dominated and e > b]
     return {"dominated_within_eps_H": points} if points else {}
 
 
-def _oracle_rows(env: EnvDistribution, args, xs: list[float]) -> list[tuple]:
-    """(x, exact walk tail, H bound, eps_H, dominated) at each x, at args.n
-    and args.m_kind, the exact tails from one composition pass."""
-    moments = compute_moments(env)
-    M = _pick_M(moments, args.m_kind)
-    exacts = exact_sn_tails(env, args.n, xs, M, moments.mu)
-    bounds = _sn_bounds(env, moments, args.m_kind, args.n, xs)
-    return [(x, e, b, eps, _dominated(e, b, eps))
-            for x, e, (b, eps) in zip(xs, exacts, bounds)]
-
-
 def cmd_oracle(args, env: EnvDistribution) -> int:
-    rows = _oracle_rows(env, args, [args.x])
-    [(_, exact, bound, _, dominated)] = rows
+    rows = _sn_rows(env, compute_moments(env), args.n, args.m_kind, [args.x])
+    [(_, exact, bound, _, dominated, passed)] = rows
     result = {"n": args.n, "x": args.x, "M": args.m_kind,
               "exact_tail": exact, "bound": bound, "dominated": dominated,
               **_within_eps(rows)}
-    return emit(args, result, passed=dominated)
+    return emit(args, result, passed=passed)
 
 
 def cmd_verify_sn(args, env: EnvDistribution) -> int:
     moments = compute_moments(env)
-    M = _pick_M(moments, args.m_kind)
-    seed = resolve_seed(args)
-    est = mc_tail_sn(env, args.n, args.x, M, args.trials, seed,
-                     level=args.level, workers=_workers(args))
-    [(bound, eps)] = _sn_bounds(env, moments, args.m_kind, args.n, [args.x])
+    M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
+    est = mc_tail_sn(env, args.n, args.x, M, args.trials, args.seed,
+                     level=args.level, workers=args.workers)
     try:
         exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
     except ResourceCapError:
         exact = None
-    rows = [] if exact is None else [
-        (args.x, exact, bound, eps, _dominated(exact, bound, eps))]
-    passed = est.ci_low <= bound and all(dominated for *_, dominated in rows)
+    rows = _sn_rows(env, moments, args.n, args.m_kind, [args.x], [exact],
+                    est.ci_low)
+    [(_, _, bound, _, dominated, passed)] = rows
 
     row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits), str(est.trials),
            fmt(est.point), fmt(est.ci_low), fmt(est.ci_high), fmt(bound), ""]
@@ -298,8 +294,8 @@ def cmd_verify_sn(args, env: EnvDistribution) -> int:
               "hits": est.hits, "trials": est.trials, "point": est.point,
               "ci_low": est.ci_low, "ci_high": est.ci_high,
               "level": est.level, "bound_H": bound, "exact_tail": exact,
-              "dominated": passed, **_within_eps(rows), "pass": passed,
-              "seed": seed, "rng_id": RNG_ID}
+              "dominated": dominated, **_within_eps(rows), "pass": passed,
+              "seed": args.seed, "rng_id": RNG_ID}
     return emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
                 passed, "sn")
 
@@ -312,16 +308,15 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     if args.n < 6:
         raise ValueError(f"--n {args.n}: the decay fit over k = 2..n-1 needs "
                          "4 points, so n >= 6")
-    M = _pick_M(moments, args.m_kind)
-    seed = resolve_seed(args)
-    workers = _workers(args)
-    est = mc_tail_logzn(env, args.n, args.x, M, args.trials, seed,
-                        level=args.level, workers=workers)
+    M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
+    est = mc_tail_logzn(env, args.n, args.x, M, args.trials, args.seed,
+                        level=args.level, workers=args.workers)
 
     # Constants are fitted from increment decay at the same horizon; the
     # fit needs far fewer trials than the tail estimate.
     fit_trials = min(args.trials, 10 ** 5)
-    incs = mc_logw_increments(env, args.n, fit_trials, seed, workers=workers)
+    incs = mc_logw_increments(env, args.n, fit_trials, args.seed,
+                              workers=args.workers)
     fit = fit_geometric_decay(
         [(k, mean) for k, mean, _ in incs if 2 <= k <= args.n - 1])
     failure = None
@@ -338,8 +333,7 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
         exact = exact_logZn_tail(env, args.n, args.x, moments, M)
     except ResourceCapError:
         exact = None
-    passed = (bound is not None and est.point <= bound
-              and (exact is None or exact <= bound))
+    _, passed = _check(bound, 0.0, exact, est.point)
 
     row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits),
            str(est.trials), fmt(est.point), fmt(est.ci_low), fmt(est.ci_high),
@@ -354,7 +348,7 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
               "failure": failure, "pass": passed,
               "approx_sampling_used": (est.approx_sampling_used
                                        or incs.approx_sampling_used),
-              "seed": seed, "rng_id": RNG_ID}
+              "seed": args.seed, "rng_id": RNG_ID}
     return emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
                 passed, "theorem1")
 
@@ -367,9 +361,8 @@ def cmd_verify_increments(args, env: EnvDistribution) -> int:
     if hi - lo < 3:
         raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
                          "points the decay fit needs")
-    seed = resolve_seed(args)
-    incs = mc_logw_increments(env, args.n, args.trials, seed,
-                              workers=_workers(args))
+    incs = mc_logw_increments(env, args.n, args.trials, args.seed,
+                              workers=args.workers)
     fit = fit_geometric_decay(
         [(k, mean) for k, mean, _ in incs if lo <= k <= hi])
     passed = 0.0 < fit.delta_hat < 1.0
@@ -381,37 +374,37 @@ def cmd_verify_increments(args, env: EnvDistribution) -> int:
               "C_hat": C_hat, "fit_k_lo": lo, "fit_k_hi": hi,
               "increment_head_depth": incs.head_depth, "pass": passed,
               "approx_sampling_used": incs.approx_sampling_used,
-              "seed": seed, "rng_id": RNG_ID}
+              "seed": args.seed, "rng_id": RNG_ID}
     return emit(args, result, [("result.csv", _csv(INCREMENT_CSV_HEADER, rows))],
                 passed, "increments")
 
 
 def cmd_verify_oracle(args, env: EnvDistribution) -> int:
     xs = [args.n * i / (args.grid_points - 1) for i in range(args.grid_points)]
-    rows = _oracle_rows(env, args, xs)
-    violations = sum(not dominated for *_, dominated in rows)
-    passed = violations == 0
+    rows = _sn_rows(env, compute_moments(env), args.n, args.m_kind, xs)
+    violations = sum(not dominated for *_, dominated, _ in rows)
+    passed = all(ok for *_, ok in rows)
     result = {"mode": "oracle", "n": args.n, "M_kind": args.m_kind,
               "grid_points": args.grid_points, "violations": violations,
               **_within_eps(rows), "pass": passed}
     csv_rows = [[str(args.n), fmt(x), args.m_kind, fmt(exact), fmt(bound),
                  "true" if dominated else "false"]
-                for x, exact, bound, _, dominated in rows]
+                for x, exact, bound, _, dominated, _ in rows]
     return emit(args, result, [("result.csv", _csv(ORACLE_CSV_HEADER, csv_rows))],
                 passed, "oracle")
 
 
 def cmd_converge(args, env: EnvDistribution) -> int:
-    seed = resolve_seed(args)
     rows = convergence_report(env, args.n_values, args.y_values, args.trials,
-                              seed, level=args.level, workers=_workers(args))
+                              args.seed, level=args.level,
+                              workers=args.workers)
     csv_rows = [[str(r.n), fmt(r.threshold_x), str(r.hits), str(r.trials),
                  fmt(r.point), fmt(r.ci_low), fmt(r.ci_high)] for r in rows]
     result = {"n_values": list(args.n_values), "y_values": list(args.y_values),
               "trials": args.trials, "level": args.level,
               "approx_sampling_used": any(r.approx_sampling_used
                                           for r in rows),
-              "seed": seed, "rng_id": RNG_ID,
+              "seed": args.seed, "rng_id": RNG_ID,
               "rows": [{"n": r.n, "y": r.threshold_x, "hits": r.hits,
                         "point": r.point, "ci_low": r.ci_low,
                         "ci_high": r.ci_high} for r in rows]}
@@ -616,6 +609,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         env, args.config_sha = (load_env(args.config) if "config" in args
                                 else (None, None))
+        if "seed" in args and args.seed is None:
+            try:
+                args.seed = _seed(os.environ.get("BPRE_SEED") or "0")
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"$BPRE_SEED {exc}") from None
+        if "workers" in args and args.workers is None:
+            args.workers = os.cpu_count() or 1
         return args.func(args, env)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -110,7 +110,11 @@ class TailEvent:
         if it fails at log Z_k + rest * log k_max. A trial that is neither a
         hit nor a miss is open. The rule is exact in integer arithmetic;
         float64 rounding moves a statistic by a few ulp, which can change a
-        decision only for a bound within that of the threshold x - TIE_EPS."""
+        decision only for a bound within that of the threshold x - TIE_EPS.
+        Raises ValueError for a two-sided event: |dev| >= x at log Z_k says
+        nothing of log Z_n, which may still land inside the band."""
+        if self.two_sided:
+            raise ValueError("decide rules on one-sided tails only")
         hit = self.reached(logz)
         return hit, ~hit & self.reached(logz + rest * log_kmax)
 

@@ -26,9 +26,7 @@ from bpre.oracle import exact_EWn, exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, EnvTables,
                            SimConfig, simulate_block, stream)
 from brute import quenched_martingale_check
-
-BINARY = {"model": "binary",
-          "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
+from models import BINARY
 
 WORKERS = min(8, os.cpu_count() or 1)
 

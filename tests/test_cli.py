@@ -13,19 +13,17 @@ import pytest
 
 from bpre import cli, estimate, oracle
 from bpre.bounds import BoundQuery, H, H_upper, log_H, sn_tail_bound
-from bpre.env import compute_moments, parse_env_config, state_log_mean
+from bpre.env import (ResourceCapError, compute_moments, parse_env_config,
+                      state_log_mean)
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
 import bpre.simulate
 from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
                            simulate_block, stream)
+from models import BINARY, DOUBLING
 
-BINARY_TEXT = json.dumps({
-    "model": "binary",
-    "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]})
-DOUBLING_TEXT = json.dumps({
-    "model": "generic",
-    "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]})
+BINARY_TEXT = json.dumps(BINARY)
+DOUBLING_TEXT = json.dumps(DOUBLING)
 # Z doubles in about half the generations: at --n 1024 it passes the 2^512
 # cap, and at --n 64 it cannot reach it.
 STAY_OR_DOUBLE_TEXT = json.dumps({
@@ -254,8 +252,8 @@ class TestWithinEpsH:
     @pytest.fixture
     def rounding(self):
         env = parse_env_config(BINARY_TEXT)
-        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
-                                        self.N, [float(self.N)])
+        [(_, _, bound, eps, _, _)] = cli._sn_rows(
+            env, compute_moments(env), self.N, "tight", [float(self.N)], [None])
         # the tail H bounds there, 2^-n, is within eps_H of the computed H
         assert 2.0 ** -self.N <= bound * (1.0 + eps)
         return bound, eps
@@ -302,6 +300,35 @@ class TestWithinEpsH:
         assert result["pass"] is True
         assert [p["eps_H"] for p in result["dominated_within_eps_H"]] == [eps]
 
+    def test_verify_sn_dominated_is_the_exact_tails_own(self, monkeypatch,
+                                                        tmp_path, binary_cfg,
+                                                        rounding):
+        # a tail past H's rounding with ci_low (0 hits) below H: the exact
+        # tail is not dominated, and the run fails on it
+        bound, eps = rounding
+        self.stand_in(monkeypatch, bound * (1.0 + 4.0 * eps))
+        out = tmp_path / "sn"
+        assert cli.main(["verify", "sn", binary_cfg, "--n", "8", "--x", "8",
+                         "--trials", "1000", "--seed", "1",
+                         "--out", str(out)]) == 1
+        result = json.loads((out / "result.json").read_text())
+        assert result["ci_low"] <= bound
+        assert result["dominated"] is False and result["pass"] is False
+
+    def test_verify_sn_without_exact_tail_dominates_nothing(self, monkeypatch,
+                                                            tmp_path,
+                                                            binary_cfg):
+        def capped(env, n, x, M, mu):
+            raise ResourceCapError("composition cap")
+        monkeypatch.setattr(cli, "exact_sn_tail", capped)
+        out = tmp_path / "sn"
+        assert cli.main(["verify", "sn", binary_cfg, "--n", "8", "--x", "0.5",
+                         "--trials", "1000", "--seed", "1",
+                         "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["exact_tail"] is None and result["dominated"] is None
+        assert result["pass"] is True
+
     def test_a_tail_past_the_rounding_is_a_violation(self, monkeypatch,
                                                      tmp_path, capsys,
                                                      binary_cfg, rounding):
@@ -335,8 +362,8 @@ class TestWithinEpsH:
         # relative above H, far past eps_H
         n = 10
         env = parse_env_config(self.OFF_BY_9E_13)
-        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
-                                        n, [float(n)])
+        [(_, _, bound, eps, _, _)] = cli._sn_rows(
+            env, compute_moments(env), n, "tight", [float(n)], [None])
         _, top = max(env.states, key=lambda sm: state_log_mean(sm[0]))
         assert top ** n <= bound * (1.0 + eps)
 
@@ -345,8 +372,8 @@ class TestWithinEpsH:
         # at n = 1030 H is 8.7e-311, below the normal range, so eps_H is
         # inf: a tail is dominated only at or below H itself
         env = parse_env_config(BINARY_TEXT)
-        [(bound, eps)] = cli._sn_bounds(env, compute_moments(env), "tight",
-                                        1030, [1030.0])
+        [(_, _, bound, eps, _, _)] = cli._sn_rows(
+            env, compute_moments(env), 1030, "tight", [1030.0], [None])
         assert 0.0 < bound < 2.0 ** -1022 and eps == math.inf
         self.stand_in(monkeypatch, 0.5)
         code, out = run_json(capsys, ["oracle", binary_cfg, "--n", "1030",

@@ -7,12 +7,7 @@ from bpre.env import (ConfigError, EnvDistribution, EnvState, OffspringPmf,
                       check_assumptions, compute_moments, parse_env_config,
                       state_mean)
 from bpre.simulate import EnvTables
-
-BINARY = {"model": "binary",
-          "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
-
-DOUBLING = {"model": "generic",
-            "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
+from models import BINARY, DOUBLING, binary_env
 
 # Two deterministic states with one common mean; a mass-weighted sum of the
 # log-means lands one ulp off log 3 at these masses.
@@ -30,10 +25,6 @@ M_PAPER = 0.3017675109351291
 A3_WITNESS = 0.43569251349482274
 H2_P_WITNESS = 1.0906122448979592
 H2_Q_WITNESS = 0.09318288900581956
-
-
-def binary_env():
-    return parse_env_config(BINARY)
 
 
 class TestParsing:

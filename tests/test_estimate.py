@@ -30,27 +30,12 @@ from bpre.simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ,
                            INT64_SAFE, STATE_CHUNK, EnvTables,
                            _generation, _generations, _state_rows, offspring,
                            stream)
+from models import BINARY, DOUBLING, GENERIC, MIXED, binary_env
 
-BINARY = {"model": "binary",
-          "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
-DOUBLING = {"model": "generic",
-            "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
-# the benchmark's generic model: offspring {1,2,3}, two chain links per pass
-GENERIC = {"model": "generic",
-           "states": [{"label": "low", "mass": 0.5,
-                       "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
-                      {"label": "high", "mass": 0.5,
-                       "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]}
 # only odd populations have mass
 GAPPED = {"model": "generic",
           "states": [{"label": "odd", "mass": 1.0,
                       "offspring": {"1": 0.5, "3": 0.5}}]}
-# a {1,2} state, a deterministic {2} state and a {1,2,3} chain state
-MIXED = {"model": "generic",
-         "states": [{"label": "bin", "mass": 0.4, "offspring": {"1": 0.6, "2": 0.4}},
-                    {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
-                    {"label": "chain", "mass": 0.3,
-                     "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
 TRIPLE = {"model": "generic",
           "states": [{"label": "triple", "mass": 1.0, "offspring": {"3": 1.0}}]}
 
@@ -58,10 +43,6 @@ TRIPLE = {"model": "generic",
 CI_0_100_95_HIGH = 0.03621669264517642
 CI_100_100_95_LOW = 0.9637833073548235
 CI_0_1E6_99_HIGH = 5.298303330489367e-06
-
-
-def binary_env():
-    return parse_env_config(BINARY)
 
 
 # --- independent route: bisection on the exact binomial CDF -----------------
@@ -288,8 +269,29 @@ class TestMcTailSn:
                            workers=w) for w in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_block_replayed_by_hand(self):
-        # one multinomial call for the block's state counts, then counts @ X
+    @staticmethod
+    def left_to_right(counts, X):
+        """S_n of each row of counts, summed over the states in order in
+        Python floats: one rounding per product and per sum, no FMA."""
+        sums = []
+        for row in counts.tolist():
+            s = 0.0
+            for c, x in zip(row, X.tolist()):
+                s = s + c * x
+            sums.append(s)
+        return np.array(sums)
+
+    def test_block_replayed_by_hand(self, monkeypatch):
+        # one multinomial call for the block's state counts, then S_n summed
+        # over the states left to right, bit for bit whatever the BLAS: on a
+        # SkylakeX core counts @ X differs from it in the last bit on some
+        # of these S_n
+        reached, seen = TailEvent.reached, []
+
+        def spy(event, stat):
+            seen.append(np.array(stat))
+            return reached(event, stat)
+        monkeypatch.setattr(TailEvent, "reached", spy)
         for cfg in (BINARY, GENERIC, MIXED):
             env = parse_env_config(cfg)
             tables = EnvTables(env)
@@ -299,11 +301,12 @@ class TestMcTailSn:
                                                           trials)
             assert counts.shape == (trials, len(env.states))
             assert (counts.sum(axis=1) == n).all()
-            s_n = counts @ tables.X
+            s_n = self.left_to_right(counts, tables.X)
             hits = int(np.count_nonzero(
-                TailEvent(n, mom.mu, mom.M_tight, x).reached(s_n)))
+                reached(TailEvent(n, mom.mu, mom.M_tight, x), s_n)))
             assert 0 < hits < trials
             assert mc_tail_sn(env, n, x, mom.M_tight, trials, seed=9).hits == hits
+            assert seen.pop().tobytes() == s_n.tobytes() and not seen
 
     @pytest.mark.parametrize("cfg, n, xs", [
         # x = 1 under M_tight: only the all-high sequence, on the threshold
@@ -648,6 +651,14 @@ class TestKernelHead:
 
 
 class TestEarlyDecision:
+    def test_two_sided_event_refused(self):
+        # |log Z_0 - n mu| / n = 0.39 >= y at Z_0 = 1, yet Z_16 may land in
+        # the band: the one-sided rule would call it a hit
+        mom = compute_moments(binary_env())
+        event = TailEvent(16, mom.mu, 1.0, 0.05, two_sided=True)
+        with pytest.raises(ValueError, match="one-sided"):
+            event.decide(np.zeros(4), 16, math.log(2))
+
     @pytest.mark.parametrize("cfg, n, M, xs", [
         (BINARY, 16, "M_tight", (0.05, 0.2, 0.5)),
         (GENERIC, 12, "M_tight", (0.05, 0.2, 0.5)),

@@ -24,11 +24,8 @@ from bpre.oracle import (MAX_COMPOSITIONS, MAX_KERNEL_WORK, TIE_EPS,
                          exact_logw_increments, exact_logZn_tail,
                          exact_sn_tail, exact_sn_tails, kernel_work)
 from brute import brute_population_pmf, env_law, population_law
+from models import BINARY, DOUBLING, GENERIC, binary_env
 
-BINARY = {"model": "binary",
-          "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
-DOUBLING = {"model": "generic",
-            "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
 THREE_POINT = {"model": "generic",
                "states": [{"label": "a", "mass": 0.6,
                            "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}},
@@ -45,16 +42,6 @@ EXTINCT = {"model": "generic",
 GAPPED = {"model": "generic",
           "states": [{"label": "odd", "mass": 1.0,
                       "offspring": {"1": 0.5, "3": 0.5}}]}
-# the benchmark's generic model
-GENERIC = {"model": "generic",
-           "states": [{"label": "low", "mass": 0.5,
-                       "offspring": {"1": 0.5, "2": 0.3, "3": 0.2}},
-                      {"label": "high", "mass": 0.5,
-                       "offspring": {"1": 0.2, "2": 0.3, "3": 0.5}}]}
-
-
-def binary_env():
-    return parse_env_config(BINARY)
 
 
 def rational_kernel_laws(env, n):

@@ -10,26 +10,11 @@ from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            _generations, block_records, offspring,
                            simulate_block, simulate_trajectory, stream)
 from brute import quenched_martingale_check
+from models import BINARY, DOUBLING, MIXED, binary_env
 
-BINARY = {"model": "binary",
-          "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]}
-DOUBLING = {"model": "generic",
-            "states": [{"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]}
 THREE_POINT = {"model": "generic",
                "states": [{"label": "mix", "mass": 1.0,
                            "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
-# A {1,2} state, a deterministic doubling state and a {1,2,3} state: chains
-# of one, zero and two links.
-MIXED = {"model": "generic",
-         "states": [{"label": "bin", "mass": 0.4,
-                     "offspring": {"1": 0.6, "2": 0.4}},
-                    {"label": "double", "mass": 0.3, "offspring": {"2": 1.0}},
-                    {"label": "chain", "mass": 0.3,
-                     "offspring": {"1": 0.3, "2": 0.5, "3": 0.2}}]}
-
-
-def binary_env():
-    return parse_env_config(BINARY)
 
 
 class CountingRng:
