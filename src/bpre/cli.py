@@ -34,9 +34,9 @@ from .bounds import (BoundQuery, H, H_upper, Theorem1Params, log_H,
 from .env import (DEFAULT_P, DEFAULT_Q, ConfigError, EnvDistribution,
                   ModelMoments, ResourceCapError, check_assumptions,
                   compute_moments, moment_rounding, parse_env_config)
-from .estimate import (convergence_report, fit_geometric_decay,
-                       mc_logw_increments, mc_tail_logzn, mc_tail_sn,
-                       theorem1_candidates)
+from .estimate import (TailEstimate, convergence_report,
+                       fit_geometric_decay, mc_logw_increments, mc_tail_logzn,
+                       mc_tail_sn, theorem1_candidates)
 from .oracle import exact_logZn_tail, exact_sn_tail, exact_sn_tails
 from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
                        SimConfig, block_records, simulate_block, stream)
@@ -275,25 +275,68 @@ def cmd_oracle(args, env: EnvDistribution) -> int:
     return emit(args, result, passed=passed)
 
 
+def _exact_or_null(exact: Callable[..., float], *args) -> float | None:
+    """exact(*args), an exact reference, or None past its resource cap:
+    the run goes on without it and writes `"exact_tail": null`."""
+    try:
+        return exact(*args)
+    except ResourceCapError:
+        return None
+
+
+def _estimate_cells(est: TailEstimate) -> list[str]:
+    """A TailEstimate's CSV cells: hits, trials, point, ci_low, ci_high."""
+    return [str(est.hits), str(est.trials), fmt(est.point), fmt(est.ci_low),
+            fmt(est.ci_high)]
+
+
+def _estimate_fields(est: TailEstimate) -> dict:
+    """A TailEstimate's result.json fields, in their written order."""
+    return {"hits": est.hits, "trials": est.trials, "point": est.point,
+            "ci_low": est.ci_low, "ci_high": est.ci_high, "level": est.level}
+
+
+def _fit_window(n: int, lo: int, hi: int) -> tuple[int, int]:
+    """The decay fit's window [lo, hi] at horizon n, checked before any
+    estimator runs: inside [0, n-1] and holding the 4 points
+    fit_geometric_decay needs."""
+    if not 0 <= lo < hi <= n - 1:
+        raise ValueError(f"fit window [{lo}, {hi}] outside [0, {n - 1}]")
+    if hi - lo < 3:
+        raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
+                         "points the decay fit needs")
+    return lo, hi
+
+
+def _decay_fit(args, env: EnvDistribution, trials: int, lo: int, hi: int):
+    """(increments, fit, C_hat, failure): the increment means at args.n from
+    trials trials, their geometric-decay fit over k = lo..hi (a _fit_window),
+    and the fit's Theorem 1 candidate C_hat (theorem1_candidates). Where
+    delta_hat is outside (0, 1), C_hat is None and failure the reason."""
+    incs = mc_logw_increments(env, args.n, trials, args.seed,
+                              workers=args.workers)
+    fit = fit_geometric_decay(
+        [(k, mean) for k, mean, _ in incs if lo <= k <= hi])
+    try:
+        return incs, fit, theorem1_candidates(fit)[0], None
+    except ValueError as exc:
+        return incs, fit, None, str(exc)
+
+
 def cmd_verify_sn(args, env: EnvDistribution) -> int:
     moments = compute_moments(env)
     M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
     est = mc_tail_sn(env, args.n, args.x, M, args.trials, args.seed,
                      level=args.level, workers=args.workers)
-    try:
-        exact = exact_sn_tail(env, args.n, args.x, M, moments.mu)
-    except ResourceCapError:
-        exact = None
+    exact = _exact_or_null(exact_sn_tail, env, args.n, args.x, M, moments.mu)
     rows = _sn_rows(env, moments, args.n, args.m_kind, [args.x], [exact],
                     est.ci_low)
     [(_, _, bound, _, dominated, passed)] = rows
 
-    row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits), str(est.trials),
-           fmt(est.point), fmt(est.ci_low), fmt(est.ci_high), fmt(bound), ""]
+    row = [str(args.n), fmt(args.x), args.m_kind, *_estimate_cells(est),
+           fmt(bound), ""]
     result = {"mode": "sn", "n": args.n, "x": args.x, "M_kind": args.m_kind,
-              "hits": est.hits, "trials": est.trials, "point": est.point,
-              "ci_low": est.ci_low, "ci_high": est.ci_high,
-              "level": est.level, "bound_H": bound, "exact_tail": exact,
+              **_estimate_fields(est), "bound_H": bound, "exact_tail": exact,
               "dominated": dominated, **_within_eps(rows), "pass": passed,
               "seed": args.seed, "rng_id": RNG_ID}
     return emit(args, result, [("result.csv", _csv(TAIL_CSV_HEADER, [row]))],
@@ -305,9 +348,7 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     m = args.n if args.m is None else args.m
     if m > args.n:
         raise ValueError(f"--m {m} must be in [1, n={args.n}]")
-    if args.n < 6:
-        raise ValueError(f"--n {args.n}: the decay fit over k = 2..n-1 needs "
-                         "4 points, so n >= 6")
+    window = _fit_window(args.n, 2, args.n - 1)
     M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
     est = mc_tail_logzn(env, args.n, args.x, M, args.trials, args.seed,
                         level=args.level, workers=args.workers)
@@ -315,34 +356,18 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     # Constants are fitted from increment decay at the same horizon; the
     # fit needs far fewer trials than the tail estimate.
     fit_trials = min(args.trials, 10 ** 5)
-    incs = mc_logw_increments(env, args.n, fit_trials, args.seed,
-                              workers=args.workers)
-    fit = fit_geometric_decay(
-        [(k, mean) for k, mean, _ in incs if 2 <= k <= args.n - 1])
-    failure = None
-    bound = None
-    try:
-        C_hat, delta_hat = theorem1_candidates(fit)
-        bound = theorem1_bound(Theorem1Params(n=args.n, m=m, M=M,
-                                              C=C_hat, delta=delta_hat))
-    except ValueError as exc:
-        C_hat, delta_hat = None, fit.delta_hat
-        failure = str(exc)
-
-    try:
-        exact = exact_logZn_tail(env, args.n, args.x, moments, M)
-    except ResourceCapError:
-        exact = None
+    incs, fit, C_hat, failure = _decay_fit(args, env, fit_trials, *window)
+    bound = None if C_hat is None else theorem1_bound(
+        Theorem1Params(n=args.n, m=m, M=M, C=C_hat, delta=fit.delta_hat))
+    exact = _exact_or_null(exact_logZn_tail, env, args.n, args.x, moments, M)
     _, passed = _check(bound, 0.0, exact, est.point)
 
-    row = [str(args.n), fmt(args.x), args.m_kind, str(est.hits),
-           str(est.trials), fmt(est.point), fmt(est.ci_low), fmt(est.ci_high),
-           "", fmt(bound) if bound is not None else ""]
+    row = [str(args.n), fmt(args.x), args.m_kind, *_estimate_cells(est), "",
+           fmt(bound) if bound is not None else ""]
     result = {"mode": "theorem1", "n": args.n, "x": args.x, "m": m,
-              "M_kind": args.m_kind, "hits": est.hits, "trials": est.trials,
-              "point": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
-              "level": est.level, "bound_thm1": bound, "C_hat": C_hat,
-              "delta_hat": delta_hat, "fit_r2": fit.r2,
+              "M_kind": args.m_kind, **_estimate_fields(est),
+              "bound_thm1": bound, "C_hat": C_hat,
+              "delta_hat": fit.delta_hat, "fit_r2": fit.r2,
               "fit_trials": fit_trials,
               "increment_head_depth": incs.head_depth, "exact_tail": exact,
               "failure": failure, "pass": passed,
@@ -354,19 +379,10 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
 
 
 def cmd_verify_increments(args, env: EnvDistribution) -> int:
-    lo = args.fit_lo
-    hi = args.n - 1 if args.fit_hi is None else args.fit_hi
-    if not 0 <= lo < hi <= args.n - 1:
-        raise ValueError(f"fit window [{lo}, {hi}] outside [0, {args.n - 1}]")
-    if hi - lo < 3:
-        raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
-                         "points the decay fit needs")
-    incs = mc_logw_increments(env, args.n, args.trials, args.seed,
-                              workers=args.workers)
-    fit = fit_geometric_decay(
-        [(k, mean) for k, mean, _ in incs if lo <= k <= hi])
-    passed = 0.0 < fit.delta_hat < 1.0
-    C_hat = theorem1_candidates(fit)[0] if passed else None
+    lo, hi = _fit_window(
+        args.n, args.fit_lo, args.n - 1 if args.fit_hi is None else args.fit_hi)
+    incs, fit, C_hat, _ = _decay_fit(args, env, args.trials, lo, hi)
+    passed = C_hat is not None
 
     rows = [[str(k), fmt(mean), fmt(stderr)] for k, mean, stderr in incs]
     result = {"mode": "increments", "n": args.n, "trials": args.trials,
@@ -398,8 +414,8 @@ def cmd_converge(args, env: EnvDistribution) -> int:
     rows = convergence_report(env, args.n_values, args.y_values, args.trials,
                               args.seed, level=args.level,
                               workers=args.workers)
-    csv_rows = [[str(r.n), fmt(r.threshold_x), str(r.hits), str(r.trials),
-                 fmt(r.point), fmt(r.ci_low), fmt(r.ci_high)] for r in rows]
+    csv_rows = [[str(r.n), fmt(r.threshold_x), *_estimate_cells(r)]
+                for r in rows]
     result = {"n_values": list(args.n_values), "y_values": list(args.y_values),
               "trials": args.trials, "level": args.level,
               "approx_sampling_used": any(r.approx_sampling_used

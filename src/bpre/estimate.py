@@ -394,8 +394,10 @@ def _deepest(tables: EnvTables, n: int, trials: int,
     """The largest g <= n whose work (works yields it for g = 1, 2, ...) is
     at most HEAD_WORK_PER_DRAW multiply-adds per binomial draw that stepping
     g generations would take (trials * g * the mass-weighted draws per
-    offspring pass), and at most MAX_KERNEL_WORK."""
-    draws = trials * float(tables.masses @ tables.draws)
+    offspring pass), and at most MAX_KERNEL_WORK. The draw mass sums its
+    products in numpy's own loops, not in a BLAS ddot, whose order follows
+    the OpenBLAS core."""
+    draws = trials * float((tables.masses * tables.draws).sum())
     for g, work in enumerate(works, 1):
         if work > min(HEAD_WORK_PER_DRAW * draws * g, MAX_KERNEL_WORK):
             return g - 1
@@ -579,7 +581,9 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
 def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
     """Least-squares line through (k, log mean): delta_hat = exp(slope),
     c_hat = exp(intercept). Zero means are excluded, not clamped; at least
-    four strictly positive means are required."""
+    four strictly positive means are required. r2's sums of squares run in
+    numpy's own loops, not in a BLAS ddot; np.polyfit still runs in
+    OpenBLAS, so c_hat and delta_hat follow its core."""
     pairs = [(int(item[0]), float(item[1])) for item in increments]
     positive = [(k, m) for k, m in pairs if m > 0.0]
     if len(positive) < 4:
@@ -589,9 +593,9 @@ def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
     logs = np.log([m for _, m in positive])
     slope, intercept = np.polyfit(ks, logs, 1)
     residuals = logs - (slope * ks + intercept)
-    ss_res = float(residuals @ residuals)
+    ss_res = float((residuals * residuals).sum())
     centered = logs - logs.mean()
-    ss_tot = float(centered @ centered)
+    ss_tot = float((centered * centered).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(increments=tuple(pairs), c_hat=float(np.exp(intercept)),
                     delta_hat=float(np.exp(slope)), r2=r2)

@@ -41,6 +41,13 @@ RISKY_TEXT = json.dumps({
                 "offspring": {"0": 0.1, "3": 0.9}}]})
 
 
+def doubling_means(env, n, trials, seed, workers=1):
+    """Increment means that double per generation, an mc_logw_increments
+    stand-in: they fit delta_hat = 2, outside (0, 1)."""
+    return IncrementStats([IncrementStat(k=k, mean=0.01 * 2.0 ** k, stderr=0.0)
+                           for k in range(n)], False)
+
+
 @pytest.fixture
 def binary_cfg(tmp_path):
     path = tmp_path / "binary.json"
@@ -637,14 +644,8 @@ class TestVerify:
 
     def test_theorem1_fails_without_decay(self, tmp_path, capsys,
                                           monkeypatch, binary_cfg):
-        # increment means that double per generation fit delta_hat = 2: no
-        # geometric-decay candidate, so there is no bound to pass
-        def growing(env, n, trials, seed, workers=1):
-            return IncrementStats([IncrementStat(k=k, mean=0.01 * 2.0 ** k,
-                                                 stderr=0.0)
-                                   for k in range(n)], False)
-
-        monkeypatch.setattr(cli, "mc_logw_increments", growing)
+        # no geometric-decay candidate, so there is no bound to pass
+        monkeypatch.setattr(cli, "mc_logw_increments", doubling_means)
         out = tmp_path / "t1fail"
         code = cli.main(["verify", "theorem1", binary_cfg, "--n", "8",
                          "--trials", "2000", "--seed", "0", "--out", str(out)])
@@ -724,6 +725,20 @@ class TestVerify:
         assert lines[0] == "k,mean_abs_increment,stderr"
         assert len(lines) == 9  # header + k = 0..7
         assert all(line.endswith(",0") for line in lines[1:])
+
+    def test_increments_fails_without_decay(self, tmp_path, capsys,
+                                            monkeypatch, binary_cfg):
+        # the same fit as theorem1's: no candidate, so C_hat is null
+        monkeypatch.setattr(cli, "mc_logw_increments", doubling_means)
+        out = tmp_path / "incfail"
+        code = cli.main(["verify", "increments", binary_cfg, "--n", "8",
+                         "--trials", "2000", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "verify increments: FAIL"
+        result = json.loads((out / "result.json").read_text())
+        assert result["pass"] is False
+        assert result["C_hat"] is None
+        assert result["delta_hat"] == pytest.approx(2.0)
 
     def test_increments_bad_window(self, binary_cfg):
         assert cli.main(["verify", "increments", binary_cfg, "--n", "8",
@@ -842,6 +857,13 @@ class TestInputCheckedBeforeSampling:
     def test_range_rejected(self, capsys, binary_cfg, mode, flags):
         assert cli.main(["verify", mode, binary_cfg, *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_theorem1_short_horizon_names_the_fit_window(self, capsys,
+                                                         binary_cfg):
+        # k = 2..4 at n = 5: three points, one short of the decay fit's four
+        assert cli.main(["verify", "theorem1", binary_cfg, "--n", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "fit window [2, 4]" in err or "n >= 6" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5"],

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from bpre.env import compute_moments
 import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
                            DecayFit,
-                           TailEstimate, _final_logz, _head_depth,
+                           TailEstimate, _deepest, _final_logz, _head_depth,
                            _increment_depth, _KernelHead, _block_tasks,
                            _run, _tail_estimate, _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
@@ -206,10 +207,14 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # nor does the exact kernel, at populations past 1000, nor the increment
     # estimator, all exact at n = 8 and with a kernel head at n = 12; and
     # after a verify sn and a converge, whose intervals are Clopper-Pearson,
-    # no scipy module at all is loaded
+    # no scipy module at all is loaded; nor is any module outside bpre,
+    # numpy and the standard library (site may have loaded others before;
+    # numpy's Cython extensions register cython_runtime and _cython_X_Y_Z
+    # themselves, with no __spec__, as no import)
     cfg = tmp_path / "binary.json"
     cfg.write_text(json.dumps(BINARY), encoding="utf-8")
-    code = ("import bpre, sys; from bpre import cli; "
+    code = ("import sys; before = set(sys.modules); "
+            "import bpre; from bpre import cli; "
             "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules); "
             "env = bpre.parse_env_config(%r); bpre.exact_EWn(env, 11); "
             "print('scipy.stats' in sys.modules); "
@@ -221,14 +226,17 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
             "cli.main(['converge', %r, '--n-values', '4,8', '--y-values', "
             "'0.1,0.3', '--trials', '2000', '--seed', '0', '--out', %r])]; "
             "print(codes == [0, 0], any(m.split('.')[0] == 'scipy' "
-            "for m in sys.modules))"
+            "for m in sys.modules)); "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before"
+            " if getattr(sys.modules[m], '__spec__', None) is not None}"
+            " - {'bpre', 'numpy'} - set(sys.stdlib_module_names)))"
             % (BINARY, str(cfg), str(tmp_path / "sn"), str(cfg),
                str(tmp_path / "cv")))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     lines = out.stdout.splitlines()
     assert " ".join(lines[:3]).split() == ["False"] * 5
-    assert lines[-1] == "True False"
+    assert lines[-2:] == ["True False", "[]"]
 
 
 class TestMcTailSn:
@@ -554,6 +562,25 @@ class TestKernelHead:
                 assert _head_depth(tables, g - 1, trials) == g - 1
         deterministic = EnvTables(parse_env_config(DOUBLING))
         assert _head_depth(deterministic, 10, 10 ** 6) == 0  # no draw to save
+
+    def test_draw_mass_is_the_elementwise_sum(self):
+        # the budget a head depth is held to sums mass * draws over the
+        # states in numpy's own loops; a BLAS ddot (masses @ draws) gives
+        # 2.7 here on a SkylakeX core, one ulp above the sum's
+        # 2.6999999999999997
+        tables = types.SimpleNamespace(masses=np.array([0.1, 0.35, 0.3, 0.25]),
+                                       draws=np.array([1, 2, 3, 4]))
+        budgets = []
+
+        class Work(float):
+            def __gt__(self, budget):
+                budgets.append(budget)
+                return True
+
+        assert _deepest(tables, 5, 1, [Work(0.0)]) == 0
+        mass = float((tables.masses * tables.draws).sum())
+        assert budgets == [HEAD_WORK_PER_DRAW * mass]
+        assert mass == 2.6999999999999997
 
     def test_draw_order_replayed_by_hand(self):
         # head uniforms, inverse CDF, the (size, n - g) environment matrix,
@@ -921,6 +948,21 @@ class TestDecayFit:
     def test_fewer_than_four_positive_error(self):
         with pytest.raises(ValueError, match="4"):
             fit_geometric_decay([(0, 1.0), (1, 0.5), (2, 0.25)])
+
+    @pytest.mark.parametrize("points, wobble", [(4, 0.1), (8, 0.3)])
+    def test_r2_sums_are_elementwise(self, points, wobble):
+        # ss_res and ss_tot sum their squares in numpy's own loops; on a
+        # SkylakeX core a BLAS ddot moves r2's last bit on both fits
+        pairs = [(k, 0.3 * 0.8 ** k * (1.0 + wobble * math.sin(3 * k)))
+                 for k in range(2, 2 + points)]
+        ks = np.array([k for k, _ in pairs], dtype=np.float64)
+        logs = np.log([m for _, m in pairs])
+        slope, intercept = np.polyfit(ks, logs, 1)
+        residuals = logs - (slope * ks + intercept)
+        centered = logs - logs.mean()
+        r2 = 1.0 - float((residuals * residuals).sum()) / float(
+            (centered * centered).sum())
+        assert fit_geometric_decay(pairs).r2 == r2
 
     def test_accepts_increment_stats(self):
         env = binary_env()
