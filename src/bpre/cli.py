@@ -4,7 +4,8 @@ and estimation into reproducible experiments with machine-readable reports.
 Every command is deterministic given (config bytes, flags, seed); main
 reads the config once, resolves the seed and worker count once, and hands
 the command its environment. _check decides every bound check: each exact
-tail against its bound and each verify mode's verdict. Each record
+tail against its bound and each verify mode's verdict. _decay_fit is the
+one decay fit, _exact_or_null the one capped exact reference. Each record
 ends in emit: with --out DIR the CSVs (result.csv, or one per simulated
 trajectory), then result.json, then manifest.json, the mark of a complete
 run, then a verify mode's verdict line; without --out the JSON result goes

@@ -209,8 +209,8 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # after a verify sn and a converge, whose intervals are Clopper-Pearson,
     # no scipy module at all is loaded; nor is any module outside bpre,
     # numpy and the standard library (site may have loaded others before;
-    # numpy's Cython extensions register cython_runtime and _cython_X_Y_Z
-    # themselves, with no __spec__, as no import)
+    # numpy's Cython extensions put cython_runtime and _cython_X_Y_Z there
+    # themselves, with no __spec__: nothing is imported for them)
     cfg = tmp_path / "binary.json"
     cfg.write_text(json.dumps(BINARY), encoding="utf-8")
     code = ("import sys; before = set(sys.modules); "
