@@ -297,8 +297,8 @@ def _estimate_fields(est: TailEstimate) -> dict:
             "ci_low": est.ci_low, "ci_high": est.ci_high, "level": est.level}
 
 
-def _fit_window(n: int, lo: int, hi: int) -> tuple[int, int]:
-    """The decay fit's window [lo, hi] at horizon n, checked before any
+def _fit_window(n: int, lo: int, hi: int) -> None:
+    """Check the decay fit's window [lo, hi] at horizon n before any
     estimator runs: inside [0, n-1] and holding the 4 points
     fit_geometric_decay needs."""
     if not 0 <= lo < hi <= n - 1:
@@ -306,7 +306,6 @@ def _fit_window(n: int, lo: int, hi: int) -> tuple[int, int]:
     if hi - lo < 3:
         raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
                          "points the decay fit needs")
-    return lo, hi
 
 
 def _decay_fit(args, env: EnvDistribution, trials: int, lo: int, hi: int):
@@ -349,7 +348,7 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     m = args.n if args.m is None else args.m
     if m > args.n:
         raise ValueError(f"--m {m} must be in [1, n={args.n}]")
-    window = _fit_window(args.n, 2, args.n - 1)
+    _fit_window(args.n, 2, args.n - 1)
     M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
     est = mc_tail_logzn(env, args.n, args.x, M, args.trials, args.seed,
                         level=args.level, workers=args.workers)
@@ -357,7 +356,8 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     # Constants are fitted from increment decay at the same horizon; the
     # fit needs far fewer trials than the tail estimate.
     fit_trials = min(args.trials, 10 ** 5)
-    incs, fit, C_hat, failure = _decay_fit(args, env, fit_trials, *window)
+    incs, fit, C_hat, failure = _decay_fit(args, env, fit_trials, 2,
+                                          args.n - 1)
     bound = None if C_hat is None else theorem1_bound(
         Theorem1Params(n=args.n, m=m, M=M, C=C_hat, delta=fit.delta_hat))
     exact = _exact_or_null(exact_logZn_tail, env, args.n, args.x, moments, M)
@@ -380,8 +380,8 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
 
 
 def cmd_verify_increments(args, env: EnvDistribution) -> int:
-    lo, hi = _fit_window(
-        args.n, args.fit_lo, args.n - 1 if args.fit_hi is None else args.fit_hi)
+    lo, hi = args.fit_lo, args.n - 1 if args.fit_hi is None else args.fit_hi
+    _fit_window(args.n, lo, hi)
     incs, fit, C_hat, _ = _decay_fit(args, env, args.trials, lo, hi)
     passed = C_hat is not None
 

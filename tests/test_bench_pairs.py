@@ -12,8 +12,10 @@ def result(wall_s, rss, correct=True, failed=0, attempted=10):
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
-def test_quartiles_interpolate_between_the_sorted_values():
-    assert pairs_tool["quartiles"]([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+def test_quartiles_match_bench_figures_spread():
+    # statistics.quantiles' default (exclusive) method: the p-quantile sits
+    # at position p (n + 1) of the sorted values
+    assert pairs_tool["quartiles"]([4.0, 1.0, 3.0, 2.0, 5.0]) == (1.5, 3.0, 4.5)
     assert pairs_tool["quartiles"]([7.0]) == (7.0, 7.0, 7.0)
 
 
@@ -29,7 +31,7 @@ def test_summary_of_made_up_pairs():
                                           "peak_rss_mb": "lower"})
     assert len(lines) == 5
     wall, rss, base, change = (line.split() for line in lines[1:])
-    assert wall == ["wall_s", "2.5", "(1.75-3.25)", "1.5", "(1.2-2.25)",
+    assert wall == ["wall_s", "2.5", "(1.25-3.75)", "1.5", "(0.9-3)",
                     "3", "of", "3", "pairs"]
     assert rss == ["peak_rss_mb", "40", "(40-40)", "41", "(41-41)",
                    "0", "of", "3", "pairs"]

@@ -847,23 +847,19 @@ class TestInputCheckedBeforeSampling:
         for name in self.ESTIMATORS:
             monkeypatch.setattr(cli, name, refuse)
 
-    @pytest.mark.parametrize("mode, flags", [
-        ("theorem1", ["--n", "16", "--m", "20"]),
-        ("theorem1", ["--n", "5"]),
-        ("increments", ["--n", "20", "--fit-lo", "25"]),
-        ("increments", ["--n", "40", "--fit-hi", "45"]),
-        ("increments", ["--n", "20", "--fit-lo", "2", "--fit-hi", "4"]),
-    ])
-    def test_range_rejected(self, capsys, binary_cfg, mode, flags):
-        assert cli.main(["verify", mode, binary_cfg, *flags]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-    def test_theorem1_short_horizon_names_the_fit_window(self, capsys,
-                                                         binary_cfg):
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("theorem1", ["--n", "16", "--m", "20"], "--m 20 must be in [1, n=16]"),
         # k = 2..4 at n = 5: three points, one short of the decay fit's four
-        assert cli.main(["verify", "theorem1", binary_cfg, "--n", "5"]) == 2
+        ("theorem1", ["--n", "5"], "fit window [2, 4] has fewer than the 4"),
+        ("increments", ["--n", "20", "--fit-lo", "25"], "outside [0, 19]"),
+        ("increments", ["--n", "40", "--fit-hi", "45"], "outside [0, 39]"),
+        ("increments", ["--n", "20", "--fit-lo", "2", "--fit-hi", "4"],
+         "fit window [2, 4] has fewer than the 4"),
+    ])
+    def test_range_rejected(self, capsys, binary_cfg, mode, flags, message):
+        assert cli.main(["verify", mode, binary_cfg, *flags]) == 2
         err = capsys.readouterr().err
-        assert "fit window [2, 4]" in err or "n >= 6" in err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "sn", "{cfg}", "--n", "10", "--x", "0.5"],

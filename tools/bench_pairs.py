@@ -9,8 +9,8 @@ afterwards, and each pair runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each copy, pair i at seed S = --seed + i, T the run_seconds of
-BENCHMARK.json. Even pairs run BASE first, odd pairs CHANGE first, so
+once in each copy, pair i (counting from 0) at seed S = 1 + i, T the
+run_seconds of BENCHMARK.json. Even pairs run BASE first, odd pairs CHANGE first, so
 neither side always runs on a cooler machine. The script then prints, for
 each end-to-end metric of BENCHMARK.json, both sides' medians and quartiles
 and the number of pairs in which CHANGE read better (by the metric's
@@ -34,11 +34,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(first quartile, median, third quartile), by linear interpolation
-    between the sorted values."""
+    """(first quartile, median, third quartile), by statistics.quantiles'
+    default (exclusive) method, as `bench/figures.py spread` reads them."""
     if len(values) == 1:
         return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
 
 
@@ -106,7 +106,6 @@ def main(argv: list[str]) -> int:
     p.add_argument("change")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -116,7 +115,7 @@ def main(argv: list[str]) -> int:
                   unpack(args.change, Path(top) / "change"))
         pairs = []
         for i in range(args.pairs):
-            seed = args.seed + i
+            seed = 1 + i
             order = (0, 1) if i % 2 == 0 else (1, 0)
             results = {side: bench(copies[side], args.workload, seed, seconds)
                        for side in order}
