@@ -40,7 +40,7 @@ from .estimate import (TailEstimate, convergence_report,
                        mc_tail_sn, theorem1_candidates)
 from .oracle import exact_logZn_tail, exact_sn_tail, exact_sn_tails
 from .simulate import (DOMAIN_SIMULATE, RNG_ID, SEED_MAX, EnvTables,
-                       SimConfig, block_records, simulate_block, stream)
+                       block_records, simulate_block, stream)
 
 # simulate writes one CSV per trajectory; keep runs to a sane file count.
 # A run is then no larger than one estimator block (estimate.BLOCK_TRIALS),
@@ -185,8 +185,6 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
         raise ValueError(
             f"simulate writes one CSV per trajectory; --trials {args.trials} "
             f"exceeds {_MAX_TRAJECTORY_FILES}")
-    cfg = SimConfig(n=args.n, seed=args.seed)
-
     tables = EnvTables(env)
     names = (["result.csv"] if args.trials == 1
              else [f"result_{t:04d}.csv" for t in range(args.trials)])
@@ -196,7 +194,7 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
         # the whole block is stepped before the first file is written, so a
         # run stopped at the population cap writes no trajectory
         block, states, approx_used = simulate_block(
-            tables, cfg, args.trials, stream(args.seed, DOMAIN_SIMULATE, 0))
+            tables, args.n, args.trials, stream(args.seed, DOMAIN_SIMULATE, 0))
         approx.append(approx_used)
         # One %-format per row, its generation number in the template,
         # writes what fmt() and _csv() would.

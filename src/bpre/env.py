@@ -120,6 +120,15 @@ class EnvDistribution:
         return max(max(s.pmf.support) for s, _ in self.states)
 
 
+def require_no_extinction(env: EnvDistribution) -> None:
+    """Raise ConfigError if any state has p0 > 0."""
+    bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]
+    if bad:
+        raise ConfigError(
+            f"extinction possible (p0 > 0) in states: {', '.join(bad)}; "
+            "all tail/martingale claims assume p0 = 0")
+
+
 @dataclass(frozen=True)
 class ModelMoments:
     """Moments of X = log m(state) under the environment law, plus H1 constants.

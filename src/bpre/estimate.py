@@ -6,14 +6,13 @@ the Philox stream keyed by (seed, domain, b), formed in _block_tasks alone,
 whatever the number of workers, and partial results are reduced in block
 order: estimates are bit-identical for any worker count. mc_tail_sn draws each
 block's (size, k) matrix of state counts in one multinomial call and needs
-no other draw. Within a block of the population estimators the draw order
-is pinned: the (size, n) environment uniform matrix first, then per
-generation one offspring pass per state in declaration order, over the
-trials still stepped (all of them, except in mc_tail_logzn; see below).
-The generation loop is bpre.simulate's, shared with simulate_block: the
-block holds that matrix only as its (n, size) state indices
-(simulate._state_rows, one byte each up to 256 states), and generation k
-reads row k of them in simulate._generation, whose passes are calls of
+no other draw. A block of the population estimators has the one block
+shape of bpre.simulate, shared with simulate_block, which pins its draw
+order: its start, then the (size, n) environment uniform matrix, held as
+its (n, size) state indices (simulate._state_rows, one byte each up to 256
+states), then per generation k one simulate._generation on row k, one
+offspring pass per state in declaration order over the trials still
+stepped (all of them, except in mc_tail_logzn; see below). Each pass calls
 simulate.offspring on a float64 population vector; that fixes the draws
 inside each pass (exact binomial draws before Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
@@ -28,11 +27,10 @@ call's blocks are ORed in block order into approx_sampling_used.
 
 The log Z_n estimators (mc_tail_logzn, convergence_report) start from a
 kernel head: under the annealed law (Z_k) is a Markov chain with kernel K, so
-each block first draws Z_g ~ delta_1 K^g, one uniform per trial mapped by
-inverse CDF through the cumulative kernel law, and then draws the
-(size, n - g) environment matrix and steps generations g+1..n as above
-(mc_tail_logzn draws the matrix only once some trial is still open after
-the head). The depth g is the largest g <= n whose kernel work
+each block starts from Z_g ~ delta_1 K^g, one uniform per trial mapped by
+inverse CDF through the cumulative kernel law (_KernelHead), and then draws
+the (size, n - g) environment matrix and steps generations g+1..n as above.
+The depth g is the largest g <= n whose kernel work
 (oracle.kernel_work) is at most HEAD_WORK_PER_DRAW multiply-adds per
 binomial draw that stepping generations 1..g would take, and at most
 oracle.MAX_KERNEL_WORK; it depends on the model, n and the trial count
@@ -60,8 +58,7 @@ takes depend on the event, and a reachable x gives other bytes than
 stepping every trial to n would (the same law). The rule is applied first
 at Z_0 = 1 with all n generations to go: an event it fixes there, such as
 x = 3 under M_paper, holds for every trial or for none, and mc_tail_logzn
-returns it without building a head or drawing anything. A block whose
-trials are all decided at the head draws no environment matrix.
+returns it without building a head or drawing anything.
 
 Every tail event is an oracle.TailEvent, so the estimators and the exact
 oracle agree on every sample path.
@@ -76,12 +73,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import EnvDistribution, compute_moments
+from .env import EnvDistribution, compute_moments, require_no_extinction
 from .oracle import (MAX_KERNEL_WORK, TailEvent, _annealed_laws,
                      _increment_means, _running_work, _table_work, kernel_work)
 from .simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ, EnvTables,
-                       _generation, _generations, _state_rows,
-                       require_no_extinction, stream)
+                       _generation, _state_rows, stream)
 
 BLOCK_TRIALS = 16384
 
@@ -425,7 +421,16 @@ def _increment_depth(tables: EnvTables, n: int, trials: int) -> int:
 class _KernelHead:
     """Z_g drawn exactly from law, the annealed law delta_1 K^g
     (oracle._annealed_laws), whose cumulative sums are computed once per
-    call, before the blocks. Depth 0 is Z_0 = 1 and draws nothing."""
+    call, before the blocks. Depth 0 is Z_0 = 1 and draws nothing.
+
+    Under the annealed law (Z_k) is a Markov chain, so Z_{g+1..n} depend on
+    the past only through Z_g, and a block may start there. The sampled law
+    of Z_g is within 2 gamma_N + (k_max^g + 1) u of delta_1 K^g in total
+    variation, u = 2^-53: gamma_N bounds each kernel atom's relative error
+    (see oracle._compose), and the running sum adds at most u to each atom's
+    mass. That is below 4e-12 for the binary model at g = 12, far below the
+    1/trials resolution of any estimate.
+    """
 
     def __init__(self, g: int, law: np.ndarray):
         self.g = g
@@ -441,53 +446,30 @@ class _KernelHead:
         return np.minimum(idx, self.top).astype(np.float64)
 
 
-def _final_logz(tables: EnvTables, n: int, size: int, rng: np.random.Generator,
-                head: _KernelHead) -> tuple[np.ndarray, bool]:
-    """log Z_n for a block of trials, and whether a draw was Gaussian (the
-    head's exact draws never are).
-
-    Under the annealed law (Z_k) is a Markov chain, so Z_g ~ delta_1 K^g and
-    Z_{g+1..n} depend on the past only through Z_g. The block draws Z_g
-    first (head.draw), then steps the remaining n - g generations with
-    _generations; at depth 0 it steps all n from Z_0 = 1. The sampled law of
-    Z_g is within 2 gamma_N + (k_max^g + 1) u of delta_1 K^g in total
-    variation, u = 2^-53: gamma_N bounds each kernel atom's relative error
-    (see oracle._compose), and the running sum adds at most u to each atom's
-    mass. That is below 4e-12 for the binary model at g = 12, far below the
-    1/trials resolution of any estimate.
-    """
-    z = head.draw(rng, size)
-    approx = False
-    for _, _, gaussian in _generations(tables, n - head.g, rng, z):
-        approx |= gaussian
-    return np.log(z), approx
-
-
 def _tail_hits(tables: EnvTables, size: int, rng: np.random.Generator,
                head: _KernelHead, event: TailEvent) -> tuple[int, bool]:
     """Trials of a block whose log Z_n is in the event, and whether a draw
     was Gaussian.
 
-    Draws Z_g (head.draw), then before each generation k decides every open
-    trial by event.decide: hits are counted and dropped, misses dropped. The
-    (size, n - g) environment matrix is drawn, as its state rows
-    (_state_rows), once some trial is still open after the head. Only the
-    open trials, in block order, take generation k's _generation, each
-    with its own state from row k.
+    Draws Z_g (head.draw) and the (n - g, size) state rows (_state_rows),
+    then before each generation k decides every open trial by event.decide:
+    hits are counted and dropped, misses dropped. Only the open trials, in
+    block order, take generation k's _generation, each with its own state
+    from row k. A block decided at the head leaves its rows' draws the last
+    of its stream, so they move no other draw.
     """
     z = head.draw(rng, size)
+    states = _state_rows(tables, event.n - head.g, size, rng)
     rows = np.arange(size)
     log_kmax = math.log(tables.env.k_max)
     hits, approx = 0, False
-    for j, rest in enumerate(range(event.n - head.g, 0, -1)):
+    for col, rest in zip(states, range(event.n - head.g, 0, -1)):
         hit, live = event.decide(np.log(z), rest, log_kmax)
         hits += int(np.count_nonzero(hit))
         z, rows = z[live], rows[live]
         if not z.size:
             return hits, approx
-        if not j:
-            states = _state_rows(tables, event.n - head.g, size, rng)
-        approx |= _generation(tables, states[j][rows], z, rng)
+        approx |= _generation(tables, col[rows], z, rng)
     return hits + int(np.count_nonzero(event.reached(np.log(z)))), approx
 
 
@@ -554,14 +536,13 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
             sums = np.empty(n - g)
             sums_sq = np.empty(n - g)
             approx = False
-            for j, (col, z, gaussian) in enumerate(
-                    _generations(tables, n - g, rng, z)):
+            for j, col in enumerate(_state_rows(tables, n - g, size, rng)):
+                approx |= _generation(tables, col, z, rng)
                 logz = np.log(z)
                 inc = np.abs(logz - prev_logz - tables.X[col])
                 sums[j] = inc.sum()
                 sums_sq[j] = (inc * inc).sum()
                 prev_logz = logz
-                approx |= gaussian
             return sums, sums_sq, approx
 
         tasks += _block_tasks(run_block, trials, seed, DOMAIN_INCREMENTS)
@@ -647,7 +628,11 @@ def convergence_report(env: EnvDistribution, n_values: Sequence[int],
         def run_block(rng: np.random.Generator, size: int, n: int = n,
                       events=events, head: _KernelHead = _KernelHead(g, laws[g])
                       ) -> tuple[list[int], bool]:
-            logz, approx = _final_logz(tables, n, size, rng, head)
+            z = head.draw(rng, size)
+            approx = False
+            for col in _state_rows(tables, n - head.g, size, rng):
+                approx |= _generation(tables, col, z, rng)
+            logz = np.log(z)
             return [int(np.count_nonzero(event.reached(logz)))
                     for event in events], approx
 

@@ -48,8 +48,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .env import (EnvDistribution, EnvState, ModelMoments, ResourceCapError,
-                  state_log_mean, state_mean)
-from .simulate import require_no_extinction
+                  require_no_extinction, state_log_mean, state_mean)
 
 TIE_EPS = 1e-9
 

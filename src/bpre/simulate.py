@@ -10,16 +10,18 @@ of positive mass but the largest. A binomial draw on at most INT64_SAFE =
 it, a rounded Gaussian approximation. That is the
 package's one exactness limit, and it lies past 2^53, where the float64
 populations already round. offspring() is the one implementation of this
-step. _generation steps a block of populations one generation, one
-offspring pass per state in declaration order, and _state_rows holds the
-block's environment as state indices: this is the generation loop of the
-Monte Carlo estimators and of simulate_block, which steps all trajectories
-of a `simulate` run as one block on one stream. simulate_trajectory() is a
-block of one. A generation's first
+step. A generation's first
 draw is on all Z_k individuals and each later chain link draws on fewer, so
 a generation takes a Gaussian draw iff some population starts above
 INT64_SAFE in a state that draws, one with two or more family sizes of
 positive mass; approx_sampling_used follows that rule.
+
+Every block of trials, here and in bpre.estimate, has one shape on its own
+stream: its start (Z_0 = 1, or an estimator's kernel head Z_g), then its
+(n, size) environment as state indices, one _state_rows call, then one
+_generation per row, one offspring pass per state in declaration order.
+simulate_block steps all trajectories of a `simulate` run as one such
+block; simulate_trajectory() is a block of one.
 
 Environment states are picked from uniforms by EnvTables.pick_states, an
 inverse CDF by threshold comparisons. EnvTables.pick_probs is the state law
@@ -44,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import (ConfigError, EnvDistribution, ResourceCapError,
+from .env import (EnvDistribution, ResourceCapError, require_no_extinction,
                   state_log_mean)
 
 RNG_ID = "philox4x64:key=seed<<64|domain<<48|index"
@@ -120,8 +122,9 @@ class EnvTables:
     cum holds cumulative state masses for inverse-CDF lookup, and
     pick_probs the state probabilities that lookup implies; each state's
     sampler descriptor is (((k, conditional_p), ...), k_last), the
-    ascending conditional-binomial chain, and draws holds binomial_draws
-    of each.
+    ascending conditional-binomial chain, and draws holds each chain's
+    length, the binomial draws one offspring pass takes per population: a
+    state draws iff two or more family sizes have positive mass.
     """
 
     def __init__(self, env: EnvDistribution):
@@ -137,7 +140,7 @@ class EnvTables:
         self.X = np.array([state_log_mean(s) for s in self.states])
         self.index_dtype = np.min_scalar_type(len(self.states) - 1)
         self.samplers = tuple(_sampler_descriptor(s.pmf.entries) for s in self.states)
-        self.draws = np.array([binomial_draws(s) for s in self.samplers])
+        self.draws = np.array([len(chain) for chain, _ in self.samplers])
 
     def pick_states(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in [0,1) to state indices by inverse CDF.
@@ -220,23 +223,6 @@ def offspring(z: np.ndarray, sampler, rng: np.random.Generator) -> np.ndarray:
     return total + k_last * remaining
 
 
-def binomial_draws(sampler) -> int:
-    """Binomial draws one offspring pass takes per population under a
-    sampler descriptor: its chain's length, one less than the number of
-    family sizes of positive mass, so a state draws iff two or more have
-    positive mass."""
-    return len(sampler[0])
-
-
-def require_no_extinction(env: EnvDistribution) -> None:
-    """Raise ConfigError if any state has p0 > 0."""
-    bad = [s.label for s, _ in env.states if s.pmf.p0 > 0.0]
-    if bad:
-        raise ConfigError(
-            f"extinction possible (p0 > 0) in states: {', '.join(bad)}; "
-            "all tail/martingale claims assume p0 = 0")
-
-
 def _check_population_cap(top: float) -> None:
     """Raise ResourceCapError once the largest population of a block, top,
     passes DEFAULT_POPULATION_CAP; the cap sits far below float64 overflow."""
@@ -284,38 +270,21 @@ def _generation(tables: EnvTables, col: np.ndarray, z: np.ndarray,
     return approx
 
 
-def _generations(tables: EnvTables, n: int, rng: np.random.Generator,
-                 z: np.ndarray):
-    """Step a block of float64 populations z through n generations in the
-    pinned draw order: the (size, n) environment matrix, held as its state
-    rows (_state_rows), then _generation per row. At one byte per
-    trial-generation the state matrix is an eighth of the uniforms it
-    replaces, and each generation reads one contiguous row.
-
-    Yields (state index per trial, Z, whether a draw was Gaussian) after
-    each generation; z is updated in place. Z is exact below 2^53 and
-    rounds at 1e-16 relative above.
-    """
-    for col in _state_rows(tables, n, z.size, rng):
-        yield col, z, _generation(tables, col, z, rng)
-
-
-def simulate_block(tables: EnvTables, cfg: SimConfig, size: int,
+def simulate_block(tables: EnvTables, n: int, size: int,
                    rng: np.random.Generator
                    ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """size trajectories of cfg.n generations from Z_0 = 1, stepped as one
+    """size trajectories of n generations from Z_0 = 1, stepped as one
     block on rng: (Z, states, whether a draw was Gaussian).
 
-    states are the (n, size) state rows (_state_rows), drawn first; then
-    each generation is one _generation, and row k of the (n+1, size)
-    float64 array Z holds every trajectory's Z_k: 9 bytes per
+    states are the (n, size) state rows (_state_rows); row k of the
+    (n+1, size) float64 array Z holds every trajectory's Z_k: 9 bytes per
     trajectory-generation in all. Every state must have p0 = 0
     (require_no_extinction), so Z never reaches 0.
     """
     require_no_extinction(tables.env)
-    states = _state_rows(tables, cfg.n, size, rng)
-    z = np.empty((cfg.n + 1, size))
+    z = np.empty((n + 1, size))
     z[0] = 1.0
+    states = _state_rows(tables, n, size, rng)
     approx = False
     for k, col in enumerate(states):
         z[k + 1] = z[k]
@@ -336,16 +305,15 @@ def block_records(tables: EnvTables, z: np.ndarray, states: np.ndarray,
             for zk, sk in zip(z[:, t].tolist(), s.tolist())]
 
 
-def simulate_trajectory(env: EnvDistribution | EnvTables, cfg: SimConfig,
+def simulate_trajectory(env: EnvDistribution, cfg: SimConfig,
                         rng: np.random.Generator | None = None) -> Trajectory:
     """One trajectory: a simulate_block of one on rng, by default
     stream(cfg.seed, DOMAIN_SIMULATE, 0). It draws n environment uniforms,
-    then each generation's offspring draws in generation order. env may be
-    prebuilt EnvTables, so that many trajectories share one."""
-    tables = env if isinstance(env, EnvTables) else EnvTables(env)
+    then each generation's offspring draws in generation order."""
+    tables = EnvTables(env)
     if rng is None:
         rng = stream(cfg.seed, DOMAIN_SIMULATE, 0)
-    z, states, approx = simulate_block(tables, cfg, 1, rng)
+    z, states, approx = simulate_block(tables, cfg.n, 1, rng)
     return Trajectory(records=tuple(GenRecord(*rec) for rec in
                                     block_records(tables, z, states, 0)),
                       states=tuple(tables.labels[i]

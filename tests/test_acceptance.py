@@ -24,7 +24,7 @@ from bpre.estimate import (fit_geometric_decay, mc_logw_increments,
                            mc_tail_logzn, mc_tail_sn, theorem1_candidates)
 from bpre.oracle import exact_EWn, exact_logZn_tail, exact_sn_tail
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, EnvTables,
-                           SimConfig, simulate_block, stream)
+                           simulate_block, stream)
 from brute import quenched_martingale_check
 from models import BINARY
 
@@ -139,7 +139,7 @@ def test_criterion_5_martingale_mean_one(env):
         # 10^4 trajectories as one block, on the stream `simulate --seed 0`
         # opens; W_20 = Z_20 / Pi_20 = exp(log Z_20 - S_20)
         tables = EnvTables(env)
-        z, states, _ = simulate_block(tables, SimConfig(n=20, seed=0), 10 ** 4,
+        z, states, _ = simulate_block(tables, 20, 10 ** 4,
                                       stream(0, DOMAIN_SIMULATE, 0))
         ws = np.exp(np.log(z[-1]) - tables.X[states].sum(axis=0)).tolist()
         mean = statistics.fmean(ws)

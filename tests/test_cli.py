@@ -18,8 +18,7 @@ from bpre.env import (ResourceCapError, compute_moments, parse_env_config,
 from bpre.estimate import IncrementStat, IncrementStats, _head_depth
 from bpre.oracle import exact_logZn_tail, exact_sn_tail
 import bpre.simulate
-from bpre.simulate import (DOMAIN_SIMULATE, EnvTables, SimConfig,
-                           simulate_block, stream)
+from bpre.simulate import DOMAIN_SIMULATE, EnvTables, simulate_block, stream
 from models import BINARY, DOUBLING
 
 BINARY_TEXT = json.dumps(BINARY)
@@ -475,8 +474,7 @@ class TestSimulate:
         assert cli.main(["simulate", binary_cfg, "--n", "200", "--trials", "3",
                          "--seed", "11", "--out", str(out)]) == 0
         tables = EnvTables(parse_env_config(BINARY_TEXT))
-        cfg = SimConfig(n=200, seed=11)
-        z, states, approx = simulate_block(tables, cfg, 3,
+        z, states, approx = simulate_block(tables, 200, 3,
                                            stream(11, DOMAIN_SIMULATE, 0))
         assert approx
         for t in range(3):

@@ -18,7 +18,7 @@ from bpre.env import compute_moments
 import bpre.estimate
 from bpre.estimate import (BLOCK_TRIALS, HEAD_WORK_PER_DRAW, MAX_TRIALS,
                            DecayFit,
-                           TailEstimate, _deepest, _final_logz, _head_depth,
+                           TailEstimate, _deepest, _head_depth,
                            _increment_depth, _KernelHead, _block_tasks,
                            _run, _tail_estimate, _tail_hits, binomial_ci,
                            convergence_report, fit_geometric_decay,
@@ -29,8 +29,8 @@ from bpre.oracle import (MAX_KERNEL_WORK, TIE_EPS, TailEvent, _annealed_laws,
                          exact_logZn_tail, exact_sn_tail, kernel_work)
 from bpre.simulate import (DOMAIN_INCREMENTS, DOMAIN_SN, DOMAIN_TRAJ,
                            INT64_SAFE, STATE_CHUNK, EnvTables,
-                           _generation, _generations, _state_rows, offspring,
-                           stream)
+                           _generation, _state_rows, offspring,
+                           simulate_block, stream)
 from models import BINARY, DOUBLING, GENERIC, MIXED, binary_env
 
 # only odd populations have mass
@@ -606,9 +606,18 @@ class TestKernelHead:
                     if sel.size:
                         z[sel] = offspring(z[sel], sampler, rng)
             replay = np.log(z)
-            got, _ = _final_logz(tables, n, trials, stream(seed, DOMAIN_TRAJ, 0),
-                                 _KernelHead(g, law))
-            assert replay.tobytes() == got.tobytes()
+            rng = stream(seed, DOMAIN_TRAJ, 0)
+            got = _KernelHead(g, law).draw(rng, trials)
+            for col in _state_rows(tables, n - g, trials, rng):
+                _generation(tables, col, got, rng)
+            assert replay.tobytes() == np.log(got).tobytes()
+            # convergence_report's one block steps the same trials
+            ys = (0.05, 0.1)
+            rows = convergence_report(env, [n], ys, trials, seed)
+            assert [row.hits for row in rows] == [
+                int(np.count_nonzero(TailEvent(n, mom.mu, 1.0, y,
+                                               two_sided=True).reached(replay)))
+                for y in ys]
 
             reached = TailEvent(n, mom.mu, mom.M_tight, 0.3).reached
             rng = stream(seed, DOMAIN_TRAJ, 0)
@@ -637,19 +646,20 @@ class TestKernelHead:
 
     def test_depth_zero_stepping_brackets_the_oracle(self):
         # at n = 6 mc_tail_logzn draws Z_6 from the oracle's own law; stepping
-        # every generation from Z_0 = 1 keeps a route independent of it
+        # every generation from Z_0 = 1 (the last row of a simulate_block)
+        # keeps a route independent of it
         env = binary_env()
         tables = EnvTables(env)
         mom = compute_moments(env)
         n, trials = 6, 20_000
-        depth0 = _KernelHead(0, _annealed_laws(env, 0)[0])
         for x in (0.25, 0.5, 1.0):
             exact = exact_logZn_tail(env, n, x, mom, mom.M_tight)
             wins = 0
             for seed in range(20):
-                logz = np.concatenate([logz for logz, _ in _run(_block_tasks(
-                    lambda rng, size: _final_logz(tables, n, size, rng, depth0),
-                    trials, seed, DOMAIN_TRAJ), 2)])
+                logz = np.concatenate(_run(_block_tasks(
+                    lambda rng, size: np.log(
+                        simulate_block(tables, n, size, rng)[0][-1]),
+                    trials, seed, DOMAIN_TRAJ), 2))
                 hits = int(np.count_nonzero(
                     TailEvent(n, mom.mu, mom.M_tight, x).reached(logz)))
                 low, high = binomial_ci(hits, trials, 0.99)
@@ -703,10 +713,8 @@ class TestEarlyDecision:
         mom = compute_moments(env)
         M = getattr(mom, M) if isinstance(M, str) else M
         trials = 4000
-        logz = [np.zeros(trials)]
-        for _, z, _ in _generations(tables, n, stream(5, DOMAIN_TRAJ, 0),
-                                 np.ones(trials)):
-            logz.append(np.log(z))
+        logz = np.log(simulate_block(tables, n, trials,
+                                     stream(5, DOMAIN_TRAJ, 0))[0])
         if n == 200:
             assert logz[-1].max() > 62 * math.log(2)
         early_hits = early_misses = 0
@@ -865,13 +873,9 @@ class TestIncrements:
         stats = mc_logw_increments(env, n, trials, seed=5, workers=2)
         g = stats.head_depth
         assert 0 < g < n
-        incs = np.empty((n, trials))
-        prev = np.zeros(trials)
-        for k, (col, z, _) in enumerate(_generations(
-                tables, n, stream(6, DOMAIN_INCREMENTS, 0), np.ones(trials))):
-            logz = np.log(z)
-            incs[k] = np.abs(logz - prev - tables.X[col])
-            prev = logz
+        z, states, _ = simulate_block(tables, n, trials,
+                                      stream(6, DOMAIN_INCREMENTS, 0))
+        incs = np.abs(np.diff(np.log(z), axis=0) - tables.X[states])
         means = incs.mean(axis=1)
         errs = incs.std(axis=1, ddof=1) / math.sqrt(trials)
         for s, mean, err in zip(stats, means, errs):
@@ -1037,9 +1041,15 @@ class TestConvergenceReport:
         n, ys, trials = 20, [0.05, 0.1, 0.2], BLOCK_TRIALS + 100
         g = _head_depth(tables, n, trials)
         head = _KernelHead(g, _annealed_laws(env, g)[g])
-        logz = np.concatenate([logz for logz, _ in _run(_block_tasks(
-            lambda rng, size: _final_logz(tables, n, size, rng, head),
-            trials, 3, DOMAIN_TRAJ), 1)])
+
+        def final_logz(rng, size):
+            z = head.draw(rng, size)
+            for col in _state_rows(tables, n - g, size, rng):
+                _generation(tables, col, z, rng)
+            return np.log(z)
+
+        logz = np.concatenate(_run(_block_tasks(final_logz, trials, 3,
+                                                DOMAIN_TRAJ), 1))
         deviations = np.abs(logz / n - mu)
         rows = convergence_report(env, [n], ys, trials, seed=3)
         assert [r.hits for r in rows] == [

@@ -7,7 +7,7 @@ from bpre.env import ConfigError, ResourceCapError, parse_env_config, state_mean
 from bpre.simulate import (DOMAIN_QUENCHED, DOMAIN_SIMULATE, DOMAIN_SN,
                            DOMAIN_TRAJ, INT64_SAFE, EnvTables, SimConfig,
                            _binomial_vector, _check_population_cap,
-                           _generations, block_records, offspring,
+                           _generation, _state_rows, block_records, offspring,
                            simulate_block, simulate_trajectory, stream)
 from brute import quenched_martingale_check
 from models import BINARY, DOUBLING, MIXED, binary_env
@@ -454,15 +454,11 @@ class TestTrajectory:
         assert list(traj.records) == records
         assert traj.approx_sampling_used == ref_approx == approx
 
-    def test_env_tables_in_place_of_the_env(self):
-        env = parse_env_config(MIXED)
-        cfg = SimConfig(n=120, seed=5)
-        assert (simulate_trajectory(EnvTables(env), cfg)
-                == simulate_trajectory(env, cfg))
+    def test_refuses_extinction(self):
         risky = parse_env_config({"model": "generic", "states": [
             {"label": "risky", "mass": 1.0, "offspring": {"0": 0.5, "2": 0.5}}]})
         with pytest.raises(ConfigError, match="p0 > 0"):
-            simulate_trajectory(EnvTables(risky), cfg)
+            simulate_trajectory(risky, SimConfig(n=120, seed=5))
 
     def test_replay_raises_at_the_same_generation(self):
         env = parse_env_config(DOUBLING)
@@ -497,16 +493,16 @@ class TestBlock:
         # population passes 2^62 in a state that draws
         tables = EnvTables(parse_env_config(config))
         rng, ref_rng = stream(3, DOMAIN_SIMULATE, 0), stream(3, DOMAIN_SIMULATE, 0)
-        z, states, got = simulate_block(tables, SimConfig(n=n, seed=3), 64, rng)
+        z, states, got = simulate_block(tables, n, 64, rng)
         assert z.shape == (n + 1, 64) and z.dtype == np.float64
         assert states.shape == (n, 64) and states.dtype == np.uint8
         assert z[0].tolist() == [1.0] * 64
         flags = []
-        for k, (col, zk, gaussian) in enumerate(
-                _generations(tables, n, ref_rng, np.ones(64))):
+        zk = np.ones(64)
+        for k, col in enumerate(_state_rows(tables, n, 64, ref_rng)):
+            flags.append(_generation(tables, col, zk, ref_rng))
             assert np.array_equal(col, states[k])
             assert np.array_equal(zk, z[k + 1])
-            flags.append(gaussian)
         assert got == any(flags) == approx
         assert rng.random() == ref_rng.random()
 
@@ -515,7 +511,7 @@ class TestBlock:
         # order, and logW = log Z - S
         env = parse_env_config(MIXED)
         tables = EnvTables(env)
-        z, states, _ = simulate_block(tables, SimConfig(n=30, seed=4), 5,
+        z, states, _ = simulate_block(tables, 30, 5,
                                       stream(4, DOMAIN_SIMULATE, 0))
         for t in range(5):
             records = block_records(tables, z, states, t)
