@@ -10,7 +10,9 @@ ends in emit: with --out DIR the CSVs (result.csv, or one per simulated
 trajectory), then result.json, then manifest.json, the mark of a complete
 run, then a verify mode's verdict line; without --out the JSON result goes
 to stdout. Then the exit code: 0 pass, 1 verdict or assumption failure,
-2 usage or parse error, 3 resource cap.
+2 usage or parse error, 3 resource cap. A model outside a command's
+assumptions raises Refusal before any sampling or file: exit 1, with the
+reason on stderr.
 """
 from __future__ import annotations
 
@@ -138,6 +140,11 @@ def emit(args, result: dict | Callable[[], dict],
     return 0 if passed else 1
 
 
+class Refusal(Exception):
+    """A model outside the command's assumptions; main prints the reason to
+    stderr and exits 1."""
+
+
 def load_env(path: str) -> tuple[EnvDistribution, str]:
     data = Path(path).read_bytes()
     return parse_env_config(data), hashlib.sha256(data).hexdigest()
@@ -146,6 +153,16 @@ def load_env(path: str) -> tuple[EnvDistribution, str]:
 def _by_M_kind(kind: str, tight, paper):
     """The --M-kind choice of a (tight, paper) pair."""
     return tight if kind == "tight" else paper
+
+
+def _M(kind: str, moments: ModelMoments) -> float:
+    """The --M-kind constant M of H1. Where it is not > 0, neither is
+    M_tight (M_paper >= M_tight), so H1 fails and the command refuses: its
+    bound and tail events need M > 0."""
+    M = _by_M_kind(kind, moments.M_tight, moments.M_paper)
+    if not M > 0.0:
+        raise Refusal("env-check failed: H1")
+    return M
 
 
 def cmd_env_check(args, env: EnvDistribution) -> int:
@@ -179,8 +196,7 @@ def cmd_simulate(args, env: EnvDistribution) -> int:
     failed = [c.check for c in report.checks
               if not c.passed and c.check in ("A1", "P0_ZERO")]
     if failed:
-        print(f"env-check failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
+        raise Refusal(f"env-check failed: {', '.join(failed)}")
     if args.trials > _MAX_TRAJECTORY_FILES:
         raise ValueError(
             f"simulate writes one CSV per trajectory; --trials {args.trials} "
@@ -243,9 +259,9 @@ def _sn_rows(env: EnvDistribution, moments: ModelMoments, n: int, kind: str,
     eps_H (bounds.sn_tail_bound_eps), and _check's verdict on the exact
     tail and mc. The exact tails, where not given, come from one
     composition pass."""
-    sigma2_err, M_tight_err, M_paper_err = moment_rounding(env, moments)
-    M, M_err = _by_M_kind(kind, (moments.M_tight, M_tight_err),
-                          (moments.M_paper, M_paper_err))
+    M = _M(kind, moments)
+    sigma2_err, *M_errs = moment_rounding(env, moments)
+    M_err = _by_M_kind(kind, *M_errs)
     if exacts is None:
         exacts = exact_sn_tails(env, n, xs, M, moments.mu)
     rows = []
@@ -295,15 +311,21 @@ def _estimate_fields(est: TailEstimate) -> dict:
             "ci_low": est.ci_low, "ci_high": est.ci_high, "level": est.level}
 
 
-def _fit_window(n: int, lo: int, hi: int) -> None:
-    """Check the decay fit's window [lo, hi] at horizon n before any
-    estimator runs: inside [0, n-1] and holding the 4 points
-    fit_geometric_decay needs."""
+def _fit_window(env: EnvDistribution, n: int, lo: int, hi: int) -> None:
+    """Check the decay fit before any estimator runs: its window [lo, hi]
+    at horizon n inside [0, n-1] and holding the 4 points
+    fit_geometric_decay needs, and a model with an increment to fit. Where
+    every state's offspring law is a point mass, Z_{k+1} = m Z_k and every
+    log W increment is 0: a fit would see only rounding, so the command
+    refuses."""
     if not 0 <= lo < hi <= n - 1:
         raise ValueError(f"fit window [{lo}, {hi}] outside [0, {n - 1}]")
     if hi - lo < 3:
         raise ValueError(f"fit window [{lo}, {hi}] has fewer than the 4 "
                          "points the decay fit needs")
+    if all(len(state.pmf.support) == 1 for state, _ in env.states):
+        raise Refusal("every state's offspring law is a point mass: the "
+                      "log W increments vanish, so there is no decay to fit")
 
 
 def _decay_fit(args, env: EnvDistribution, trials: int, lo: int, hi: int):
@@ -323,7 +345,7 @@ def _decay_fit(args, env: EnvDistribution, trials: int, lo: int, hi: int):
 
 def cmd_verify_sn(args, env: EnvDistribution) -> int:
     moments = compute_moments(env)
-    M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
+    M = _M(args.m_kind, moments)
     est = mc_tail_sn(env, args.n, args.x, M, args.trials, args.seed,
                      level=args.level, workers=args.workers)
     exact = _exact_or_null(exact_sn_tail, env, args.n, args.x, M, moments.mu)
@@ -346,8 +368,8 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
     m = args.n if args.m is None else args.m
     if m > args.n:
         raise ValueError(f"--m {m} must be in [1, n={args.n}]")
-    _fit_window(args.n, 2, args.n - 1)
-    M = _by_M_kind(args.m_kind, moments.M_tight, moments.M_paper)
+    M = _M(args.m_kind, moments)
+    _fit_window(env, args.n, 2, args.n - 1)
     est = mc_tail_logzn(env, args.n, args.x, M, args.trials, args.seed,
                         level=args.level, workers=args.workers)
 
@@ -379,7 +401,7 @@ def cmd_verify_theorem1(args, env: EnvDistribution) -> int:
 
 def cmd_verify_increments(args, env: EnvDistribution) -> int:
     lo, hi = args.fit_lo, args.n - 1 if args.fit_hi is None else args.fit_hi
-    _fit_window(args.n, lo, hi)
+    _fit_window(env, args.n, lo, hi)
     incs, fit, C_hat, _ = _decay_fit(args, env, args.trials, lo, hi)
     passed = C_hat is not None
 
@@ -632,6 +654,9 @@ def main(argv: list[str] | None = None) -> int:
         if "workers" in args and args.workers is None:
             args.workers = os.cpu_count() or 1
         return args.func(args, env)
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

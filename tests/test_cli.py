@@ -34,6 +34,11 @@ STAY_OR_DOUBLE_TEXT = json.dumps({
 FOUR_TEXT = json.dumps({
     "model": "binary",
     "support": [{"p": p, "mass": 0.25} for p in (0.2, 0.4, 0.6, 0.8)]})
+# two point-mass states: every log W increment is 0, yet M > 0
+TWO_OR_THREE_TEXT = json.dumps({
+    "model": "generic",
+    "states": [{"label": "two", "mass": 0.5, "offspring": {"2": 1.0}},
+               {"label": "three", "mass": 0.5, "offspring": {"3": 1.0}}]})
 RISKY_TEXT = json.dumps({
     "model": "generic",
     "states": [{"label": "risky", "mass": 1.0,
@@ -962,6 +967,49 @@ class TestInputCheckedBeforeSampling:
         argv = [binary_cfg if a == "{cfg}" else a for a in argv]
         with pytest.raises(AssertionError, match="estimator called"):
             cli.main(argv)
+
+
+class TestDeterministicModelRefused:
+    """A model outside a command's assumptions exits 1 with the reason
+    before any estimator or exact oracle runs, and writes no file."""
+
+    H1 = "env-check failed: H1\n"
+    POINT_MASSES = ("every state's offspring law is a point mass: the log W "
+                    "increments vanish, so there is no decay to fit\n")
+
+    @pytest.fixture(autouse=True)
+    def no_estimator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimator called")
+        for name in TestInputCheckedBeforeSampling.ESTIMATORS:
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("model, argv, reason", [
+        # {2: 1.0}: M_tight = M_paper = 0
+        (DOUBLING_TEXT, ["oracle", "--n", "8", "--x", "0.5"], H1),
+        (DOUBLING_TEXT, ["verify", "oracle", "--n", "8"], H1),
+        (DOUBLING_TEXT, ["verify", "sn", "--n", "8", "--x", "0.5"], H1),
+        (DOUBLING_TEXT, ["verify", "theorem1", "--n", "16"], H1),
+        (DOUBLING_TEXT, ["verify", "increments", "--n", "16"], POINT_MASSES),
+        # {2: 1} / {3: 1}: H1 holds, the increments still vanish
+        (TWO_OR_THREE_TEXT, ["verify", "increments", "--n", "16"],
+         POINT_MASSES),
+        (TWO_OR_THREE_TEXT, ["verify", "theorem1", "--n", "16"],
+         POINT_MASSES),
+    ], ids=["oracle-doubling", "verify-oracle-doubling", "verify-sn-doubling",
+            "verify-theorem1-doubling", "verify-increments-doubling",
+            "verify-increments-two-or-three",
+            "verify-theorem1-two-or-three"])
+    def test_exits_1_with_the_reason(self, capsys, tmp_path, model, argv,
+                                     reason):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(model)
+        out = tmp_path / "out"
+        assert cli.main([*argv[:argv.index("--n")], str(cfg),
+                         *argv[argv.index("--n"):], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == reason and captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

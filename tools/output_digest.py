@@ -59,7 +59,9 @@ EXACT = ("oracle", "verify oracle", "env-check", "bound")
 
 # The README model (offspring {1, 2}), the bench's {1, 2, 3} model, a
 # {1,2} / deterministic {2} / {1,2,3} chain mix, and a four-state {1, 2}
-# model, and a model with p0 > 0, which env-check fails and simulate refuses.
+# model, and a model with p0 > 0, which env-check fails and simulate refuses;
+# then two models of point masses alone, {2} (H1 fails) and {2} / {3} (H1
+# holds, every log W increment is 0), which the verify modes refuse.
 MODELS = {
     "binary": {"model": "binary",
                "support": [{"p": 0.25, "mass": 0.5}, {"p": 0.75, "mass": 0.5}]},
@@ -76,6 +78,11 @@ MODELS = {
     "extinct": {"model": "generic", "states": [
         {"label": "risky", "mass": 0.5, "offspring": {"0": 0.2, "2": 0.8}},
         {"label": "safe", "mass": 0.5, "offspring": {"1": 0.5, "2": 0.5}}]},
+    "doubling": {"model": "generic", "states": [
+        {"label": "double", "mass": 1.0, "offspring": {"2": 1.0}}]},
+    "two-or-three": {"model": "generic", "states": [
+        {"label": "two", "mass": 0.5, "offspring": {"2": 1.0}},
+        {"label": "three", "mass": 0.5, "offspring": {"3": 1.0}}]},
 }
 
 # (run name, command, model or None for no config, flags)
@@ -150,6 +157,10 @@ RUNS = [
     ("bound-sigma", "bound", None, "--n 10 --x 0.5 --sigma 0.3 --M 0.6"),
     # refused before any file: exit 1
     ("simulate-extinct", "simulate", "extinct", "--n 8"),
+    ("verify-theorem1-doubling", "verify theorem1", "doubling", "--n 16"),
+    ("verify-oracle-doubling", "verify oracle", "doubling", "--n 8"),
+    ("verify-increments-two-or-three", "verify increments", "two-or-three",
+     "--n 16"),
 ]
 
 
