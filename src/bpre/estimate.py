@@ -562,9 +562,10 @@ def mc_logw_increments(env: EnvDistribution, n: int, trials: int, seed: int,
 def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
     """Least-squares line through (k, log mean): delta_hat = exp(slope),
     c_hat = exp(intercept). Zero means are excluded, not clamped; at least
-    four strictly positive means are required. r2's sums of squares run in
-    numpy's own loops, not in a BLAS ddot; np.polyfit still runs in
-    OpenBLAS, so c_hat and delta_hat follow its core."""
+    four strictly positive means are required. The slope is the closed form
+    on centred sums, sum(dk * dlog) / sum(dk * dk), and the intercept
+    mean(log) - slope * mean(k); these sums and r2's run in numpy's own
+    loops, not in BLAS or LAPACK, whose order follows the OpenBLAS core."""
     pairs = [(int(item[0]), float(item[1])) for item in increments]
     positive = [(k, m) for k, m in pairs if m > 0.0]
     if len(positive) < 4:
@@ -572,14 +573,16 @@ def fit_geometric_decay(increments: Iterable[tuple[int, float]]) -> DecayFit:
             f"need at least 4 strictly positive means to fit, got {len(positive)}")
     ks = np.array([k for k, _ in positive], dtype=np.float64)
     logs = np.log([m for _, m in positive])
-    slope, intercept = np.polyfit(ks, logs, 1)
+    dk = ks - ks.mean()
+    centered = logs - logs.mean()
+    slope = float((dk * centered).sum()) / float((dk * dk).sum())
+    intercept = float(logs.mean()) - slope * float(ks.mean())
     residuals = logs - (slope * ks + intercept)
     ss_res = float((residuals * residuals).sum())
-    centered = logs - logs.mean()
     ss_tot = float((centered * centered).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(increments=tuple(pairs), c_hat=float(np.exp(intercept)),
-                    delta_hat=float(np.exp(slope)), r2=r2)
+    return DecayFit(increments=tuple(pairs), c_hat=math.exp(intercept),
+                    delta_hat=math.exp(slope), r2=r2)
 
 
 def theorem1_candidates(fit: DecayFit) -> tuple[float, float]:

@@ -955,18 +955,39 @@ class TestDecayFit:
 
     @pytest.mark.parametrize("points, wobble", [(4, 0.1), (8, 0.3)])
     def test_r2_sums_are_elementwise(self, points, wobble):
-        # ss_res and ss_tot sum their squares in numpy's own loops; on a
-        # SkylakeX core a BLAS ddot moves r2's last bit on both fits
+        # the slope, intercept, ss_res and ss_tot sum in numpy's own loops
+        # (the closed form on centred sums); on a SkylakeX core a BLAS ddot
+        # moves r2's last bit on both fits
         pairs = [(k, 0.3 * 0.8 ** k * (1.0 + wobble * math.sin(3 * k)))
                  for k in range(2, 2 + points)]
         ks = np.array([k for k, _ in pairs], dtype=np.float64)
         logs = np.log([m for _, m in pairs])
-        slope, intercept = np.polyfit(ks, logs, 1)
-        residuals = logs - (slope * ks + intercept)
+        dk = ks - ks.mean()
         centered = logs - logs.mean()
+        slope = float((dk * centered).sum()) / float((dk * dk).sum())
+        intercept = float(logs.mean()) - slope * float(ks.mean())
+        residuals = logs - (slope * ks + intercept)
         r2 = 1.0 - float((residuals * residuals).sum()) / float(
             (centered * centered).sum())
-        assert fit_geometric_decay(pairs).r2 == r2
+        fit = fit_geometric_decay(pairs)
+        assert fit.r2 == r2
+        assert fit.delta_hat == math.exp(slope)
+        assert fit.c_hat == math.exp(intercept)
+
+    def test_closed_form_agrees_with_polyfit(self):
+        # the least-squares line of np.polyfit (LAPACK), within rounding
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lo = int(rng.integers(0, 10))
+            ks = np.arange(lo, lo + int(rng.integers(4, 30)), dtype=np.float64)
+            logs = (rng.normal() + rng.uniform(-1.0, 0.0) * ks
+                    + rng.normal(scale=0.3, size=ks.size))
+            fit = fit_geometric_decay(zip(ks.astype(int).tolist(),
+                                          np.exp(logs).tolist()))
+            slope, intercept = np.polyfit(ks, logs, 1)
+            assert math.log(fit.delta_hat) == pytest.approx(slope, rel=1e-12)
+            assert math.log(fit.c_hat) == pytest.approx(intercept, rel=1e-12,
+                                                        abs=1e-13)
 
     def test_accepts_increment_stats(self):
         env = binary_env()

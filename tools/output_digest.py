@@ -12,8 +12,8 @@ commit, so the file's diff shows which runs moved:
 The first line, `# python VERSION  numpy VERSION  openblas CORE`, names
 what the digest was made under: the manifests record both versions, numpy's
 streams may change across releases, and the float64 dot products of
-np.convolve and np.polyfit sum in the order of the OpenBLAS core (the
-kernel OpenBLAS picks for the CPU, or OPENBLAS_CORETYPE).
+np.convolve sum in the order of the OpenBLAS core (the kernel OpenBLAS
+picks for the CPU, or OPENBLAS_CORETYPE).
 Each command runs in-process through bpre.cli.main, at seed 3 where it
 takes one, with --out in a temporary directory. The script prints one
 `exit CODE  RUN` line per command and one `SHA256  RUN/FILE` line per
