@@ -7,14 +7,12 @@ whatever the number of workers, and partial results are reduced in block
 order: estimates are bit-identical for any worker count. mc_tail_sn draws each
 block's (size, k) matrix of state counts in one multinomial call and needs
 no other draw. A block of the population estimators has the one block
-shape of bpre.simulate, shared with simulate_block, which pins its draw
-order: its start, then the (size, n) environment uniform matrix, held as
-its (n, size) state indices (simulate._state_rows, one byte each up to 256
-states), then per generation k one simulate._generation on row k, one
-offspring pass per state in declaration order over the trials still
-stepped (all of them, except in mc_tail_logzn; see below). Each pass calls
-simulate.offspring on a float64 population vector; that fixes the draws
-inside each pass (exact binomial draws before Gaussian-approximate ones).
+shape that bpre.simulate states, shared with simulate_block: its start,
+its state rows (simulate._state_rows), then one simulate._generation per
+row over the trials still stepped (all of them, except in mc_tail_logzn;
+see below). That pins its draw order, down to the draws inside each
+offspring pass (simulate.offspring: exact binomial draws before
+Gaussian-approximate ones).
 The vector form is the same at every horizon: populations are exact integers
 below 2^53 and round at 1e-16 relative above, far inside the tie slack of
 oracle.TailEvent. Each binomial draw is exact up to the package's one
