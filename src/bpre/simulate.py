@@ -7,10 +7,9 @@ float64 overflow. Every state's offspring totals are sampled as a chain of
 conditional binomials over ascending family sizes, one link per family size
 of positive mass but the largest. A binomial draw on at most INT64_SAFE =
 2^62 trials, the largest count numpy's exact sampler takes, is exact; above
-it, a rounded Gaussian approximation. That is the
-package's one exactness limit, and it lies past 2^53, where the float64
-populations already round. offspring() is the one implementation of this
-step. A generation's first
+it, a rounded Gaussian approximation. That is the package's one exactness
+limit, and it lies past 2^53, where the float64 populations already round.
+offspring() is the one implementation of this step. A generation's first
 draw is on all Z_k individuals and each later chain link draws on fewer, so
 a generation takes a Gaussian draw iff some population starts above
 INT64_SAFE in a state that draws, one with two or more family sizes of
