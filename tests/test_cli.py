@@ -835,20 +835,24 @@ class TestConverge:
         assert 0.0 <= row["ci_low"] <= row["point"] <= row["ci_high"] <= 1.0
 
 
+ESTIMATORS = ("mc_tail_sn", "mc_tail_logzn", "mc_logw_increments",
+              "convergence_report", "exact_sn_tail", "exact_sn_tails",
+              "exact_logZn_tail")
+
+
+@pytest.fixture
+def no_estimator(monkeypatch):
+    """Every estimator and exact oracle the CLI calls fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimator called")
+    for name in ESTIMATORS:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.usefixtures("no_estimator")
 class TestInputCheckedBeforeSampling:
     """Bad verify/converge/oracle input exits 2 before any estimator or
     exact oracle runs."""
-
-    ESTIMATORS = ("mc_tail_sn", "mc_tail_logzn", "mc_logw_increments",
-                  "convergence_report", "exact_sn_tail", "exact_sn_tails",
-                  "exact_logZn_tail")
-
-    @pytest.fixture(autouse=True)
-    def no_estimator(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("estimator called")
-        for name in self.ESTIMATORS:
-            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("mode, flags, message", [
         ("theorem1", ["--n", "16", "--m", "20"], "--m 20 must be in [1, n=16]"),
@@ -969,6 +973,7 @@ class TestInputCheckedBeforeSampling:
             cli.main(argv)
 
 
+@pytest.mark.usefixtures("no_estimator")
 class TestDeterministicModelRefused:
     """A model outside a command's assumptions exits 1 with the reason
     before any estimator or exact oracle runs, and writes no file."""
@@ -976,13 +981,6 @@ class TestDeterministicModelRefused:
     H1 = "env-check failed: H1\n"
     POINT_MASSES = ("every state's offspring law is a point mass: the log W "
                     "increments vanish, so there is no decay to fit\n")
-
-    @pytest.fixture(autouse=True)
-    def no_estimator(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("estimator called")
-        for name in TestInputCheckedBeforeSampling.ESTIMATORS:
-            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("model, argv, reason", [
         # {2: 1.0}: M_tight = M_paper = 0
